@@ -10,35 +10,30 @@ from .boundary import BoundaryKernel, gaussian_laplace_moments
 from .config import RunConfig
 from .contour import (AxisSampling, Contour, cauchy_transform, log_graded_nodes,
                       plemelj_limits, pv_integral, symbol_contour, winding_index)
-from .green import (EMinusLattice, GreenGrids, GreenOperator, fresnel_weights,
-                    g2_sign)
-from .halfline import (PROFILES, GridFunction, HalfLineGrid, Profile,
-                       TruncatedWeight, WholeLineGrid, ap_characteristic,
-                       convolution_decay, dispersion_hilbert,
-                       hilbert_half_line, hilbert_half_line_direct,
-                       hilbert_whole_line, laplace_boundary, laplace_matrix,
-                       make_profile)
+from .green import EMinusLattice, GreenGrids, GreenOperator, fresnel_weights
+from .halfline import (PROFILES, HalfLineGrid, Profile, TruncatedWeight,
+                       WholeLineGrid, ap_characteristic, convolution_decay,
+                       hilbert_half_line_direct, hilbert_whole_line,
+                       laplace_matrix, make_profile)
 from .mol import MethodOfLines, MolResult
-from .solver import (DuhamelGrids, DuhamelPropagator, SpaceTimeSolution,
-                     TimeGrid, XNorm, advective_forcing, cross_validate,
-                     picard_solve)
+from .solver import (DuhamelPropagator, SpaceTimeSolution, TimeGrid, XNorm,
+                     advective_forcing, cross_validate, picard_solve)
 from .symbols import (PhiRoot, Symbols, admissible_arg, ratio_weight, root_k,
                       root_phi, symbol_K, symbol_K_tilde)
 
 __all__ = [
-    "AxisSampling", "BoundaryKernel", "Contour", "DuhamelGrids",
-    "DuhamelPropagator", "EMinusLattice", "GreenGrids", "GreenOperator",
-    "GridFunction", "HalfLineGrid", "MethodOfLines", "MolResult", "PROFILES",
-    "PhiRoot", "Profile", "RunConfig", "SpaceTimeSolution", "Symbols",
-    "TimeGrid", "TruncatedWeight", "WholeLineGrid", "XNorm",
-    "admissible_arg", "advective_forcing", "ap_characteristic",
-    "cauchy_transform", "convolution_decay", "cross_validate",
-    "dispersion_hilbert", "fresnel_weights", "g2_sign",
-    "gaussian_laplace_moments", "hilbert_half_line",
-    "hilbert_half_line_direct", "hilbert_whole_line", "laplace_boundary",
-    "laplace_matrix", "log_graded_nodes", "make_profile", "picard_solve",
-    "plemelj_limits", "pv_integral", "ratio_weight", "root_k", "root_phi",
-    "symbol_K", "symbol_K_tilde", "symbol_contour", "winding_index",
+    "AxisSampling", "BoundaryKernel", "Contour", "DuhamelPropagator",
+    "EMinusLattice", "GreenGrids", "GreenOperator", "HalfLineGrid",
+    "MethodOfLines", "MolResult", "PROFILES", "PhiRoot", "Profile",
+    "RunConfig", "SpaceTimeSolution", "Symbols", "TimeGrid",
+    "TruncatedWeight", "WholeLineGrid", "XNorm", "admissible_arg",
+    "advective_forcing", "ap_characteristic", "cauchy_transform",
+    "convolution_decay", "cross_validate", "fresnel_weights",
+    "gaussian_laplace_moments", "hilbert_half_line_direct",
+    "hilbert_whole_line", "laplace_matrix", "log_graded_nodes",
+    "make_profile", "picard_solve", "plemelj_limits", "pv_integral",
+    "ratio_weight", "root_k", "root_phi", "symbol_K", "symbol_K_tilde",
+    "symbol_contour", "winding_index",
 ]
 
 __version__ = "0.1.0"

@@ -23,12 +23,16 @@ ENUM_VALUES = {
     "contour_angle": ("3pi8", "pi4"),
     "c_q_variant": ("derived", "alt"),
     "psi_b_variant": ("derived", "display", "polar"),
-    "plemelj_constants": ("pv_half_residue", "plain_average"),
-    "g2_prefactor": ("derived", "alt_half", "alt_full"),
-    "omega_plus_numerator": ("p", "one"),
     "psi_profile": ("gauss_bump", "poly_exp"),
     "h_profile": ("ramp_exp",),
 }
+
+
+#: Smallest method-of-lines size: the one-sided three-point end stencils need
+#: room, and the PV/FFT cross-check trims 8 nodes at each end.
+MOL_MIN_N = 16
+
+_FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
 
 
 class ConfigError(ValueError):
@@ -45,9 +49,6 @@ class RunConfig:
     contour_angle: str = "3pi8"
     c_q_variant: str = "alt"
     psi_b_variant: str = "derived"
-    plemelj_constants: str = "pv_half_residue"
-    g2_prefactor: str = "derived"
-    omega_plus_numerator: str = "p"
 
     # Rotated-contour angles (radians).  delta_s rotates the inverse-transform
     # contour off the imaginary s-axis; delta_u rotates the oscillatory
@@ -62,7 +63,6 @@ class RunConfig:
     # Quadrature density knobs (Gauss-Legendre points per decade of radius).
     contour_points_per_decade: int = 24
     axis_points_per_decade: int = 24
-    spectral_points_per_decade: int = 20
 
     # Time discretization for the nonlinear solver: geometric nodes on
     # (0, t_switch], uniform on (t_switch, t_final].
@@ -88,14 +88,16 @@ class RunConfig:
     # Weighted-space exponent (the epsilon in the H^{1+eps} / L^{2,eps} pair).
     epsilon_weight: float = 0.125
 
-    # Diagnostic sampling: |arg s| window for scaling/winding suites must sit
-    # inside (3pi/4, 5pi/4) where the symbol-ratio index equals -3/2.
-    diag_arg_s: float = math.pi
-
     def __post_init__(self) -> None:
         self.validate()
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, _FIELD_TYPES[f.type]) or isinstance(value, bool):
+                raise ConfigError(f"{f.name}={value!r} is not of type {f.type}")
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name}={value!r} is not finite")
         for name, allowed in ENUM_VALUES.items():
             value = getattr(self, name)
             if value not in allowed:
@@ -106,16 +108,23 @@ class RunConfig:
             raise ConfigError("delta_s must lie in (0, pi/4)")
         if not 0.0 < self.delta_u < math.pi / 4:
             raise ConfigError("delta_u must lie in (0, pi/4)")
-        if not 3 * math.pi / 4 < self.diag_arg_s < 5 * math.pi / 4:
-            raise ConfigError("diag_arg_s must lie in (3pi/4, 5pi/4)")
-        if self.x_max <= 0 or self.n_x < 16:
-            raise ConfigError("grid requires x_max > 0 and n_x >= 16")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
+        if self.n_x < 16:
+            raise ConfigError("grid requires n_x >= 16")
         if self.t_final <= 0 or not 0 < self.t_switch <= self.t_final:
             raise ConfigError("need 0 < t_switch <= t_final")
-        for name in ("contour_points_per_decade", "axis_points_per_decade",
-                     "spectral_points_per_decade"):
+        for name in ("x_max", "mol_length", "mol_dt", "picard_tol"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive")
+        for name in ("n_time_geometric", "n_time_uniform", "picard_max_iter"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1")
+        for name in ("contour_points_per_decade", "axis_points_per_decade"):
             if getattr(self, name) < 4:
                 raise ConfigError(f"{name} must be at least 4")
+        if self.mol_n < MOL_MIN_N:
+            raise ConfigError(f"mol_n must be at least {MOL_MIN_N}")
 
     # -- serialization --------------------------------------------------
 

@@ -18,9 +18,12 @@ imaginary axis (half residues at +-i) is kept as an independent oracle.
 
 E- itself is evaluated through the scale-covariant split: all gamma_tilde
 data comes from per-direction caches, the modulus |s| enters only through
-m = p sqrt(|s|) and r = 1/sqrt(|s|), and the integrals I1/I2 are computed on
-a fixed v-quadrature per direction.  Beyond the tabulated |s| range the
-kernel uses the fitted asymptotic E- ~ lam1 p^{-1/2} s^{3/4} + lam0 s.
+m = p sqrt(|s|) and rho = sqrt(|s|), and the axis integral is one weight
+formula (e_minus_weights) on a fixed imaginary quadrature.  Beyond the
+tabulated |s| range the kernel uses the fitted asymptotic E- ~ lam1 p^{-1/2}
+s^{3/4} + lam0 s (RayLayout), and FieldAssembly turns kernel samples into the
+correction field.  The Duhamel propagator runs the same three pieces on its
+own grid instance, so the linear map exists once.
 """
 
 from __future__ import annotations
@@ -36,12 +39,12 @@ from scipy.special import gammainc, wofz
 
 from .contour import log_graded_nodes
 from .halfline import Profile, WholeLineGrid, laplace_matrix
-from .symbols import Symbols
+from .symbols import DirectionCache, Symbols
 
 TWO_PI_I = 2j * np.pi
 
-_G2_BASE = -1.0 / np.pi
-_G2_FACTORS = {"derived": 1.0, "alt_half": 0.5, "alt_full": 2.0}
+#: Prefactor of the half-line correction G2 = -(1/pi) int e^{-px} K dp.
+G2_SIGN = -1.0 / np.pi
 
 # The corner model E- ~ lam1 p^{-1/2} s^{3/4} + lam0 s holds only before the
 # rollover at m = p |s|^{1/2} = O(1); past it the true rows decay, and the
@@ -51,14 +54,13 @@ _G2_FACTORS = {"derived": 1.0, "alt_half": 0.5, "alt_full": 2.0}
 _TAIL_M_CUT = 0.3
 
 
-def g2_sign(config) -> float:
-    """Signed prefactor of the half-line correction for this configuration."""
-    return _G2_BASE * _G2_FACTORS[config.g2_prefactor]
-
-
 @dataclass(frozen=True)
 class GreenGrids:
-    """Quadrature layout for the kernel assembly."""
+    """Quadrature layout for the kernel assembly: p nodes, the damped ray and
+    its tail, and the imaginary transform axis the E- rows integrate over.
+
+    The defaults are the single-shot Green layout; the Duhamel propagator
+    runs a coarser instance of the same class."""
 
     p_min: float = 1.0e-6
     p_max: float = 2.0e4
@@ -66,9 +68,9 @@ class GreenGrids:
     r_min: float = 1.0e-7
     r_max: float = 1.0e7
     r_ppd: int = 20
-    v_min: float = 1.0e-5
-    v_max: float = 1.0e8
-    v_ppd: int = 20
+    axis_min: float = 1.0e-5
+    axis_max: float = 1.0e8
+    axis_ppd: int = 20
     tail_r_max: float = 1.0e13
     tail_ppd: int = 4
 
@@ -86,26 +88,94 @@ class GreenGrids:
         return log_graded_nodes(self.r_max, self.tail_r_max, self.tail_ppd)
 
     @cached_property
-    def v_axis(self) -> tuple[np.ndarray, np.ndarray]:
-        """Upward imaginary-axis nodes v = iV and weights i dV."""
-        V, wV = log_graded_nodes(self.v_min, self.v_max, self.v_ppd)
+    def axis(self) -> tuple[np.ndarray, np.ndarray]:
+        """Upward imaginary-axis nodes iV and weights i dV."""
+        V, wV = log_graded_nodes(self.axis_min, self.axis_max, self.axis_ppd)
         v = 1j * np.concatenate([-V[::-1], V])
         wv = 1j * np.concatenate([wV[::-1], wV])
         return v, wv
 
 
-class _DirectionPieces:
-    """gamma_tilde-derived v-kernels for one unit direction s_hat."""
+def e_minus_weights(cache: DirectionCache, mod_s, v: np.ndarray,
+                    wv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature weights of E-(p, s) at s = s_hat |s| on imaginary nodes v.
 
-    def __init__(self, symbols: Symbols, s_hat: complex, grids: GreenGrids):
-        self.cache = symbols.direction(s_hat)
-        v, wv = grids.v_axis
-        self.v = v
-        gam = self.cache.gamma_axis(v.imag)
-        e0 = np.exp(-self.cache.gamma0)
-        self.jump = np.exp(-gam) - e0
-        self.e0 = e0
-        self.base_kernel = self.jump / (v - self.cache.phi_hat) * wv / TWO_PI_I
+    With m = p |s|^{1/2}, rho = |s|^{1/2} and jump(v) = e^{-gamma_tilde(v)} -
+    e^{-gamma_tilde(0)} on the direction s_hat of ``cache``,
+
+        E-(p, s) = sum_v w(v) psi_hat(m v) - root psi_hat(phi_hat m),
+        w(v) = C e^{gamma_ref} jump(v) (B - 1/(v + 1/rho)) wv / (2 pi i (v - phi_hat)),
+        root = C e^{gamma_ref} e^{-gamma_tilde(0)} (B - (phi - k)/(phi + 1)).
+
+    ``mod_s`` broadcasts against v and wv: the Green lattice passes one fixed
+    axis for every modulus, the propagator the fixed lattice z = m v (so
+    v = z/m, wv = wz/m) of one modulus, on which psi_hat(m v) = psi_hat(z)."""
+    mod_s = np.asarray(mod_s, dtype=float)
+    sc = cache.scalars(mod_s)
+    big_b = sc["B"]
+    ce = sc["C"] * np.exp(sc["gamma_ref"])
+    e0 = np.exp(-cache.gamma0)
+    jump = np.exp(-cache.gamma_axis(v.imag)) - e0
+    w = ce * jump * (big_b - 1.0 / (v + 1.0 / np.sqrt(mod_s))) * wv \
+        / (TWO_PI_I * (v - cache.phi_hat))
+    root = ce * e0 * (big_b - (sc["phi"] - sc["k"]) / (sc["phi"] + 1.0))
+    return w, root
+
+
+class RayLayout:
+    """Damped-ray quadrature of the smooth kernel for one grid layout.
+
+    Rows 0..n_ray-1 are the tabulated rays s = r e^{i theta0}; the tail rows
+    beyond r_max carry the corner model E- ~ lam1 p^{-1/2} s^{3/4} + lam0 s,
+    fitted on the large-|s|, small-m corner of the ray rows.  The smooth part
+    of K(p, t) is then
+
+        (1/pi) Im[e^{i theta0} sum_rows w/(1+s^2) E-(p, s) e^{s p^2 t}].
+    """
+
+    def __init__(self, grids: GreenGrids, theta0: float):
+        p = grids.p_nodes
+        r, wr = grids.ray
+        rt, wrt = grids.tail_ray
+        self.p_nodes = p
+        self.n_ray = r.size
+        self.phase = np.exp(1j * theta0)
+        self.s = np.concatenate([r, rt]) * self.phase
+        self.row_coef = np.concatenate([wr, wrt]) / (1.0 + self.s**2)
+        self.sp2 = self.s[:, None] * (p**2)[None, :]
+        # tail basis rows, valid only before the rollover at m = p sqrt(r) = O(1)
+        s_tail = self.s[r.size:, None]
+        valid = np.sqrt(rt)[:, None] * p[None, :] <= _TAIL_M_CUT
+        self._tail_b1 = valid * s_tail ** 0.75 / np.sqrt(p)[None, :]
+        self._tail_b0 = valid * s_tail
+        rows = r >= grids.r_max / 1.0e2
+        cols = p * np.sqrt(r[rows].max()) <= 0.1
+        if not np.any(cols):
+            cols = p <= p[3]
+        self.corner = np.ix_(rows, cols)
+        s_c = self.s[:r.size][rows][:, None]
+        p_c = p[cols][None, :]
+        self.corner_basis = np.stack([(s_c ** 0.75 / np.sqrt(p_c)).ravel(),
+                                      (s_c * np.ones_like(p_c)).ravel()], axis=1)
+        self._pinv = np.linalg.pinv(self.corner_basis)
+
+    def fit_tail(self, e_ray: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Least-squares (lam1, lam0) of the corner model for ray rows
+        (..., n_ray, n_p), and the rows extended by the tail (..., n_rows, n_p)."""
+        corner = e_ray[(Ellipsis,) + self.corner]
+        lam = corner.reshape(corner.shape[:-2] + (-1,)) @ self._pinv.T
+        tail = lam[..., 0, None, None] * self._tail_b1 \
+            + lam[..., 1, None, None] * self._tail_b0
+        return lam, np.concatenate([e_ray, tail], axis=-2)
+
+    def damping(self, t: float) -> np.ndarray:
+        """e^{s p^2 t} on (rows, p)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.exp(self.sp2 * t)
+
+    def contract(self, rows: np.ndarray) -> np.ndarray:
+        """Smooth kernel from rows (n_rows, n_p) already carrying e^{s p^2 t}."""
+        return np.imag(self.phase * (self.row_coef @ rows)) / np.pi
 
 
 class EMinusLattice:
@@ -121,74 +191,44 @@ class EMinusLattice:
         self.symbols = symbols
         self.psi_hat = psi_hat
         self.grids = grids
-        self.theta0 = theta0
-        p = grids.p_nodes
-        r, wr = grids.ray
+        self.layout = layout = RayLayout(grids, theta0)
+        p = layout.p_nodes
         self.p_nodes = p
-        self.r_nodes = r
-        self.r_weights = wr
-        self.s_ray = r * np.exp(1j * theta0)
+        self.E_ray = self._rows(symbols.direction(layout.phase), grids.ray[0], p)
+        self.E_brk = self._rows(symbols.direction(1j), np.array([1.0]), p)[0]
+        lam, self.E_full = layout.fit_tail(self.E_ray)
+        self.tail_lam1, self.tail_lam0 = complex(lam[0]), complex(lam[1])
+        rhs = self.E_ray[layout.corner].ravel()
+        scale = float(np.max(np.abs(rhs)))
+        gap = float(np.max(np.abs(rhs - layout.corner_basis @ lam)))
+        self.tail_fit_residual = gap / scale if scale else 0.0
 
-        ray_dir = _DirectionPieces(symbols, np.exp(1j * theta0), grids)
-        self.E_ray = self._rows(ray_dir, np.abs(self.s_ray), p)
-        brk_dir = _DirectionPieces(symbols, 1j, grids)
-        self.E_brk = self._rows(brk_dir, np.array([1.0]), p)[0]
-        self._fit_tail()
-
-    def _rows(self, pieces: _DirectionPieces, mod_s: np.ndarray,
+    def _rows(self, cache: DirectionCache, mod_s: np.ndarray,
               p: np.ndarray) -> np.ndarray:
-        cache = pieces.cache
-        psi_hat = self.psi_hat
-        v = pieces.v
+        v, wv = self.grids.axis
+        w, root = e_minus_weights(cache, mod_s[:, None], v, wv)
         out = np.empty((mod_s.size, p.size), dtype=complex)
         for i, ms in enumerate(mod_s):
-            sc = cache.scalars(np.array([ms]))
-            k, phi, big_b = sc["k"][0], sc["phi"][0], sc["B"][0]
-            c_ref, e_ref = sc["C"][0], np.exp(sc["gamma_ref"][0])
-            rho = math.sqrt(ms)
-            m = p * rho
-            psi_mat = psi_hat(m[:, None] * v[None, :])
-            kern1 = pieces.base_kernel
-            kern2 = kern1 / (v + 1.0 / rho)
-            i1 = psi_mat @ kern1
-            i2 = psi_mat @ kern2
-            bt = pieces.e0 * psi_hat(cache.phi_hat * m) \
-                * (big_b - (phi - k) / (phi + 1.0))
-            out[i] = c_ref * e_ref * (big_b * i1 - i2 - bt)
+            m = p * math.sqrt(ms)
+            # keep the matrix in a local: freeing it before the next row made
+            # glibc trim and re-fault the heap every row (+50% build time)
+            psi_mat = self.psi_hat(m[:, None] * v[None, :])
+            out[i] = psi_mat @ w[i] - root[i, 0] * self.psi_hat(cache.phi_hat * m)
         return out
-
-    def _fit_tail(self) -> None:
-        """Least-squares fit of E- ~ lam1 p^{-1/2} s^{3/4} + lam0 s on the
-        large-|s|, small-m corner of the lattice."""
-        r = self.r_nodes
-        p = self.p_nodes
-        rows = r >= self.grids.r_max / 1.0e2
-        cols = p * np.sqrt(r[rows].max()) <= 0.1
-        if not np.any(cols):
-            cols = p <= p[3]
-        s_c = self.s_ray[rows][:, None]
-        p_c = p[cols][None, :]
-        b1 = (s_c ** 0.75 / np.sqrt(p_c)).ravel()
-        b0 = (s_c * np.ones_like(p_c)).ravel()
-        rhs = self.E_ray[np.ix_(rows, cols)].ravel()
-        coef, *_ = np.linalg.lstsq(np.stack([b1, b0], axis=1), rhs, rcond=None)
-        self.tail_lam1, self.tail_lam0 = complex(coef[0]), complex(coef[1])
-        model = coef[0] * b1 + coef[1] * b0
-        scale = float(np.max(np.abs(rhs)))
-        self.tail_fit_residual = float(np.max(np.abs(rhs - model))) / scale if scale else 0.0
 
     # -- kernel assembly ---------------------------------------------------
 
-    def _kernel_raw(self, t: float) -> np.ndarray:
-        p2t = self.p_nodes**2 * t
-        bracket = np.imag(np.exp(1j * p2t) * self.E_brk)
-        phase = np.exp(1j * self.theta0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            damp = np.exp(self.s_ray[:, None] * p2t[None, :])
-        core = (self.r_weights[:, None] * damp) * \
-            (self.E_ray / (1.0 + self.s_ray**2)[:, None])
-        ray = np.imag(phase * core.sum(axis=0)) / np.pi
-        return bracket + ray + self._tail_kernel(p2t)
+    def bracket(self, t: float) -> np.ndarray:
+        """Residue bracket Im[e^{i p^2 t} E-(p, i)] of the kernel."""
+        return np.imag(np.exp(1j * self.p_nodes**2 * t) * self.E_brk)
+
+    def smooth_kernel(self, t: float) -> np.ndarray:
+        """Damped-ray plus tail part of K(p, t)."""
+        return self.layout.contract(self.E_full * self.layout.damping(t))
+
+    def kernel(self, t: float) -> np.ndarray:
+        """K(p, t) on p_nodes (real array)."""
+        return self.bracket(t) + self.smooth_kernel(t)
 
     @cached_property
     def kernel_zero_defect(self) -> np.ndarray:
@@ -201,41 +241,20 @@ class EMinusLattice:
         reported, not subtracted: the defect's time carrier is unknown, and a
         frozen subtraction merely trades the far-field error at early times
         for an equally large wall-trace error at late times."""
-        return self._kernel_raw(0.0)
-
-    def kernel(self, t: float) -> np.ndarray:
-        """K(p, t) on p_nodes (real array)."""
-        return self._kernel_raw(t)
-
-    def _tail_kernel(self, p2t: np.ndarray) -> np.ndarray:
-        r, wr = self.grids.tail_ray
-        s = r * np.exp(1j * self.theta0)
-        phase = np.exp(1j * self.theta0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            damp = np.exp(s[:, None] * p2t[None, :])
-        model = (self.tail_lam1 * s[:, None] ** 0.75 / np.sqrt(self.p_nodes)[None, :]
-                 + self.tail_lam0 * s[:, None])
-        model *= np.sqrt(r)[:, None] * self.p_nodes[None, :] <= _TAIL_M_CUT
-        core = (wr[:, None] * damp) * model / (1.0 + s**2)[:, None]
-        return np.imag(phase * core.sum(axis=0)) / np.pi
+        return self.kernel(0.0)
 
     def kernel_axis_reference(self, t: float, p_values: np.ndarray,
-                              bracket_coefficient: complex | None = None,
+                              bracket_coefficient: complex = 0.25 / 1j,
                               y_cut: float = 1.0e6) -> np.ndarray:
         """Independent principal-value route on the (undeformed) imaginary axis.
 
         K = (1/pi) Re PV int_0^infty e^{i y p^2 t} E-(p, iy)/(1-y^2) dy plus
         the half-residue bracket at s = +-i; the pole at y = 1 is handled by
-        symmetric pairing.  Slow; cross-checks the rotated-ray assembly.  The
-        plain_average variant (full residues with the principal value) is the
-        negative control."""
-        sym = self.symbols
-        coeff = bracket_coefficient
-        if coeff is None:
-            coeff = {"pv_half_residue": 0.25 / 1j,
-                     "plain_average": 0.5 / 1j}[sym.config.plemelj_constants]
+        symmetric pairing.  Slow; cross-checks the rotated-ray assembly.  A
+        bracket_coefficient of 0.5/i (full residues with the principal value)
+        is the negative control."""
         p_values = np.asarray(p_values, dtype=float)
-        axis_dir = _DirectionPieces(sym, 1j, self.grids)
+        axis_dir = self.symbols.direction(1j)
         u, wu = log_graded_nodes(1.0e-7, 1.0 - 1.0e-9, 32)
         y_hi, wy_hi = log_graded_nodes(2.0, y_cut, 32)
         y_all = np.concatenate([1.0 - u, 1.0 + u, y_hi])
@@ -253,7 +272,7 @@ class EMinusLattice:
                     axis=0)
         far = np.sum(wy_hi[:, None] * f(y_hi, g_far) / (1.0 - y_hi)[:, None], axis=0)
         axis = np.real(pv + far) / np.pi
-        bracket = 2.0 * np.real(coeff * np.exp(1j * p2t) * e_brk)
+        bracket = 2.0 * np.real(bracket_coefficient * np.exp(1j * p2t) * e_brk)
         return axis + bracket
 
 
@@ -316,6 +335,32 @@ def _head_weight(x: np.ndarray, p0: float, deriv: int) -> np.ndarray:
     return out
 
 
+class FieldAssembly:
+    """Kernel -> field map G2^{(d)} = -(1/pi) (-1)^d int_0^inf p^d e^{-px} K dp
+    at fixed points x, from kernel samples on the p nodes:
+
+        g2 (-1)^d [Re(L @ p^d K_smooth) + Im(e^{-xp} @ p^d w_brk) + head_d(x) K(p0)].
+
+    L is the piecewise-linear Laplace matrix in p, w_brk the Filon-weighted
+    residue bracket row (E-(p, i) times its Fresnel weights), and head_d the
+    sqrt-model integral below the first node."""
+
+    def __init__(self, x: np.ndarray, p: np.ndarray):
+        self.x = np.asarray(x, dtype=float)
+        self.p = p
+        self._lap = laplace_matrix(self.x, p)
+        self._exp = np.exp(-np.outer(self.x, p))
+
+    def __call__(self, deriv: int, k_smooth: np.ndarray, w_brk: np.ndarray,
+                 k0: float) -> np.ndarray:
+        pd = self.p**deriv
+        # L carries a complex dtype with vanishing imaginary part here
+        smooth = np.real(self._lap @ (pd * k_smooth))
+        brk = np.imag(self._exp @ (pd * w_brk))
+        head = _head_weight(self.x, self.p[0], deriv) * k0
+        return G2_SIGN * (-1.0) ** deriv * (smooth + brk + head)
+
+
 # ---------------------------------------------------------------------------
 # the operator
 
@@ -334,7 +379,6 @@ class GreenOperator:
         self.grids = grids or GreenGrids()
         self.whole_grid = whole_grid or WholeLineGrid()
         self.theta0 = math.pi / 2.0 + symbols.config.delta_s
-        self._g2_sign = g2_sign(symbols.config)
         wg = self.whole_grid
         samples = np.where(wg.nodes >= 0.0, profile(wg.nodes), 0.0)
         self._free_spectrum = np.fft.fft(samples)
@@ -349,53 +393,28 @@ class GreenOperator:
 
     # -- free part ---------------------------------------------------------
 
-    def _check_transport(self, t: float, x_need: float) -> None:
-        wg = self.whole_grid
-        right = wg.x0 + wg.n * wg.dx
-        if wg.x0 > -16.0 or right < x_need + 2.0 * self._xi_eff * t + 16.0:
-            raise ValueError(
-                f"whole-line grid [{wg.x0}, {right:.0f}] cannot hold the "
-                f"transport to t={t} (needs {x_need + 2 * self._xi_eff * t + 16:.0f})")
-
-    def free_on_grid(self, t: float, deriv: int = 0, x_need: float = 0.0) -> np.ndarray:
-        self._check_transport(t, x_need)
-        xi = self.whole_grid.xi
-        mult = np.exp(-1j * xi * np.abs(xi) * t) * (1j * xi) ** deriv
-        return np.fft.ifft(mult * self._free_spectrum).real
-
     def free(self, x: np.ndarray, t: float, deriv: int = 0) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         x_need = float(np.max(x)) if x.size else 0.0
-        vals = self.free_on_grid(t, deriv, x_need)
-        hi = min(self.whole_grid.index_of(x_need) + 130, self.whole_grid.n)
-        lo = max(self.whole_grid.index_of(0.0) - 130, 0)
-        spline = CubicSpline(self.whole_grid.nodes[lo:hi], vals[lo:hi])
+        wg = self.whole_grid
+        wg.check_transport(t, x_need, self._xi_eff)
+        mult = np.exp(-1j * wg.xi * np.abs(wg.xi) * t) * (1j * wg.xi) ** deriv
+        vals = np.fft.ifft(mult * self._free_spectrum).real
+        hi = min(wg.index_of(x_need) + 130, wg.n)
+        lo = max(wg.index_of(0.0) - 130, 0)
+        spline = CubicSpline(wg.nodes[lo:hi], vals[lo:hi])
         return spline(x)
 
     # -- correction --------------------------------------------------------
 
-    def kernel(self, t: float) -> np.ndarray:
-        return self.lattice.kernel(t)
-
     def correction(self, x: np.ndarray, t: float, deriv: int = 0) -> np.ndarray:
         """G2^{(d)}(t) psi at the points x (x >= 0)."""
-        x = np.asarray(x, dtype=float)
         lat = self.lattice
         p = lat.p_nodes
-        p2t = p**2 * t
-        k_full = lat.kernel(t)
-        # smooth (damped-ray + tail) part of the kernel
-        k_smooth = k_full - np.imag(np.exp(1j * p2t) * lat.E_brk)
-        lap = laplace_matrix(x, p)
-        smooth = lap @ (p**deriv * k_smooth)
-        # oscillatory residue piece via Fresnel moments
-        wq = fresnel_weights(p, t)
-        amp = (p**deriv * lat.E_brk)[None, :] * np.exp(-np.outer(x, p))
-        brk = np.imag(amp @ wq)
-        head = _head_weight(x, p[0], deriv) * k_full[0]
-        sign = self._g2_sign * (-1.0) ** deriv
-        # lap carries a complex dtype with vanishing imaginary part here
-        return np.real(sign * (smooth + brk + head))
+        k_smooth = lat.smooth_kernel(t)
+        k0 = lat.bracket(t)[0] + k_smooth[0]
+        w_brk = lat.E_brk * fresnel_weights(p, t)
+        return FieldAssembly(x, p)(deriv, k_smooth, w_brk, k0)
 
     # -- combined ----------------------------------------------------------
 

@@ -10,11 +10,13 @@ free evolution group) and the Sobolev norms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy.special import wofz
+
+from .config import ConfigError
 
 # ---------------------------------------------------------------------------
 # grids
@@ -77,6 +79,17 @@ class WholeLineGrid:
     def index_of(self, x: float) -> int:
         return int(round((x - self.x0) / self.dx))
 
+    def check_transport(self, t: float, x_need: float, xi_max: float) -> None:
+        """Raise ConfigError unless a signal on [0, x_need] whose modes move at
+        group speed up to 2 xi_max stays clear of the periodic wrap until time
+        t, with a margin of 16 on each side."""
+        right = self.x0 + self.n * self.dx
+        need = x_need + 2.0 * xi_max * t + 16.0
+        if self.x0 > -16.0 or right < need:
+            raise ConfigError(
+                f"whole-line grid [{self.x0}, {right:.0f}] cannot hold the "
+                f"transport to t={t} (needs {need:.0f})")
+
     def l2_norm(self, values: np.ndarray, weight: np.ndarray | None = None) -> float:
         density = np.abs(values) ** 2
         if weight is not None:
@@ -94,28 +107,6 @@ class WholeLineGrid:
     def z_norm(self, values: np.ndarray, s: float, r: float) -> float:
         """Z^{s,r} = H^s cap L^{2,r} norm (sum of the two pieces)."""
         return self.sobolev_norm(values, s) + self.weighted_norm(values, r)
-
-
-@dataclass
-class GridFunction:
-    """Values on a half-line grid plus an extrapolated boundary value.
-
-    The grid starts at x = 0, so values[0] is the trace; boundary_value_hint
-    records the intended trace separately (useful when the stored samples come
-    from an operator that is only evaluated for x > 0)."""
-
-    grid: HalfLineGrid
-    values: np.ndarray
-    boundary_value_hint: float | None = None
-
-    @property
-    def trace(self) -> float:
-        if self.boundary_value_hint is not None:
-            return self.boundary_value_hint
-        return float(np.real(self.values[0]))
-
-    def l2_norm(self) -> float:
-        return self.grid.l2_norm(self.values)
 
 
 # ---------------------------------------------------------------------------
@@ -231,13 +222,6 @@ def laplace_matrix(z_values: np.ndarray, x_nodes: np.ndarray) -> np.ndarray:
     return out
 
 
-def laplace_boundary(values: np.ndarray, z_values, x_nodes: np.ndarray):
-    """Laplace transform of grid samples (piecewise-linear reconstruction)."""
-    mat = laplace_matrix(np.atleast_1d(z_values), x_nodes)
-    out = mat @ np.asarray(values, dtype=complex)
-    return out if np.ndim(z_values) else complex(out[0])
-
-
 # ---------------------------------------------------------------------------
 # reference profiles with closed-form transforms
 
@@ -339,12 +323,6 @@ def hilbert_whole_line(grid: WholeLineGrid, values: np.ndarray) -> np.ndarray:
     return out.real if np.isrealobj(values) else out
 
 
-def hilbert_half_line(grid: WholeLineGrid, values: np.ndarray) -> np.ndarray:
-    """PV int_0^infty psi(y)/(y-x) dy via the whole-line transform of the
-    zero extension (the samples are assumed supported in x >= 0)."""
-    return -hilbert_whole_line(grid, values)
-
-
 def hilbert_half_line_direct(x: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Direct PV quadrature oracle on a uniform grid (diagonal excluded;
     midpoint rule pairs symmetric neighbours so the principal value is the
@@ -356,9 +334,3 @@ def hilbert_half_line_direct(x: np.ndarray, values: np.ndarray) -> np.ndarray:
         kernel = 1.0 / diff
     np.fill_diagonal(kernel, 0.0)
     return kernel @ values * dx
-
-
-def dispersion_hilbert(grid: WholeLineGrid, values: np.ndarray) -> np.ndarray:
-    """The equation's nonlocal operator: -(1/pi) * hilbert_half_line, i.e. the
-    zero-extension restriction of the Fourier multiplier -i sgn(xi)."""
-    return -hilbert_half_line(grid, values) / np.pi

@@ -16,69 +16,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .boundary import BoundaryKernel
 from .config import RunConfig
-from .contour import log_graded_nodes
-from .green import (_TAIL_M_CUT, GreenOperator, _head_weight, fresnel_weights,
-                    g2_sign)
+from .green import (FieldAssembly, GreenGrids, GreenOperator, RayLayout,
+                    e_minus_weights, fresnel_weights)
 from .halfline import (HalfLineGrid, WholeLineGrid, laplace_matrix,
                        make_profile)
 from .mol import MethodOfLines
 from .symbols import Symbols
 
-TWO_PI_I = 2.0j * np.pi
-
 
 # ---------------------------------------------------------------------------
-# grids
-
-
-@dataclass(frozen=True)
-class DuhamelGrids:
-    """Reduced quadrature layout for the memory-integral corrections.
-
-    Coarser than the single-shot kernel grids: each lattice cell is hit by
-    an O(n_t^2) accumulation, and the time quadrature error (~1e-3) would
-    swamp finer spatial resolution anyway.
-    """
-
-    p_min: float = 1.0e-6
-    p_max: float = 2.0e4
-    p_ppd: int = 12
-    r_min: float = 1.0e-7
-    r_max: float = 1.0e7
-    r_ppd: int = 8
-    z_min: float = 1.0e-6
-    z_max: float = 1.0e6
-    z_ppd: int = 20
-    tail_r_max: float = 1.0e13
-    tail_ppd: int = 4
-
-    @cached_property
-    def p_nodes(self) -> np.ndarray:
-        count = int(math.ceil(math.log10(self.p_max / self.p_min) * self.p_ppd)) + 1
-        return np.geomspace(self.p_min, self.p_max, count)
-
-    @cached_property
-    def ray(self) -> tuple[np.ndarray, np.ndarray]:
-        return log_graded_nodes(self.r_min, self.r_max, self.r_ppd)
-
-    @cached_property
-    def tail_ray(self) -> tuple[np.ndarray, np.ndarray]:
-        return log_graded_nodes(self.r_max, self.tail_r_max, self.tail_ppd)
-
-    @cached_property
-    def z_axis(self) -> tuple[np.ndarray, np.ndarray]:
-        """Fixed imaginary transform lattice z = iZ and weights i dZ."""
-        Z, wZ = log_graded_nodes(self.z_min, self.z_max, self.z_ppd)
-        z = 1j * np.concatenate([-Z[::-1], Z])
-        wz = 1j * np.concatenate([wZ[::-1], wZ])
-        return z, wz
+# time lattice
 
 
 class TimeGrid:
@@ -147,86 +100,58 @@ class ForcingTransforms:
     spectra: np.ndarray     # (n_t, n_fft) back-propagated whole-line spectra
 
 
+#: Layout of the memory-integral corrections.  Coarser than the single-shot
+#: Green layout: each lattice cell is hit by an O(n_t^2) accumulation, and the
+#: time quadrature error (~1e-3) would swamp finer spatial resolution anyway.
+DUHAMEL_GRIDS = GreenGrids(p_ppd=12, r_ppd=8, axis_min=1.0e-6, axis_max=1.0e6)
+
+
 class DuhamelPropagator:
     """Sum_l w_l G(t_k - tau_l) N_l for gridded forcings, amortized.
 
-    The kernel row for modulus |s| and transform psi_hat is
+    The kernel row for modulus |s| and transform psi_hat is the shared E-
+    formula (green.e_minus_weights)
 
-        E(p, s) = C e^{g_ref} [B i1 - i2 - bt],
-        i1 = int psi_hat(m v) j(v) / (v - phi_hat) dv / (2 pi i),   m = p |s|^{1/2},
+        E(p, s) = sum_v w(v) psi_hat(m v) - root psi_hat(phi_hat m),   m = p |s|^{1/2},
 
-    and substituting z = m v turns both integrals into a *fixed* imaginary
-    lattice in z with m-dependent weights:
-
-        B i1 - i2 = sum_q wz_q psi_hat(z_q) j(z_q/m) (B - m/(z_q + p))
-                    / (z_q - m phi_hat) / (2 pi i).
-
-    Everything except psi_hat(z_q) is forcing-independent, so it freezes into
-    a tensor T[row, p, q]; a sweep reduces to T contracted against Laplace
-    samples of each forcing row.  Free parts factor through unitary phases,
-    e^{is'|s'|(t-tau)} = e^{is'|s'|t} e^{-is'|s'|tau}, giving an O(n_t)
-    running-sum recurrence on the whole-line spectra.
+    and substituting z = m v turns the axis integral into a *fixed*
+    imaginary lattice in z with m-dependent weights w(z/m) evaluated at
+    wv = wz/m.  Everything except psi_hat(z_q) is forcing-independent, so it
+    freezes into a tensor T[row, p, q]; a sweep reduces to T contracted
+    against Laplace samples of each forcing row.  Free parts factor through
+    unitary phases, e^{is'|s'|(t-tau)} = e^{is'|s'|t} e^{-is'|s'|tau},
+    giving an O(n_t) running-sum recurrence on the whole-line spectra.
     """
 
     def __init__(self, symbols: Symbols, half_grid: HalfLineGrid,
-                 times: TimeGrid, grids: DuhamelGrids | None = None,
+                 times: TimeGrid, grids: GreenGrids | None = None,
                  whole_grid: WholeLineGrid | None = None):
         self.symbols = symbols
-        cfg = symbols.config
-        self.grids = grids or DuhamelGrids()
+        self.grids = grids or DUHAMEL_GRIDS
         self.half = half_grid
         self.times = times
         self.whole = whole_grid or WholeLineGrid(n=8192, dx=0.0625, x0=-64.0)
-        self.theta0 = math.pi / 2.0 + cfg.delta_s
-        self._g2 = g2_sign(cfg)
+        xs = half_grid.nodes
+        # forcings carry a wall jump, so their spectra reach the grid's cutoff
+        self.whole.check_transport(float(times.nodes[-1]), float(xs[-1]),
+                                   float(np.max(np.abs(self.whole.xi))))
+        self.layout = RayLayout(self.grids, math.pi / 2.0 + symbols.config.delta_s)
+        p = self.layout.p_nodes
 
-        g = self.grids
-        p = g.p_nodes
-        r, wr = g.ray
-        rt, wrt = g.tail_ray
-        self.p_nodes = p
-        self.s_ray = r * np.exp(1j * self.theta0)
-        s_tail = rt * np.exp(1j * self.theta0)
-        self._s_full = np.concatenate([self.s_ray, s_tail])
-        self._row_coef = np.concatenate([wr, wrt]) / (1.0 + self._s_full**2)
-        self._sp2 = self._s_full[:, None] * (p**2)[None, :]
-        # tail-model basis rows, scaled by the per-forcing fitted (lam1, lam0);
-        # valid only before the rollover at m = p sqrt(r) = O(1)
-        valid = np.sqrt(rt)[:, None] * p[None, :] <= _TAIL_M_CUT
-        self._tail_b1 = valid * s_tail[:, None] ** 0.75 / np.sqrt(p)[None, :]
-        self._tail_b0 = valid * s_tail[:, None] * np.ones_like(p)[None, :]
-
-        ray_cache = symbols.direction(np.exp(1j * self.theta0))
-        brk_cache = symbols.direction(1j)
-        t_ray, bt_ray, scat_ray = self._build_tensor(ray_cache, r)
-        t_brk, bt_brk, scat_brk = self._build_tensor(brk_cache, np.array([1.0]))
-        nz = g.z_axis[0].size
-        self._t_ray = t_ray.reshape(-1, nz)          # (n_ray*n_p, nz) complex64
+        r, _ = self.grids.ray
+        z, _ = self.grids.axis
+        t_ray, bt_ray, scat_ray = self._build_tensor(
+            symbols.direction(self.layout.phase), r)
+        t_brk, bt_brk, scat_brk = self._build_tensor(symbols.direction(1j),
+                                                     np.array([1.0]))
+        self._t_ray = t_ray.reshape(-1, z.size)      # (n_ray*n_p, nz) complex64
         self._t_brk = t_brk[0]                       # (n_p, nz)
         self._bt_ray = bt_ray                        # (n_ray,)
         self._bt_brk = complex(bt_brk[0])
-        xs = half_grid.nodes
-        z, _ = g.z_axis
         self._lap_axis = laplace_matrix(z, xs).astype(np.complex64)
         self._lap_scat_ray = laplace_matrix(scat_ray.ravel(), xs).astype(np.complex64)
         self._lap_scat_brk = laplace_matrix(scat_brk[0], xs).astype(np.complex64)
-
-        # corner mask for the per-forcing tail fit (large |s|, small m)
-        rows = r >= g.r_max / 1.0e2
-        cols = p * np.sqrt(r[rows].max()) <= 0.1
-        if not np.any(cols):
-            cols = p <= p[3]
-        self._corner = np.ix_(rows, cols)
-        s_c = self.s_ray[rows][:, None]
-        p_c = p[cols][None, :]
-        basis = np.stack([(s_c ** 0.75 / np.sqrt(p_c)).ravel(),
-                          (s_c * np.ones_like(p_c)).ravel()], axis=1)
-        self._corner_pinv = np.linalg.pinv(basis)
-
-        # x-side assembly pieces
-        self._lap_px = laplace_matrix(xs, p)
-        self._expxp = np.exp(-np.outer(xs, p))
-        self._head = [_head_weight(xs, p[0], d) for d in (0, 1)]
+        self.field = FieldAssembly(xs, p)
 
         # oscillatory quadrature weights for every (t_k, tau_l) gap
         nt = times.n
@@ -249,52 +174,36 @@ class DuhamelPropagator:
     # -- construction helpers ------------------------------------------------
 
     def _build_tensor(self, cache, moduli: np.ndarray):
-        """Tensor, boundary-term coefficients and scattered Laplace points
-        for one unit direction, rows indexed by |s|."""
-        g = self.grids
-        p = self.p_nodes
-        z, wz = g.z_axis
-        sc = cache.scalars(moduli)
-        k_v, phi, big_b = sc["k"], sc["phi"], sc["B"]
-        c_ref = sc["C"]
-        e_ref = np.exp(sc["gamma_ref"])
-        phi_hat = cache.phi_hat
-        e0 = np.exp(-cache.gamma0)
+        """Tensor, root-term coefficients and scattered Laplace points
+        phi_hat m for one unit direction, rows indexed by |s|."""
+        p = self.layout.p_nodes
+        z, wz = self.grids.axis
         m = np.sqrt(moduli)[:, None] * p[None, :]            # (n_s, n_p)
         tensor = np.empty((moduli.size, p.size, z.size), dtype=np.complex64)
-        z_im = z.imag
-        for i in range(moduli.size):
+        bt = np.empty(moduli.size, dtype=complex)
+        for i, ms in enumerate(moduli):
             mi = m[i][:, None]                               # (n_p, 1)
-            jump = np.exp(-cache.gamma_axis(z_im[None, :] / mi)) - e0
-            factor = big_b[i] - mi / (z[None, :] + p[:, None])
-            rows = (wz[None, :] * jump * factor) / (z[None, :] - mi * phi_hat)
-            tensor[i] = (c_ref[i] * e_ref[i] / TWO_PI_I) * rows
-        bt = c_ref * e_ref * e0 * (big_b - (phi - k_v) / (phi + 1.0))
-        scat = phi_hat * m
-        return tensor, bt, scat
+            tensor[i], bt[i] = e_minus_weights(cache, ms, z[None, :] / mi,
+                                               wz[None, :] / mi)
+        return tensor, bt, cache.phi_hat * m
 
     # -- per-sweep stages ------------------------------------------------------
 
     def transform_forcing(self, forcing: np.ndarray) -> ForcingTransforms:
         """Kernel lattices and spectra for every forcing row (n_t, n_x)."""
         nt = self.times.n
-        p = self.p_nodes
-        n_ray = self.s_ray.size
+        n_p = self.layout.p_nodes.size
+        n_ray = self.layout.n_ray
         fc = forcing.astype(np.complex64)
         fz = self._lap_axis @ fc.T                            # (nz, nt)
         e_ray = (self._t_ray @ fz).T.astype(complex)          # (nt, n_ray*n_p)
-        e_ray = e_ray.reshape(nt, n_ray, p.size)
+        e_ray = e_ray.reshape(nt, n_ray, n_p)
         scat_ray = (self._lap_scat_ray @ fc.T).T.astype(complex)
         e_ray -= self._bt_ray[None, :, None] \
-            * scat_ray.reshape(nt, n_ray, p.size)
+            * scat_ray.reshape(nt, n_ray, n_p)
         e_brk = (self._t_brk @ fz).T.astype(complex)
         e_brk -= self._bt_brk * (self._lap_scat_brk @ fc.T).T
-
-        lam = (self._corner_pinv @ e_ray[(slice(None),) + self._corner]
-               .reshape(nt, -1).T).T                          # (nt, 2)
-        e_tail = lam[:, 0, None, None] * self._tail_b1[None] \
-            + lam[:, 1, None, None] * self._tail_b0[None]
-        e_full = np.concatenate([e_ray, e_tail], axis=1)
+        _, e_full = self.layout.fit_tail(e_ray)
 
         # zero-extended spectra, anti-evolved so sums telescope over tau
         samples = np.zeros((nt, self.whole.n))
@@ -313,10 +222,9 @@ class DuhamelPropagator:
         times = self.times
         nt = times.n
         xs = self.half.nodes
-        p = self.p_nodes
+        layout = self.layout
         out = np.zeros((2, nt, xs.size))
-        phase = np.exp(1j * self.theta0)
-        p0sq = p[0] ** 2
+        p0sq = layout.p_nodes[0] ** 2
         running = np.zeros(self.whole.n, dtype=complex)
         nodes = times.nodes
         for k in range(nt):
@@ -325,20 +233,18 @@ class DuhamelPropagator:
                 running = running + 0.5 * hstep * (lat.spectra[k - 1]
                                                    + lat.spectra[k])
             w = times.weights_upto(k)
-            acc = np.zeros_like(self._sp2)
-            w_brk = np.zeros(p.size, dtype=complex)
+            acc = np.zeros_like(layout.sp2)
+            w_brk = np.zeros(layout.p_nodes.size, dtype=complex)
             k0_brk = 0.0j
             # the ell == k slice is the correction at zero gap, identically
             # zero by the t -> 0 identity of the propagator; only the free
             # running sum keeps that endpoint
             for ell in range(k):
                 sigma = nodes[k] - nodes[ell]
-                with np.errstate(over="ignore", invalid="ignore"):
-                    damp = np.exp(self._sp2 * sigma)
-                acc += w[ell] * (lat.e_full[ell] * damp)
+                acc += w[ell] * (lat.e_full[ell] * layout.damping(sigma))
                 w_brk += w[ell] * (lat.e_brk[ell] * self._fw[k, ell])
                 k0_brk += w[ell] * lat.e_brk[ell, 0] * np.exp(1j * p0sq * sigma)
-            k_smooth = np.imag(phase * (self._row_coef @ acc)) / np.pi
+            k_smooth = layout.contract(acc)
             k0 = k_smooth[0] + np.imag(k0_brk)
             # free part of the accumulated propagation
             spec_k = np.exp(-1j * self._xia * nodes[k]) * running
@@ -346,11 +252,7 @@ class DuhamelPropagator:
                 free_grid = np.fft.ifft(spec_k * (1j * self.whole.xi) ** d).real
                 spline = CubicSpline(self.whole.nodes[self._window],
                                      free_grid[self._window])
-                smooth = np.real(self._lap_px @ (p**d * k_smooth))
-                brk = np.imag(self._expxp @ (p**d * w_brk))
-                corr = self._g2 * (-1.0) ** d \
-                    * (smooth + brk + self._head[d] * k0)
-                out[d, k] = spline(xs) + corr
+                out[d, k] = spline(xs) + self.field(d, k_smooth, w_brk, k0)
         return out[0], out[1]
 
 
@@ -475,6 +377,9 @@ def picard_solve(config: RunConfig | None = None,
             new_val = lin[0] - duh_val
             new_der = lin[1] - duh_der
             step = xnorm(new_val - u_val, new_der - u_der)
+            if not math.isfinite(step):
+                aborted = True
+                break
             if step_norms:
                 prev = step_norms[-1]
                 ratios.append(step / prev if prev > 0.0 else 0.0)

@@ -129,8 +129,7 @@ class Symbols:
     @property
     def resolution_tag(self) -> str:
         c = self.config
-        return (f"{c.contour_angle}:{self.ppd}:{c.c_q_variant}:"
-                f"{c.psi_b_variant}:{c.omega_plus_numerator}")
+        return f"{c.contour_angle}:{self.ppd}:{c.c_q_variant}:{c.psi_b_variant}"
 
     def contour(self, scale: float = 1.0, r_min: float = 1.0e-5,
                 r_max: float = 1.0e5, ppd: int | None = None) -> Contour:
@@ -403,68 +402,3 @@ def _complex_spline(x: np.ndarray, vals: np.ndarray):
     re = CubicSpline(x, vals.real)
     im = CubicSpline(x, vals.imag)
     return lambda t: re(t) + 1j * im(t)
-
-
-# ---------------------------------------------------------------------------
-# Factorization diagnostics (axis route)
-
-
-def omega_plus(w, s: complex, variant: str = "p"):
-    """Left factor weight; variant "p" uses (w/(w-k))^{1/2}, "one" uses
-    (1/(w-k))^{1/2}."""
-    k = complex(root_k(s))
-    w = np.asarray(w, dtype=complex)
-    num = w if variant == "p" else 1.0
-    return np.sqrt(num / (w - k))
-
-
-def omega_minus(w, s: complex, variant: str = "p"):
-    k = complex(root_k(s))
-    w = np.asarray(w, dtype=complex)
-    num = w if variant == "p" else 1.0
-    return np.sqrt(num / (w + k))
-
-
-def continuous_log(values: np.ndarray) -> np.ndarray:
-    """log with the argument unwrapped along the sample order."""
-    values = np.asarray(values, dtype=complex)
-    return np.log(np.abs(values)) + 1j * np.unwrap(np.angle(values))
-
-
-def factor_constancy(symbols: Symbols, s: complex, p_points: np.ndarray,
-                     r_cut: float = 1.0e4, ppd: int = 24) -> np.ndarray:
-    """Samples of Q(p) = Y+_gamma(p) / (R(p) e^{Gamma-(p)} omega_minus(p)).
-
-    Gamma- is the minus-side boundary value of the axis Cauchy transform of
-    the continuously-tracked log density rho = log[R omega-/omega+], computed
-    with a fixed symmetric truncation; its p-independent divergent constant
-    cancels in the constancy of Q, which is the shipped invariant (the
-    absolute normalization of the axis route is not recoverable)."""
-    s = complex(s)
-    variant = symbols.config.omega_plus_numerator
-
-    def rho_at(y: np.ndarray) -> np.ndarray:
-        q = 1j * y
-        ratio = (symbol_K(q) + s) / (symbol_K_tilde(q) + s)
-        vals = ratio * omega_minus(q, s, variant) / omega_plus(q, s, variant)
-        order = np.argsort(y)
-        out = np.empty(y.size, dtype=complex)
-        out[order] = continuous_log(vals[order])
-        return out
-
-    out = []
-    r, wr = log_graded_nodes(1.0e-7, r_cut, ppd)
-    for p in np.asarray(p_points, dtype=complex):
-        c = float(p.imag)
-        y = np.concatenate([c - r[::-1], c + r])
-        wy = np.concatenate([wr[::-1], wr])
-        rho = rho_at(np.concatenate([y, [c]]))
-        rho_y, rho_p = rho[:-1], rho[-1]
-        pv = np.sum((rho_y - rho_p) / (1j * y - 1j * c) * 1j * wy) / TWO_PI_I
-        gamma_minus = pv - 0.5 * rho_p
-        q = 1j * c
-        ratio_p = (symbol_K(q) + s) / (symbol_K_tilde(q) + s)
-        y_minus = np.exp(gamma_minus) * omega_minus(q, s, variant)
-        y_plus_val = symbols.y_plus(q, s)
-        out.append(complex(y_plus_val / (ratio_p * y_minus)))
-    return np.asarray(out)

@@ -5,11 +5,14 @@ Most tests call main() in-process (fast, captures exit codes directly); one
 subprocess test exercises the installed console script end to end.
 """
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import bo_halfline
 from bo_halfline.cli import main
 
 
@@ -131,10 +134,14 @@ class TestConfigResolution:
 
 
 def test_console_script_end_to_end(tmp_path):
+    # the child imports the same package as this process, installed or not
+    package_root = str(Path(bo_halfline.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "bo_halfline.cli", "selfcheck",
          "--suite", "convolution", "--out", str(tmp_path)],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert "3/3 checks passed" in proc.stdout
     assert (tmp_path / "selfcheck.csv").exists()

@@ -1,14 +1,19 @@
 """Configuration: typed parsing, defaults file, env overrides, validation."""
 
+import contextlib
 import dataclasses
+import io
 import math
+import os
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bo_halfline.config import ConfigError, RunConfig
+from bo_halfline.cli import main
+from bo_halfline.config import ENUM_VALUES, MOL_MIN_N, ConfigError, RunConfig
 
 DEFAULTS_FILE = Path(__file__).resolve().parents[1] / "src" / "bo_halfline" / "defaults.cfg"
 
@@ -80,11 +85,84 @@ def test_replace_validates():
         RunConfig().replace(contour_angle="pi")
 
 
-def test_sector_parameter_limits():
+# Values no run can use: mol_dt = 0, for one, divides by zero in the
+# reference stepper, and a NaN length propagates into every report row.
+REJECTED = [
+    ("x_max", math.nan), ("data_scale", math.inf), ("t_final", math.inf),
+    ("epsilon_weight", -math.inf), ("x_max", 0.0), ("mol_length", -1.0),
+    ("mol_dt", 0.0), ("picard_tol", -5.0e-4), ("n_time_geometric", 0),
+    ("n_time_uniform", 0), ("picard_max_iter", 0), ("mol_n", 1),
+    ("mol_n", MOL_MIN_N - 1), ("seed", -1), ("n_x", 64.5),
+]
+
+
+@pytest.mark.parametrize("key,value", REJECTED)
+def test_validate_rejects(key, value):
     with pytest.raises(ConfigError):
-        RunConfig().replace(diag_arg_s=math.pi / 2)
-    # interior of the admissible sector is fine
-    RunConfig().replace(diag_arg_s=0.8 * math.pi)
+        RunConfig().replace(**{key: value})
+
+
+def _cli_with_env(key: str, value) -> tuple[int, str]:
+    """Exit code and stderr of config resolution with BOHL_<KEY> set; an
+    unknown block keeps an accepted config from running any check."""
+    err = io.StringIO()
+    with mock.patch.dict(os.environ, {"BOHL_" + key.upper(): str(value)}), \
+            contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(["selfcheck", "--suite", "no-such-block"])
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("key,value", REJECTED)
+def test_rejected_env_value_exits_2(key, value):
+    code, err = _cli_with_env(key, value)
+    assert code == 2
+    assert "configuration error" in err and "Traceback" not in err
+
+
+_TYPE_OF = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+
+
+def _values(name: str):
+    ftype = _TYPE_OF[name]
+    if ftype == "float":
+        return st.floats(allow_nan=True, allow_infinity=True)
+    if ftype == "int":
+        return st.integers(min_value=-3, max_value=10**6)
+    return st.sampled_from(ENUM_VALUES[name] + ("bogus",))
+
+
+def _assert_usable(cfg: RunConfig) -> None:
+    for name, ftype in _TYPE_OF.items():
+        if ftype == "float":
+            assert math.isfinite(getattr(cfg, name)), name
+    for name in ("x_max", "mol_length", "mol_dt", "picard_tol", "t_final",
+                 "t_switch"):
+        assert getattr(cfg, name) > 0, name
+    for name in ("n_time_geometric", "n_time_uniform", "picard_max_iter"):
+        assert getattr(cfg, name) >= 1, name
+    assert cfg.mol_n >= MOL_MIN_N and cfg.n_x >= 16 and cfg.seed >= 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_any_config_is_rejected_or_usable(data):
+    names = data.draw(st.lists(st.sampled_from(sorted(_TYPE_OF)),
+                               min_size=1, max_size=3, unique=True))
+    values = {name: data.draw(_values(name), label=name) for name in names}
+    try:
+        cfg = RunConfig().replace(**values)
+    except ConfigError:
+        pass
+    else:
+        _assert_usable(cfg)
+    for name, value in values.items():
+        try:
+            RunConfig().replace(**{name: value})
+        except ConfigError:
+            code, err = _cli_with_env(name, value)
+            assert code == 2, (name, value)
+            assert "configuration error" in err and "Traceback" not in err
 
 
 @settings(max_examples=25, deadline=None)

@@ -20,9 +20,8 @@ from hypothesis import strategies as st
 
 from bo_halfline import (HalfLineGrid, TruncatedWeight, WholeLineGrid,
                          ap_characteristic, convolution_decay,
-                         dispersion_hilbert, hilbert_half_line,
                          hilbert_half_line_direct, hilbert_whole_line,
-                         laplace_boundary, laplace_matrix, make_profile)
+                         laplace_matrix, make_profile)
 
 GAUSS_L2 = (2.0 * math.pi) ** 0.25 / 4.0
 
@@ -152,7 +151,7 @@ def test_hilbert_half_line_vs_direct_quadrature():
     grid = WholeLineGrid(n=1 << 14, dx=0.05, x0=-float(1 << 13) * 0.05)
     prof = make_profile("poly_exp", 1.0)
     vals = np.where(grid.nodes >= 0.0, prof(grid.nodes), 0.0)
-    hm = hilbert_half_line(grid, vals)
+    hm = -hilbert_whole_line(grid, vals)
     xd = np.arange(0.025, 30.0, 0.05)
     hd = hilbert_half_line_direct(xd, prof(xd))
     got = np.interp(xd, grid.nodes, hm)
@@ -161,21 +160,13 @@ def test_hilbert_half_line_vs_direct_quadrature():
     assert np.max(np.abs(got - hd)[20:-20]) / scale < 2e-2
 
 
-def test_dispersion_is_scaled_half_line_transform():
-    vals = np.where(WGRID.nodes >= 0.0,
-                    make_profile("gauss_bump", 1.0)(WGRID.nodes), 0.0)
-    a = dispersion_hilbert(WGRID, vals)
-    b = -hilbert_half_line(WGRID, vals) / np.pi
-    assert np.array_equal(a, b)
-
-
 # ---------------------------------------------------------------------------
 # Laplace helpers
 
-def test_laplace_boundary_exponential(half_grid):
+def test_laplace_matrix_exponential(half_grid):
     x = half_grid.nodes
     q = 1j * np.array([0.3, 1.0, 4.0])
-    got = laplace_boundary(np.exp(-x), q, x)
+    got = laplace_matrix(q, x) @ np.exp(-x)
     assert np.max(np.abs(got - 1.0 / (1.0 + q))) < 1e-3
 
 

@@ -9,9 +9,12 @@ acceptance suite.
 import numpy as np
 import pytest
 
+from bo_halfline.config import ConfigError
 from bo_halfline.halfline import HalfLineGrid, make_profile
-from bo_halfline.solver import (TimeGrid, XNorm, advective_forcing,
-                                cross_validate, picard_solve)
+from bo_halfline.solver import (DuhamelPropagator, TimeGrid, XNorm,
+                                advective_forcing, cross_validate,
+                                picard_solve)
+from bo_halfline.symbols import Symbols
 
 
 @pytest.fixture(scope="module")
@@ -194,3 +197,28 @@ class TestCrossValidate:
         assert out["rel_l2"] == pytest.approx(0.607, abs=0.05)
         assert out["mol_norm"] == pytest.approx(0.0454, abs=0.003)
         assert out["picard_norm"] == pytest.approx(0.0448, abs=0.003)
+
+
+class _NanPropagator:
+    """Stand-in whose memory integral is NaN, so the first step is too."""
+
+    def transform_forcing(self, forcing):
+        return forcing
+
+    def accumulate(self, forcing):
+        nan = np.full_like(forcing, np.nan)
+        return nan, nan
+
+
+def test_non_finite_step_aborts(fast_cfg):
+    sol = picard_solve(fast_cfg, propagator=_NanPropagator())
+    assert sol.aborted and not sol.converged
+    assert sol.n_iter == 1
+    assert np.isnan(sol.fixed_point_residual)
+
+
+def test_propagator_transport_guard(fast_cfg):
+    # At t = 1e9 the forcing spectra would wrap round the [-64, 448) grid.
+    half = HalfLineGrid(x_max=fast_cfg.x_max, n=fast_cfg.n_x)
+    with pytest.raises(ConfigError, match="transport"):
+        DuhamelPropagator(Symbols(fast_cfg), half, TimeGrid(1.0e9, 1.0, 4, 4))

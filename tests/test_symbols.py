@@ -14,8 +14,6 @@ from bo_halfline.report import fit_loglog
 from bo_halfline.symbols import (
     Symbols,
     admissible_arg,
-    omega_minus,
-    omega_plus,
     root_k,
     root_phi,
     symbol_K,
@@ -270,14 +268,6 @@ class TestDataWeight:
                 assert np.max(vals) <= 4.0 * (1.0 + m * m) ** 0.875, m
             else:
                 assert np.max(vals) <= 4.0, m
-
-    def test_half_factor_product_identity(self):
-        # W+(w) W-(w) = sqrt(w^2/(w^2-k^2)) on the axis, exactly.
-        k = complex(root_k(S_REF))
-        w = 1j * np.logspace(-1, 1, 5)
-        prod = omega_plus(w, S_REF) * omega_minus(w, S_REF)
-        ref = np.sqrt(w * w / (w * w - k * k))
-        assert np.max(np.abs(prod - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
 # ---------------------------------------------------------------------------
