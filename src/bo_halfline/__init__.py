@@ -8,7 +8,7 @@ discretization for cross-validation.
 
 from .boundary import BoundaryKernel, gaussian_laplace_moments
 from .config import RunConfig
-from .contour import (AxisSampling, Contour, cauchy_transform, log_graded_nodes,
+from .contour import (AxisSampling, cauchy_transform, log_graded_nodes,
                       plemelj_limits, pv_integral, symbol_contour, winding_index)
 from .green import EMinusLattice, GreenGrids, GreenOperator, fresnel_weights
 from .halfline import (PROFILES, HalfLineGrid, Profile, TruncatedWeight,
@@ -22,7 +22,7 @@ from .symbols import (PhiRoot, Symbols, admissible_arg, ratio_weight, root_k,
                       root_phi, symbol_K, symbol_K_tilde)
 
 __all__ = [
-    "AxisSampling", "BoundaryKernel", "Contour", "DuhamelPropagator",
+    "AxisSampling", "BoundaryKernel", "DuhamelPropagator",
     "EMinusLattice", "GreenGrids", "GreenOperator", "HalfLineGrid",
     "MethodOfLines", "MolResult", "PROFILES", "PhiRoot", "Profile",
     "RunConfig", "SpaceTimeSolution", "Symbols", "TimeGrid",

@@ -22,13 +22,12 @@ variant; both sides are implemented and compared.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.special import wofz
 
-from .contour import log_graded_nodes
+from .contour import DampedRay, log_graded_nodes
 from .green import fresnel_weights
 from .halfline import laplace_matrix
 from .symbols import Symbols
@@ -73,35 +72,25 @@ class BoundaryKernel:
         self.theta_s = math.pi / 2.0 + cfg.delta_s
         # the 1/X tail of the profile is fed by ray radii r ~ X^2, so the ray
         # must extend well past X_MAX^2 or the tail table (and its fit) sag
-        r, wr = log_graded_nodes(1.0e-7, 1.0e11, 24)
-        self._ray_r = r
-        self._ray_w = wr
-        phase = np.exp(1j * self.theta_u)
-        self._ray_s = r * phase
-        cache = symbols.direction(phase)
-        self.psi_ray = cache.scalars(r)["psi_b"]
+        self.ray = DampedRay(*log_graded_nodes(1.0e-7, 1.0e11, 24), self.theta_u)
+        self.psi_ray = symbols.direction(self.ray.phase).scalars(self.ray.r)["psi_b"]
         self.psi_unit = complex(symbols.direction(1j).scalars(np.array([1.0]))["psi_b"][0])
         self._build_profile()
 
     # -- profile construction ----------------------------------------------
 
-    def _ray_reduce(self, factor_unit: complex, factors_ray: np.ndarray) -> float:
-        """Im[Psi_B(i) f(i)] + (1/pi) Im int_ray Psi_B f/(1+s^2) ds, the common
-        contraction for every u-moment of the kernel profile."""
-        ray = np.sum(self._ray_w * np.exp(1j * self.theta_u) * self.psi_ray
-                     * factors_ray / (1.0 + self._ray_s**2))
-        return float(np.imag(self.psi_unit * factor_unit) + np.imag(ray) / math.pi)
+    def _invert(self, f_unit, f_ray: np.ndarray) -> np.ndarray:
+        """Damped-ray inversion of Psi_B f from f(i) and f on the ray (ray on
+        axis 0): the common contraction for every u-moment of the kernel."""
+        psi = self.psi_ray.reshape((-1,) + (1,) * (np.ndim(f_ray) - 1))
+        return self.ray(self.psi_unit * f_unit, psi * f_ray)
 
     def _profile_values(self, X: np.ndarray, order: int) -> np.ndarray:
         """(1/pi) times the order-(order+1) u-moment contraction at each X."""
-        a_unit = np.array([-1j])
-        a_ray = -self._ray_s
-        m_unit = gaussian_laplace_moments(a_unit[:, None], X[None, :], order + 1)[order + 1]
-        m_ray = gaussian_laplace_moments(a_ray[:, None], X[None, :], order + 1)[order + 1]
-        ray = np.sum((self._ray_w * np.exp(1j * self.theta_u) * self.psi_ray
-                      / (1.0 + self._ray_s**2))[:, None] * m_ray, axis=0)
-        vals = np.imag(self.psi_unit * m_unit[0]) + np.imag(ray) / math.pi
-        return vals / math.pi
+        n = order + 1
+        m_unit = gaussian_laplace_moments(-1j, X, n)[n]
+        m_ray = gaussian_laplace_moments(-self.ray.s[:, None], X[None, :], n)[n]
+        return self._invert(m_unit, m_ray) / math.pi
 
     def _build_profile(self) -> None:
         X = np.concatenate([[0.0], np.geomspace(self.X_MIN, self.X_MAX,
@@ -110,61 +99,46 @@ class BoundaryKernel:
         hp = -self._profile_values(X, 1)
         self.h_at_zero = float(h[0])
         self.hp_at_zero = float(hp[0])
-        self._h_spline = CubicSpline(np.log(X[1:]), h[1:])
-        self._hp_spline = CubicSpline(np.log(X[1:]), hp[1:])
+        self._X_grid = X
+        # profile and slope tables on X > 0, indexed by derivative order
+        self._tables = (h, hp)
+        self._splines = tuple(CubicSpline(np.log(X[1:]), v[1:]) for v in self._tables)
         # inverse-power tail fit over the last decade: hprofile ~ c1/X + c2/X^2
         tail = X >= self.X_MAX / 10.0
         basis = np.stack([1.0 / X[tail], 1.0 / X[tail] ** 2], axis=1)
         self._tail_h = np.linalg.lstsq(basis, h[tail], rcond=None)[0]
-        self._X_grid = X
-        self._h_grid = h
-        self._hp_grid = hp
 
-    def profile(self, X) -> np.ndarray:
-        """hprofile(X): the shape of the kernel at unit time scale."""
+    def profile(self, X, deriv: int = 0) -> np.ndarray:
+        """hprofile(X), or its slope for deriv=1: the shape of the kernel at
+        unit time scale."""
         X = np.asarray(X, dtype=float)
         out = np.empty(X.shape, dtype=float)
         lo = X < self.X_MIN
         hi = X > self.X_MAX
         mid = ~(lo | hi)
-        out[lo] = self.h_at_zero + self.hp_at_zero * X[lo]
-        out[mid] = self._h_spline(np.log(X[mid]))
         c1, c2 = self._tail_h
-        out[hi] = c1 / X[hi] + c2 / X[hi] ** 2
-        return out
-
-    def profile_deriv(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        out = np.empty(X.shape, dtype=float)
-        lo = X < self.X_MIN
-        hi = X > self.X_MAX
-        mid = ~(lo | hi)
-        out[lo] = self.hp_at_zero
-        out[mid] = self._hp_spline(np.log(X[mid]))
-        c1, c2 = self._tail_h
-        out[hi] = -c1 / X[hi] ** 2 - 2.0 * c2 / X[hi] ** 3
+        x_lo, x_hi = X[lo], X[hi]
+        if deriv == 0:
+            out[lo] = self.h_at_zero + self.hp_at_zero * x_lo
+            out[hi] = c1 / x_hi + c2 / x_hi ** 2
+        else:
+            out[lo] = self.hp_at_zero
+            out[hi] = -c1 / x_hi ** 2 - 2.0 * c2 / x_hi ** 3
+        out[mid] = self._splines[deriv](np.log(X[mid]))
         return out
 
     def kernel(self, x, sigma: float, deriv: int = 0) -> np.ndarray:
         """H(x, sigma) or its x-derivative: sigma^{-1-d/2} h^{(d)}(x sigma^{-1/2})."""
         x = np.asarray(x, dtype=float)
-        X = x / math.sqrt(sigma)
-        if deriv == 0:
-            return self.profile(X) / sigma
-        return self.profile_deriv(X) * sigma**-1.5
+        return self.profile(x / math.sqrt(sigma), deriv) / sigma ** (1 + deriv / 2)
 
     # -- exact-rate norms ----------------------------------------------------
 
     def profile_l2(self, deriv: int = 0) -> float:
-        X = self._X_grid
-        vals = self._h_grid if deriv == 0 else self._hp_grid
-        core = float(np.trapezoid(vals**2, X))
-        if deriv == 0:
-            c1 = self._tail_h[0]
-            tail = c1**2 / self.X_MAX
-        else:
-            c1 = self._tail_h[0]
-            tail = c1**2 / (3.0 * self.X_MAX**3)
+        core = float(np.trapezoid(self._tables[deriv]**2, self._X_grid))
+        # the tail model's leading c1/X term, differentiated deriv times
+        n = 2 * deriv + 1
+        tail = self._tail_h[0]**2 / (n * self.X_MAX**n)
         return math.sqrt(core + tail)
 
     def kernel_l2(self, sigma: float, deriv: int = 0) -> float:
@@ -176,7 +150,7 @@ class BoundaryKernel:
     def trace_profile_side(self) -> float:
         """2 int_0^infty hprofile(X)/X dX via the tabulated profile."""
         X = self._X_grid[1:]
-        vals = self._h_grid[1:]
+        vals = self._tables[0][1:]
         core = float(np.trapezoid(vals / X, X))
         # below X_MIN the profile is ~ h(0) + h'(0) X; the identity presumes
         # h(0) = 0 (checked separately), so only the linear part contributes.
@@ -187,45 +161,39 @@ class BoundaryKernel:
     def trace_symbol_side(self) -> float:
         """-(2/pi) { Im[Psi_B(i) J(-i)] + (1/pi) Im int Psi_B J(-s)/(1+s^2) ds },
         the same trace pushed through the symbol side in closed form."""
-        val = self._ray_reduce(_log_moment(np.array([-1j]))[0],
-                               _log_moment(-self._ray_s))
-        return -2.0 * val / math.pi
+        val = self._invert(_log_moment(-1j), _log_moment(-self.ray.s))
+        return -2.0 * float(val) / math.pi
 
     def w_profile(self, u) -> np.ndarray:
         """Pre-Laplace oscillatory profile W(u); W ~ c/u as u -> 0."""
-        u = np.asarray(u, dtype=float)
-        core = np.imag(np.exp(1j * u**2) * self.psi_unit)
-        ray = np.sum((self._ray_w * np.exp(1j * self.theta_u) * self.psi_ray
-                      / (1.0 + self._ray_s**2))[None, :]
-                     * np.exp(self._ray_s[None, :] * (u**2)[:, None]), axis=1)
-        return core + np.imag(ray) / math.pi
+        u2 = np.asarray(u, dtype=float) ** 2
+        return self._invert(np.exp(1j * u2), np.exp(self.ray.s[:, None] * u2[None, :]))
 
     # -- application routes ---------------------------------------------------
 
     def apply_convolution(self, h_callable, x: np.ndarray, t: float,
-                          deriv: int = 0, ppd: int = 16) -> np.ndarray:
+                          deriv: int = 0) -> np.ndarray:
         """Causal convolution int_0^t H(x, sigma) h(t - sigma) dsigma."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.zeros(x.shape)
         if t <= 0.0:
             return out
+        h_end = float(np.asarray(h_callable(np.array([t])), dtype=float)[0])
         small = x < 1.0e-7
         if small.any():
             # x -> 0 limits: the Dirichlet trace for the value, zero for the
             # slope (the profile integrates to zero across scales)
-            h_end = float(np.asarray(h_callable(np.array([t])), dtype=float)[0])
             out[small] = self.trace_profile_side() * h_end if deriv == 0 else 0.0
         xs = x[~small]
         if xs.size == 0:
             return out
-        sig, wsig = log_graded_nodes(1.0e-12 * t, t, ppd)
+        sig, wsig = log_graded_nodes(1.0e-12 * t, t, 16)
         hmat = np.stack([self.kernel(xs, s, deriv) for s in sig], axis=1)
         hvals = np.asarray(h_callable(t - sig), dtype=float)
         vals = hmat @ (wsig * hvals)
         # analytic head below the smallest sigma node, using the tail model
         c1 = self._tail_h[0]
         s0 = sig[0]
-        h_end = float(np.asarray(h_callable(np.array([t])), dtype=float)[0])
         if deriv == 0:
             vals = vals + h_end * 2.0 * c1 * math.sqrt(s0) / xs
         else:
@@ -243,36 +211,17 @@ class BoundaryKernel:
         x = np.asarray(x, dtype=float)
         if t <= 0.0:
             return np.zeros(x.shape)
-        p = self._spectral_p
+        p = np.geomspace(1.0e-6, 2.0e4, int(10.3 * 32) + 1)
         p2 = p * p
-        phase = np.exp(1j * self.theta_s)
-        cache = self.symbols.direction(phase)
-        psi_ray = cache.scalars(self._spec_r)["psi_b"]
-        s_ray = self._spec_r * phase
+        ray = DampedRay(*log_graded_nodes(1.0e-7, 1.0e7, 24), self.theta_s)
+        psi_ray = self.symbols.direction(ray.phase).scalars(ray.r)["psi_b"]
         with np.errstate(over="ignore", invalid="ignore"):
-            damp = np.exp(s_ray[:, None] * (p2 * t)[None, :])
-        ray_rows = (self._spec_w * phase / (1.0 + s_ray**2))[:, None] \
-            * psi_ray[:, None] * h_hat(s_ray[:, None] * p2[None, :]) * damp
-        smooth = np.imag(ray_rows.sum(axis=0)) / math.pi
+            damp = np.exp(ray.s[:, None] * (p2 * t)[None, :])
+        rows = psi_ray[:, None] * h_hat(ray.s[:, None] * p2[None, :]) * damp
+        smooth = ray.smooth(rows)
         lap = laplace_matrix(x, p)
         part_smooth = lap @ (p ** (1 + deriv) * smooth)
         amp = (p ** (1 + deriv) * self.psi_unit * h_hat(1j * p2))[None, :] \
             * np.exp(-np.outer(x, p))
         part_brk = np.imag(amp @ fresnel_weights(p, t))
         return (part_smooth + part_brk) * ((-1.0) ** deriv / math.pi)
-
-    @cached_property
-    def _spectral_p(self) -> np.ndarray:
-        return np.geomspace(1.0e-6, 2.0e4, int(10.3 * 32) + 1)
-
-    @cached_property
-    def _spec_ray(self) -> tuple[np.ndarray, np.ndarray]:
-        return log_graded_nodes(1.0e-7, 1.0e7, 24)
-
-    @property
-    def _spec_r(self) -> np.ndarray:
-        return self._spec_ray[0]
-
-    @property
-    def _spec_w(self) -> np.ndarray:
-        return self._spec_ray[1]

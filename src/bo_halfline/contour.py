@@ -2,7 +2,8 @@
 
 Everything downstream (symbol integrals, operator kernels) is built from two
 node generators -- log-graded Gauss-Legendre panels along a ray, and a
-two-sided sampling of the imaginary axis -- plus three classical operations:
+two-sided sampling of the imaginary axis -- the damped-ray inversion both
+operator kernels share, and three classical operations:
 the off-axis Cauchy transform, its one-sided boundary values, and principal
 values with the singular point on the contour.  Principal values use symmetric
 pairing about the singularity (the pole contributions of mirrored nodes cancel
@@ -52,53 +53,47 @@ def log_graded_nodes(r_min: float, r_max: float, points_per_decade: int,
     return panel_nodes(edges, points_per_panel)
 
 
-@dataclass(frozen=True)
-class ContourRay:
-    """One ray ``q = r e^{i angle}``, traversed outward (+1) or inward (-1)."""
-
-    angle: float
-    r_min: float = 1.0e-6
-    r_max: float = 1.0e6
-    points_per_decade: int = 24
-    orientation: int = 1
-
-    def nodes(self):
-        """Nodes and dq-weights in traversal order."""
-        r, wr = log_graded_nodes(self.r_min, self.r_max, self.points_per_decade)
-        direction = np.exp(1j * self.angle)
-        if self.orientation > 0:
-            return r * direction, wr * direction
-        return (r * direction)[::-1], (-wr * direction)[::-1]
-
-
-@dataclass(frozen=True)
-class Contour:
-    """A chain of rays traversed in order; quadrature is the concatenated sum."""
-
-    rays: tuple[ContourRay, ...]
-
-    def nodes(self):
-        qs, ws = zip(*(ray.nodes() for ray in self.rays))
-        return np.concatenate(qs), np.concatenate(ws)
-
-    def integrate(self, f) -> complex:
-        q, w = self.nodes()
-        return complex(np.sum(f(q) * w))
-
-
 def symbol_contour(angle: float, r_min: float = 1.0e-6, r_max: float = 1.0e6,
-                   points_per_decade: int = 24) -> Contour:
-    """The keyhole-free chain: down-ray at -angle traversed inward, then the
-    up-ray at +angle outward.  ``angle`` is measured from the positive real axis."""
-    return Contour((
-        ContourRay(-angle, r_min, r_max, points_per_decade, orientation=-1),
-        ContourRay(+angle, r_min, r_max, points_per_decade, orientation=+1),
-    ))
+                   points_per_decade: int = 24) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes q and dq-weights of the keyhole-free chain: the down-ray at
+    -angle traversed inward, then the up-ray at +angle outward.  ``angle`` is
+    measured from the positive real axis."""
+    r, wr = log_graded_nodes(r_min, r_max, points_per_decade)
+    down = np.exp(-1j * angle)
+    up = np.exp(1j * angle)
+    q = np.concatenate([(r * down)[::-1], r * up])
+    dq = np.concatenate([(-wr * down)[::-1], wr * up])
+    return q, dq
+
+
+class DampedRay:
+    """Damped-ray inversion shared by the Green and boundary kernels:
+
+        R[f] = Im f(i) + (1/pi) Im int_0^infty f(s) e^{i theta}/(1+s^2) dr,
+
+    with s = r e^{i theta} -- the residue bracket at s = i plus the damped
+    integral along the rotated ray.  ``r, wr`` are the radial nodes and
+    weights; ``coef`` is the whole ray weight wr e^{i theta}/(1+s^2)."""
+
+    def __init__(self, r: np.ndarray, wr: np.ndarray, theta: float):
+        self.r = r
+        self.phase = np.exp(1j * theta)
+        self.s = r * self.phase
+        self.coef = wr * self.phase / (1.0 + self.s**2)
+
+    def smooth(self, rows: np.ndarray) -> np.ndarray:
+        """(1/pi) Im int f(s) e^{i theta}/(1+s^2) dr for samples f(s) with
+        the ray on axis 0."""
+        return np.imag(self.coef @ rows) / math.pi
+
+    def __call__(self, at_i, rows: np.ndarray) -> np.ndarray:
+        """R[f] from f(i) and the ray samples ``rows``."""
+        return np.imag(at_i) + self.smooth(rows)
 
 
 @dataclass(frozen=True)
 class AxisSampling:
-    """Two-sided sampling of the imaginary axis, graded about the origin.
+    """Two-sided sampling of the imaginary axis, graded about a center.
 
     ``decay_exponent`` is the integrand's large-|q| power decay; the outer
     truncation radius is chosen adaptively so the discarded tail is below
@@ -108,18 +103,10 @@ class AxisSampling:
     scale: float = 1.0
     decay_exponent: float = 2.0
     tail_tol: float = 1.0e-10
-    r_min_factor: float = 1.0e-6
     points_per_decade: int = 24
-    r_max_override: float | None = None
-
-    @property
-    def r_min(self) -> float:
-        return self.scale * self.r_min_factor
 
     @property
     def r_max(self) -> float:
-        if self.r_max_override is not None:
-            return self.r_max_override
         if self.decay_exponent <= 1.0:
             raise ValueError("decay_exponent must exceed 1 for an adaptive tail")
         # Cap in log space: for decay exponents barely above 1 the adaptive
@@ -129,17 +116,18 @@ class AxisSampling:
             return 1.0e12 * self.scale
         return self.scale * 10.0 ** log_r
 
-    def nodes(self):
-        """Nodes q = iy and dq-weights, traversal order -i*inf -> +i*inf."""
-        r, wr = log_graded_nodes(self.r_min, self.r_max, self.points_per_decade)
-        y = np.concatenate([-r[::-1], r])
-        wy = np.concatenate([wr[::-1], wr])
-        return 1j * y, 1j * wy
+    def nodes(self, center: float, u_min: float):
+        """Nodes q = iy and dq-weights paired about y = center, traversal
+        order -i*inf -> +i*inf, reaching past both the adaptive radius and
+        |center|."""
+        u_max = max(self.r_max, 10.0 * abs(center) + self.scale)
+        return axis_nodes(center, u_min, u_max, self.points_per_decade)
 
 
-def _shifted_axis_nodes(center: float, u_min: float, u_max: float,
-                        points_per_decade: int):
-    """Symmetric log-graded nodes y = center +/- u on the axis, paired exactly."""
+def axis_nodes(center: float, u_min: float, u_max: float,
+               points_per_decade: int):
+    """Nodes q = iy and dq-weights for log-graded y = center +/- u, u in
+    [u_min, u_max], paired exactly about the center."""
     r, wr = log_graded_nodes(u_min, u_max, points_per_decade)
     y = np.concatenate([center - r[::-1], center + r])
     wy = np.concatenate([wr[::-1], wr])
@@ -158,8 +146,7 @@ def cauchy_transform(phi, z: complex, sampling: AxisSampling) -> complex:
         raise ValueError("cauchy_transform requires Re z != 0; use plemelj_limits")
     c = float(np.imag(z))
     u_min = abs(d) / 10.0
-    u_max = max(sampling.r_max, 10.0 * abs(c) + sampling.scale)
-    q, w = _shifted_axis_nodes(c, u_min, u_max, sampling.points_per_decade)
+    q, w = sampling.nodes(c, u_min)
     total = np.sum(phi(q) * w / (q - z))
     # Analytic patch for the excised segment q = i(c-u_min) .. i(c+u_min):
     # the antiderivative log(q - z) changes by 2i atan(u_min / -d) along the
@@ -178,9 +165,7 @@ def plemelj_limits(phi, p: complex, sampling: AxisSampling):
     """
     c = float(np.imag(p))
     p = 1j * c
-    u_min = sampling.scale * PV_EXCISION_FACTOR
-    u_max = max(sampling.r_max, 10.0 * abs(c) + sampling.scale)
-    q, w = _shifted_axis_nodes(c, u_min, u_max, sampling.points_per_decade)
+    q, w = sampling.nodes(c, sampling.scale * PV_EXCISION_FACTOR)
     phi_p = phi(np.array([p]))[0]
     pv = np.sum((phi(q) - phi_p) * w / (q - p)) / (2j * np.pi)
     return complex(pv + 0.5 * phi_p), complex(pv - 0.5 * phi_p)
@@ -192,9 +177,7 @@ def pv_integral(f, singular_point: complex, sampling: AxisSampling) -> complex:
     nodes about the pole cancel its odd part exactly; excision radius is
     1e-6 * scale."""
     c = float(np.imag(singular_point))
-    u_min = sampling.scale * PV_EXCISION_FACTOR
-    u_max = max(sampling.r_max, 10.0 * abs(c) + sampling.scale)
-    q, w = _shifted_axis_nodes(c, u_min, u_max, sampling.points_per_decade)
+    q, w = sampling.nodes(c, sampling.scale * PV_EXCISION_FACTOR)
     return complex(np.sum(f(q) * w))
 
 

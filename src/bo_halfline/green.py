@@ -37,7 +37,7 @@ from scipy.interpolate import CubicSpline
 from scipy.special import gamma as gamma_fn
 from scipy.special import gammainc, wofz
 
-from .contour import log_graded_nodes
+from .contour import DampedRay, axis_nodes, log_graded_nodes
 from .halfline import Profile, WholeLineGrid, laplace_matrix
 from .symbols import DirectionCache, Symbols
 
@@ -90,10 +90,7 @@ class GreenGrids:
     @cached_property
     def axis(self) -> tuple[np.ndarray, np.ndarray]:
         """Upward imaginary-axis nodes iV and weights i dV."""
-        V, wV = log_graded_nodes(self.axis_min, self.axis_max, self.axis_ppd)
-        v = 1j * np.concatenate([-V[::-1], V])
-        wv = 1j * np.concatenate([wV[::-1], wV])
-        return v, wv
+        return axis_nodes(0.0, self.axis_min, self.axis_max, self.axis_ppd)
 
 
 def e_minus_weights(cache: DirectionCache, mod_s, v: np.ndarray,
@@ -128,9 +125,7 @@ class RayLayout:
     Rows 0..n_ray-1 are the tabulated rays s = r e^{i theta0}; the tail rows
     beyond r_max carry the corner model E- ~ lam1 p^{-1/2} s^{3/4} + lam0 s,
     fitted on the large-|s|, small-m corner of the ray rows.  The smooth part
-    of K(p, t) is then
-
-        (1/pi) Im[e^{i theta0} sum_rows w/(1+s^2) E-(p, s) e^{s p^2 t}].
+    of K(p, t) is ``ray.smooth`` of the rows E-(p, s) e^{s p^2 t}.
     """
 
     def __init__(self, grids: GreenGrids, theta0: float):
@@ -139,12 +134,12 @@ class RayLayout:
         rt, wrt = grids.tail_ray
         self.p_nodes = p
         self.n_ray = r.size
-        self.phase = np.exp(1j * theta0)
-        self.s = np.concatenate([r, rt]) * self.phase
-        self.row_coef = np.concatenate([wr, wrt]) / (1.0 + self.s**2)
-        self.sp2 = self.s[:, None] * (p**2)[None, :]
+        self.ray = DampedRay(np.concatenate([r, rt]), np.concatenate([wr, wrt]),
+                             theta0)
+        s = self.ray.s
+        self.sp2 = s[:, None] * (p**2)[None, :]
         # tail basis rows, valid only before the rollover at m = p sqrt(r) = O(1)
-        s_tail = self.s[r.size:, None]
+        s_tail = s[r.size:, None]
         valid = np.sqrt(rt)[:, None] * p[None, :] <= _TAIL_M_CUT
         self._tail_b1 = valid * s_tail ** 0.75 / np.sqrt(p)[None, :]
         self._tail_b0 = valid * s_tail
@@ -153,7 +148,7 @@ class RayLayout:
         if not np.any(cols):
             cols = p <= p[3]
         self.corner = np.ix_(rows, cols)
-        s_c = self.s[:r.size][rows][:, None]
+        s_c = s[:r.size][rows][:, None]
         p_c = p[cols][None, :]
         self.corner_basis = np.stack([(s_c ** 0.75 / np.sqrt(p_c)).ravel(),
                                       (s_c * np.ones_like(p_c)).ravel()], axis=1)
@@ -173,10 +168,6 @@ class RayLayout:
         with np.errstate(over="ignore", invalid="ignore"):
             return np.exp(self.sp2 * t)
 
-    def contract(self, rows: np.ndarray) -> np.ndarray:
-        """Smooth kernel from rows (n_rows, n_p) already carrying e^{s p^2 t}."""
-        return np.imag(self.phase * (self.row_coef @ rows)) / np.pi
-
 
 class EMinusLattice:
     """E-(p, s) tabulated on the rotated ray (plus s = i) for one datum.
@@ -194,7 +185,7 @@ class EMinusLattice:
         self.layout = layout = RayLayout(grids, theta0)
         p = layout.p_nodes
         self.p_nodes = p
-        self.E_ray = self._rows(symbols.direction(layout.phase), grids.ray[0], p)
+        self.E_ray = self._rows(symbols.direction(layout.ray.phase), grids.ray[0], p)
         self.E_brk = self._rows(symbols.direction(1j), np.array([1.0]), p)[0]
         lam, self.E_full = layout.fit_tail(self.E_ray)
         self.tail_lam1, self.tail_lam0 = complex(lam[0]), complex(lam[1])
@@ -224,7 +215,7 @@ class EMinusLattice:
 
     def smooth_kernel(self, t: float) -> np.ndarray:
         """Damped-ray plus tail part of K(p, t)."""
-        return self.layout.contract(self.E_full * self.layout.damping(t))
+        return self.layout.ray.smooth(self.E_full * self.layout.damping(t))
 
     def kernel(self, t: float) -> np.ndarray:
         """K(p, t) on p_nodes (real array)."""
@@ -244,8 +235,7 @@ class EMinusLattice:
         return self.kernel(0.0)
 
     def kernel_axis_reference(self, t: float, p_values: np.ndarray,
-                              bracket_coefficient: complex = 0.25 / 1j,
-                              y_cut: float = 1.0e6) -> np.ndarray:
+                              bracket_coefficient: complex = 0.25 / 1j) -> np.ndarray:
         """Independent principal-value route on the (undeformed) imaginary axis.
 
         K = (1/pi) Re PV int_0^infty e^{i y p^2 t} E-(p, iy)/(1-y^2) dy plus
@@ -256,7 +246,7 @@ class EMinusLattice:
         p_values = np.asarray(p_values, dtype=float)
         axis_dir = self.symbols.direction(1j)
         u, wu = log_graded_nodes(1.0e-7, 1.0 - 1.0e-9, 32)
-        y_hi, wy_hi = log_graded_nodes(2.0, y_cut, 32)
+        y_hi, wy_hi = log_graded_nodes(2.0, 1.0e6, 32)
         y_all = np.concatenate([1.0 - u, 1.0 + u, y_hi])
         rows = self._rows(axis_dir, y_all, p_values)
         n = u.size
@@ -372,11 +362,10 @@ class GreenOperator:
     correction; evaluation points are arbitrary x > 0 arrays."""
 
     def __init__(self, symbols: Symbols, profile: Profile,
-                 whole_grid: WholeLineGrid | None = None,
-                 grids: GreenGrids | None = None):
+                 whole_grid: WholeLineGrid | None = None):
         self.symbols = symbols
         self.profile = profile
-        self.grids = grids or GreenGrids()
+        self.grids = GreenGrids()
         self.whole_grid = whole_grid or WholeLineGrid()
         self.theta0 = math.pi / 2.0 + symbols.config.delta_s
         wg = self.whole_grid

@@ -22,6 +22,24 @@ from .config import ConfigError
 # grids
 
 
+def trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
+    """Trapezoid-rule weights on the (sorted) nodes; zero for a single node."""
+    w = np.zeros_like(nodes)
+    h = np.diff(nodes)
+    w[:-1] += 0.5 * h
+    w[1:] += 0.5 * h
+    return w
+
+
+def node_index(nodes: np.ndarray, t: float) -> int:
+    """Index of the node equal to t up to 1e-9 + 1e-6 |t|; ValueError if
+    there is none.  Shared lookup of the time lattices and saved-time sets."""
+    idx = int(np.argmin(np.abs(nodes - t)))
+    if abs(nodes[idx] - t) > 1.0e-9 + 1.0e-6 * abs(t):
+        raise ValueError(f"time {t} is not a lattice node")
+    return idx
+
+
 @dataclass(frozen=True)
 class HalfLineGrid:
     """Nodes x_j = x_max (j/J)^2, j = 0..J: quadratic grading toward x = 0."""
@@ -36,12 +54,7 @@ class HalfLineGrid:
 
     @cached_property
     def quad_weights(self) -> np.ndarray:
-        x = self.nodes
-        w = np.zeros_like(x)
-        dx = np.diff(x)
-        w[:-1] += 0.5 * dx
-        w[1:] += 0.5 * dx
-        return w
+        return trapezoid_weights(self.nodes)
 
     def integrate(self, values: np.ndarray) -> complex:
         return np.sum(values * self.quad_weights, axis=-1)
@@ -323,14 +336,19 @@ def hilbert_whole_line(grid: WholeLineGrid, values: np.ndarray) -> np.ndarray:
     return out.real if np.isrealobj(values) else out
 
 
-def hilbert_half_line_direct(x: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Direct PV quadrature oracle on a uniform grid (diagonal excluded;
-    midpoint rule pairs symmetric neighbours so the principal value is the
-    plain sum with the singular node dropped)."""
+def pv_matrix(x: np.ndarray) -> np.ndarray:
+    """Midpoint PV matrix for f -> PV int f(y)/(y - x) dy on a uniform grid
+    (diagonal excluded: the midpoint rule pairs symmetric neighbours, so the
+    principal value is the plain sum with the singular node dropped)."""
     x = np.asarray(x, dtype=float)
     dx = x[1] - x[0]
     diff = x[None, :] - x[:, None]          # y - x
     with np.errstate(divide="ignore"):
         kernel = 1.0 / diff
     np.fill_diagonal(kernel, 0.0)
-    return kernel @ values * dx
+    return kernel * dx
+
+
+def hilbert_half_line_direct(x: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Direct PV quadrature oracle on a uniform grid."""
+    return pv_matrix(x) @ values

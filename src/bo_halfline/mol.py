@@ -17,17 +17,8 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .config import RunConfig
-from .halfline import WholeLineGrid, hilbert_half_line_direct, make_profile
-
-
-def _pv_matrix(x: np.ndarray) -> np.ndarray:
-    """Midpoint PV matrix for f -> int f(y)/(y - x) dy on a uniform grid."""
-    dx = x[1] - x[0]
-    diff = x[None, :] - x[:, None]
-    with np.errstate(divide="ignore"):
-        kern = 1.0 / diff
-    np.fill_diagonal(kern, 0.0)
-    return kern * dx
+from .halfline import (WholeLineGrid, hilbert_whole_line, make_profile,
+                       node_index, pv_matrix)
 
 
 @dataclass
@@ -40,10 +31,7 @@ class MolResult:
     meta: dict = field(default_factory=dict)
 
     def at_time(self, t: float) -> np.ndarray:
-        idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > 1.0e-9 + 1.0e-6 * abs(t):
-            raise ValueError(f"time {t} not in saved set")
-        return self.values[idx]
+        return self.values[node_index(self.times, t)]
 
 
 class MethodOfLines:
@@ -63,7 +51,7 @@ class MethodOfLines:
     def _build_operators(self) -> None:
         x, dx = self.x, self.dx
         n = x.size
-        self.hilbert_mat = -_pv_matrix(x) / np.pi
+        self.hilbert_mat = -pv_matrix(x) / np.pi
         lap = np.zeros((n, n))
         idx = np.arange(1, n - 1)
         lap[idx, idx - 1] = 1.0
@@ -97,14 +85,12 @@ class MethodOfLines:
         """Relative mismatch between the dense PV route and the zero-extension
         FFT route for the dispersion operator, on a smooth test function."""
         f = self.x * np.exp(-((self.x - 6.0) / 2.0) ** 2)
-        direct = -hilbert_half_line_direct(self.x, f) / np.pi
+        direct = self.hilbert_mat @ f
         wg = WholeLineGrid(n=1 << 15, dx=self.dx, x0=-self.dx * (1 << 14))
         ext = np.zeros(wg.n)
         i0 = wg.index_of(0.0)
         ext[i0:i0 + self.x.size] = f
-        mult = -1j * np.sign(wg.xi)
-        spec = np.fft.ifft(np.fft.fft(ext) * mult).real
-        via_fft = spec[i0:i0 + self.x.size]
+        via_fft = hilbert_whole_line(wg, ext)[i0:i0 + self.x.size] / np.pi
         keep = slice(8, -8)
         return float(np.linalg.norm(direct[keep] - via_fft[keep])
                      / np.linalg.norm(via_fft[keep]))

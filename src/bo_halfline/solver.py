@@ -25,7 +25,7 @@ from .config import RunConfig
 from .green import (FieldAssembly, GreenGrids, GreenOperator, RayLayout,
                     e_minus_weights, fresnel_weights)
 from .halfline import (HalfLineGrid, WholeLineGrid, laplace_matrix,
-                       make_profile)
+                       make_profile, node_index, trapezoid_weights)
 from .mol import MethodOfLines
 from .symbols import Symbols
 
@@ -42,9 +42,9 @@ class TimeGrid:
     """
 
     def __init__(self, t_final: float, t_switch: float, n_geometric: int,
-                 n_uniform: int, geometric_floor: float = 1.0e-3):
+                 n_uniform: int):
         t_switch = min(t_switch, t_final)
-        geo = t_switch * np.geomspace(geometric_floor, 1.0, n_geometric)
+        geo = t_switch * np.geomspace(1.0e-3, 1.0, n_geometric)
         parts = [np.array([0.0]), geo]
         if t_final > t_switch:
             parts.append(np.linspace(t_switch, t_final, n_uniform + 1)[1:])
@@ -52,20 +52,11 @@ class TimeGrid:
         self.n = self.nodes.size
 
     def index_of(self, t: float) -> int:
-        idx = int(np.argmin(np.abs(self.nodes - t)))
-        if abs(self.nodes[idx] - t) > 1.0e-9 + 1.0e-6 * abs(t):
-            raise ValueError(f"time {t} is not a grid node")
-        return idx
+        return node_index(self.nodes, t)
 
     def weights_upto(self, k: int) -> np.ndarray:
         """Trapezoid weights for int_0^{t_k} on nodes 0..k."""
-        if k == 0:
-            return np.zeros(1)
-        h = np.diff(self.nodes[:k + 1])
-        w = np.zeros(k + 1)
-        w[:-1] += 0.5 * h
-        w[1:] += 0.5 * h
-        return w
+        return trapezoid_weights(self.nodes[:k + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -124,13 +115,12 @@ class DuhamelPropagator:
     """
 
     def __init__(self, symbols: Symbols, half_grid: HalfLineGrid,
-                 times: TimeGrid, grids: GreenGrids | None = None,
-                 whole_grid: WholeLineGrid | None = None):
+                 times: TimeGrid):
         self.symbols = symbols
-        self.grids = grids or DUHAMEL_GRIDS
+        self.grids = DUHAMEL_GRIDS
         self.half = half_grid
         self.times = times
-        self.whole = whole_grid or WholeLineGrid(n=8192, dx=0.0625, x0=-64.0)
+        self.whole = WholeLineGrid(n=8192, dx=0.0625, x0=-64.0)
         xs = half_grid.nodes
         # forcings carry a wall jump, so their spectra reach the grid's cutoff
         self.whole.check_transport(float(times.nodes[-1]), float(xs[-1]),
@@ -141,7 +131,7 @@ class DuhamelPropagator:
         r, _ = self.grids.ray
         z, _ = self.grids.axis
         t_ray, bt_ray, scat_ray = self._build_tensor(
-            symbols.direction(self.layout.phase), r)
+            symbols.direction(self.layout.ray.phase), r)
         t_brk, bt_brk, scat_brk = self._build_tensor(symbols.direction(1j),
                                                      np.array([1.0]))
         self._t_ray = t_ray.reshape(-1, z.size)      # (n_ray*n_p, nz) complex64
@@ -244,7 +234,7 @@ class DuhamelPropagator:
                 acc += w[ell] * (lat.e_full[ell] * layout.damping(sigma))
                 w_brk += w[ell] * (lat.e_brk[ell] * self._fw[k, ell])
                 k0_brk += w[ell] * lat.e_brk[ell, 0] * np.exp(1j * p0sq * sigma)
-            k_smooth = layout.contract(acc)
+            k_smooth = layout.ray.smooth(acc)
             k0 = k_smooth[0] + np.imag(k0_brk)
             # free part of the accumulated propagation
             spec_k = np.exp(-1j * self._xia * nodes[k]) * running
@@ -282,14 +272,8 @@ class SpaceTimeSolution:
     form_discrepancy: float
     meta: dict = field(default_factory=dict)
 
-    def row(self, t: float) -> int:
-        idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > 1.0e-9 + 1.0e-6 * abs(t):
-            raise ValueError(f"time {t} is not a lattice node")
-        return idx
-
     def at_time(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        k = self.row(t)
+        k = node_index(self.times, t)
         return self.values[k], self.derivs[k]
 
     def interpolate(self, x_new: np.ndarray, t: float) -> np.ndarray:

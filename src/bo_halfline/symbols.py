@@ -26,7 +26,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .config import RunConfig
-from .contour import Contour, ContourRay, log_graded_nodes, symbol_contour, winding_index
+from .contour import axis_nodes, symbol_contour, winding_index
 
 TWO_PI_I = 2j * np.pi
 
@@ -93,7 +93,10 @@ def ratio_weight(q, s, variant: str = "derived"):
     "derived": g = 2 q s (1 - i sgn Im q)/((K+s)(Ktilde+s)), the exact
     derivative of log[(K+s)/(Ktilde+s)] on each ray.  "alt" replaces the
     factor (1 - i sgn Im q) by (1 - i) sgn(Im q), which agrees on the upper
-    ray only; it is kept as a probe."""
+    ray only.  "alt" is the production c_q_variant (it enters a_tilde through
+    gamma_one), yet its a_tilde misses the finite-difference oracle by 0.92
+    and 1.31 at s = 2 e^{i pi} and e^{0.9 i pi}, where "derived" matches to
+    1.7e-4."""
     q = np.asarray(q, dtype=complex)
     sgn = np.sign(q.imag)
     if variant == "derived":
@@ -131,10 +134,11 @@ class Symbols:
         c = self.config
         return f"{c.contour_angle}:{self.ppd}:{c.c_q_variant}:{c.psi_b_variant}"
 
-    def contour(self, scale: float = 1.0, r_min: float = 1.0e-5,
-                r_max: float = 1.0e5, ppd: int | None = None) -> Contour:
-        return symbol_contour(self.theta, r_min * scale, r_max * scale,
-                              ppd or self.ppd)
+    def contour(self, s: complex) -> tuple[np.ndarray, np.ndarray]:
+        """Symbol-contour nodes q and dq-weights at s: radii 1e-5..1e5 |s|^{1/2}."""
+        scale = math.sqrt(abs(s))
+        return symbol_contour(self.theta, 1.0e-5 * scale, 1.0e5 * scale,
+                              self.ppd)
 
     def check_admissible(self, s) -> None:
         s = np.atleast_1d(np.asarray(s, dtype=complex))
@@ -147,15 +151,14 @@ class Symbols:
 
     # -- direct quadrature layer -----------------------------------------
 
-    def gamma_tilde(self, w, s: complex, scale: float | None = None):
+    def gamma_tilde(self, w, s: complex):
         """Direct quadrature of the log-kernel integral; w scalar or array.
 
         Valid for w off the contour with principal log safe, which covers the
         production evaluation set Re w <= 0 (imaginary axis, negative reals)."""
         s = complex(s)
         self.check_admissible(s)
-        scale = math.sqrt(abs(s)) if scale is None else scale
-        q, dq = self.contour(scale=scale).nodes()
+        q, dq = self.contour(s)
         g = ratio_weight(q, s)
         w_arr = np.atleast_1d(np.asarray(w, dtype=complex))
         vals = -(np.log(q[None, :] - w_arr[:, None]) * (g * dq)[None, :]).sum(axis=1) / TWO_PI_I
@@ -167,14 +170,14 @@ class Symbols:
         the default contour and +1/2 elsewhere."""
         s = complex(s)
         self.check_admissible(s)
-        q, dq = self.contour(scale=math.sqrt(abs(s))).nodes()
+        q, dq = self.contour(s)
         val = np.sum(ratio_weight(q, s) * dq) / TWO_PI_I
         return float(np.real(val))
 
     def index_by_winding(self, s: complex) -> float:
         """Same index via continuous-argument accumulation of the ratio values."""
         s = complex(s)
-        q, _ = self.contour(scale=math.sqrt(abs(s))).nodes()
+        q, _ = self.contour(s)
         ratio = (symbol_K(q) + s) / (symbol_K_tilde(q) + s)
         return winding_index(ratio)
 
@@ -182,7 +185,7 @@ class Symbols:
         """d/dw gamma_tilde at w = 0: (1/2 pi i) * int g(q,s)/q dq."""
         s = complex(s)
         self.check_admissible(s)
-        q, dq = self.contour(scale=math.sqrt(abs(s))).nodes()
+        q, dq = self.contour(s)
         g = ratio_weight(q, s, self.config.c_q_variant)
         return complex(np.sum(g / q * dq) / TWO_PI_I)
 
@@ -190,7 +193,7 @@ class Symbols:
         """M1(s) = (1/2 pi i) * int q g(q,s) dq, the 1/w coefficient of the
         large-w expansion gamma_tilde = -ind log(-w) + M1/w + O(w^-2)."""
         s = complex(s)
-        q, dq = self.contour(scale=math.sqrt(abs(s))).nodes()
+        q, dq = self.contour(s)
         return complex(np.sum(q * ratio_weight(q, s) * dq) / TWO_PI_I)
 
     # -- derived scalar symbols -------------------------------------------
@@ -271,10 +274,8 @@ class Symbols:
         g0 = self.gamma_tilde(0.0, s)
         rad = math.sqrt(abs(s))
         ppd = axis_ppd or max(self.ppd, 24)
-        r, wr = log_graded_nodes(1.0e-6 * min(1.0, rad), 1.0e7 * max(1.0, rad), ppd)
-        v = np.concatenate([-r[::-1], r])
-        wv = 1j * np.concatenate([wr[::-1], wr])
-        w_nodes = 1j * v
+        w_nodes, wv = axis_nodes(0.0, 1.0e-6 * min(1.0, rad),
+                                 1.0e7 * max(1.0, rad), ppd)
         gw = self.gamma_tilde(w_nodes, s)
         omega = c_ref * e_ref * (big_b - (w_nodes - k) / (w_nodes + 1.0))
         if subtracted:

@@ -90,6 +90,36 @@ class TestConfigErrors:
 
 
 # ---------------------------------------------------------------------------
+# Short horizons: the solve suite must report, not crash
+
+
+@pytest.mark.parametrize("env,expect", [
+    # one node in the late growth window: too few for its slope
+    ({"T_FINAL": "0.5", "T_SWITCH": "0.5"},
+     ["growth/m1-h1-bound:not-fittable", "cross-validation/rel-l2[t=0.5]"]),
+    # t = 1 is off the lattice: compare at its last node instead
+    ({"T_FINAL": "0.8", "T_SWITCH": "0.4"}, ["cross-validation/rel-l2[t=0.8]"]),
+    # two interior nodes in all: too few for the weighted-rate slope too
+    ({"N_TIME_GEOMETRIC": "1", "N_TIME_UNIFORM": "1"},
+     ["growth/m2-weighted-rate:not-fittable"]),
+])
+def test_solve_short_lattice_reports(env, expect, fast_cfg, monkeypatch, capsys):
+    # each of these valid configurations used to exit 2 with a traceback
+    for key in ("n_x", "x_max", "contour_points_per_decade",
+                "axis_points_per_decade", "n_time_geometric",
+                "n_time_uniform", "picard_max_iter"):
+        monkeypatch.setenv("BOHL_" + key.upper(), repr(getattr(fast_cfg, key)))
+    for key, val in env.items():
+        monkeypatch.setenv("BOHL_" + key, val)
+    code = main(["solve"])
+    out, err = capsys.readouterr()
+    assert code != 2, err
+    assert "Traceback" not in err
+    for name in expect:
+        assert name in out
+
+
+# ---------------------------------------------------------------------------
 # Config resolution order
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from bo_halfline import (AxisSampling, cauchy_transform, log_graded_nodes,
                          plemelj_limits, pv_integral, symbol_contour,
                          winding_index)
+from bo_halfline.contour import DampedRay
 
 
 # ---------------------------------------------------------------------------
@@ -29,11 +30,37 @@ def test_symbol_contour_integrates_closed_form():
     # The chain integral of 1/q^2 is a sum of endpoint differences of -1/q:
     # down-ray traversed inward, up-ray outward, which collapses to
     # 2i sin(theta) (1/r_max - 1/r_min).  Pins the traversal convention.
-    contour = symbol_contour(np.pi / 4, r_min=1e-3, r_max=1e3,
-                             points_per_decade=24)
-    got = contour.integrate(lambda q: q**-2.0)
+    q, dq = symbol_contour(np.pi / 4, r_min=1e-3, r_max=1e3,
+                           points_per_decade=24)
+    got = np.sum(q**-2.0 * dq)
     want = 2j * np.sin(np.pi / 4) * (1.0 / 1e3 - 1.0 / 1e-3)
     assert abs(got - want) / abs(want) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# DampedRay: R[f] = Im f(i) + (1/pi) Im int f(s) e^{i theta}/(1+s^2) dr.
+# For f(s) = i/(s+2)^2, deforming the ray onto the positive real axis (past
+# the pole of 1/(1+s^2) at s = i) gives the closed form
+#   R[f] = (1/pi) (3 pi/50 + 1/10 - (4/25) log 2) = 0.0565293...
+# Measured errors: 1.3e-8 on the Green-default ray, 1.5e-5 on the boundary
+# kernel's ray, whose angle passes closer to s = i.
+
+RAY_F = lambda s: 1j / (s + 2.0) ** 2
+RAY_WANT = (3.0 * np.pi / 50.0 + 0.1 - 0.16 * np.log(2.0)) / np.pi
+
+
+def test_damped_ray_against_closed_form():
+    ray = DampedRay(*log_graded_nodes(1e-7, 1e7, 24), np.pi / 2 + np.pi / 8)
+    assert abs(ray(RAY_F(1j), RAY_F(ray.s)) - RAY_WANT) < 1e-7
+    # rows carry the ray on axis 0; columns are inverted independently
+    cols = ray(RAY_F(1j) * np.array([1.0, 2.0]),
+               RAY_F(ray.s)[:, None] * np.array([1.0, 2.0]))
+    assert np.max(np.abs(cols - RAY_WANT * np.array([1.0, 2.0]))) < 2e-7
+
+
+def test_boundary_kernel_ray_against_closed_form(boundary_op):
+    ray = boundary_op.ray
+    assert abs(ray(RAY_F(1j), RAY_F(ray.s)) - RAY_WANT) < 1e-4
 
 
 def test_axis_sampling_adaptive_truncation():
@@ -46,11 +73,6 @@ def test_axis_sampling_adaptive_truncation():
 def test_axis_sampling_rejects_nonintegrable_tail():
     with pytest.raises(ValueError, match="decay_exponent"):
         _ = AxisSampling(scale=1.0, decay_exponent=1.0).r_max
-
-
-def test_axis_sampling_override_allows_slow_decay():
-    s = AxisSampling(scale=1.0, decay_exponent=1.0, r_max_override=1e12)
-    assert s.r_max == 1e12
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +106,8 @@ def test_pv_integral_excision_converges():
 # This pins the branch handling of the near-axis analytic patch (a principal
 # log here once injected a spurious full residue for Re z > 0).
 
-SLOW = AxisSampling(scale=1.0, decay_exponent=1.0, r_max_override=1e12)
+# decay exponent 1.5 puts the adaptive radius at the 1e12 cap
+SLOW = AxisSampling(scale=1.0, decay_exponent=1.5)
 
 
 def test_cauchy_transform_left_point_recovers_density():

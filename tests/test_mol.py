@@ -99,5 +99,5 @@ class TestSaveTimes:
     def test_at_time_lookup(self, mol):
         res = mol.run(0.125, save_times=np.array([0.0, 0.125]))
         assert np.array_equal(res.at_time(0.125), res.values[-1])
-        with pytest.raises(ValueError, match="not in saved set"):
+        with pytest.raises(ValueError, match="not a lattice node"):
             res.at_time(0.0625)

@@ -42,7 +42,7 @@ class TestTimeGrid:
 
     def test_index_of_rejects_off_node_time(self):
         tg = TimeGrid(2.0, 1.0, 64, 64)
-        with pytest.raises(ValueError, match="not a grid node"):
+        with pytest.raises(ValueError, match="not a lattice node"):
             tg.index_of(0.123456)
 
     def test_quadrature_weights_integrate_one(self):
@@ -148,7 +148,7 @@ class TestAccessors:
         assert np.array_equal(vals, solution.values[5])
         assert np.array_equal(ders, solution.derivs[5])
         with pytest.raises(ValueError, match="not a lattice node"):
-            solution.row(solution.times[5] * 1.0001 + 0.01)
+            solution.at_time(solution.times[5] * 1.0001 + 0.01)
 
     def test_interpolate_reproduces_lattice(self, solution):
         t = solution.times[-1]
