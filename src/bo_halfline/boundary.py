@@ -127,10 +127,12 @@ class BoundaryKernel:
         out[mid] = self._splines[deriv](np.log(X[mid]))
         return out
 
-    def kernel(self, x, sigma: float, deriv: int = 0) -> np.ndarray:
-        """H(x, sigma) or its x-derivative: sigma^{-1-d/2} h^{(d)}(x sigma^{-1/2})."""
+    def kernel(self, x, sigma, deriv: int = 0) -> np.ndarray:
+        """H(x, sigma) or its x-derivative: sigma^{-1-d/2} h^{(d)}(x sigma^{-1/2});
+        x and sigma > 0 broadcast against each other."""
         x = np.asarray(x, dtype=float)
-        return self.profile(x / math.sqrt(sigma), deriv) / sigma ** (1 + deriv / 2)
+        sigma = np.asarray(sigma, dtype=float)
+        return self.profile(x / np.sqrt(sigma), deriv) / sigma ** (1 + deriv / 2)
 
     # -- exact-rate norms ----------------------------------------------------
 
@@ -188,7 +190,7 @@ class BoundaryKernel:
         if xs.size == 0:
             return out
         sig, wsig = log_graded_nodes(1.0e-12 * t, t, 16)
-        hmat = np.stack([self.kernel(xs, s, deriv) for s in sig], axis=1)
+        hmat = self.kernel(xs[:, None], sig[None, :], deriv)
         hvals = np.asarray(h_callable(t - sig), dtype=float)
         vals = hmat @ (wsig * hvals)
         # analytic head below the smallest sigma node, using the tail model

@@ -336,7 +336,7 @@ class FieldAssembly:
     sqrt-model integral below the first node."""
 
     def __init__(self, x: np.ndarray, p: np.ndarray):
-        self.x = np.asarray(x, dtype=float)
+        self.x = np.array(x, dtype=float)
         self.p = p
         self._lap = laplace_matrix(self.x, p)
         self._exp = np.exp(-np.outer(self.x, p))
@@ -374,6 +374,10 @@ class GreenOperator:
         mags = np.abs(self._free_spectrum)
         alive = mags > 1.0e-12 * mags.max()
         self._xi_eff = float(np.max(np.abs(wg.xi[alive]))) if alive.any() else 0.0
+        # the last field map and kernel pieces built: a lattice of points x
+        # is corrected at every t, and each t in both derivative orders
+        self._field: FieldAssembly | None = None
+        self._pieces: tuple | None = None
 
     @cached_property
     def lattice(self) -> EMinusLattice:
@@ -396,14 +400,26 @@ class GreenOperator:
 
     # -- correction --------------------------------------------------------
 
+    def _field_at(self, x: np.ndarray) -> FieldAssembly:
+        field = self._field
+        if field is None or not np.array_equal(field.x, x):
+            field = self._field = FieldAssembly(x, self.lattice.p_nodes)
+        return field
+
+    def _kernel_pieces(self, t: float) -> tuple:
+        """Smooth kernel, Filon-weighted bracket row and K(p0, t)."""
+        if self._pieces is None or self._pieces[0] != t:
+            lat = self.lattice
+            k_smooth = lat.smooth_kernel(t)
+            k0 = lat.bracket(t)[0] + k_smooth[0]
+            w_brk = lat.E_brk * fresnel_weights(lat.p_nodes, t)
+            self._pieces = (t, k_smooth, w_brk, k0)
+        return self._pieces[1:]
+
     def correction(self, x: np.ndarray, t: float, deriv: int = 0) -> np.ndarray:
         """G2^{(d)}(t) psi at the points x (x >= 0)."""
-        lat = self.lattice
-        p = lat.p_nodes
-        k_smooth = lat.smooth_kernel(t)
-        k0 = lat.bracket(t)[0] + k_smooth[0]
-        w_brk = lat.E_brk * fresnel_weights(p, t)
-        return FieldAssembly(x, p)(deriv, k_smooth, w_brk, k0)
+        x = np.asarray(x, dtype=float)
+        return self._field_at(x)(deriv, *self._kernel_pieces(t))
 
     # -- combined ----------------------------------------------------------
 

@@ -15,6 +15,7 @@ matrix products instead of thousands of kernel rebuilds.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +46,8 @@ class TimeGrid:
                  n_uniform: int):
         t_switch = min(t_switch, t_final)
         geo = t_switch * np.geomspace(1.0e-3, 1.0, n_geometric)
+        # a one-point geomspace is its start; the switch node must survive
+        geo[-1] = t_switch
         parts = [np.array([0.0]), geo]
         if t_final > t_switch:
             parts.append(np.linspace(t_switch, t_final, n_uniform + 1)[1:])
@@ -92,8 +95,9 @@ class ForcingTransforms:
 
 
 #: Layout of the memory-integral corrections.  Coarser than the single-shot
-#: Green layout: each lattice cell is hit by an O(n_t^2) accumulation, and the
-#: time quadrature error (~1e-3) would swamp finer spatial resolution anyway.
+#: Green layout: each lattice cell is carried through every time step of the
+#: accumulation, and the time quadrature error (~1e-3) would swamp finer
+#: spatial resolution anyway.
 DUHAMEL_GRIDS = GreenGrids(p_ppd=12, r_ppd=8, axis_min=1.0e-6, axis_max=1.0e6)
 
 
@@ -112,6 +116,22 @@ class DuhamelPropagator:
     against Laplace samples of each forcing row.  Free parts factor through
     unitary phases, e^{is'|s'|(t-tau)} = e^{is'|s'|t} e^{-is'|s'|tau},
     giving an O(n_t) running-sum recurrence on the whole-line spectra.
+
+    The damped-ray part of the memory sum is O(n_t) too.  For l < k the
+    trapezoid weight W_l of node l on nodes 0..k does not depend on k, and
+    the kernel carries time only through e^{s p^2 sigma}, so with
+    h_k = t_{k+1} - t_k
+
+        A_k = sum_{l<k} W_l E_l e^{s p^2 (t_k - t_l)}
+            = e^{s p^2 h_{k-1}} (A_{k-1} + W_{k-1} E_{k-1}),   A_0 = 0,
+
+    exactly; the p_0 bracket sum follows the same recurrence with
+    e^{i p_0^2 h}.  It is stable because s = r e^{i(pi/2 + delta_s)} gives
+    Re(s p^2) <= 0: every factor has modulus <= 1, so round-off is never
+    amplified.  The split e^{s p^2 t_k} e^{-s p^2 t_l} would overflow.  The
+    Filon-weighted bracket row has no such recurrence (the weights are not
+    multiplicative in sigma) and is one contraction per node against the
+    table of weights, built once per distinct gap t_k - t_l.
     """
 
     def __init__(self, symbols: Symbols, half_grid: HalfLineGrid,
@@ -143,13 +163,17 @@ class DuhamelPropagator:
         self._lap_scat_brk = laplace_matrix(scat_brk[0], xs).astype(np.complex64)
         self.field = FieldAssembly(xs, p)
 
-        # oscillatory quadrature weights for every (t_k, tau_l) gap
+        # oscillatory quadrature weights for every (t_k, tau_l) gap, one
+        # Filon build per distinct gap (the uniform half repeats them)
         nt = times.n
+        lower = np.tril_indices(nt)
+        gaps = (times.nodes[:, None] - times.nodes[None, :])[lower]
+        distinct, which = np.unique(gaps, return_inverse=True)
+        table = np.empty((distinct.size, p.size), dtype=np.complex64)
+        for i, sigma in enumerate(distinct):
+            table[i] = fresnel_weights(p, float(sigma))
         self._fw = np.zeros((nt, nt, p.size), dtype=np.complex64)
-        for k in range(nt):
-            for ell in range(k + 1):
-                self._fw[k, ell] = fresnel_weights(
-                    p, times.nodes[k] - times.nodes[ell])
+        self._fw[lower] = table[which]
 
         # whole-line free-evolution pieces
         xi = self.whole.xi
@@ -208,32 +232,32 @@ class DuhamelPropagator:
                                  spectra=spectra * back)
 
     def accumulate(self, lat: ForcingTransforms) -> tuple[np.ndarray, np.ndarray]:
-        """Value and derivative lattices (n_t, n_x) of the memory integral."""
-        times = self.times
-        nt = times.n
+        """Value and derivative lattices (n_t, n_x) of the memory integral,
+        by the damped recurrence of the class docstring."""
+        nodes = self.times.nodes
+        nt = nodes.size
         xs = self.half.nodes
         layout = self.layout
         out = np.zeros((2, nt, xs.size))
         p0sq = layout.p_nodes[0] ** 2
+        # W_l for every l < k, whatever k (the last weight is never used)
+        w = self.times.weights_upto(nt - 1)
+        w_e_brk = w[:, None] * lat.e_brk
         running = np.zeros(self.whole.n, dtype=complex)
-        nodes = times.nodes
+        acc = np.zeros_like(layout.sp2)
+        k0_brk = 0.0j
+        # the l == k slice is the correction at zero gap, identically zero by
+        # the t -> 0 identity of the propagator; only the free running sum
+        # keeps that endpoint
         for k in range(nt):
             if k > 0:
                 hstep = nodes[k] - nodes[k - 1]
                 running = running + 0.5 * hstep * (lat.spectra[k - 1]
                                                    + lat.spectra[k])
-            w = times.weights_upto(k)
-            acc = np.zeros_like(layout.sp2)
-            w_brk = np.zeros(layout.p_nodes.size, dtype=complex)
-            k0_brk = 0.0j
-            # the ell == k slice is the correction at zero gap, identically
-            # zero by the t -> 0 identity of the propagator; only the free
-            # running sum keeps that endpoint
-            for ell in range(k):
-                sigma = nodes[k] - nodes[ell]
-                acc += w[ell] * (lat.e_full[ell] * layout.damping(sigma))
-                w_brk += w[ell] * (lat.e_brk[ell] * self._fw[k, ell])
-                k0_brk += w[ell] * lat.e_brk[ell, 0] * np.exp(1j * p0sq * sigma)
+                acc = layout.damping(hstep) * (acc + w[k - 1] * lat.e_full[k - 1])
+                k0_brk = np.exp(1j * p0sq * hstep) \
+                    * (k0_brk + w_e_brk[k - 1, 0])
+            w_brk = np.sum(w_e_brk[:k] * self._fw[k, :k], axis=0)
             k_smooth = layout.ray.smooth(acc)
             k0 = k_smooth[0] + np.imag(k0_brk)
             # free part of the accumulated propagation
@@ -270,6 +294,10 @@ class SpaceTimeSolution:
     n_iter: int
     trace_error: float
     form_discrepancy: float
+    # run labels and stage seconds: linear_lattice_s, propagator_build_s (0
+    # for a supplied propagator), and lists with one entry per Duhamel sweep
+    # (the Picard iterations, then the residual sweep): transform_forcing_s,
+    # accumulate_s, and sweep_s, which adds the X-norm of the step
     meta: dict = field(default_factory=dict)
 
     def at_time(self, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -331,6 +359,7 @@ def picard_solve(config: RunConfig | None = None,
     h = make_profile(cfg.h_profile, cfg.data_scale)
     h_values = h(times.nodes)
 
+    clock = time.perf_counter()
     green = GreenOperator(symbols, psi)
     bker = BoundaryKernel(symbols)
     nt, nx = times.n, xs.size
@@ -343,9 +372,29 @@ def picard_solve(config: RunConfig | None = None,
             lin[d, k] = green.apply(xs, float(t), deriv=d) \
                 + bker.apply_convolution(h, xs, float(t), deriv=d)
 
+    timings = {"linear_lattice_s": time.perf_counter() - clock,
+               "propagator_build_s": 0.0, "transform_forcing_s": [],
+               "accumulate_s": [], "sweep_s": []}
     if propagator is None:
+        clock = time.perf_counter()
         propagator = DuhamelPropagator(symbols, half, times)
+        timings["propagator_build_s"] = time.perf_counter() - clock
     xnorm = XNorm(half, times.nodes)
+
+    def sweep(values: np.ndarray, derivs: np.ndarray):
+        """One application of the Duhamel map and the X-norm of its step,
+        timed per stage."""
+        t0 = time.perf_counter()
+        lat = propagator.transform_forcing(advective_forcing(values, derivs))
+        t1 = time.perf_counter()
+        duh_val, duh_der = propagator.accumulate(lat)
+        t2 = time.perf_counter()
+        new_val, new_der = lin[0] - duh_val, lin[1] - duh_der
+        step = xnorm(new_val - values, new_der - derivs)
+        timings["transform_forcing_s"].append(t1 - t0)
+        timings["accumulate_s"].append(t2 - t1)
+        timings["sweep_s"].append(time.perf_counter() - t0)
+        return new_val, new_der, step
 
     u_val, u_der = lin[0].copy(), lin[1].copy()
     step_norms: list[float] = []
@@ -356,11 +405,7 @@ def picard_solve(config: RunConfig | None = None,
     data_zero = xnorm(u_val, u_der) < 1.0e-30
     if not data_zero:
         for n_iter in range(1, cfg.picard_max_iter + 1):
-            lat = propagator.transform_forcing(advective_forcing(u_val, u_der))
-            duh_val, duh_der = propagator.accumulate(lat)
-            new_val = lin[0] - duh_val
-            new_der = lin[1] - duh_der
-            step = xnorm(new_val - u_val, new_der - u_der)
+            new_val, new_der, step = sweep(u_val, u_der)
             if not math.isfinite(step):
                 aborted = True
                 break
@@ -385,9 +430,7 @@ def picard_solve(config: RunConfig | None = None,
     elif aborted:
         residual = float("nan")
     else:
-        lat = propagator.transform_forcing(advective_forcing(u_val, u_der))
-        duh_val, duh_der = propagator.accumulate(lat)
-        residual = xnorm((lin[0] - duh_val) - u_val, (lin[1] - duh_der) - u_der)
+        residual = sweep(u_val, u_der)[2]
     residual_rel = residual / max(u_norm, 1.0e-30)
 
     interior = times.nodes > 0.0
@@ -403,7 +446,7 @@ def picard_solve(config: RunConfig | None = None,
         solution_xnorm=u_norm, converged=converged, aborted=aborted,
         n_iter=n_iter, trace_error=trace_err, form_discrepancy=gap,
         meta={"data_scale": cfg.data_scale, "psi": cfg.psi_profile,
-              "h": cfg.h_profile})
+              "h": cfg.h_profile, **timings})
 
 
 def cross_validate(config: RunConfig | None = None, t_compare: float = 1.0,

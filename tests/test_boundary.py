@@ -143,6 +143,24 @@ class TestConvolution:
         prod = boundary_op.apply_convolution(data_h, xs, t)
         assert np.max(np.abs(direct - prod) / np.abs(prod)) < 1e-3
 
+    def test_broadcast_kernel_matches_per_sigma_stack(self, boundary_op,
+                                                      data_h, monkeypatch):
+        # apply_convolution evaluates H on the (x, sigma) grid in one call;
+        # the oracle answers that call one sigma column at a time
+        xs = np.array([1e-3, 0.5, 1.0, 2.0, 5.0, 40.0])
+        kernel = boundary_op.kernel
+        got = {(t, d): boundary_op.apply_convolution(data_h, xs, t, deriv=d)
+               for t in (0.01, 0.5, 2.0) for d in (0, 1)}
+
+        def stacked(x, sigma, deriv=0):
+            return np.stack([kernel(x[:, 0], s, deriv) for s in sigma[0]],
+                            axis=1)
+
+        monkeypatch.setattr(boundary_op, "kernel", stacked)
+        for (t, d), vals in got.items():
+            want = boundary_op.apply_convolution(data_h, xs, t, deriv=d)
+            assert np.max(np.abs(vals - want)) <= 1e-13 * np.max(np.abs(want))
+
     def test_field_values_regression(self, boundary_op, data_h):
         xs = np.array([0.5, 1.0, 2.0, 5.0])
         want_half = np.array([0.00775169, 0.0045522, 0.00220174, 0.00075593])

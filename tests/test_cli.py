@@ -119,6 +119,19 @@ def test_solve_short_lattice_reports(env, expect, fast_cfg, monkeypatch, capsys)
         assert name in out
 
 
+def test_solve_repeat_runs_byte_identical(fast_cfg, monkeypatch, tmp_path):
+    # stage timings ride on the solution's meta and never reach the CSVs
+    for key in ("n_x", "x_max", "contour_points_per_decade",
+                "axis_points_per_decade", "n_time_geometric",
+                "n_time_uniform", "picard_max_iter", "t_final", "t_switch"):
+        monkeypatch.setenv("BOHL_" + key.upper(), repr(getattr(fast_cfg, key)))
+    for run in ("a", "b"):
+        main(["solve", "--out", str(tmp_path / run)])
+    for name in ("solve.csv", "solution.csv"):
+        a = (tmp_path / "a" / name).read_bytes()
+        assert a == (tmp_path / "b" / name).read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # Config resolution order
 

@@ -135,6 +135,28 @@ class TestCorrection:
         an = green_op.correction(xs, 0.7, deriv=1)
         assert np.max(np.abs(fd - an) / np.abs(an)) < 0.02
 
+    def test_field_map_built_once_per_points(self, green_op, monkeypatch):
+        # the Laplace matrix depends on x and p only: repeated corrections
+        # at the same points, at any t and derivative order, build it once
+        import bo_halfline.green as green_mod
+        calls = []
+        real = green_mod.laplace_matrix
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(green_mod, "laplace_matrix", counted)
+        x = np.array([0.25, 1.5, 4.0, 9.0])
+        first = green_op.correction(x, 0.3)
+        for t in (0.3, 0.9, 2.0):
+            for d in (0, 1):
+                green_op.correction(x.copy(), t, deriv=d)
+        assert len(calls) == 1
+        assert np.array_equal(green_op.correction(x, 0.3), first)
+        green_op.correction(x[:2], 0.3)
+        assert len(calls) == 2
+
 
 # ---------------------------------------------------------------------------
 # Assembled map

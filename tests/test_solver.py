@@ -6,10 +6,14 @@ stays under a minute; the production-resolution numbers live in the
 acceptance suite.
 """
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from bo_halfline.config import ConfigError
+from bo_halfline.green import fresnel_weights
 from bo_halfline.halfline import HalfLineGrid, make_profile
 from bo_halfline.solver import (DuhamelPropagator, TimeGrid, XNorm,
                                 advective_forcing, cross_validate,
@@ -57,6 +61,12 @@ class TestTimeGrid:
         tg = TimeGrid(1.0, 2.0, 16, 16)  # switch beyond final
         assert tg.n == 17
         assert tg.nodes[-1] == 1.0
+
+    def test_single_geometric_node_is_the_switch(self):
+        # a one-point geomspace is its start, 1e-3 t_switch; the switch
+        # node must be kept instead
+        assert np.array_equal(TimeGrid(2.0, 1.0, 1, 1).nodes, [0.0, 1.0, 2.0])
+        assert np.array_equal(TimeGrid(1.0, 1.0, 1, 4).nodes, [0.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +139,18 @@ class TestPicard:
         assert sol.solution_xnorm == 0.0
         assert np.max(np.abs(sol.values)) == 0.0
 
+    def test_stage_timings_in_meta(self, solution):
+        meta = solution.meta
+        for key in ("linear_lattice_s", "propagator_build_s"):
+            assert math.isfinite(meta[key]) and meta[key] >= 0.0
+        # one entry per Picard sweep plus the residual sweep
+        for key in ("transform_forcing_s", "accumulate_s", "sweep_s"):
+            assert len(meta[key]) == solution.n_iter + 1
+            assert all(math.isfinite(v) and v >= 0.0 for v in meta[key])
+        for tf, acc, sweep in zip(meta["transform_forcing_s"],
+                                  meta["accumulate_s"], meta["sweep_s"]):
+            assert tf + acc <= sweep + 1e-9   # the sweep adds its X-norm
+
     def test_large_data_aborts(self, fast_cfg):
         # At 200x the production amplitude the iteration diverges; the
         # solver must detect it and say so rather than return garbage.
@@ -197,6 +219,76 @@ class TestCrossValidate:
         assert out["rel_l2"] == pytest.approx(0.607, abs=0.05)
         assert out["mol_norm"] == pytest.approx(0.0454, abs=0.003)
         assert out["picard_norm"] == pytest.approx(0.0448, abs=0.003)
+
+
+# ---------------------------------------------------------------------------
+# Duhamel propagator against direct quadrature
+
+
+@pytest.fixture(scope="module")
+def propagator(fast_cfg):
+    half = HalfLineGrid(x_max=fast_cfg.x_max, n=fast_cfg.n_x)
+    times = TimeGrid(fast_cfg.t_final, fast_cfg.t_switch,
+                     fast_cfg.n_time_geometric, fast_cfg.n_time_uniform)
+    return DuhamelPropagator(Symbols(fast_cfg), half, times)
+
+
+@pytest.fixture(scope="module")
+def decaying_forcing(fast_cfg, propagator):
+    """psi(x) e^{-t} psi'(x) e^{-t} on the lattice: nonzero at every node."""
+    psi = make_profile(fast_cfg.psi_profile, fast_cfg.data_scale)
+    xs = propagator.half.nodes
+    decay = np.exp(-propagator.times.nodes)[:, None]
+    return advective_forcing(decay * psi(xs), decay * psi.deriv(xs))
+
+
+def _memory_sum_double_loop(prop, lat):
+    """The memory integral's kernel part summed directly over every
+    (t_k, tau_l) pair, l < k: O(n_t^2) damping and Filon builds."""
+    times, layout = prop.times, prop.layout
+    nodes, p = times.nodes, layout.p_nodes
+    out = np.zeros((2, times.n, prop.half.nodes.size))
+    for k in range(times.n):
+        w = times.weights_upto(k)
+        acc = np.zeros_like(layout.sp2)
+        w_brk = np.zeros(p.size, dtype=complex)
+        k0_brk = 0.0j
+        for ell in range(k):
+            sigma = nodes[k] - nodes[ell]
+            acc += w[ell] * lat.e_full[ell] * layout.damping(sigma)
+            # the propagator stores its Filon table in single precision
+            fw = fresnel_weights(p, sigma).astype(np.complex64)
+            w_brk += w[ell] * lat.e_brk[ell] * fw
+            k0_brk += w[ell] * lat.e_brk[ell, 0] * np.exp(1j * p[0]**2 * sigma)
+        k_smooth = layout.ray.smooth(acc)
+        k0 = k_smooth[0] + np.imag(k0_brk)
+        for d in (0, 1):
+            out[d, k] = prop.field(d, k_smooth, w_brk, k0)
+    return out
+
+
+class TestDuhamelPropagator:
+    def test_recurrence_matches_double_loop(self, propagator, decaying_forcing):
+        # zero spectra switch the free running sum off, leaving the damped
+        # ray, bracket and p0 sums that the recurrence replaces
+        lat = propagator.transform_forcing(decaying_forcing)
+        lat = dataclasses.replace(lat, spectra=np.zeros_like(lat.spectra))
+        got = propagator.accumulate(lat)
+        want = _memory_sum_double_loop(propagator, lat)
+        for d in (0, 1):
+            scale = np.max(np.abs(want[d]))
+            assert scale > 0.0
+            assert np.max(np.abs(got[d] - want[d])) <= 1e-12 * scale
+
+    def test_filon_table_is_per_gap_weights(self, propagator):
+        nodes = propagator.times.nodes
+        p = propagator.layout.p_nodes
+        fw = propagator._fw
+        for k in range(nodes.size):
+            for ell in range(k + 1):
+                want = fresnel_weights(p, nodes[k] - nodes[ell])
+                assert np.array_equal(fw[k, ell], want.astype(np.complex64))
+        assert not np.any(fw[np.triu_indices(nodes.size, 1)])
 
 
 class _NanPropagator:
