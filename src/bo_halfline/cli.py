@@ -3,7 +3,8 @@
 Exit codes: 0 when every executed check passed (or the selection was empty),
 1 when at least one check failed, 2 for configuration or infrastructure
 errors.  Reports are deterministic for a fixed (config, seed) pair; see
-``report``.
+``report``.  Run telemetry (the ``solve`` stage seconds and one line per
+Picard sweep) goes to standard error, never into a CSV.
 """
 
 from __future__ import annotations
@@ -75,6 +76,8 @@ def main(argv: list[str] | None = None) -> int:
     except Exception:
         traceback.print_exc()
         return EXIT_ERROR
+    for line in report.telemetry:
+        print(line, file=sys.stderr)
     for line in report.summary_lines():
         print(line)
     n_checked = sum(1 for r in report.rows if r.passed is not None)

@@ -175,6 +175,11 @@ class EMinusLattice:
     psi_hat is the Laplace transform of the datum, callable on complex arrays
     with Re z >= 0.  The lattice is profile-specific but t-independent; all
     time dependence enters afterwards through e^{s p^2 t}.
+
+    The rows fold the axis integral onto its upper half, which needs two
+    things: a real datum, so that psi_hat(conj z) = conj psi_hat(z), and an
+    axis whose nodes and weights pair exactly about 0 (``GreenGrids.axis``
+    via ``axis_nodes``).  Every shipped profile is real.
     """
 
     def __init__(self, symbols: Symbols, psi_hat, grids: GreenGrids,
@@ -196,15 +201,23 @@ class EMinusLattice:
 
     def _rows(self, cache: DirectionCache, mod_s: np.ndarray,
               p: np.ndarray) -> np.ndarray:
+        """E- rows (n_s, n_p) at the moduli mod_s.
+
+        The axis pairs its nodes exactly, v[:n] = -v[n:][::-1] with mirrored
+        weights, and the datum is real, so psi_hat(m v_lower) is the reversed
+        conj psi_hat(m v_upper) (m > 0): psi_hat is evaluated on the upper
+        half only and the lower weights are contracted against its conjugate."""
         v, wv = self.grids.axis
+        n = v.size // 2
         w, root = e_minus_weights(cache, mod_s[:, None], v, wv)
+        w_up = w[:, n:]
+        w_lo = np.conj(w[:, n - 1::-1])
         out = np.empty((mod_s.size, p.size), dtype=complex)
         for i, ms in enumerate(mod_s):
             m = p * math.sqrt(ms)
-            # keep the matrix in a local: freeing it before the next row made
-            # glibc trim and re-fault the heap every row (+50% build time)
-            psi_mat = self.psi_hat(m[:, None] * v[None, :])
-            out[i] = psi_mat @ w[i] - root[i, 0] * self.psi_hat(cache.phi_hat * m)
+            psi_up = self.psi_hat(m[:, None] * v[None, n:])
+            out[i] = psi_up @ w_up[i] + np.conj(psi_up @ w_lo[i]) \
+                - root[i, 0] * self.psi_hat(cache.phi_hat * m)
         return out
 
     # -- kernel assembly ---------------------------------------------------
@@ -338,16 +351,18 @@ class FieldAssembly:
     def __init__(self, x: np.ndarray, p: np.ndarray):
         self.x = np.array(x, dtype=float)
         self.p = p
-        self._lap = laplace_matrix(self.x, p)
-        self._exp = np.exp(-np.outer(self.x, p))
+        # transform points x are real, so L is real (its imaginary part is 0)
+        self._lap_t = np.ascontiguousarray(laplace_matrix(self.x, p).real.T)
+        self._exp_t = np.exp(-np.outer(p, self.x))
 
     def __call__(self, deriv: int, k_smooth: np.ndarray, w_brk: np.ndarray,
-                 k0: float) -> np.ndarray:
+                 k0) -> np.ndarray:
+        """The field (..., n_x) for kernel pieces with any leading shape:
+        k_smooth and w_brk (..., n_p), k0 (...)."""
         pd = self.p**deriv
-        # L carries a complex dtype with vanishing imaginary part here
-        smooth = np.real(self._lap @ (pd * k_smooth))
-        brk = np.imag(self._exp @ (pd * w_brk))
-        head = _head_weight(self.x, self.p[0], deriv) * k0
+        smooth = (pd * k_smooth) @ self._lap_t
+        brk = (pd * w_brk).imag @ self._exp_t
+        head = _head_weight(self.x, self.p[0], deriv) * np.asarray(k0)[..., None]
         return G2_SIGN * (-1.0) ** deriv * (smooth + brk + head)
 
 
@@ -370,14 +385,20 @@ class GreenOperator:
         self.theta0 = math.pi / 2.0 + symbols.config.delta_s
         wg = self.whole_grid
         samples = np.where(wg.nodes >= 0.0, profile(wg.nodes), 0.0)
-        self._free_spectrum = np.fft.fft(samples)
+        # the datum is real, so its spectrum is Hermitian, and the odd phase
+        # of the group e^{-i xi|xi| t} keeps it so: the half spectrum (xi >= 0
+        # and the Nyquist node) carries the free part
+        self._free_spectrum = np.fft.rfft(samples)
+        self._xi = wg.xi[:self._free_spectrum.size]
         mags = np.abs(self._free_spectrum)
         alive = mags > 1.0e-12 * mags.max()
-        self._xi_eff = float(np.max(np.abs(wg.xi[alive]))) if alive.any() else 0.0
-        # the last field map and kernel pieces built: a lattice of points x
-        # is corrected at every t, and each t in both derivative orders
+        self._xi_eff = float(np.max(np.abs(self._xi[alive]))) if alive.any() else 0.0
+        # the last field map, kernel pieces and evolved spectrum built: a
+        # lattice of points x is evaluated at every t, and each t in both
+        # derivative orders
         self._field: FieldAssembly | None = None
         self._pieces: tuple | None = None
+        self._evolved: tuple | None = None
 
     @cached_property
     def lattice(self) -> EMinusLattice:
@@ -386,13 +407,23 @@ class GreenOperator:
 
     # -- free part ---------------------------------------------------------
 
+    def _evolved_spectrum(self, t: float) -> np.ndarray:
+        """e^{-i xi|xi| t} times the datum spectrum, kept for the last t."""
+        if self._evolved is None or self._evolved[0] != t:
+            xi = self._xi
+            self._evolved = (t, np.exp(-1j * xi * np.abs(xi) * t)
+                             * self._free_spectrum)
+        return self._evolved[1]
+
     def free(self, x: np.ndarray, t: float, deriv: int = 0) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         x_need = float(np.max(x)) if x.size else 0.0
         wg = self.whole_grid
         wg.check_transport(t, x_need, self._xi_eff)
-        mult = np.exp(-1j * wg.xi * np.abs(wg.xi) * t) * (1j * wg.xi) ** deriv
-        vals = np.fft.ifft(mult * self._free_spectrum).real
+        spec = self._evolved_spectrum(t)
+        if deriv:
+            spec = spec * (1j * self._xi) ** deriv
+        vals = np.fft.irfft(spec, wg.n)
         hi = min(wg.index_of(x_need) + 130, wg.n)
         lo = max(wg.index_of(0.0) - 130, 0)
         spline = CubicSpline(wg.nodes[lo:hi], vals[lo:hi])

@@ -216,22 +216,31 @@ def _filon_laplace_ab(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.where(small, b_series, b_exact))
 
 
+#: Rows of the Laplace matrix filled per block: the panel temporaries then
+#: stay a few MB however many transform points a caller asks for.
+LAPLACE_BLOCK_ROWS = 256
+
+
 def laplace_matrix(z_values: np.ndarray, x_nodes: np.ndarray) -> np.ndarray:
     """Weights W with (W @ f) = int e^{-z x} f(x) dx for piecewise-linear f.
 
     Exact per panel for any complex z with Re z >= 0 (raises otherwise: the
-    exponential factors overflow and the transform is not used there)."""
+    exponential factors overflow and the transform is not used there).  The
+    output is filled in blocks of LAPLACE_BLOCK_ROWS rows; every entry is an
+    elementwise formula in its own z, so the blocking does not change a bit."""
     z = np.atleast_1d(np.asarray(z_values, dtype=complex))
     if np.any(z.real < -1.0e-12 * (1.0 + np.abs(z))):
         raise ValueError("laplace_matrix requires Re z >= 0")
     x = np.asarray(x_nodes, dtype=float)
     h = np.diff(x)                                    # (nx-1,)
-    beta = z[:, None] * h[None, :]                    # (nz, nx-1)
-    wa, wb = _filon_laplace_ab(beta)
-    front = h[None, :] * np.exp(-z[:, None] * x[None, :-1])
     out = np.zeros((z.size, x.size), dtype=complex)
-    out[:, :-1] += front * wa
-    out[:, 1:] += front * wb
+    for lo in range(0, z.size, LAPLACE_BLOCK_ROWS):
+        zb = z[lo:lo + LAPLACE_BLOCK_ROWS, None]
+        wa, wb = _filon_laplace_ab(zb * h[None, :])
+        front = h[None, :] * np.exp(-zb * x[None, :-1])
+        block = out[lo:lo + LAPLACE_BLOCK_ROWS]
+        block[:, :-1] += front * wa
+        block[:, 1:] += front * wb
     return out
 
 

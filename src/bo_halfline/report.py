@@ -129,6 +129,9 @@ class RunReport:
     # side tables written next to the report CSV, name -> CSV text
     # (the solve suite ships its space-time solution lattice this way)
     extras: dict = field(default_factory=dict)
+    # run telemetry for standard error (stage seconds and the like); it
+    # varies from run to run, so it never reaches a CSV
+    telemetry: list = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -348,14 +351,17 @@ _GREEN_T_SWEEP = tuple(float(t) for t in np.geomspace(5.0, 100.0, 9))
 _GREEN_X_CAP = 2400.0
 
 
-def _green_norms(cfg: RunConfig, profile_name: str, t_values: Sequence[float],
-                 deriv: int) -> np.ndarray:
-    """||d^n/dx^n G(t) psi||_L2(0, X) on a long graded window.
+def _green_norms(cfg: RunConfig, profile_name: str,
+                 t_values: Sequence[float]) -> np.ndarray:
+    """||d^n/dx^n G(t) psi||_L2(0, X) for n = 0, 1 on a long graded window,
+    as a (2, len(t_values)) array.
 
     The window [0, 2400] with the whole-line grid reaching 3840 holds the
     rightward transport of every mode the dx = 0.5 sampling keeps (group
     speed 2 xi <= 2 pi/dx), so the half-line norm is measured where the mass
-    actually is, not behind a truncation.
+    actually is, not behind a truncation.  One operator serves both orders,
+    and the whole window goes in one call, so its field map is built once
+    and each t's kernel pieces and evolved spectrum serve both orders.
     """
     symbols = Symbols(cfg)
     psi = make_profile(profile_name, 1.0)
@@ -363,21 +369,22 @@ def _green_norms(cfg: RunConfig, profile_name: str, t_values: Sequence[float],
     green = GreenOperator(symbols, psi, whole_grid=wg)
     sel = (wg.nodes >= 0.0) & (wg.nodes <= _GREEN_X_CAP)
     xs = wg.nodes[sel]
-    chunks = np.array_split(xs, max(1, xs.size // 1200))
-    norms = np.empty(len(t_values))
+    norms = np.empty((2, len(t_values)))
     for i, t in enumerate(t_values):
-        vals = np.concatenate([green.apply(c, float(t), deriv) for c in chunks])
-        norms[i] = math.sqrt(float(np.trapezoid(vals**2, xs)))
+        for deriv in (0, 1):
+            vals = green.apply(xs, float(t), deriv)
+            norms[deriv, i] = math.sqrt(float(np.trapezoid(vals**2, xs)))
     return norms
 
 
 def _green_decay_rows(cfg: RunConfig, t_values: Sequence[float]) -> list[CheckRow]:
     rows = []
     for profile_name in ("gauss_bump", "poly_exp"):
+        both = _green_norms(cfg, profile_name, t_values)
         for deriv in (0, 1):
             target = -(2 * deriv + 1) / 4.0
             name = f"green[{profile_name},n={deriv}]"
-            norms = _green_norms(cfg, profile_name, t_values, deriv)
+            norms = both[deriv]
             if len(t_values) < 3:
                 rows.append(CheckRow(
                     "green-decay", "info", f"{name}:not-fittable",
@@ -593,6 +600,30 @@ def _solve_rows(cfg: RunConfig, sol: SpaceTimeSolution) -> list[CheckRow]:
     return rows
 
 
+def _solve_telemetry(sol: SpaceTimeSolution) -> list[str]:
+    """Stage seconds of the solve and one line per Duhamel sweep (the Picard
+    iterations, then the residual sweep) with its step norm and the ratio
+    to the previous step."""
+    meta = sol.meta
+    lines = [f"solve: linear_lattice_s={meta['linear_lattice_s']:.3f} "
+             f"propagator_build_s={meta['propagator_build_s']:.3f}"]
+    steps = list(sol.step_norms)
+    if len(meta["sweep_s"]) > sol.n_iter:     # the residual sweep ran
+        steps.append(sol.fixed_point_residual)
+    nan = float("nan")
+    for i, sweep_s in enumerate(meta["sweep_s"]):
+        label = f"sweep {i + 1}" if i < sol.n_iter else "residual sweep"
+        step = steps[i] if i < len(steps) else nan
+        prev = steps[i - 1] if i > 0 else nan
+        ratio = step / prev if prev > 0.0 else nan
+        lines.append(f"solve: {label}: "
+                     f"transform_forcing_s={meta['transform_forcing_s'][i]:.3f} "
+                     f"accumulate_s={meta['accumulate_s'][i]:.3f} "
+                     f"sweep_s={sweep_s:.3f} step_norm={step:.6g} "
+                     f"contraction_ratio={ratio:.6g}")
+    return lines
+
+
 def run_solve(config: RunConfig | None = None,
               suite: str | None = None) -> RunReport:
     cfg = config or RunConfig()
@@ -604,7 +635,8 @@ def run_solve(config: RunConfig | None = None,
     if suite is not None:
         rows = [r for r in rows if r.block == suite]
     return RunReport("solve", rows, _config_tag(cfg),
-                     extras={"solution": _solution_table(sol)})
+                     extras={"solution": _solution_table(sol)},
+                     telemetry=_solve_telemetry(sol))
 
 
 # ---------------------------------------------------------------------------

@@ -129,9 +129,18 @@ class DuhamelPropagator:
     e^{i p_0^2 h}.  It is stable because s = r e^{i(pi/2 + delta_s)} gives
     Re(s p^2) <= 0: every factor has modulus <= 1, so round-off is never
     amplified.  The split e^{s p^2 t_k} e^{-s p^2 t_l} would overflow.  The
+    factors e^{s p^2 h} come from a table built once, one entry per distinct
+    step h of the time lattice (the uniform half repeats one step).  The
     Filon-weighted bracket row has no such recurrence (the weights are not
     multiplicative in sigma) and is one contraction per node against the
     table of weights, built once per distinct gap t_k - t_l.
+
+    The recurrence only records, per node, the forward-propagated free
+    spectrum and the kernel pieces; the free part and the field of the
+    whole lattice then follow in one pass: one batched inverse FFT per
+    derivative order, one vector-valued spline, and one FieldAssembly call
+    on the stacked (n_t, n_p) kernel rows.  The phases e^{i tau xi|xi|} of
+    every node are built once as well.
     """
 
     def __init__(self, symbols: Symbols, half_grid: HalfLineGrid,
@@ -175,9 +184,13 @@ class DuhamelPropagator:
         self._fw = np.zeros((nt, nt, p.size), dtype=np.complex64)
         self._fw[lower] = table[which]
 
-        # whole-line free-evolution pieces
+        # e^{s p^2 h} for every distinct step h = t_{k+1} - t_k
+        steps, self._step_of = np.unique(np.diff(times.nodes), return_inverse=True)
+        self._damping = np.stack([self.layout.damping(h) for h in steps])
+
+        # whole-line free-evolution pieces: e^{i tau xi|xi|} at every node
         xi = self.whole.xi
-        self._xia = xi * np.abs(xi)
+        self._back = np.exp(1j * np.outer(times.nodes, xi * np.abs(xi)))
         i0 = self.whole.index_of(0.0)
         i1 = self.whole.index_of(float(xs[-1])) + 1
         self._support = slice(i0, i1)
@@ -221,24 +234,19 @@ class DuhamelPropagator:
 
         # zero-extended spectra, anti-evolved so sums telescope over tau
         samples = np.zeros((nt, self.whole.n))
-        xs = self.half.nodes
-        sub = self.whole.nodes[self._support]
-        for ell in range(nt):
-            samples[ell, self._support] = CubicSpline(xs, forcing[ell])(sub)
+        spline = CubicSpline(self.half.nodes, forcing, axis=1)
+        samples[:, self._support] = spline(self.whole.nodes[self._support])
         spectra = np.fft.fft(samples, axis=1)
-        tau = self.times.nodes
-        back = np.exp(1j * np.outer(tau, self._xia))
         return ForcingTransforms(e_full=e_full, e_brk=e_brk,
-                                 spectra=spectra * back)
+                                 spectra=spectra * self._back)
 
     def accumulate(self, lat: ForcingTransforms) -> tuple[np.ndarray, np.ndarray]:
         """Value and derivative lattices (n_t, n_x) of the memory integral,
         by the damped recurrence of the class docstring."""
         nodes = self.times.nodes
         nt = nodes.size
-        xs = self.half.nodes
         layout = self.layout
-        out = np.zeros((2, nt, xs.size))
+        n_p = layout.p_nodes.size
         p0sq = layout.p_nodes[0] ** 2
         # W_l for every l < k, whatever k (the last weight is never used)
         w = self.times.weights_upto(nt - 1)
@@ -246,6 +254,10 @@ class DuhamelPropagator:
         running = np.zeros(self.whole.n, dtype=complex)
         acc = np.zeros_like(layout.sp2)
         k0_brk = 0.0j
+        spec = np.empty((nt, self.whole.n), dtype=complex)
+        k_smooth = np.empty((nt, n_p))
+        w_brk = np.empty((nt, n_p), dtype=complex)
+        k0 = np.empty(nt)
         # the l == k slice is the correction at zero gap, identically zero by
         # the t -> 0 identity of the propagator; only the free running sum
         # keeps that endpoint
@@ -254,19 +266,21 @@ class DuhamelPropagator:
                 hstep = nodes[k] - nodes[k - 1]
                 running = running + 0.5 * hstep * (lat.spectra[k - 1]
                                                    + lat.spectra[k])
-                acc = layout.damping(hstep) * (acc + w[k - 1] * lat.e_full[k - 1])
+                acc = self._damping[self._step_of[k - 1]] \
+                    * (acc + w[k - 1] * lat.e_full[k - 1])
                 k0_brk = np.exp(1j * p0sq * hstep) \
                     * (k0_brk + w_e_brk[k - 1, 0])
-            w_brk = np.sum(w_e_brk[:k] * self._fw[k, :k], axis=0)
-            k_smooth = layout.ray.smooth(acc)
-            k0 = k_smooth[0] + np.imag(k0_brk)
-            # free part of the accumulated propagation
-            spec_k = np.exp(-1j * self._xia * nodes[k]) * running
-            for d in (0, 1):
-                free_grid = np.fft.ifft(spec_k * (1j * self.whole.xi) ** d).real
-                spline = CubicSpline(self.whole.nodes[self._window],
-                                     free_grid[self._window])
-                out[d, k] = spline(xs) + self.field(d, k_smooth, w_brk, k0)
+            w_brk[k] = np.sum(w_e_brk[:k] * self._fw[k, :k], axis=0)
+            k_smooth[k] = layout.ray.smooth(acc)
+            k0[k] = k_smooth[k, 0] + np.imag(k0_brk)
+            # free part of the accumulated propagation, evolved to t_k
+            spec[k] = np.conj(self._back[k]) * running
+        window = self.whole.nodes[self._window]
+        out = []
+        for d in (0, 1):
+            free_grid = np.fft.ifft(spec * (1j * self.whole.xi) ** d, axis=1).real
+            spline = CubicSpline(window, free_grid[:, self._window], axis=1)
+            out.append(spline(self.half.nodes) + self.field(d, k_smooth, w_brk, k0))
         return out[0], out[1]
 
 

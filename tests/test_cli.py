@@ -132,6 +132,26 @@ def test_solve_repeat_runs_byte_identical(fast_cfg, monkeypatch, tmp_path):
         assert a == (tmp_path / "b" / name).read_bytes()
 
 
+def test_solve_prints_stage_telemetry(fast_cfg, monkeypatch, capsys):
+    for key in ("n_x", "x_max", "contour_points_per_decade",
+                "axis_points_per_decade", "n_time_geometric",
+                "n_time_uniform", "picard_max_iter", "t_final", "t_switch"):
+        monkeypatch.setenv("BOHL_" + key.upper(), repr(getattr(fast_cfg, key)))
+    main(["solve", "--suite", "picard"])
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert any("linear_lattice_s=" in ln and "propagator_build_s=" in ln
+               for ln in lines)
+    sweeps = [ln for ln in lines if "sweep" in ln]
+    assert any("sweep 1:" in ln for ln in sweeps)
+    assert any("residual sweep:" in ln for ln in sweeps)
+    for ln in sweeps:
+        for key in ("transform_forcing_s=", "accumulate_s=", "sweep_s=",
+                    "step_norm=", "contraction_ratio="):
+            assert key in ln
+    assert "_s=" not in out
+
+
 # ---------------------------------------------------------------------------
 # Config resolution order
 

@@ -11,7 +11,10 @@ import math
 import numpy as np
 import pytest
 
-from bo_halfline.green import GreenGrids, e_minus_weights
+from types import SimpleNamespace
+
+from bo_halfline.green import (EMinusLattice, FieldAssembly, GreenGrids,
+                               GreenOperator, e_minus_weights)
 from bo_halfline.halfline import HalfLineGrid, make_profile
 from bo_halfline.solver import DUHAMEL_GRIDS
 
@@ -50,6 +53,38 @@ def test_e_minus_rows_on_both_node_families(sym, cfg):
         assert abs(e_axis - e_lattice) < 1e-6 * abs(ref)
         assert abs(e_axis - ref) / abs(ref) == pytest.approx(gap, rel=1e-3)
         assert abs(e_lattice - ref) / abs(ref) == pytest.approx(gap, rel=1e-3)
+
+
+@pytest.mark.parametrize("grids", [GreenGrids(), DUHAMEL_GRIDS],
+                         ids=["green", "duhamel"])
+def test_axis_pairs_exactly(grids):
+    # the folded E- rows read the lower half of the axis off the upper half
+    v, wv = grids.axis
+    n = v.size // 2
+    assert v.size == 2 * n
+    assert np.array_equal(v[:n], -v[n:][::-1])
+    assert np.array_equal(wv[:n], wv[n:][::-1])
+    assert np.all(v[n:].imag > 0.0)
+
+
+@pytest.mark.parametrize("name", ["gauss_bump", "poly_exp"])
+def test_folded_rows_match_full_axis_sum(sym, cfg, name):
+    grids = GreenGrids()
+    psi_hat = make_profile(name, 1.0).hat
+    theta0 = math.pi / 2.0 + cfg.delta_s
+    p = grids.p_nodes
+    mod_s = grids.ray[0][::40]
+    holder = SimpleNamespace(grids=grids, psi_hat=psi_hat)
+    v, wv = grids.axis
+    for s_hat in (np.exp(1j * theta0), 1j):
+        cache = sym.direction(s_hat)
+        got = EMinusLattice._rows(holder, cache, mod_s, p)
+        w, root = e_minus_weights(cache, mod_s[:, None], v, wv)
+        for i, ms in enumerate(mod_s):
+            m = p * math.sqrt(ms)
+            want = psi_hat(m[:, None] * v[None, :]) @ w[i] \
+                - root[i, 0] * psi_hat(cache.phi_hat * m)
+            assert np.max(np.abs(got[i] - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +147,29 @@ class TestFreePart:
         with pytest.raises(ValueError, match="transport"):
             green_op.free(np.array([1.0]), 1e6)
 
+    def test_half_spectrum_matches_full_spectrum(self, green_op, data_psi):
+        # the free part on the full complex spectrum, spline as in free()
+        from scipy.interpolate import CubicSpline
+        wg = green_op.whole_grid
+        x = np.array([0.0, 0.5, 2.0, 7.0, 30.0])
+        spec = np.fft.fft(np.where(wg.nodes >= 0.0, data_psi(wg.nodes), 0.0))
+        lo, hi = wg.index_of(0.0) - 130, wg.index_of(30.0) + 130
+        for t in (0.3, 2.0):
+            for d in (0, 1):
+                mult = np.exp(-1j * wg.xi * np.abs(wg.xi) * t) * (1j * wg.xi) ** d
+                vals = np.fft.ifft(mult * spec).real
+                want = CubicSpline(wg.nodes[lo:hi], vals[lo:hi])(x)
+                got = green_op.free(x, t, d)
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_derivative_reuses_evolved_spectrum(self, sym, data_psi):
+        # the derivative order shares the evolved spectrum of the value call
+        x = np.array([0.5, 2.0, 7.0])
+        warm = GreenOperator(sym, data_psi)
+        warm.free(x, 0.7, 0)
+        got = warm.free(x, 0.7, 1)
+        assert np.array_equal(got, GreenOperator(sym, data_psi).free(x, 0.7, 1))
+
 
 # ---------------------------------------------------------------------------
 # Correction part
@@ -156,6 +214,20 @@ class TestCorrection:
         assert np.array_equal(green_op.correction(x, 0.3), first)
         green_op.correction(x[:2], 0.3)
         assert len(calls) == 2
+
+
+def test_field_assembly_batched_equals_rows(rng):
+    p = DUHAMEL_GRIDS.p_nodes
+    field = FieldAssembly(HalfLineGrid(x_max=40.0, n=64).nodes, p)
+    k_smooth = rng.standard_normal((5, p.size))
+    w_brk = rng.standard_normal((5, p.size)) + 1j * rng.standard_normal((5, p.size))
+    k0 = rng.standard_normal(5)
+    for d in (0, 1):
+        batch = field(d, k_smooth, w_brk, k0)
+        assert batch.shape == (5, field.x.size)
+        for k in range(5):
+            row = field(d, k_smooth[k], w_brk[k], float(k0[k]))
+            assert np.max(np.abs(batch[k] - row)) <= 1e-13 * np.max(np.abs(row))
 
 
 # ---------------------------------------------------------------------------

@@ -236,3 +236,37 @@ def test_convolution_decay_simple_pair():
     delta, _ = convolution_decay(2.0, 2.0)
     # <x>^-2 * <x>^-2 decays like <x>^-2: min{a, b, a+b-1} = 2
     assert abs(delta - 2.0) < 0.1
+
+
+def _laplace_points(n: int) -> np.ndarray:
+    """n points on the closed right half plane, spread over many decades."""
+    r = np.geomspace(1.0e-6, 1.0e6, n)
+    return r * np.exp(1j * np.linspace(-0.5 * np.pi, 0.5 * np.pi, n))
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1, 259])
+def test_laplace_matrix_row_blocks_bitwise(half_grid, monkeypatch, offset):
+    # below, at and above the block size, the blocked fill equals one block
+    import bo_halfline.halfline as halfline
+    z = _laplace_points(halfline.LAPLACE_BLOCK_ROWS + offset)
+    blocked = laplace_matrix(z, half_grid.nodes)
+    monkeypatch.setattr(halfline, "LAPLACE_BLOCK_ROWS", z.size + 1)
+    assert np.array_equal(blocked, laplace_matrix(z, half_grid.nodes))
+
+
+def test_laplace_matrix_allocation_peak(half_grid):
+    # the propagator's scattered-point matrix: 15,000 points x the production
+    # grid; the row blocks keep the peak near the output itself (the
+    # whole-matrix temporaries put it at about 8.5x)
+    import tracemalloc
+    z = _laplace_points(15000)
+    out_bytes = z.size * half_grid.nodes.size * 16
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        laplace_matrix(z, half_grid.nodes)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * out_bytes

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from bo_halfline.config import ConfigError
 from bo_halfline.green import fresnel_weights
@@ -279,6 +280,40 @@ class TestDuhamelPropagator:
             scale = np.max(np.abs(want[d]))
             assert scale > 0.0
             assert np.max(np.abs(got[d] - want[d])) <= 1e-12 * scale
+
+    def test_free_part_matches_per_node_evaluation(self, propagator,
+                                                   decaying_forcing):
+        # zero kernel lattices leave only the free running sum, which the
+        # propagator evaluates for the whole lattice in one pass; here it is
+        # one inverse FFT and one spline per (node, order)
+        lat = propagator.transform_forcing(decaying_forcing)
+        lat = dataclasses.replace(lat, e_full=np.zeros_like(lat.e_full),
+                                  e_brk=np.zeros_like(lat.e_brk))
+        got = propagator.accumulate(lat)
+        whole, nodes = propagator.whole, propagator.times.nodes
+        window = propagator._window
+        xia = whole.xi * np.abs(whole.xi)
+        running = np.zeros(whole.n, dtype=complex)
+        for k in range(nodes.size):
+            if k > 0:
+                running = running + 0.5 * (nodes[k] - nodes[k - 1]) \
+                    * (lat.spectra[k - 1] + lat.spectra[k])
+            spec = np.exp(-1j * xia * nodes[k]) * running
+            for d in (0, 1):
+                grid = np.fft.ifft(spec * (1j * whole.xi) ** d).real
+                want = CubicSpline(whole.nodes[window], grid[window])(
+                    propagator.half.nodes)
+                scale = np.max(np.abs(got[d]))
+                assert np.max(np.abs(got[d][k] - want)) <= 1e-12 * scale
+        assert np.max(np.abs(got[0])) > 0.0
+
+    def test_damping_table_is_per_step(self, propagator):
+        nodes = propagator.times.nodes
+        for k in range(1, nodes.size):
+            want = propagator.layout.damping(nodes[k] - nodes[k - 1])
+            got = propagator._damping[propagator._step_of[k - 1]]
+            assert np.array_equal(got, want)
+        assert len(propagator._damping) < nodes.size - 1
 
     def test_filon_table_is_per_gap_weights(self, propagator):
         nodes = propagator.times.nodes
