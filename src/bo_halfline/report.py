@@ -501,7 +501,10 @@ def _solution_table(sol: SpaceTimeSolution) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _solve_rows(cfg: RunConfig, sol: SpaceTimeSolution) -> list[CheckRow]:
+def _solve_rows(cfg: RunConfig, sol: SpaceTimeSolution
+                ) -> tuple[list[CheckRow], dict | None]:
+    """The solve suite's rows and the cross-validation figures (None when
+    the Picard iteration aborted and no reference ran)."""
     half = HalfLineGrid(x_max=cfg.x_max, n=cfg.n_x)
     rows = []
     for i, r in enumerate(sol.contraction_ratios):
@@ -514,7 +517,7 @@ def _solve_rows(cfg: RunConfig, sol: SpaceTimeSolution) -> list[CheckRow]:
                    "two consecutive iterations; ratio history above"))
         rows.append(CheckRow("picard", "check", "converged", 0.0, 1.0, 0.0,
                              False, source="fixed-point iteration"))
-        return rows
+        return rows, None
     rows.append(CheckRow("picard", "check", "converged",
                          1.0 if sol.converged else 0.0, 1.0, 0.0,
                          sol.converged, source="fixed-point iteration"))
@@ -597,13 +600,14 @@ def _solve_rows(cfg: RunConfig, sol: SpaceTimeSolution) -> list[CheckRow]:
     rows.append(CheckRow("cross-validation", "info", "mol-l2-drift",
                          xv["mol_drift"],
                          source="conservation drift of the reference run"))
-    return rows
+    return rows, xv
 
 
-def _solve_telemetry(sol: SpaceTimeSolution) -> list[str]:
-    """Stage seconds of the solve and one line per Duhamel sweep (the Picard
+def _solve_telemetry(sol: SpaceTimeSolution, xv: dict | None) -> list[str]:
+    """Stage seconds of the solve, one line per Duhamel sweep (the Picard
     iterations, then the residual sweep) with its step norm and the ratio
-    to the previous step."""
+    to the previous step, and one line for the method-of-lines reference
+    run when it ran."""
     meta = sol.meta
     lines = [f"solve: linear_lattice_s={meta['linear_lattice_s']:.3f} "
              f"propagator_build_s={meta['propagator_build_s']:.3f}"]
@@ -621,6 +625,15 @@ def _solve_telemetry(sol: SpaceTimeSolution) -> list[str]:
                      f"accumulate_s={meta['accumulate_s'][i]:.3f} "
                      f"sweep_s={sweep_s:.3f} step_norm={step:.6g} "
                      f"contraction_ratio={ratio:.6g}")
+    if xv is not None:
+        ref = xv["reference"]
+        lines.append(f"solve: reference: n={ref['n']} "
+                     f"n_steps={ref['n_steps']} "
+                     f"step_matrix_s={ref['step_matrix_s']:.3f} "
+                     f"steps_s={ref['steps_s']:.3f} "
+                     f"certificate_s={ref['certificate_s']:.3f} "
+                     f"spectral_radius={ref['spectral_radius']:.17g} "
+                     f"l2_drift={ref['l2_drift']:.6g}")
     return lines
 
 
@@ -631,12 +644,12 @@ def run_solve(config: RunConfig | None = None,
                                            "cross-validation"):
         return RunReport("solve", [], _config_tag(cfg))
     sol = picard_solve(cfg)
-    rows = _solve_rows(cfg, sol)
+    rows, xv = _solve_rows(cfg, sol)
     if suite is not None:
         rows = [r for r in rows if r.block == suite]
     return RunReport("solve", rows, _config_tag(cfg),
                      extras={"solution": _solution_table(sol)},
-                     telemetry=_solve_telemetry(sol))
+                     telemetry=_solve_telemetry(sol, xv))
 
 
 # ---------------------------------------------------------------------------

@@ -467,7 +467,8 @@ def cross_validate(config: RunConfig | None = None, t_compare: float = 1.0,
                    solution: SpaceTimeSolution | None = None,
                    **overrides) -> dict:
     """Relative L2 gap between the Picard solution and an independent
-    finite-difference run at one comparison time."""
+    finite-difference run at one comparison time; ``reference`` holds that
+    run's size, stage seconds and certificates."""
     cfg = (config or RunConfig()).replace(**overrides) if overrides \
         else (config or RunConfig())
     sol = solution if solution is not None else picard_solve(cfg)
@@ -484,6 +485,8 @@ def cross_validate(config: RunConfig | None = None, t_compare: float = 1.0,
         "mol_norm": ref,
         "picard_norm": float(np.sqrt(dx) * np.linalg.norm(u_pic)),
         "mol_drift": res.l2_drift,
+        "reference": {"n": cfg.mol_n, "spectral_radius": res.spectral_radius,
+                      "l2_drift": res.l2_drift, **res.meta},
         "picard_converged": sol.converged,
         "picard_residual_rel": sol.fixed_point_residual_rel,
     }

@@ -102,6 +102,9 @@ class TestConfigErrors:
     # two interior nodes in all: too few for the weighted-rate slope too
     ({"N_TIME_GEOMETRIC": "1", "N_TIME_UNIFORM": "1"},
      ["growth/m2-weighted-rate:not-fittable"]),
+    # a horizon under half a reference step: the reference takes one step
+    ({"T_FINAL": "0.0004", "T_SWITCH": "0.0002"},
+     ["cross-validation/rel-l2[t=0.0004]"]),
 ])
 def test_solve_short_lattice_reports(env, expect, fast_cfg, monkeypatch, capsys):
     # each of these valid configurations used to exit 2 with a traceback
@@ -149,6 +152,11 @@ def test_solve_prints_stage_telemetry(fast_cfg, monkeypatch, capsys):
         for key in ("transform_forcing_s=", "accumulate_s=", "sweep_s=",
                     "step_norm=", "contraction_ratio="):
             assert key in ln
+    reference = [ln for ln in lines if "reference:" in ln]
+    assert len(reference) == 1
+    for key in ("n=512 ", "n_steps=1000 ", "step_matrix_s=", "steps_s=",
+                "certificate_s=", "spectral_radius=", "l2_drift="):
+        assert key in reference[0]
     assert "_s=" not in out
 
 

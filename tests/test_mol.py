@@ -8,6 +8,7 @@ handling, and L2 conservation for a far-field packet.
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
 from bo_halfline.mol import MethodOfLines
 
@@ -22,15 +23,34 @@ class TestOperators:
 
     def test_wall_rows_are_zero(self, mol):
         # Zero end rows keep the generator skew; extrapolated wall-curvature
-        # rows create an unstable wall eigenpair.
-        for m in (mol.lap, mol.amat):
-            assert np.all(m[0] == 0.0)
-            assert np.all(m[-1] == 0.0)
+        # rows create an unstable wall eigenpair.  Between its zero end rows
+        # A is -H Lap with the three-point Lap on interior rows only
+        # (measured 5.7e-17 relative).
+        n = mol.x.size
+        idx = np.arange(1, n - 1)
+        lap = np.zeros((n, n))
+        lap[idx, idx - 1] = 1.0
+        lap[idx, idx] = -2.0
+        lap[idx, idx + 1] = 1.0
+        lap /= mol.dx**2
+        dense = (-mol.hilbert_mat @ lap)[1:-1]
+        assert np.max(np.abs(mol.amat[1:-1] - dense)) \
+            <= 1e-15 * np.max(np.abs(dense))
+        assert np.all(mol.amat[0] == 0.0)
+        assert np.all(mol.amat[-1] == 0.0)
 
     def test_gradient_end_stencils(self, mol):
-        dx = mol.dx
-        assert np.allclose(mol.grad[0, :3] * dx, [-1.5, 2.0, -0.5])
-        assert np.allclose(mol.grad[-1, -3:] * dx, [0.5, -2.0, 1.5])
+        # the gradient applied to the unit vectors, column by column
+        dx, n = mol.dx, mol.x.size
+        grad = mol.gradient(np.eye(n)) * dx
+        assert np.allclose(grad[0, :3], [-1.5, 2.0, -0.5])
+        assert np.all(grad[0, 3:] == 0.0)
+        assert np.allclose(grad[-1, -3:], [0.5, -2.0, 1.5])
+        assert np.all(grad[-1, :-3] == 0.0)
+        interior = np.zeros((n - 2, n))
+        interior[np.arange(n - 2), np.arange(n - 2)] = -0.5
+        interior[np.arange(n - 2), np.arange(2, n)] = 0.5
+        assert np.allclose(grad[1:-1], interior)
 
     def test_lifting_profile_normalized_at_wall(self, mol):
         assert mol.chi[0] == 1.0
@@ -85,6 +105,30 @@ class TestEvolution:
         res = mol.run(0.125, save_times=np.array([0.0, 0.125]))
         assert res.spectral_radius <= 1.0 + 1e-9
         assert res.meta["n_steps"] == 125
+        for key in ("step_matrix_s", "steps_s", "certificate_s"):
+            assert res.meta[key] >= 0.0
+
+    def test_run_certifies_its_own_step_matrix(self, mol):
+        # t_final = 8 dt keeps dt exact, so the run inverts the same matrix
+        dt = mol.config.mol_dt
+        res = mol.run(8 * dt, save_times=np.array([0.0, 8 * dt]))
+        assert res.meta["dt"] == dt
+        assert res.spectral_radius == mol.stability_certificate()
+
+    def test_step_matrix_matches_lu_solves(self, mol):
+        # 50 steps with S = (I - dt A)^{-1} against the LU-solve loop
+        dt, n, n_steps = mol.config.mol_dt, mol.x.size, 50
+        lu = lu_factor(np.eye(n) - dt * mol.amat)
+        h = lambda t: float(mol.h(np.array([t]))[0])  # noqa: E731
+        v = mol.psi(mol.x) - h(0.0) * mol.chi
+        v[0] = v[-1] = 0.0
+        for step in range(n_steps):
+            v = lu_solve(lu, v + dt * mol._rhs_explicit(v, step * dt))
+            v[0] = v[-1] = 0.0
+        t_end = n_steps * dt
+        expect = v + h(t_end) * mol.chi
+        got = mol.run(t_end, save_times=np.array([0.0, t_end])).values[-1]
+        assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +139,24 @@ class TestSaveTimes:
     def test_off_step_save_time_rejected(self, mol):
         with pytest.raises(ValueError, match="not a multiple"):
             mol.run(0.25, save_times=np.array([0.0, 0.1001]))
+
+    def test_horizon_below_half_step_takes_one_step(self, mol):
+        res = mol.run(0.0004, save_times=np.array([0.0, 0.0004]))
+        assert res.meta["n_steps"] == 1
+        assert res.meta["dt"] == 0.0004
+        assert np.all(np.isfinite(res.values))
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan")])
+    def test_nonpositive_dt_rejected(self, mol, dt):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            mol.run(0.25, dt=dt)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            mol.stability_certificate(dt)
+
+    @pytest.mark.parametrize("t_final", [0.0, -0.5])
+    def test_nonpositive_horizon_rejected(self, mol, t_final):
+        with pytest.raises(ValueError, match="t_final must be positive"):
+            mol.run(t_final)
 
     def test_at_time_lookup(self, mol):
         res = mol.run(0.125, save_times=np.array([0.0, 0.125]))

@@ -206,7 +206,12 @@ class TestCrossValidate:
     def test_reuses_supplied_solution(self, fast_cfg, solution):
         out = cross_validate(fast_cfg, t_compare=1.0, solution=solution)
         assert set(out) == {"rel_l2", "mol_norm", "picard_norm", "mol_drift",
-                            "picard_converged", "picard_residual_rel"}
+                            "picard_converged", "picard_residual_rel",
+                            "reference"}
+        ref = out["reference"]
+        assert ref["n"] == fast_cfg.mol_n and ref["n_steps"] == 1000
+        assert ref["l2_drift"] == out["mol_drift"]
+        assert ref["spectral_radius"] <= 1.0 + 1e-9
         assert out["picard_converged"] is True
         assert out["picard_residual_rel"] == \
             pytest.approx(solution.fixed_point_residual_rel, rel=1e-12)
