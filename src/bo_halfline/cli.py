@@ -4,8 +4,8 @@ Exit codes: 0 when every executed check passed (or the selection was empty),
 1 when at least one check failed, 2 for configuration or infrastructure
 errors.  Reports are deterministic for a fixed (config, seed) pair; see
 ``report``.  Run telemetry (the ``solve`` stage seconds, one line per
-Picard sweep and one for the method-of-lines reference) goes to standard
-error, never into a CSV.
+Picard sweep and, when the cross-validation block runs, one for the
+method-of-lines reference) goes to standard error, never into a CSV.
 """
 
 from __future__ import annotations
@@ -81,9 +81,8 @@ def main(argv: list[str] | None = None) -> int:
         print(line, file=sys.stderr)
     for line in report.summary_lines():
         print(line)
-    n_checked = sum(1 for r in report.rows if r.passed is not None)
-    print(f"{report.suite}: {n_checked - report.n_failed}/{n_checked} "
-          f"checks passed")
+    print(f"{report.suite}: {report.n_checked - report.n_failed}/"
+          f"{report.n_checked} checks passed")
     if path is not None:
         print(f"wrote {path}")
     return EXIT_PASS if report.passed else EXIT_CHECK_FAILED

@@ -140,7 +140,9 @@ def test_solve_prints_stage_telemetry(fast_cfg, monkeypatch, capsys):
                 "axis_points_per_decade", "n_time_geometric",
                 "n_time_uniform", "picard_max_iter", "t_final", "t_switch"):
         monkeypatch.setenv("BOHL_" + key.upper(), repr(getattr(fast_cfg, key)))
-    main(["solve", "--suite", "picard"])
+    # the reference line belongs to the cross-validation block, the only
+    # block that runs the method-of-lines reference
+    main(["solve", "--suite", "cross-validation"])
     out, err = capsys.readouterr()
     lines = err.splitlines()
     assert any("linear_lattice_s=" in ln and "propagator_build_s=" in ln

@@ -75,6 +75,22 @@ class TestCertificates:
         # Halving dt moves the t = 0.5 state by < 1% (measured 9.1e-3).
         assert mol.step_doubling_error(0.5) < 2e-2
 
+    def test_step_doubling_certifies_neither_run(self, cfg, monkeypatch):
+        # the figure is exactly the end-state gap of two plain runs, and it
+        # pays for no spectral radius
+        small = MethodOfLines(cfg, mol_n=128)
+        save = np.array([0.0, 0.5])
+        coarse = small.run(0.5, cfg.mol_dt, save).values[-1]
+        fine = small.run(0.5, cfg.mol_dt / 2.0, save).values[-1]
+        expected = float(np.linalg.norm(fine - coarse)
+                         / max(np.linalg.norm(fine), 1.0e-30))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("stability_certificate called")
+
+        monkeypatch.setattr(MethodOfLines, "stability_certificate", refuse)
+        assert small.step_doubling_error(0.5) == expected
+
 
 # ---------------------------------------------------------------------------
 # Evolution invariants

@@ -4,9 +4,10 @@ deterministic self-check suites."""
 import numpy as np
 import pytest
 
-from bo_halfline.report import (CheckRow, RunReport, _csv_num, _csv_str,
-                                fit_affine, fit_loglog, run_selfcheck,
-                                run_solve)
+from bo_halfline.report import (CheckRow, RunReport, SlopeFit, _csv_num,
+                                _csv_str, bound, check, control, fit_affine,
+                                fit_loglog, info, run_selfcheck, run_solve,
+                                run_verify_symbols, slope)
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +57,7 @@ class TestCsvFormat:
         assert _csv_num(1.0) == "1"
         assert _csv_num(None) == ""
         assert _csv_num(True) == "true"
+        assert _csv_num(False) == "false"
 
     def test_string_quoting(self):
         assert _csv_str("plain") == "plain"
@@ -64,14 +66,122 @@ class TestCsvFormat:
 
 
 # ---------------------------------------------------------------------------
+# Row constructors: each kind derives its verdict from its own row
+
+
+def _fit(value):
+    return SlopeFit(value, 0.0, value - 0.1, value + 0.1, 5, 0.0)
+
+
+def _rule(row):
+    """The verdict of a row's kind, restated independently of report.py."""
+    v, t, tol = row.value, row.target, row.tolerance
+    if row.kind in ("check", "slope"):
+        return abs(v - t) <= tol
+    if row.kind == "bound":
+        return v <= t
+    if row.kind == "control":
+        return v > tol if t is None else abs(v - t) <= tol
+    return None
+
+
+# the growth envelope rows whose verdict rests on figures the row does not
+# compare with its target (the slope CI, the fit residual)
+_HAND_VERDICTS = {"m1-h1-bound", "m2-weighted-rate"}
+
+
+class TestConstructors:
+    def test_check_is_two_sided_and_inclusive(self):
+        for value, ok in ((1.5, True), (0.5, True), (1.0, True),
+                          (1.5000001, False), (0.4999999, False)):
+            row = check("b", "n", value, 1.0, 0.5)
+            assert row.passed is ok, value
+        assert (row.kind, row.target, row.tolerance) == ("check", 1.0, 0.5)
+        # a zero tolerance is exact equality
+        assert check("b", "n", 1.0, 1.0, 0.0).passed is True
+        assert check("b", "n", 1.0 + 2.0**-52, 1.0, 0.0).passed is False
+
+    def test_bound_is_inclusive_upper_limit(self):
+        assert bound("b", "n", 0.25, 0.25).passed is True
+        assert bound("b", "n", -3.0, 0.25).passed is True
+        assert bound("b", "n", 0.25 + 2.0**-54, 0.25).passed is False
+        assert bound("b", "n", 1.0, 0.25).tolerance is None
+
+    def test_slope_reads_the_fit(self):
+        row = slope("b", "n", _fit(-0.5), -0.75, 0.25)
+        assert row.passed is True            # exactly at the limit
+        assert (row.kind, row.value, row.ci_low, row.ci_high) == \
+            ("slope", -0.5, -0.6, -0.4)
+        assert slope("b", "n", _fit(-0.49), -0.75, 0.25).passed is False
+        assert slope("b", "n", _fit(-1.0), -0.75, 0.25).passed is True
+
+    def test_control_with_target_expects_the_discrepancy(self):
+        assert control("b", "n", 1.125, 1.0, 0.125).passed is True
+        assert control("b", "n", 0.875, 1.0, 0.125).passed is True
+        assert control("b", "n", 1.0, 1.0, 0.125).passed is True
+        assert control("b", "n", 0.0, 1.0, 0.125).passed is False
+        assert control("b", "n", 2.0, 1.0, 0.125).passed is False
+
+    def test_control_without_target_needs_a_visible_residual(self):
+        assert control("b", "n", 0.125 + 2.0**-55, None, 0.125).passed is True
+        assert control("b", "n", 0.125, None, 0.125).passed is False
+        assert control("b", "n", 1.0e-6, None, 0.125).passed is False
+
+    def test_info_has_no_verdict(self):
+        row = info("b", "n", 0.5, -0.25)
+        assert row.passed is None and row.target == -0.25
+        assert row.kind == "info"
+
+    def test_nan_never_passes(self):
+        nan = float("nan")
+        rows = [check("b", "n", nan, 0.0, 1.0), bound("b", "n", nan, 1.0),
+                slope("b", "n", _fit(nan), 0.0, 1.0),
+                control("b", "n", nan, 1.0, 1.0),
+                control("b", "n", nan, None, 0.0)]
+        assert [r.passed for r in rows] == [False] * 5
+
+    def test_verdict_is_a_python_bool(self):
+        # numpy scalars in, a plain bool out: the CSV writes it as true/false
+        rows = [check("b", "n", np.float64(0.5), 0.0, 1.0),
+                bound("b", "n", np.float64(2.0), 1.0),
+                control("b", "n", np.float64(2.0), None, 1.0)]
+        assert [type(r.passed) for r in rows] == [bool] * 3
+        text = RunReport("demo", rows).to_csv()
+        assert [ln.split(",")[9] for ln in text.splitlines()[2:]] == \
+            ["true", "false", "true"]
+
+
+@pytest.fixture(scope="module")
+def full_solve(fast_cfg):
+    return run_solve(fast_cfg)
+
+
+class TestVerdictsFromRows:
+    def test_every_row_follows_its_kind(self, cfg, full_solve):
+        rows = [*run_selfcheck(cfg, suite="convolution").rows,
+                *run_selfcheck(cfg, suite="weights").rows,
+                *run_verify_symbols(cfg, suite="controls").rows,
+                *full_solve.rows]
+        kinds = {r.kind for r in rows}
+        assert {"check", "bound", "control", "info"} <= kinds
+        hand = [r for r in rows if r.name in _HAND_VERDICTS]
+        assert len(hand) == 2
+        for r in rows:
+            if r.name not in _HAND_VERDICTS:
+                assert r.passed == _rule(r), r
+                assert r.passed is None or type(r.passed) is bool, r
+
+
+# ---------------------------------------------------------------------------
 # Report aggregation
 
 
 def _report():
     rows = [
-        CheckRow("blk", "check", "good", 1.0, 1.0, 0.1, True),
-        CheckRow("blk", "bound", "bad", 2.0, 1.0, None, False),
-        CheckRow("blk", "info", "note", 0.5),
+        check("blk", "good", 1.0, 1.0, 0.1),
+        bound("blk", "bad", 2.0, 1.0),
+        info("blk", "note", 0.5),
+        CheckRow("blk", "abort", "stopped", 3.0),
     ]
     return RunReport("demo", rows, config_tag="seed=0")
 
@@ -81,15 +191,18 @@ class TestRunReport:
         rep = _report()
         assert rep.passed is False
         assert rep.n_failed == 1
+        assert rep.n_checked == 2
         all_good = RunReport("demo", [r for r in rep.rows if r.passed is not False])
         assert all_good.passed is True
         assert all_good.n_failed == 0
+        assert all_good.n_checked == 1
 
     def test_summary_lines_tag_rows(self):
         lines = _report().summary_lines()
         assert lines[0].startswith("[PASS] blk/good")
         assert lines[1].startswith("[FAIL] blk/bad")
         assert lines[2].startswith("[info] blk/note")
+        assert lines[3].startswith("[ABORT] blk/stopped")
 
     def test_csv_schema(self):
         text = _report().to_csv()
@@ -103,6 +216,8 @@ class TestRunReport:
         assert lines[2].split(",")[9] == "true"
         assert lines[3].split(",")[9] == "false"
         assert lines[4].split(",")[9] == ""
+        assert lines[5].split(",")[2:4] == ["abort", "stopped"]
+        assert lines[5].split(",")[9] == ""
 
     def test_write_creates_suite_file(self, tmp_path):
         path = _report().write(tmp_path)
@@ -180,3 +295,25 @@ class TestSolveSuite:
         assert report.rows == [] and report.extras == {}
         report.write(tmp_path)
         assert not (tmp_path / "solution.csv").exists()
+
+    def test_picard_block_runs_no_reference(self, fast_cfg, monkeypatch):
+        # an unselected block is not computed: the method-of-lines run
+        # belongs to the cross-validation block alone
+        def refuse(*args, **kwargs):
+            raise AssertionError("cross_validate called")
+
+        monkeypatch.setattr("bo_halfline.report.cross_validate", refuse)
+        rep = run_solve(fast_cfg, suite="picard")
+        assert rep.rows and all(r.block == "picard" for r in rep.rows)
+        assert rep.telemetry
+        assert not any("reference" in line for line in rep.telemetry)
+
+    def test_cross_validation_block_matches_full_run(self, fast_cfg,
+                                                     full_solve):
+        rep = run_solve(fast_cfg, suite="cross-validation")
+        assert rep.rows
+        assert rep.rows == [r for r in full_solve.rows
+                            if r.block == "cross-validation"]
+        assert rep.extras == full_solve.extras
+        assert any(line.startswith("solve: reference:")
+                   for line in rep.telemetry)
