@@ -13,8 +13,7 @@ from .contour import (AxisSampling, cauchy_transform, log_graded_nodes,
 from .green import EMinusLattice, GreenGrids, GreenOperator, fresnel_weights
 from .halfline import (PROFILES, HalfLineGrid, Profile, TruncatedWeight,
                        WholeLineGrid, ap_characteristic, convolution_decay,
-                       hilbert_half_line_direct, hilbert_whole_line,
-                       laplace_matrix, make_profile)
+                       hilbert_whole_line, laplace_matrix, make_profile)
 from .mol import MethodOfLines, MolResult
 from .solver import (DuhamelPropagator, SpaceTimeSolution, TimeGrid, XNorm,
                      advective_forcing, cross_validate, picard_solve)
@@ -29,11 +28,10 @@ __all__ = [
     "TruncatedWeight", "WholeLineGrid", "XNorm", "admissible_arg",
     "advective_forcing", "ap_characteristic", "cauchy_transform",
     "convolution_decay", "cross_validate", "fresnel_weights",
-    "gaussian_laplace_moments", "hilbert_half_line_direct",
-    "hilbert_whole_line", "laplace_matrix", "log_graded_nodes",
-    "make_profile", "picard_solve", "plemelj_limits", "pv_integral",
-    "ratio_weight", "root_k", "root_phi", "symbol_K", "symbol_K_tilde",
-    "symbol_contour", "winding_index",
+    "gaussian_laplace_moments", "hilbert_whole_line", "laplace_matrix",
+    "log_graded_nodes", "make_profile", "picard_solve", "plemelj_limits",
+    "pv_integral", "ratio_weight", "root_k", "root_phi", "symbol_K",
+    "symbol_K_tilde", "symbol_contour", "winding_index",
 ]
 
 __version__ = "0.1.0"

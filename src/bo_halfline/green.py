@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.special import gamma as gamma_fn
 from scipy.special import gammainc, wofz
 
@@ -374,7 +373,10 @@ class GreenOperator:
     """Full linear solution map for one initial profile.
 
     Wraps the free FFT part on a whole-line grid and the lattice-based
-    correction; evaluation points are arbitrary x > 0 arrays."""
+    correction; evaluation points are arbitrary x > 0 arrays.  Each method
+    takes a time t or an array of times and a derivative order or a
+    sequence of orders, and returns shape(deriv) + shape(t) + shape(x) from
+    one pass over the times; the operator keeps nothing between calls."""
 
     def __init__(self, symbols: Symbols, profile: Profile,
                  whole_grid: WholeLineGrid | None = None):
@@ -389,82 +391,51 @@ class GreenOperator:
         # of the group e^{-i xi|xi| t} keeps it so: the half spectrum (xi >= 0
         # and the Nyquist node) carries the free part
         self._free_spectrum = np.fft.rfft(samples)
-        self._xi = wg.xi[:self._free_spectrum.size]
         mags = np.abs(self._free_spectrum)
         alive = mags > 1.0e-12 * mags.max()
-        self._xi_eff = float(np.max(np.abs(self._xi[alive]))) if alive.any() else 0.0
-        # the last field map, kernel pieces and evolved spectrum built: a
-        # lattice of points x is evaluated at every t, and each t in both
-        # derivative orders
-        self._field: FieldAssembly | None = None
-        self._pieces: tuple | None = None
-        self._evolved: tuple | None = None
+        self._xi_eff = float(np.max(np.abs(wg.xi_half[alive]))) if alive.any() else 0.0
 
     @cached_property
     def lattice(self) -> EMinusLattice:
         return EMinusLattice(self.symbols, self.profile.hat, self.grids,
                              self.theta0)
 
-    # -- free part ---------------------------------------------------------
-
-    def _evolved_spectrum(self, t: float) -> np.ndarray:
-        """e^{-i xi|xi| t} times the datum spectrum, kept for the last t."""
-        if self._evolved is None or self._evolved[0] != t:
-            xi = self._xi
-            self._evolved = (t, np.exp(-1j * xi * np.abs(xi) * t)
-                             * self._free_spectrum)
-        return self._evolved[1]
-
-    def free(self, x: np.ndarray, t: float, deriv: int = 0) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+    def free(self, x: np.ndarray, t, deriv=0) -> np.ndarray:
+        """G1^{(d)}(t) psi, the whole-line group on the zero extension."""
+        x, times, orders, shape = _lattice_args(x, t, deriv)
         x_need = float(np.max(x)) if x.size else 0.0
-        wg = self.whole_grid
-        wg.check_transport(t, x_need, self._xi_eff)
-        spec = self._evolved_spectrum(t)
-        if deriv:
-            spec = spec * (1j * self._xi) ** deriv
-        vals = np.fft.irfft(spec, wg.n)
-        hi = min(wg.index_of(x_need) + 130, wg.n)
-        lo = max(wg.index_of(0.0) - 130, 0)
-        spline = CubicSpline(wg.nodes[lo:hi], vals[lo:hi])
-        return spline(x)
+        self.whole_grid.check_transport(float(np.max(times)), x_need, self._xi_eff)
+        out = self.whole_grid.free_field(self._free_spectrum, times, x, orders)
+        return out.reshape(shape)
 
-    # -- correction --------------------------------------------------------
+    def correction(self, x: np.ndarray, t, deriv=0) -> np.ndarray:
+        """G2^{(d)}(t) psi at the points x (x >= 0): the smooth kernel,
+        Filon-weighted bracket row and K(p0, t) of every time, stacked, go
+        through one field map."""
+        x, times, orders, shape = _lattice_args(x, t, deriv)
+        lat = self.lattice
+        k_smooth = np.stack([lat.smooth_kernel(tk) for tk in times])
+        k0 = lat.bracket(times[:, None])[:, 0] + k_smooth[:, 0]
+        w_brk = lat.E_brk * np.stack([fresnel_weights(lat.p_nodes, tk)
+                                      for tk in times])
+        field = FieldAssembly(x, lat.p_nodes)
+        return np.stack([field(d, k_smooth, w_brk, k0) for d in orders]).reshape(shape)
 
-    def _field_at(self, x: np.ndarray) -> FieldAssembly:
-        field = self._field
-        if field is None or not np.array_equal(field.x, x):
-            field = self._field = FieldAssembly(x, self.lattice.p_nodes)
-        return field
+    def apply(self, x: np.ndarray, t, deriv=0) -> np.ndarray:
+        """G^{(d)}(t) psi = G1 + G2; at t = 0 the datum itself stands in for
+        the free part of orders 0 and 1."""
+        x, times, orders, shape = _lattice_args(x, t, deriv)
+        free = self.free(x, times, orders)
+        datum = {0: self.profile, 1: self.profile.deriv}
+        for i, d in enumerate(orders):
+            if d in datum:
+                free[i, times == 0.0] = datum[d](x)
+        return (free + self.correction(x, times, orders)).reshape(shape)
 
-    def _kernel_pieces(self, t: float) -> tuple:
-        """Smooth kernel, Filon-weighted bracket row and K(p0, t)."""
-        if self._pieces is None or self._pieces[0] != t:
-            lat = self.lattice
-            k_smooth = lat.smooth_kernel(t)
-            k0 = lat.bracket(t)[0] + k_smooth[0]
-            w_brk = lat.E_brk * fresnel_weights(lat.p_nodes, t)
-            self._pieces = (t, k_smooth, w_brk, k0)
-        return self._pieces[1:]
 
-    def correction(self, x: np.ndarray, t: float, deriv: int = 0) -> np.ndarray:
-        """G2^{(d)}(t) psi at the points x (x >= 0)."""
-        x = np.asarray(x, dtype=float)
-        return self._field_at(x)(deriv, *self._kernel_pieces(t))
-
-    # -- combined ----------------------------------------------------------
-
-    def apply(self, x: np.ndarray, t: float, deriv: int = 0) -> np.ndarray:
-        if t == 0.0:
-            x = np.asarray(x, dtype=float)
-            base = self.profile(x) if deriv == 0 else self.profile.deriv(x)
-            return base + self.correction(x, 0.0, deriv)
-        return self.free(x, t, deriv) + self.correction(x, t, deriv)
-
-    def dirichlet_defect(self, t: float, x_probe: float = 1.0e-4,
-                         psi_norm: float | None = None) -> float:
-        val = abs(float(self.apply(np.array([x_probe]), t)[0]))
-        if psi_norm is None:
-            xs = np.linspace(0.0, 40.0, 4001)
-            psi_norm = float(np.sqrt(np.trapezoid(self.profile(xs)**2, xs)))
-        return val / psi_norm
+def _lattice_args(x, t, deriv) -> tuple:
+    """Points, times (1-D) and orders (1-D) of an operator call, and the
+    shape of its result."""
+    x = np.asarray(x, dtype=float)
+    shape = np.shape(deriv) + np.shape(t) + x.shape
+    return x, np.atleast_1d(np.asarray(t, dtype=float)), np.atleast_1d(deriv), shape

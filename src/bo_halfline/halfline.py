@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 from scipy.special import wofz
 
 from .config import ConfigError
@@ -70,6 +71,12 @@ class HalfLineGrid:
         return self.l2_norm(values, (1.0 + self.nodes**2) ** r)
 
 
+#: Whole-line nodes kept past each end of [0, max x] when a free field is
+#: splined off its inverse FFT: the spline's end effect dies out within a
+#: few nodes, so the margin shows only at round-off.
+FREE_WINDOW_MARGIN = 130
+
+
 @dataclass(frozen=True)
 class WholeLineGrid:
     """Uniform periodic FFT grid on [x0, x0 + n dx)."""
@@ -85,6 +92,33 @@ class WholeLineGrid:
     @cached_property
     def xi(self) -> np.ndarray:
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
+
+    @cached_property
+    def xi_half(self) -> np.ndarray:
+        """Frequencies of the half spectrum ``np.fft.rfft`` returns: xi >= 0
+        and, for even n, the Nyquist node."""
+        return self.xi[:self.n // 2 + 1]
+
+    def free_field(self, spectra: np.ndarray, t: np.ndarray, x: np.ndarray,
+                   orders) -> np.ndarray:
+        """Order-d x-derivatives at x >= 0 of the real fields whose half
+        spectra ``spectra`` (rows broadcast to len(t)) are evolved to t_k by
+        e^{-i xi|xi| t_k}: shape (len(orders), len(t), len(x)).  Of each
+        inverse real FFT only a window FREE_WINDOW_MARGIN nodes past [0,
+        max x] is kept; one vector-valued spline per order reads it at x."""
+        xi = self.xi_half
+        spectra = np.broadcast_to(spectra, (len(t), xi.size))
+        x_top = float(np.max(x)) if x.size else 0.0
+        lo = max(self.index_of(0.0) - FREE_WINDOW_MARGIN, 0)
+        hi = min(self.index_of(x_top) + FREE_WINDOW_MARGIN, self.n)
+        mults = [(1j * xi) ** d for d in orders]
+        window = np.empty((len(orders), len(t), hi - lo))
+        for k, tk in enumerate(t):
+            spec = np.exp(-1j * xi * np.abs(xi) * tk) * spectra[k]
+            for i, mult in enumerate(mults):
+                window[i, k] = np.fft.irfft(spec * mult, self.n)[lo:hi]
+        return np.stack([CubicSpline(self.nodes[lo:hi], w, axis=1)(x)
+                         for w in window])
 
     def apply_multiplier(self, values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
         return np.fft.ifft(multiplier * np.fft.fft(values))
@@ -356,8 +390,3 @@ def pv_matrix(x: np.ndarray) -> np.ndarray:
         kernel = 1.0 / diff
     np.fill_diagonal(kernel, 0.0)
     return kernel * dx
-
-
-def hilbert_half_line_direct(x: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Direct PV quadrature oracle on a uniform grid."""
-    return pv_matrix(x) @ values

@@ -91,7 +91,7 @@ class ForcingTransforms:
 
     e_full: np.ndarray      # (n_t, n_ray + n_tail, n_p) damped-ray + tail rows
     e_brk: np.ndarray       # (n_t, n_p) bracket-direction rows
-    spectra: np.ndarray     # (n_t, n_fft) back-propagated whole-line spectra
+    spectra: np.ndarray     # (n_t, n_fft//2 + 1) back-propagated half spectra
 
 
 #: Layout of the memory-integral corrections.  Coarser than the single-shot
@@ -135,12 +135,12 @@ class DuhamelPropagator:
     multiplicative in sigma) and is one contraction per node against the
     table of weights, built once per distinct gap t_k - t_l.
 
-    The recurrence only records, per node, the forward-propagated free
-    spectrum and the kernel pieces; the free part and the field of the
-    whole lattice then follow in one pass: one batched inverse FFT per
-    derivative order, one vector-valued spline, and one FieldAssembly call
-    on the stacked (n_t, n_p) kernel rows.  The phases e^{i tau xi|xi|} of
-    every node are built once as well.
+    The forcing is real, so its spectra are half spectra (real FFTs).  The
+    recurrence only records, per node, the running free spectrum and the
+    kernel pieces; the free part and the field of the whole lattice then
+    follow in one pass: WholeLineGrid.free_field, which the Green operator
+    uses too, and one FieldAssembly call on the stacked (n_t, n_p) kernel
+    rows.  The phases e^{i tau xi|xi|} of every node are built once.
     """
 
     def __init__(self, symbols: Symbols, half_grid: HalfLineGrid,
@@ -188,15 +188,11 @@ class DuhamelPropagator:
         steps, self._step_of = np.unique(np.diff(times.nodes), return_inverse=True)
         self._damping = np.stack([self.layout.damping(h) for h in steps])
 
-        # whole-line free-evolution pieces: e^{i tau xi|xi|} at every node
-        xi = self.whole.xi
+        # e^{i tau xi|xi|} at every node, on the half spectrum
+        xi = self.whole.xi_half
         self._back = np.exp(1j * np.outer(times.nodes, xi * np.abs(xi)))
-        i0 = self.whole.index_of(0.0)
-        i1 = self.whole.index_of(float(xs[-1])) + 1
-        self._support = slice(i0, i1)
-        lo = max(i0 - 70, 0)
-        hi = min(i1 + 70, self.whole.n)
-        self._window = slice(lo, hi)
+        self._support = slice(self.whole.index_of(0.0),
+                              self.whole.index_of(float(xs[-1])) + 1)
 
     # -- construction helpers ------------------------------------------------
 
@@ -236,7 +232,7 @@ class DuhamelPropagator:
         samples = np.zeros((nt, self.whole.n))
         spline = CubicSpline(self.half.nodes, forcing, axis=1)
         samples[:, self._support] = spline(self.whole.nodes[self._support])
-        spectra = np.fft.fft(samples, axis=1)
+        spectra = np.fft.rfft(samples, axis=1)
         return ForcingTransforms(e_full=e_full, e_brk=e_brk,
                                  spectra=spectra * self._back)
 
@@ -251,21 +247,17 @@ class DuhamelPropagator:
         # W_l for every l < k, whatever k (the last weight is never used)
         w = self.times.weights_upto(nt - 1)
         w_e_brk = w[:, None] * lat.e_brk
-        running = np.zeros(self.whole.n, dtype=complex)
         acc = np.zeros_like(layout.sp2)
         k0_brk = 0.0j
-        spec = np.empty((nt, self.whole.n), dtype=complex)
         k_smooth = np.empty((nt, n_p))
         w_brk = np.empty((nt, n_p), dtype=complex)
         k0 = np.empty(nt)
         # the l == k slice is the correction at zero gap, identically zero by
-        # the t -> 0 identity of the propagator; only the free running sum
-        # keeps that endpoint
+        # the t -> 0 identity of the propagator; only the free part keeps
+        # that endpoint
         for k in range(nt):
             if k > 0:
                 hstep = nodes[k] - nodes[k - 1]
-                running = running + 0.5 * hstep * (lat.spectra[k - 1]
-                                                   + lat.spectra[k])
                 acc = self._damping[self._step_of[k - 1]] \
                     * (acc + w[k - 1] * lat.e_full[k - 1])
                 k0_brk = np.exp(1j * p0sq * hstep) \
@@ -273,15 +265,13 @@ class DuhamelPropagator:
             w_brk[k] = np.sum(w_e_brk[:k] * self._fw[k, :k], axis=0)
             k_smooth[k] = layout.ray.smooth(acc)
             k0[k] = k_smooth[k, 0] + np.imag(k0_brk)
-            # free part of the accumulated propagation, evolved to t_k
-            spec[k] = np.conj(self._back[k]) * running
-        window = self.whole.nodes[self._window]
-        out = []
-        for d in (0, 1):
-            free_grid = np.fft.ifft(spec * (1j * self.whole.xi) ** d, axis=1).real
-            spline = CubicSpline(window, free_grid[:, self._window], axis=1)
-            out.append(spline(self.half.nodes) + self.field(d, k_smooth, w_brk, k0))
-        return out[0], out[1]
+        # the free part: trapezoid running sums of the anti-evolved spectra
+        # over nodes 0..k, evolved to every t_k
+        running = np.zeros_like(lat.spectra)
+        running[1:] = np.cumsum(0.5 * np.diff(nodes)[:, None]
+                                * (lat.spectra[:-1] + lat.spectra[1:]), axis=0)
+        free = self.whole.free_field(running, nodes, self.half.nodes, (0, 1))
+        return tuple(free[d] + self.field(d, k_smooth, w_brk, k0) for d in (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +349,9 @@ def _divergence_gap(values: np.ndarray, derivs: np.ndarray,
 
 
 def picard_solve(config: RunConfig | None = None,
-                 propagator: DuhamelPropagator | None = None,
-                 **overrides) -> SpaceTimeSolution:
+                 propagator: DuhamelPropagator | None = None) -> SpaceTimeSolution:
     """Solve the nonlinear problem by Picard iteration on the Duhamel map."""
-    cfg = (config or RunConfig()).replace(**overrides) if overrides \
-        else (config or RunConfig())
+    cfg = config or RunConfig()
     symbols = Symbols(cfg)
     half = HalfLineGrid(x_max=cfg.x_max, n=cfg.n_x)
     times = TimeGrid(cfg.t_final, cfg.t_switch, cfg.n_time_geometric,
@@ -376,15 +364,14 @@ def picard_solve(config: RunConfig | None = None,
     clock = time.perf_counter()
     green = GreenOperator(symbols, psi)
     bker = BoundaryKernel(symbols)
-    nt, nx = times.n, xs.size
-    lin = np.zeros((2, nt, nx))
+    lin = np.empty((2, times.n, xs.size))
     # node 0 is t = 0 exactly: G(0) psi = psi and B(0) h = 0
     lin[0, 0] = psi(xs)
     lin[1, 0] = psi.deriv(xs)
+    lin[:, 1:] = green.apply(xs, times.nodes[1:], (0, 1))
     for k, t in enumerate(times.nodes[1:], start=1):
         for d in (0, 1):
-            lin[d, k] = green.apply(xs, float(t), deriv=d) \
-                + bker.apply_convolution(h, xs, float(t), deriv=d)
+            lin[d, k] += bker.apply_convolution(h, xs, float(t), deriv=d)
 
     timings = {"linear_lattice_s": time.perf_counter() - clock,
                "propagator_build_s": 0.0, "transform_forcing_s": [],
@@ -464,13 +451,11 @@ def picard_solve(config: RunConfig | None = None,
 
 
 def cross_validate(config: RunConfig | None = None, t_compare: float = 1.0,
-                   solution: SpaceTimeSolution | None = None,
-                   **overrides) -> dict:
+                   solution: SpaceTimeSolution | None = None) -> dict:
     """Relative L2 gap between the Picard solution and an independent
     finite-difference run at one comparison time; ``reference`` holds that
     run's size, stage seconds and certificates."""
-    cfg = (config or RunConfig()).replace(**overrides) if overrides \
-        else (config or RunConfig())
+    cfg = config or RunConfig()
     sol = solution if solution is not None else picard_solve(cfg)
     mol = MethodOfLines(cfg)
     saves = np.array([0.0, t_compare])

@@ -30,9 +30,6 @@ from .contour import axis_nodes, symbol_contour, winding_index
 
 TWO_PI_I = 2j * np.pi
 
-#: arg s values (mod 2 pi) where a symbol root sits exactly on a contour ray.
-#: For ray angle theta the dangerous set is {2*theta, 2*pi - 2*theta}.
-
 
 def symbol_K(q):
     """Extended symbol: -i q^2 in the upper half plane, +i q^2 in the lower."""
@@ -118,11 +115,8 @@ class Symbols:
     of per-direction caches.  The instance is cheap; caches build lazily.
     """
 
-    def __init__(self, config: RunConfig | None = None, **overrides):
-        cfg = config or RunConfig()
-        if overrides:
-            cfg = cfg.replace(**overrides)
-        self.config = cfg
+    def __init__(self, config: RunConfig | None = None):
+        self.config = cfg = config or RunConfig()
         self.theta = _CONTOUR_ANGLES[cfg.contour_angle]
         self.ppd = cfg.contour_points_per_decade
         self._directions: dict[complex, DirectionCache] = {}

@@ -162,14 +162,6 @@ class TestFreePart:
                 got = green_op.free(x, t, d)
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-    def test_derivative_reuses_evolved_spectrum(self, sym, data_psi):
-        # the derivative order shares the evolved spectrum of the value call
-        x = np.array([0.5, 2.0, 7.0])
-        warm = GreenOperator(sym, data_psi)
-        warm.free(x, 0.7, 0)
-        got = warm.free(x, 0.7, 1)
-        assert np.array_equal(got, GreenOperator(sym, data_psi).free(x, 0.7, 1))
-
 
 # ---------------------------------------------------------------------------
 # Correction part
@@ -192,28 +184,6 @@ class TestCorrection:
               - green_op.correction(xs - h, 0.7)) / (2 * h)
         an = green_op.correction(xs, 0.7, deriv=1)
         assert np.max(np.abs(fd - an) / np.abs(an)) < 0.02
-
-    def test_field_map_built_once_per_points(self, green_op, monkeypatch):
-        # the Laplace matrix depends on x and p only: repeated corrections
-        # at the same points, at any t and derivative order, build it once
-        import bo_halfline.green as green_mod
-        calls = []
-        real = green_mod.laplace_matrix
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(green_mod, "laplace_matrix", counted)
-        x = np.array([0.25, 1.5, 4.0, 9.0])
-        first = green_op.correction(x, 0.3)
-        for t in (0.3, 0.9, 2.0):
-            for d in (0, 1):
-                green_op.correction(x.copy(), t, deriv=d)
-        assert len(calls) == 1
-        assert np.array_equal(green_op.correction(x, 0.3), first)
-        green_op.correction(x[:2], 0.3)
-        assert len(calls) == 2
 
 
 def test_field_assembly_batched_equals_rows(rng):
@@ -259,14 +229,57 @@ class TestAssembledMap:
         assert got[2] < 0.9
         assert got[0] == pytest.approx(0.658, abs=5e-3)
 
-    def test_dirichlet_trace_suppressed(self, green_op):
+    def test_dirichlet_trace_suppressed(self, green_op, data_psi):
         # The correction exists to cancel the free part's wall trace; the
-        # normalized residual trace stays below 5% through t = 2 (measured
-        # 0.0013 / 0.0064 / 0.0182 at t = 0.5 / 1 / 2).
-        vals = [green_op.dirichlet_defect(t) for t in (0.5, 1.0, 2.0)]
+        # residual trace at x = 1e-4, normalized by ||psi||_L2(0, 40), stays
+        # below 5% through t = 2 (measured 0.0013 / 0.0064 / 0.0182 at
+        # t = 0.5 / 1 / 2).
+        xs = np.linspace(0.0, 40.0, 4001)
+        psi_norm = math.sqrt(np.trapezoid(data_psi(xs)**2, xs))
+        trace = green_op.apply(np.array([1.0e-4]), [0.5, 1.0, 2.0])[:, 0]
+        vals = np.abs(trace) / psi_norm
         assert all(v < 0.05 for v in vals)
         assert vals[0] == pytest.approx(1.325e-3, rel=5e-2)
         assert vals[2] == pytest.approx(1.8185e-2, rel=5e-2)
+
+    @pytest.mark.parametrize("method", ["free", "correction", "apply"])
+    def test_lattice_call_equals_node_calls(self, green_op, method):
+        # one call over every time and order against one call per (t, order)
+        evaluate = getattr(green_op, method)
+        x = np.array([0.0, 0.25, 1.5, 4.0, 9.0])
+        times = np.array([0.0, 0.3, 0.9, 2.0])
+        got = evaluate(x, times, (0, 1, 2))
+        assert got.shape == (3, times.size, x.size)
+        for i, d in enumerate((0, 1, 2)):
+            scale = np.max(np.abs(got[i]))
+            for k, t in enumerate(times):
+                one = evaluate(x, float(t), d)
+                assert one.shape == x.shape
+                assert np.max(np.abs(got[i, k] - one)) <= 1e-13 * scale
+
+    def test_lattice_call_builds_field_map_once(self, green_op, monkeypatch):
+        # the Laplace matrix depends on x and p only: one call over several
+        # times and orders builds it once
+        import bo_halfline.green as green_mod
+        calls = []
+        real = green_mod.laplace_matrix
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(green_mod, "laplace_matrix", counted)
+        x = np.array([0.25, 1.5, 4.0, 9.0])
+        green_op.apply(x, [0.3, 0.9, 2.0], (0, 1))
+        assert len(calls) == 1
+
+    def test_no_state_between_calls(self, sym, data_psi):
+        # a call at another time first leaves the result unchanged
+        x = np.array([0.25, 1.5, 4.0, 9.0])
+        warm = GreenOperator(sym, data_psi)
+        warm.apply(x, 2.0, (0, 1))
+        got = warm.apply(x, 0.3, (0, 1))
+        assert np.array_equal(got, GreenOperator(sym, data_psi).apply(x, 0.3, (0, 1)))
 
     def test_grid_defaults_are_consistent(self):
         g = GreenGrids()

@@ -133,7 +133,7 @@ class TestPicard:
         assert solution.trace_error < 0.3 * max_h
 
     def test_zero_data_shortcut(self, fast_cfg):
-        sol = picard_solve(fast_cfg, data_scale=0.0)
+        sol = picard_solve(fast_cfg.replace(data_scale=0.0))
         assert sol.converged and not sol.aborted
         assert sol.n_iter == 0
         assert sol.fixed_point_residual == 0.0
@@ -155,7 +155,7 @@ class TestPicard:
     def test_large_data_aborts(self, fast_cfg):
         # At 200x the production amplitude the iteration diverges; the
         # solver must detect it and say so rather than return garbage.
-        sol = picard_solve(fast_cfg, data_scale=20.0)
+        sol = picard_solve(fast_cfg.replace(data_scale=20.0))
         assert sol.aborted and not sol.converged
         assert np.isnan(sol.fixed_point_residual)
 
@@ -289,25 +289,31 @@ class TestDuhamelPropagator:
     def test_free_part_matches_per_node_evaluation(self, propagator,
                                                    decaying_forcing):
         # zero kernel lattices leave only the free running sum, which the
-        # propagator evaluates for the whole lattice in one pass; here it is
-        # one inverse FFT and one spline per (node, order)
+        # propagator evaluates on half spectra for the whole lattice in one
+        # pass; here it is the full complex spectrum of each zero-extended
+        # forcing row, one inverse FFT and one spline per (node, order)
         lat = propagator.transform_forcing(decaying_forcing)
         lat = dataclasses.replace(lat, e_full=np.zeros_like(lat.e_full),
                                   e_brk=np.zeros_like(lat.e_brk))
         got = propagator.accumulate(lat)
         whole, nodes = propagator.whole, propagator.times.nodes
-        window = propagator._window
+        xs = propagator.half.nodes
+        support = (whole.nodes >= 0.0) & (whole.nodes <= xs[-1])
+        samples = np.zeros((nodes.size, whole.n))
+        samples[:, support] = CubicSpline(xs, decaying_forcing, axis=1)(
+            whole.nodes[support])
         xia = whole.xi * np.abs(whole.xi)
+        spectra = np.fft.fft(samples, axis=1) * np.exp(1j * np.outer(nodes, xia))
+        window = slice(whole.index_of(0.0) - 130, whole.index_of(xs[-1]) + 130)
         running = np.zeros(whole.n, dtype=complex)
         for k in range(nodes.size):
             if k > 0:
                 running = running + 0.5 * (nodes[k] - nodes[k - 1]) \
-                    * (lat.spectra[k - 1] + lat.spectra[k])
+                    * (spectra[k - 1] + spectra[k])
             spec = np.exp(-1j * xia * nodes[k]) * running
             for d in (0, 1):
                 grid = np.fft.ifft(spec * (1j * whole.xi) ** d).real
-                want = CubicSpline(whole.nodes[window], grid[window])(
-                    propagator.half.nodes)
+                want = CubicSpline(whole.nodes[window], grid[window])(xs)
                 scale = np.max(np.abs(got[d]))
                 assert np.max(np.abs(got[d][k] - want)) <= 1e-12 * scale
         assert np.max(np.abs(got[0])) > 0.0
