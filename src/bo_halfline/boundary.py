@@ -29,10 +29,14 @@ from scipy.special import wofz
 
 from .contour import DampedRay, log_graded_nodes
 from .green import fresnel_weights
-from .halfline import laplace_matrix
+from .halfline import laplace_matrix, lattice_args
 from .symbols import Symbols
 
 _EULER_GAMMA = 0.5772156649015329
+
+#: Lags of the causal convolution on (0, 1]; H is self-similar, so time t
+#: scales them by t.
+_UNIT_LAGS = log_graded_nodes(1.0e-12, 1.0, 16)
 
 
 def gaussian_laplace_moments(a, X, n_max: int = 2) -> list[np.ndarray]:
@@ -173,35 +177,33 @@ class BoundaryKernel:
 
     # -- application routes ---------------------------------------------------
 
-    def apply_convolution(self, h_callable, x: np.ndarray, t: float,
-                          deriv: int = 0) -> np.ndarray:
-        """Causal convolution int_0^t H(x, sigma) h(t - sigma) dsigma."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros(x.shape)
-        if t <= 0.0:
-            return out
-        h_end = float(np.asarray(h_callable(np.array([t])), dtype=float)[0])
-        small = x < 1.0e-7
-        if small.any():
-            # x -> 0 limits: the Dirichlet trace for the value, zero for the
-            # slope (the profile integrates to zero across scales)
-            out[small] = self.trace_profile_side() * h_end if deriv == 0 else 0.0
-        xs = x[~small]
-        if xs.size == 0:
-            return out
-        sig, wsig = log_graded_nodes(1.0e-12 * t, t, 16)
-        hmat = self.kernel(xs[:, None], sig[None, :], deriv)
-        hvals = np.asarray(h_callable(t - sig), dtype=float)
-        vals = hmat @ (wsig * hvals)
-        # analytic head below the smallest sigma node, using the tail model
+    def apply_convolution(self, h_callable, x: np.ndarray, t,
+                          deriv=0) -> np.ndarray:
+        """Causal convolution int_0^t H(x, sigma) h(t - sigma) dsigma at every
+        time and order of a lattice call (see ``lattice_args``); rows with
+        t <= 0 are zero.  Each time reads h once for all orders."""
+        x, times, orders, shape = lattice_args(x, t, deriv)
+        out = np.zeros((orders.size, times.size, x.size))
+        # x -> 0 limits: the Dirichlet trace for the value, zero for the
+        # slope (the profile integrates to zero across scales)
+        wall = x < 1.0e-7
+        xs = x[~wall]
+        trace = self.trace_profile_side()
         c1 = self._tail_h[0]
-        s0 = sig[0]
-        if deriv == 0:
-            vals = vals + h_end * 2.0 * c1 * math.sqrt(s0) / xs
-        else:
-            vals = vals - h_end * (2.0 / 3.0) * c1 * s0**1.5 / xs**2
-        out[~small] = vals
-        return out
+        for k in np.flatnonzero(times > 0.0):
+            sig, wsig = times[k] * _UNIT_LAGS[0], times[k] * _UNIT_LAGS[1]
+            h_end = float(np.asarray(h_callable(times[k:k + 1]), dtype=float)[0])
+            hw = wsig * np.asarray(h_callable(times[k] - sig), dtype=float)
+            for i, d in enumerate(orders):
+                vals = self.kernel(xs[:, None], sig[None, :], d) @ hw
+                # analytic head below the smallest sigma node, using the tail model
+                if d == 0:
+                    out[i, k, wall] = trace * h_end
+                    vals = vals + h_end * 2.0 * c1 * math.sqrt(sig[0]) / xs
+                else:
+                    vals = vals - h_end * (2.0 / 3.0) * c1 * sig[0]**1.5 / xs**2
+                out[i, k, ~wall] = vals
+        return out.reshape(shape)
 
     def apply_spectral(self, h_hat, x: np.ndarray, t: float,
                        deriv: int = 0) -> np.ndarray:

@@ -105,10 +105,13 @@ class RunConfig:
                 raise ConfigError(
                     f"{name}={value!r} is not one of {sorted(allowed)}"
                 )
-        if not 0.0 < self.delta_s < math.pi / 4:
-            raise ConfigError("delta_s must lie in (0, pi/4)")
-        if not 0.0 < self.delta_u < math.pi / 4:
-            raise ConfigError("delta_u must lie in (0, pi/4)")
+        for name in ("delta_s", "delta_u"):
+            delta = getattr(self, name)
+            if not 0.0 < delta < math.pi / 4:
+                raise ConfigError(f"{name} must lie in (0, pi/4)")
+            # a delta lost to rounding in pi/2 + delta leaves the rays undamped
+            if not math.cos(math.pi / 2.0 + delta) < 0.0:
+                raise ConfigError(f"{name}={delta!r} rounds away in pi/2 + {name}")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         if self.n_x < 16:

@@ -37,7 +37,7 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import gammainc, wofz
 
 from .contour import DampedRay, axis_nodes, log_graded_nodes
-from .halfline import Profile, WholeLineGrid, laplace_matrix
+from .halfline import Profile, WholeLineGrid, laplace_matrix, lattice_args
 from .symbols import DirectionCache, Symbols
 
 TWO_PI_I = 2j * np.pi
@@ -402,7 +402,7 @@ class GreenOperator:
 
     def free(self, x: np.ndarray, t, deriv=0) -> np.ndarray:
         """G1^{(d)}(t) psi, the whole-line group on the zero extension."""
-        x, times, orders, shape = _lattice_args(x, t, deriv)
+        x, times, orders, shape = lattice_args(x, t, deriv)
         x_need = float(np.max(x)) if x.size else 0.0
         self.whole_grid.check_transport(float(np.max(times)), x_need, self._xi_eff)
         out = self.whole_grid.free_field(self._free_spectrum, times, x, orders)
@@ -412,7 +412,7 @@ class GreenOperator:
         """G2^{(d)}(t) psi at the points x (x >= 0): the smooth kernel,
         Filon-weighted bracket row and K(p0, t) of every time, stacked, go
         through one field map."""
-        x, times, orders, shape = _lattice_args(x, t, deriv)
+        x, times, orders, shape = lattice_args(x, t, deriv)
         lat = self.lattice
         k_smooth = np.stack([lat.smooth_kernel(tk) for tk in times])
         k0 = lat.bracket(times[:, None])[:, 0] + k_smooth[:, 0]
@@ -424,18 +424,10 @@ class GreenOperator:
     def apply(self, x: np.ndarray, t, deriv=0) -> np.ndarray:
         """G^{(d)}(t) psi = G1 + G2; at t = 0 the datum itself stands in for
         the free part of orders 0 and 1."""
-        x, times, orders, shape = _lattice_args(x, t, deriv)
+        x, times, orders, shape = lattice_args(x, t, deriv)
         free = self.free(x, times, orders)
         datum = {0: self.profile, 1: self.profile.deriv}
         for i, d in enumerate(orders):
             if d in datum:
                 free[i, times == 0.0] = datum[d](x)
         return (free + self.correction(x, times, orders)).reshape(shape)
-
-
-def _lattice_args(x, t, deriv) -> tuple:
-    """Points, times (1-D) and orders (1-D) of an operator call, and the
-    shape of its result."""
-    x = np.asarray(x, dtype=float)
-    shape = np.shape(deriv) + np.shape(t) + x.shape
-    return x, np.atleast_1d(np.asarray(t, dtype=float)), np.atleast_1d(deriv), shape

@@ -41,6 +41,14 @@ def node_index(nodes: np.ndarray, t: float) -> int:
     return idx
 
 
+def lattice_args(x, t, deriv) -> tuple:
+    """Points, times and orders (each 1-D) of a time-lattice operator call,
+    and the shape(deriv) + shape(t) + shape(x) of its result."""
+    x = np.asarray(x, dtype=float)
+    shape = np.shape(deriv) + np.shape(t) + x.shape
+    return x.ravel(), np.atleast_1d(t).astype(float), np.atleast_1d(deriv), shape
+
+
 @dataclass(frozen=True)
 class HalfLineGrid:
     """Nodes x_j = x_max (j/J)^2, j = 0..J: quadratic grading toward x = 0."""
@@ -57,16 +65,15 @@ class HalfLineGrid:
     def quad_weights(self) -> np.ndarray:
         return trapezoid_weights(self.nodes)
 
-    def integrate(self, values: np.ndarray) -> complex:
-        return np.sum(values * self.quad_weights, axis=-1)
-
-    def l2_norm(self, values: np.ndarray, weight: np.ndarray | None = None) -> float:
+    def l2_norm(self, values: np.ndarray, weight: np.ndarray | None = None):
+        """sqrt(int |f|^2 weight dx) by the grid's quadrature over the last
+        axis: one norm per row, a float-like scalar for one row."""
         density = np.abs(values) ** 2
         if weight is not None:
             density = density * weight
-        return float(np.sqrt(np.real(self.integrate(density))))
+        return np.sqrt(np.sum(density * self.quad_weights, axis=-1))
 
-    def weighted_norm(self, values: np.ndarray, r: float) -> float:
+    def weighted_norm(self, values: np.ndarray, r: float):
         """L^{2,r} norm with the Japanese bracket weight <x>^{2r}."""
         return self.l2_norm(values, (1.0 + self.nodes**2) ** r)
 
@@ -88,6 +95,15 @@ class WholeLineGrid:
     @cached_property
     def nodes(self) -> np.ndarray:
         return self.x0 + self.dx * np.arange(self.n)
+
+    @property
+    def quad_weights(self) -> float:
+        """The periodic rectangle rule: every node weighs dx."""
+        return self.dx
+
+    # the half line's norms, with these weights
+    l2_norm = HalfLineGrid.l2_norm
+    weighted_norm = HalfLineGrid.weighted_norm
 
     @cached_property
     def xi(self) -> np.ndarray:
@@ -136,15 +152,6 @@ class WholeLineGrid:
             raise ConfigError(
                 f"whole-line grid [{self.x0}, {right:.0f}] cannot hold the "
                 f"transport to t={t} (needs {need:.0f})")
-
-    def l2_norm(self, values: np.ndarray, weight: np.ndarray | None = None) -> float:
-        density = np.abs(values) ** 2
-        if weight is not None:
-            density = density * weight
-        return float(np.sqrt(self.dx * np.sum(density)))
-
-    def weighted_norm(self, values: np.ndarray, r: float) -> float:
-        return self.l2_norm(values, (1.0 + self.nodes**2) ** r)
 
     def sobolev_norm(self, values: np.ndarray, s: float) -> float:
         spec = np.fft.fft(values)

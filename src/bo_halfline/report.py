@@ -481,11 +481,9 @@ def _weighted_bound_rows(cfg: RunConfig) -> list[CheckRow]:
     hv = np.where(tg.nodes >= 0.0, h(tg.nodes), 0.0)
     z11 = tg.z_norm(hv, 1.0, 1.0)
     t_values = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
-    ratios = []
-    for t in t_values:
-        vals = bker.apply_convolution(h, half.nodes, float(t), deriv=0)
-        ratios.append(half.weighted_norm(vals, cfg.epsilon_weight) / z11)
-    const = float(max(ratios))
+    vals = bker.apply_convolution(h, half.nodes, t_values)
+    ratios = half.weighted_norm(vals, cfg.epsilon_weight) / z11
+    const = float(np.max(ratios))
     return [
         info("boundary-weighted", "constant", const,
              source="sup over the t sweep of the weighted-norm ratio"),
@@ -766,11 +764,9 @@ def _weight_rows(cfg: RunConfig) -> list[CheckRow]:
     x = grid.nodes
     f = np.exp(-((x - 0.7) / 1.8) ** 2)
     hf = hilbert_whole_line(grid, f) / math.pi
-    quot = []
-    for n in cutoffs:
-        w2 = TruncatedWeight(n)(x) ** expo
-        quot.append(grid.l2_norm(hf, weight=w2) / grid.l2_norm(f, weight=w2))
-    w_spread = max(quot) / min(quot) - 1.0
+    w2 = np.stack([TruncatedWeight(n)(x) ** expo for n in cutoffs])
+    quot = grid.l2_norm(hf, weight=w2) / grid.l2_norm(f, weight=w2)
+    w_spread = float(np.max(quot) / np.min(quot)) - 1.0
     return [
         check("weights", "a2-characteristic-stability", spread, 0.0, 0.05,
               source="A_2 product over dyadic intervals, cutoff sweep N in "

@@ -76,9 +76,8 @@ class XNorm:
         self.w1 = bracket**0.75
 
     def __call__(self, values: np.ndarray, derivs: np.ndarray) -> float:
-        l2 = np.sqrt(values**2 @ self.grid.quad_weights)
-        l2d = np.sqrt(derivs**2 @ self.grid.quad_weights)
-        return float(np.max(self.w0 * l2 + self.w1 * l2d))
+        return float(np.max(self.w0 * self.grid.l2_norm(values)
+                            + self.w1 * self.grid.l2_norm(derivs)))
 
 
 # ---------------------------------------------------------------------------
@@ -315,18 +314,13 @@ class SpaceTimeSolution:
     def norm_history(self, grid: HalfLineGrid, kind: str = "l2",
                      weight_power: float = 1.0) -> np.ndarray:
         """Per-node norms: 'l2', 'h1', or polynomially 'weighted' L2."""
-        rows = np.empty(self.times.size)
-        for k in range(self.times.size):
-            if kind == "l2":
-                rows[k] = grid.l2_norm(self.values[k])
-            elif kind == "h1":
-                rows[k] = math.hypot(grid.l2_norm(self.values[k]),
-                                     grid.l2_norm(self.derivs[k]))
-            elif kind == "weighted":
-                rows[k] = grid.weighted_norm(self.values[k], weight_power)
-            else:
-                raise ValueError(f"unknown norm kind {kind!r}")
-        return rows
+        if kind == "l2":
+            return grid.l2_norm(self.values)
+        if kind == "h1":
+            return np.hypot(grid.l2_norm(self.values), grid.l2_norm(self.derivs))
+        if kind == "weighted":
+            return grid.weighted_norm(self.values, weight_power)
+        raise ValueError(f"unknown norm kind {kind!r}")
 
 
 def advective_forcing(values: np.ndarray, derivs: np.ndarray) -> np.ndarray:
@@ -335,17 +329,13 @@ def advective_forcing(values: np.ndarray, derivs: np.ndarray) -> np.ndarray:
 
 
 def _divergence_gap(values: np.ndarray, derivs: np.ndarray,
-                    x: np.ndarray, weights: np.ndarray) -> float:
+                    grid: HalfLineGrid) -> float:
     """Mismatch between u u_x and (1/2) d/dx u^2 with an independent
     finite-difference derivative; a lattice self-consistency figure."""
-    num = 0.0
-    den = 0.0
-    for k in range(values.shape[0]):
-        adv = values[k] * derivs[k]
-        div = 0.5 * np.gradient(values[k] ** 2, x)
-        num = max(num, float(np.sqrt((adv - div) ** 2 @ weights)))
-        den = max(den, float(np.sqrt(adv**2 @ weights)))
-    return num / max(den, 1.0e-30)
+    adv = values * derivs
+    div = 0.5 * np.gradient(values**2, grid.nodes, axis=-1)
+    return float(np.max(grid.l2_norm(adv - div))
+                 / max(np.max(grid.l2_norm(adv)), 1.0e-30))
 
 
 def picard_solve(config: RunConfig | None = None,
@@ -366,12 +356,9 @@ def picard_solve(config: RunConfig | None = None,
     bker = BoundaryKernel(symbols)
     lin = np.empty((2, times.n, xs.size))
     # node 0 is t = 0 exactly: G(0) psi = psi and B(0) h = 0
-    lin[0, 0] = psi(xs)
-    lin[1, 0] = psi.deriv(xs)
-    lin[:, 1:] = green.apply(xs, times.nodes[1:], (0, 1))
-    for k, t in enumerate(times.nodes[1:], start=1):
-        for d in (0, 1):
-            lin[d, k] += bker.apply_convolution(h, xs, float(t), deriv=d)
+    lin[:, 0] = psi(xs), psi.deriv(xs)
+    lin[:, 1:] = (green.apply(xs, times.nodes[1:], (0, 1))
+                  + bker.apply_convolution(h, xs, times.nodes[1:], (0, 1)))
 
     timings = {"linear_lattice_s": time.perf_counter() - clock,
                "propagator_build_s": 0.0, "transform_forcing_s": [],
@@ -437,7 +424,7 @@ def picard_solve(config: RunConfig | None = None,
     interior = times.nodes > 0.0
     trace_err = float(np.max(np.abs(u_val[interior, 0] - h_values[interior]))) \
         if interior.any() else 0.0
-    gap = _divergence_gap(u_val, u_der, xs, half.quad_weights)
+    gap = _divergence_gap(u_val, u_der, half)
 
     return SpaceTimeSolution(
         x=xs, times=times.nodes.copy(), values=u_val, derivs=u_der,

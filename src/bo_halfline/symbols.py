@@ -338,19 +338,8 @@ class DirectionCache:
 
     def gamma_axis(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
-        out = np.empty(v.shape, dtype=complex)
-        av = np.abs(v)
-        tiny = av < _V_LO
-        big = av > _V_HI
-        mid = ~(tiny | big)
-        out[tiny] = self.gamma0 + self.gamma1 * (1j * v[tiny])
-        pos = mid & (v > 0)
-        neg = mid & (v < 0)
-        out[pos] = self._ax_pos(np.log(v[pos]))
-        out[neg] = self._ax_neg(np.log(-v[neg]))
-        wb = 1j * v[big]
-        out[big] = -self.ind * np.log(-wb) + self.moment1 / wb
-        return out
+        return self._gamma_piecewise(1j * v, np.abs(v), ((v > 0, self._ax_pos),
+                                                         (v < 0, self._ax_neg)))
 
     # gamma_tilde on the negative real axis --------------------------------
 
@@ -358,14 +347,21 @@ class DirectionCache:
         u = np.asarray(u, dtype=float)
         if np.any(u >= 0):
             raise ValueError("gamma_negreal expects u < 0")
-        out = np.empty(u.shape, dtype=complex)
-        au = -u
-        tiny = au < _V_LO
-        big = au > _V_HI
+        return self._gamma_piecewise(u, -u, ((u < 0, self._negreal),))
+
+    def _gamma_piecewise(self, w: np.ndarray, mod: np.ndarray,
+                         branches) -> np.ndarray:
+        """gamma_tilde at w of modulus mod: gamma0 + gamma1 w below _V_LO, each
+        (mask, spline) branch in log mod to _V_HI, -ind log(-w) + M1/w beyond."""
+        out = np.empty(w.shape, dtype=complex)
+        tiny = mod < _V_LO
+        big = mod > _V_HI
         mid = ~(tiny | big)
-        out[tiny] = self.gamma0 + self.gamma1 * u[tiny]
-        out[mid] = self._negreal(np.log(au[mid]))
-        out[big] = -self.ind * np.log(au[big]) + self.moment1 / u[big]
+        out[tiny] = self.gamma0 + self.gamma1 * w[tiny]
+        for side, spline in branches:
+            sel = mid & side
+            out[sel] = spline(np.log(mod[sel]))
+        out[big] = -self.ind * np.log(-w[big]) + self.moment1 / w[big]
         return out
 
     # scalar bundle at s = s_hat * |s| -------------------------------------

@@ -161,6 +161,30 @@ class TestConvolution:
             want = boundary_op.apply_convolution(data_h, xs, t, deriv=d)
             assert np.max(np.abs(vals - want)) <= 1e-13 * np.max(np.abs(want))
 
+    def test_lattice_call_matches_one_node_calls(self, boundary_op, data_h):
+        # one call over several times, one of them t <= 0, and both orders
+        # gives the one-node calls row by row; a scalar t keeps shape(x)
+        xs = np.array([1e-9, 1e-3, 0.5, 1.0, 2.0, 5.0, 40.0])
+        times = np.array([-0.5, 0.0, 0.01, 0.5, 2.0])
+        got = boundary_op.apply_convolution(data_h, xs, times, (0, 1))
+        assert got.shape == (2, times.size, xs.size)
+        want = np.array([[boundary_op.apply_convolution(data_h, xs, t, deriv=d)
+                          for t in times] for d in (0, 1)])
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        assert np.all(got[:, :2] == 0.0)
+        assert boundary_op.apply_convolution(data_h, xs, 2.0).shape == xs.shape
+        assert boundary_op.apply_convolution(data_h, xs, 2.0, (0, 1)).shape \
+            == (2, xs.size)
+
+    def test_lag_set_is_self_similar(self):
+        # the convolution scales one unit lag set by t; the per-t log-graded
+        # set it replaces matches it to round-off
+        sig1, w1 = log_graded_nodes(1e-12, 1.0, 16)
+        for t in (1e-3, 0.37, 2.0, 128.0):
+            sig, w = log_graded_nodes(1e-12 * t, t, 16)
+            assert np.max(np.abs(t * sig1 - sig) / sig) <= 2e-15
+            assert np.max(np.abs(t * w1 - w) / w) <= 2e-15
+
     def test_field_values_regression(self, boundary_op, data_h):
         xs = np.array([0.5, 1.0, 2.0, 5.0])
         want_half = np.array([0.00775169, 0.0045522, 0.00220174, 0.00075593])

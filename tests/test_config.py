@@ -93,6 +93,8 @@ REJECTED = [
     ("mol_dt", 0.0), ("picard_tol", -5.0e-4), ("n_time_geometric", 0),
     ("n_time_uniform", 0), ("picard_max_iter", 0), ("mol_n", 1),
     ("mol_n", MOL_MIN_N - 1), ("seed", -1), ("n_x", 64.5),
+    # pi/2 + delta rounds to pi/2, where cos is +6.1e-17: the rays grow
+    ("delta_s", 1e-300), ("delta_u", 1e-300),
 ]
 
 
@@ -100,6 +102,16 @@ REJECTED = [
 def test_validate_rejects(key, value):
     with pytest.raises(ConfigError):
         RunConfig().replace(**{key: value})
+
+
+@pytest.mark.parametrize("key", ["delta_s", "delta_u"])
+def test_unrotated_angle_error_names_key(key):
+    with pytest.raises(ConfigError, match=key):
+        RunConfig().replace(**{key: 1e-17})
+    # the smallest angles that still turn the rays past pi/2 stay valid
+    for delta in (2e-16, 1e-8):
+        assert math.cos(math.pi / 2 + delta) < 0.0
+        assert getattr(RunConfig().replace(**{key: delta}), key) == delta
 
 
 def _cli_with_env(key: str, value) -> tuple[int, str]:
@@ -142,6 +154,8 @@ def _assert_usable(cfg: RunConfig) -> None:
     for name in ("n_time_geometric", "n_time_uniform", "picard_max_iter"):
         assert getattr(cfg, name) >= 1, name
     assert cfg.mol_n >= MOL_MIN_N and cfg.n_x >= 16 and cfg.seed >= 0
+    for name in ("delta_s", "delta_u"):
+        assert math.cos(math.pi / 2 + getattr(cfg, name)) < 0.0, name
 
 
 @settings(max_examples=150, deadline=None)

@@ -189,6 +189,31 @@ class TestAccessors:
         with pytest.raises(ValueError, match="unknown norm kind"):
             solution.norm_history(grid, "sobolev")
 
+    def test_norm_history_is_per_row_norm(self, solution, fast_cfg):
+        # the lattice norms are the one-row norms, node by node: the same
+        # sums for l2 and weighted, np.hypot for math.hypot in h1 (one ulp)
+        grid = HalfLineGrid(x_max=fast_cfg.x_max, n=fast_cfg.n_x)
+        want = {"l2": [], "h1": [], "weighted": []}
+        for v, d in zip(solution.values, solution.derivs):
+            assert isinstance(grid.l2_norm(v), float)
+            want["l2"].append(grid.l2_norm(v))
+            want["h1"].append(math.hypot(grid.l2_norm(v), grid.l2_norm(d)))
+            want["weighted"].append(grid.weighted_norm(v, 1.0))
+        for kind, rtol in (("l2", 0.0), ("h1", 1e-15), ("weighted", 0.0)):
+            got = solution.norm_history(grid, kind, weight_power=1.0)
+            np.testing.assert_allclose(got, want[kind], rtol=rtol, atol=0.0)
+
+    def test_form_discrepancy_is_max_over_rows(self, solution, fast_cfg):
+        # the lattice figure against its node-by-node loop
+        grid = HalfLineGrid(x_max=fast_cfg.x_max, n=fast_cfg.n_x)
+        num = den = 0.0
+        for v, d in zip(solution.values, solution.derivs):
+            adv = v * d
+            div = 0.5 * np.gradient(v**2, grid.nodes)
+            num = max(num, float(np.sqrt((adv - div) ** 2 @ grid.quad_weights)))
+            den = max(den, float(np.sqrt(adv**2 @ grid.quad_weights)))
+        assert solution.form_discrepancy == pytest.approx(num / den, rel=1e-14)
+
     def test_form_discrepancy_is_finite_figure(self, solution):
         # u u_x vs (1/2)(u^2)_x with an independent finite-difference
         # derivative; O(1) on the lattice (measured 0.86) because the
