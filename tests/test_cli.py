@@ -135,14 +135,15 @@ def test_solve_repeat_runs_byte_identical(fast_cfg, monkeypatch, tmp_path):
         assert a == (tmp_path / "b" / name).read_bytes()
 
 
-def test_solve_prints_stage_telemetry(fast_cfg, monkeypatch, capsys):
+def test_solve_prints_stage_telemetry(fast_cfg, monkeypatch, capsys,
+                                      tmp_path):
     for key in ("n_x", "x_max", "contour_points_per_decade",
                 "axis_points_per_decade", "n_time_geometric",
                 "n_time_uniform", "picard_max_iter", "t_final", "t_switch"):
         monkeypatch.setenv("BOHL_" + key.upper(), repr(getattr(fast_cfg, key)))
     # the reference line belongs to the cross-validation block, the only
     # block that runs the method-of-lines reference
-    main(["solve", "--suite", "cross-validation"])
+    main(["solve", "--suite", "cross-validation", "--out", str(tmp_path)])
     out, err = capsys.readouterr()
     lines = err.splitlines()
     assert any("linear_lattice_s=" in ln and "propagator_build_s=" in ln
@@ -157,9 +158,13 @@ def test_solve_prints_stage_telemetry(fast_cfg, monkeypatch, capsys):
     reference = [ln for ln in lines if "reference:" in ln]
     assert len(reference) == 1
     for key in ("n=512 ", "n_steps=1000 ", "step_matrix_s=", "steps_s=",
-                "certificate_s=", "spectral_radius=", "l2_drift="):
+                "certificate_s=", "spectral_radius=", "l2_drift=",
+                "energy_drift="):
         assert key in reference[0]
     assert "_s=" not in out
+    csvs = "".join(path.read_text() for path in tmp_path.glob("*.csv"))
+    assert "solve" in csvs
+    assert "energy_drift" not in out + csvs
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Method-of-lines reference discretization.
 
 This arm must stay independent of the contour machinery, so its checks are
-classical: spectral-radius stability of the implicit step, an FFT crosscheck
-of the dense dispersion matrix, step-doubling time convergence, exact wall
-handling, and L2 conservation for a far-field packet.
+classical: a K-norm bound on the spectral radius of the implicit step, an FFT
+crosscheck of the dense dispersion matrix, step-doubling time convergence,
+exact wall handling, and L2 conservation for a far-field packet.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,8 +66,59 @@ class TestOperators:
 
 class TestCertificates:
     def test_implicit_step_spectral_radius(self, mol):
-        # (I - dt A)^{-1} with skew A: radius exactly 1 to eig roundoff.
+        # Unit end rows plus a step that contracts the interior in the
+        # K-norm (A_ii = H_ii K with H_ii skew): the bound max(1, ||S_ii||_K)
+        # reads 1 to round-off.
         assert mol.stability_certificate() <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_certificate_bounds_dense_radius(self, cfg, n):
+        # The K-norm is never below the spectral radius of the same S; the
+        # dense nonsymmetric eigensolve is the oracle.
+        m = MethodOfLines(cfg, mol_n=n)
+        step = m.step_matrix()
+        radius = float(np.max(np.abs(np.linalg.eigvals(step))))
+        bound = m.stability_certificate(step=step)
+        assert radius - 1e-12 <= bound <= 1.0 + 1e-9
+
+    def test_certificate_catches_wall_instability(self, cfg):
+        # The one-sided wall curvature row (2, -5, 4, -1)/dx^2 fed through
+        # the PV matrix's wall column creates the unstable wall eigenpair
+        # (max Re lambda(A) measured 9.6 at n = 256); measured bound 1.094
+        # against a dense radius of 1.009.
+        m = MethodOfLines(cfg, mol_n=256)
+        stencil = np.array([2.0, -5.0, 4.0, -1.0]) / m.dx**2
+        m.amat[:, :4] -= np.outer(m.hilbert_mat[:, 0], stencil)
+        m.amat[0] = 0.0
+        m.amat[-1] = 0.0
+        step = m.step_matrix()
+        radius = float(np.max(np.abs(np.linalg.eigvals(step))))
+        assert radius > 1.005
+        assert m.stability_certificate(step=step) > 1.01
+
+    def test_certificate_fails_closed(self, cfg):
+        # an end row that is not exactly a unit row, or a non-finite
+        # interior, leaves no bound
+        m = MethodOfLines(cfg, mol_n=64)
+        for row, col, value in ((0, 1, 1e-300),
+                                (-1, -1, np.nextafter(1.0, 2.0)),
+                                (5, 7, np.nan)):
+            step = m.step_matrix()
+            step[row, col] = value
+            assert m.stability_certificate(step=step) == float("inf")
+
+    def test_certificate_allocates_one_gram_matrix(self, mol):
+        # The certificate works in place on S's interior and hands LAPACK a
+        # Fortran-ordered Gram matrix; a second (n-1)^2 copy would show here.
+        step = mol.step_matrix()
+        n_in = mol.x.size - 2
+        tracemalloc.start()
+        try:
+            mol.stability_certificate(step=step)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * n_in**2 * 8
 
     def test_dispersion_fft_crosscheck(self, mol):
         # Dense PV matrix vs zero-extension FFT on a smooth interior bump
@@ -124,6 +177,15 @@ class TestEvolution:
         assert res.meta["n_steps"] == 125
         for key in ("step_matrix_s", "steps_s", "certificate_s"):
             assert res.meta[key] >= 0.0
+
+    def test_energy_drift_of_saved_states(self, cfg):
+        # relative change of (1/2) sum (u_{i+1} - u_i)^2 / dx from t = 0 to
+        # the end of the run, like l2_drift for the L2 norm
+        m = MethodOfLines(cfg, mol_n=128)
+        res = m.run(0.25, save_times=np.array([0.0, 0.25]))
+        energy = 0.5 * np.sum(np.diff(res.values, axis=1) ** 2, axis=1) / m.dx
+        expect = abs(energy[1] - energy[0]) / energy[0]
+        assert res.meta["energy_drift"] == pytest.approx(expect, rel=1e-12)
 
     def test_run_certifies_its_own_step_matrix(self, mol):
         # t_final = 8 dt keeps dt exact, so the run inverts the same matrix
@@ -192,6 +254,17 @@ class TestSaveTimes:
     def test_off_step_save_time_rejected(self, mol):
         with pytest.raises(ValueError, match="not a multiple"):
             mol.run(0.25, save_times=np.array([0.0, 0.1001]))
+
+    @pytest.mark.parametrize("saves,match", [
+        ([0.0, 0.02], "outside"),
+        ([-0.005, 0.01], "outside"),
+        ([0.0, 0.005, 0.005], "given twice"),
+    ])
+    def test_unreachable_or_repeated_save_time_rejected(self, mol, saves,
+                                                        match):
+        # each would leave an all-zero row in the saved values
+        with pytest.raises(ValueError, match=match):
+            mol.run(0.01, save_times=np.array(saves))
 
     def test_horizon_below_half_step_takes_one_step(self, mol):
         res = mol.run(0.0004, save_times=np.array([0.0, 0.0004]))
