@@ -32,6 +32,14 @@ ENUM_VALUES = {
 #: room, and the PV/FFT cross-check trims 8 nodes at each end.
 MOL_MIN_N = 16
 
+#: Smallest accepted t_switch: the first positive lattice time, 1e-3
+#: t_switch, must square to a normal double.  Smaller lattices leave the
+#: double range: the growth fits' np.polyfit squares the times (LinAlgError
+#: once t_final^2 underflows, near t_final = 1e-162), and the boundary
+#: convolution raises lags down to 1e-15 t_switch to the power 3/2 (overflow
+#: below t_switch ~ 5e-188, a NaN lattice at 1e-300).
+MIN_T_SWITCH = 1.0e-150
+
 _FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
 
 
@@ -118,6 +126,11 @@ class RunConfig:
             raise ConfigError("grid requires n_x >= 16")
         if self.t_final <= 0 or not 0 < self.t_switch <= self.t_final:
             raise ConfigError("need 0 < t_switch <= t_final")
+        if self.t_switch < MIN_T_SWITCH:
+            raise ConfigError(
+                f"t_switch={self.t_switch!r} (t_final={self.t_final!r}) is "
+                f"below {MIN_T_SWITCH:g}: squares and powers of the smallest "
+                f"lattice times leave the double range")
         for name in ("x_max", "mol_length", "mol_dt", "picard_tol"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")

@@ -153,14 +153,16 @@ class RayLayout:
                                       (s_c * np.ones_like(p_c)).ravel()], axis=1)
         self._pinv = np.linalg.pinv(self.corner_basis)
 
-    def fit_tail(self, e_ray: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Least-squares (lam1, lam0) of the corner model for ray rows
-        (..., n_ray, n_p), and the rows extended by the tail (..., n_rows, n_p)."""
-        corner = e_ray[(Ellipsis,) + self.corner]
+    def fit_tail(self, rows: np.ndarray) -> np.ndarray:
+        """Least-squares (lam1, lam0), shape (..., 2), of the corner model for
+        rows (..., n_ray + n_tail, n_p) whose ray rows are filled; the tail
+        rows are written in place."""
+        corner = rows[(Ellipsis,) + self.corner]
         lam = corner.reshape(corner.shape[:-2] + (-1,)) @ self._pinv.T
-        tail = lam[..., 0, None, None] * self._tail_b1 \
-            + lam[..., 1, None, None] * self._tail_b0
-        return lam, np.concatenate([e_ray, tail], axis=-2)
+        tail = rows[..., self.n_ray:, :]
+        np.multiply(lam[..., 0, None, None], self._tail_b1, out=tail)
+        tail += lam[..., 1, None, None] * self._tail_b0
+        return lam
 
     def damping(self, t: float) -> np.ndarray:
         """e^{s p^2 t} on (rows, p)."""
@@ -189,18 +191,22 @@ class EMinusLattice:
         self.layout = layout = RayLayout(grids, theta0)
         p = layout.p_nodes
         self.p_nodes = p
-        self.E_ray = self._rows(symbols.direction(layout.ray.phase), grids.ray[0], p)
+        self.E_full = np.empty((layout.ray.s.size, p.size), dtype=complex)
+        self.E_ray = self.E_full[:layout.n_ray]
+        self._rows(symbols.direction(layout.ray.phase), grids.ray[0], p,
+                   out=self.E_ray)
         self.E_brk = self._rows(symbols.direction(1j), np.array([1.0]), p)[0]
-        lam, self.E_full = layout.fit_tail(self.E_ray)
+        lam = layout.fit_tail(self.E_full)
         self.tail_lam1, self.tail_lam0 = complex(lam[0]), complex(lam[1])
         rhs = self.E_ray[layout.corner].ravel()
         scale = float(np.max(np.abs(rhs)))
         gap = float(np.max(np.abs(rhs - layout.corner_basis @ lam)))
         self.tail_fit_residual = gap / scale if scale else 0.0
 
-    def _rows(self, cache: DirectionCache, mod_s: np.ndarray,
-              p: np.ndarray) -> np.ndarray:
-        """E- rows (n_s, n_p) at the moduli mod_s.
+    def _rows(self, cache: DirectionCache, mod_s: np.ndarray, p: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+        """E- rows (n_s, n_p) at the moduli mod_s, written into ``out`` when
+        it is given.
 
         The axis pairs its nodes exactly, v[:n] = -v[n:][::-1] with mirrored
         weights, and the datum is real, so psi_hat(m v_lower) is the reversed
@@ -211,7 +217,8 @@ class EMinusLattice:
         w, root = e_minus_weights(cache, mod_s[:, None], v, wv)
         w_up = w[:, n:]
         w_lo = np.conj(w[:, n - 1::-1])
-        out = np.empty((mod_s.size, p.size), dtype=complex)
+        if out is None:
+            out = np.empty((mod_s.size, p.size), dtype=complex)
         for i, ms in enumerate(mod_s):
             m = p * math.sqrt(ms)
             psi_up = self.psi_hat(m[:, None] * v[None, n:])

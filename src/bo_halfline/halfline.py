@@ -262,26 +262,30 @@ def _filon_laplace_ab(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 LAPLACE_BLOCK_ROWS = 256
 
 
-def laplace_matrix(z_values: np.ndarray, x_nodes: np.ndarray) -> np.ndarray:
+def laplace_matrix(z_values: np.ndarray, x_nodes: np.ndarray,
+                   dtype=complex) -> np.ndarray:
     """Weights W with (W @ f) = int e^{-z x} f(x) dx for piecewise-linear f.
 
     Exact per panel for any complex z with Re z >= 0 (raises otherwise: the
     exponential factors overflow and the transform is not used there).  The
-    output is filled in blocks of LAPLACE_BLOCK_ROWS rows; every entry is an
-    elementwise formula in its own z, so the blocking does not change a bit."""
+    weights are formed in complex128 in blocks of LAPLACE_BLOCK_ROWS rows,
+    each rounded once into the output of the given dtype, so a single-
+    precision matrix never exists in double precision.  Every entry is an
+    elementwise formula in its own z: the blocking does not change a bit."""
     z = np.atleast_1d(np.asarray(z_values, dtype=complex))
     if np.any(z.real < -1.0e-12 * (1.0 + np.abs(z))):
         raise ValueError("laplace_matrix requires Re z >= 0")
     x = np.asarray(x_nodes, dtype=float)
     h = np.diff(x)                                    # (nx-1,)
-    out = np.zeros((z.size, x.size), dtype=complex)
+    out = np.empty((z.size, x.size), dtype=dtype)
     for lo in range(0, z.size, LAPLACE_BLOCK_ROWS):
         zb = z[lo:lo + LAPLACE_BLOCK_ROWS, None]
         wa, wb = _filon_laplace_ab(zb * h[None, :])
         front = h[None, :] * np.exp(-zb * x[None, :-1])
-        block = out[lo:lo + LAPLACE_BLOCK_ROWS]
+        block = np.zeros((zb.size, x.size), dtype=complex)
         block[:, :-1] += front * wa
         block[:, 1:] += front * wb
+        out[lo:lo + LAPLACE_BLOCK_ROWS] = block
     return out
 
 

@@ -15,6 +15,8 @@ matrix products instead of thousands of kernel rebuilds.
 from __future__ import annotations
 
 import math
+import resource
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -86,7 +88,11 @@ class XNorm:
 
 @dataclass
 class ForcingTransforms:
-    """Per-sweep kernel lattices of the forcing history (one row per node)."""
+    """Per-sweep kernel lattices of the forcing history (one row per node).
+
+    Each array is allocated once and filled in place, so a sweep holds
+    little beyond them: e_full's ray rows take the cast single-precision
+    products, its tail rows the corner model fitted to them."""
 
     e_full: np.ndarray      # (n_t, n_ray + n_tail, n_p) damped-ray + tail rows
     e_brk: np.ndarray       # (n_t, n_p) bracket-direction rows
@@ -132,7 +138,9 @@ class DuhamelPropagator:
     step h of the time lattice (the uniform half repeats one step).  The
     Filon-weighted bracket row has no such recurrence (the weights are not
     multiplicative in sigma) and is one contraction per node against the
-    table of weights, built once per distinct gap t_k - t_l.
+    table of weights: one single-precision row per distinct gap t_k - t_l,
+    read through an (n_t, n_t) integer index, so no (n_t, n_t, n_p) array
+    is ever formed.
 
     The forcing is real, so its spectra are half spectra (real FFTs).  The
     recurrence only records, per node, the running free spectrum and the
@@ -140,6 +148,12 @@ class DuhamelPropagator:
     follow in one pass: WholeLineGrid.free_field, which the Green operator
     uses too, and one FieldAssembly call on the stacked (n_t, n_p) kernel
     rows.  The phases e^{i tau xi|xi|} of every node are built once.
+
+    Memory: the single-precision Laplace matrices are filled in their own
+    dtype (``laplace_matrix``), never in double precision first, and a sweep
+    allocates its ForcingTransforms once and writes every product into it.
+    The products, casts and their order are those of the whole-lattice
+    formulation, so the values are the same to the bit.
     """
 
     def __init__(self, symbols: Symbols, half_grid: HalfLineGrid,
@@ -166,30 +180,36 @@ class DuhamelPropagator:
         self._t_brk = t_brk[0]                       # (n_p, nz)
         self._bt_ray = bt_ray                        # (n_ray,)
         self._bt_brk = complex(bt_brk[0])
-        self._lap_axis = laplace_matrix(z, xs).astype(np.complex64)
-        self._lap_scat_ray = laplace_matrix(scat_ray.ravel(), xs).astype(np.complex64)
-        self._lap_scat_brk = laplace_matrix(scat_brk[0], xs).astype(np.complex64)
+        self._lap_axis = laplace_matrix(z, xs, np.complex64)
+        self._lap_scat_ray = laplace_matrix(scat_ray.ravel(), xs, np.complex64)
+        self._lap_scat_brk = laplace_matrix(scat_brk[0], xs, np.complex64)
         self.field = FieldAssembly(xs, p)
 
         # oscillatory quadrature weights for every (t_k, tau_l) gap, one
-        # Filon build per distinct gap (the uniform half repeats them)
+        # Filon build and one table row per distinct gap (the uniform half
+        # repeats them); _fw_of[k, l] is the row of gap t_k - t_l for l <= k
+        # and one past the table (no row) for l > k
         nt = times.n
         lower = np.tril_indices(nt)
         gaps = (times.nodes[:, None] - times.nodes[None, :])[lower]
         distinct, which = np.unique(gaps, return_inverse=True)
-        table = np.empty((distinct.size, p.size), dtype=np.complex64)
+        self._fw = np.empty((distinct.size, p.size), dtype=np.complex64)
         for i, sigma in enumerate(distinct):
-            table[i] = fresnel_weights(p, float(sigma))
-        self._fw = np.zeros((nt, nt, p.size), dtype=np.complex64)
-        self._fw[lower] = table[which]
+            self._fw[i] = fresnel_weights(p, float(sigma))
+        self._fw_of = np.full((nt, nt), distinct.size)
+        self._fw_of[lower] = which
 
         # e^{s p^2 h} for every distinct step h = t_{k+1} - t_k
         steps, self._step_of = np.unique(np.diff(times.nodes), return_inverse=True)
-        self._damping = np.stack([self.layout.damping(h) for h in steps])
+        self._damping = np.empty((steps.size,) + self.layout.sp2.shape,
+                                 dtype=complex)
+        for i, h in enumerate(steps):
+            self._damping[i] = self.layout.damping(h)
 
         # e^{i tau xi|xi|} at every node, on the half spectrum
         xi = self.whole.xi_half
-        self._back = np.exp(1j * np.outer(times.nodes, xi * np.abs(xi)))
+        self._back = 1j * np.outer(times.nodes, xi * np.abs(xi))
+        np.exp(self._back, out=self._back)
         self._support = slice(self.whole.index_of(0.0),
                               self.whole.index_of(float(xs[-1])) + 1)
 
@@ -214,26 +234,37 @@ class DuhamelPropagator:
     def transform_forcing(self, forcing: np.ndarray) -> ForcingTransforms:
         """Kernel lattices and spectra for every forcing row (n_t, n_x)."""
         nt = self.times.n
-        n_p = self.layout.p_nodes.size
-        n_ray = self.layout.n_ray
+        layout = self.layout
+        n_p = layout.p_nodes.size
+        n_ray = layout.n_ray
+
+        def by_node(prod: np.ndarray) -> np.ndarray:
+            """(n_ray*n_p, nt) product as an (nt, n_ray, n_p) view."""
+            return np.moveaxis(prod.reshape(n_ray, n_p, nt), -1, 0)
+
+        # complex64 products, each cast once into the ray rows of the one
+        # output lattice; the scatter term is subtracted in complex128 one
+        # ray row at a time, and its product freed before the spectra
         fc = forcing.astype(np.complex64)
         fz = self._lap_axis @ fc.T                            # (nz, nt)
-        e_ray = (self._t_ray @ fz).T.astype(complex)          # (nt, n_ray*n_p)
-        e_ray = e_ray.reshape(nt, n_ray, n_p)
-        scat_ray = (self._lap_scat_ray @ fc.T).T.astype(complex)
-        e_ray -= self._bt_ray[None, :, None] \
-            * scat_ray.reshape(nt, n_ray, n_p)
+        e_full = np.empty((nt, layout.ray.s.size, n_p), dtype=complex)
+        e_ray = e_full[:, :n_ray]
+        e_ray[...] = by_node(self._t_ray @ fz)
+        scat_ray = by_node(self._lap_scat_ray @ fc.T)
+        for i, bt in enumerate(self._bt_ray):
+            e_ray[:, i] -= bt * scat_ray[:, i]
+        del scat_ray
         e_brk = (self._t_brk @ fz).T.astype(complex)
         e_brk -= self._bt_brk * (self._lap_scat_brk @ fc.T).T
-        _, e_full = self.layout.fit_tail(e_ray)
+        layout.fit_tail(e_full)
 
         # zero-extended spectra, anti-evolved so sums telescope over tau
         samples = np.zeros((nt, self.whole.n))
         spline = CubicSpline(self.half.nodes, forcing, axis=1)
         samples[:, self._support] = spline(self.whole.nodes[self._support])
         spectra = np.fft.rfft(samples, axis=1)
-        return ForcingTransforms(e_full=e_full, e_brk=e_brk,
-                                 spectra=spectra * self._back)
+        spectra *= self._back
+        return ForcingTransforms(e_full=e_full, e_brk=e_brk, spectra=spectra)
 
     def accumulate(self, lat: ForcingTransforms) -> tuple[np.ndarray, np.ndarray]:
         """Value and derivative lattices (n_t, n_x) of the memory integral,
@@ -261,7 +292,7 @@ class DuhamelPropagator:
                     * (acc + w[k - 1] * lat.e_full[k - 1])
                 k0_brk = np.exp(1j * p0sq * hstep) \
                     * (k0_brk + w_e_brk[k - 1, 0])
-            w_brk[k] = np.sum(w_e_brk[:k] * self._fw[k, :k], axis=0)
+            w_brk[k] = np.sum(w_e_brk[:k] * self._fw[self._fw_of[k, :k]], axis=0)
             k_smooth[k] = layout.ray.smooth(acc)
             k0[k] = k_smooth[k, 0] + np.imag(k0_brk)
         # the free part: trapezoid running sums of the anti-evolved spectra
@@ -297,10 +328,12 @@ class SpaceTimeSolution:
     n_iter: int
     trace_error: float
     form_discrepancy: float
-    # run labels and stage seconds: linear_lattice_s, propagator_build_s (0
-    # for a supplied propagator), and lists with one entry per Duhamel sweep
-    # (the Picard iterations, then the residual sweep): transform_forcing_s,
-    # accumulate_s, and sweep_s, which adds the X-norm of the step
+    # run labels, stage seconds and the process peak RSS (MB) at the end of
+    # each stage: linear_lattice_s and _peak_rss_mb, propagator_build_s (0
+    # for a supplied propagator) and _peak_rss_mb, and lists with one entry
+    # per Duhamel sweep (the Picard iterations, then the residual sweep):
+    # transform_forcing_s, accumulate_s, sweep_s, which adds the X-norm of
+    # the step, and sweep_peak_rss_mb
     meta: dict = field(default_factory=dict)
 
     def at_time(self, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -321,6 +354,13 @@ class SpaceTimeSolution:
         if kind == "weighted":
             return grid.weighted_norm(self.values, weight_power)
         raise ValueError(f"unknown norm kind {kind!r}")
+
+
+def peak_rss_mb() -> float:
+    """Peak resident set size of this process so far, in MB (2^20 bytes):
+    ``ru_maxrss`` counts KiB on Linux and bytes on macOS."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2.0**20 if sys.platform == "darwin" else 2.0**10)
 
 
 def advective_forcing(values: np.ndarray, derivs: np.ndarray) -> np.ndarray:
@@ -361,12 +401,14 @@ def picard_solve(config: RunConfig | None = None,
                   + bker.apply_convolution(h, xs, times.nodes[1:], (0, 1)))
 
     timings = {"linear_lattice_s": time.perf_counter() - clock,
+               "linear_lattice_peak_rss_mb": peak_rss_mb(),
                "propagator_build_s": 0.0, "transform_forcing_s": [],
-               "accumulate_s": [], "sweep_s": []}
+               "accumulate_s": [], "sweep_s": [], "sweep_peak_rss_mb": []}
     if propagator is None:
         clock = time.perf_counter()
         propagator = DuhamelPropagator(symbols, half, times)
         timings["propagator_build_s"] = time.perf_counter() - clock
+    timings["propagator_build_peak_rss_mb"] = peak_rss_mb()
     xnorm = XNorm(half, times.nodes)
 
     def sweep(values: np.ndarray, derivs: np.ndarray):
@@ -382,6 +424,7 @@ def picard_solve(config: RunConfig | None = None,
         timings["transform_forcing_s"].append(t1 - t0)
         timings["accumulate_s"].append(t2 - t1)
         timings["sweep_s"].append(time.perf_counter() - t0)
+        timings["sweep_peak_rss_mb"].append(peak_rss_mb())
         return new_val, new_der, step
 
     u_val, u_der = lin[0].copy(), lin[1].copy()

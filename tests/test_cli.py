@@ -105,9 +105,14 @@ class TestConfigErrors:
     # a horizon under half a reference step: the reference takes one step
     ({"T_FINAL": "0.0004", "T_SWITCH": "0.0002"},
      ["cross-validation/rel-l2[t=0.0004]"]),
+    # the smallest accepted lattice: its times still square to normal
+    # doubles, so the growth fits and the boundary lags stay finite
+    ({"T_FINAL": "1e-150", "T_SWITCH": "1e-150"},
+     ["cross-validation/rel-l2[t=1e-150]"]),
 ])
 def test_solve_short_lattice_reports(env, expect, fast_cfg, monkeypatch, capsys):
-    # each of these valid configurations used to exit 2 with a traceback
+    # valid configurations report without a traceback; all but the last
+    # used to exit 2 with one
     for key in ("n_x", "x_max", "contour_points_per_decade",
                 "axis_points_per_decade", "n_time_geometric",
                 "n_time_uniform", "picard_max_iter"):
@@ -146,25 +151,36 @@ def test_solve_prints_stage_telemetry(fast_cfg, monkeypatch, capsys,
     main(["solve", "--suite", "cross-validation", "--out", str(tmp_path)])
     out, err = capsys.readouterr()
     lines = err.splitlines()
-    assert any("linear_lattice_s=" in ln and "propagator_build_s=" in ln
-               for ln in lines)
+    stages = [ln for ln in lines if "linear_lattice_s=" in ln]
+    assert len(stages) == 1
+    for key in ("propagator_build_s=", "linear_lattice_peak_rss_mb=",
+                "propagator_build_peak_rss_mb="):
+        assert key in stages[0]
     sweeps = [ln for ln in lines if "sweep" in ln]
     assert any("sweep 1:" in ln for ln in sweeps)
     assert any("residual sweep:" in ln for ln in sweeps)
     for ln in sweeps:
         for key in ("transform_forcing_s=", "accumulate_s=", "sweep_s=",
-                    "step_norm=", "contraction_ratio="):
+                    "step_norm=", "contraction_ratio=", "peak_rss_mb="):
             assert key in ln
+    # the process peak never falls: each stage reads at least the last
+    peaks = [float(ln.split(key)[1].split()[0]) for ln in stages + sweeps
+             for key in ("linear_lattice_peak_rss_mb=",
+                         "propagator_build_peak_rss_mb=", " peak_rss_mb=")
+             if key in ln]
+    assert len(peaks) == 2 + len(sweeps)
+    assert peaks[0] > 0.0 and peaks == sorted(peaks)
     reference = [ln for ln in lines if "reference:" in ln]
     assert len(reference) == 1
     for key in ("n=512 ", "n_steps=1000 ", "step_matrix_s=", "steps_s=",
                 "certificate_s=", "spectral_radius=", "l2_drift=",
                 "energy_drift="):
         assert key in reference[0]
-    assert "_s=" not in out
+    assert "_s=" not in out and "rss" not in out
     csvs = "".join(path.read_text() for path in tmp_path.glob("*.csv"))
     assert "solve" in csvs
     assert "energy_drift" not in out + csvs
+    assert "rss" not in csvs
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bo_halfline.cli import main
-from bo_halfline.config import ENUM_VALUES, MOL_MIN_N, ConfigError, RunConfig
+from bo_halfline.config import (ENUM_VALUES, MIN_T_SWITCH, MOL_MIN_N,
+                                ConfigError, RunConfig)
 
 DEFAULTS_FILE = Path(__file__).resolve().parents[1] / "src" / "bo_halfline" / "defaults.cfg"
 
@@ -95,6 +96,9 @@ REJECTED = [
     ("mol_n", MOL_MIN_N - 1), ("seed", -1), ("n_x", 64.5),
     # pi/2 + delta rounds to pi/2, where cos is +6.1e-17: the rays grow
     ("delta_s", 1e-300), ("delta_u", 1e-300),
+    # the boundary convolution's lags at the first node leave the double
+    # range: an overflowing kernel at 1e-200, a NaN lattice at 1e-300
+    ("t_switch", 1e-200), ("t_switch", 1e-300),
 ]
 
 
@@ -114,11 +118,13 @@ def test_unrotated_angle_error_names_key(key):
         assert getattr(RunConfig().replace(**{key: delta}), key) == delta
 
 
-def _cli_with_env(key: str, value) -> tuple[int, str]:
-    """Exit code and stderr of config resolution with BOHL_<KEY> set; an
-    unknown block keeps an accepted config from running any check."""
+def _cli_with_env(key: str, value, **more) -> tuple[int, str]:
+    """Exit code and stderr of config resolution with BOHL_<KEY> (and any
+    further keys) set; an unknown block keeps an accepted config from
+    running any check."""
+    env = {"BOHL_" + k.upper(): str(v) for k, v in {key: value, **more}.items()}
     err = io.StringIO()
-    with mock.patch.dict(os.environ, {"BOHL_" + key.upper(): str(value)}), \
+    with mock.patch.dict(os.environ, env), \
             contextlib.redirect_stderr(err), \
             contextlib.redirect_stdout(io.StringIO()):
         code = main(["selfcheck", "--suite", "no-such-block"])
@@ -130,6 +136,19 @@ def test_rejected_env_value_exits_2(key, value):
     code, err = _cli_with_env(key, value)
     assert code == 2
     assert "configuration error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("horizon", [1e-300, 1e-200, 1e-170])
+def test_vanishing_time_lattice_rejected(horizon):
+    # t_final = t_switch = 1e-300 used to end in a CubicSpline traceback
+    # (the boundary lattice is NaN), 1e-200 in overflow warnings, and 1e-170
+    # in a LinAlgError of the growth fit, whose polyfit squares the times
+    with pytest.raises(ConfigError, match="t_switch"):
+        RunConfig().replace(t_final=horizon, t_switch=horizon)
+    code, err = _cli_with_env("t_final", horizon, t_switch=horizon)
+    assert code == 2
+    assert "configuration error" in err and "t_switch" in err
+    assert "Traceback" not in err
 
 
 _TYPE_OF = {f.name: f.type for f in dataclasses.fields(RunConfig)}
@@ -154,6 +173,7 @@ def _assert_usable(cfg: RunConfig) -> None:
     for name in ("n_time_geometric", "n_time_uniform", "picard_max_iter"):
         assert getattr(cfg, name) >= 1, name
     assert cfg.mol_n >= MOL_MIN_N and cfg.n_x >= 16 and cfg.seed >= 0
+    assert cfg.t_switch >= MIN_T_SWITCH
     for name in ("delta_s", "delta_u"):
         assert math.cos(math.pi / 2 + getattr(cfg, name)) < 0.0, name
 

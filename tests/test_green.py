@@ -87,6 +87,25 @@ def test_folded_rows_match_full_axis_sum(sym, cfg, name):
             assert np.max(np.abs(got[i] - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+def test_tail_rows_filled_in_place(green_op):
+    # the ray rows are a view of the full rows, and the in-place tail fit
+    # gives bitwise the corner-model rows once concatenated onto them
+    lat = green_op.lattice
+    layout = lat.layout
+    assert lat.E_full.shape == (layout.ray.s.size, lat.p_nodes.size)
+    assert np.shares_memory(lat.E_ray, lat.E_full)
+    assert np.array_equal(lat.E_ray, lat.E_full[:layout.n_ray])
+    lam = lat.E_ray[layout.corner].reshape(-1) @ layout._pinv.T
+    assert (lat.tail_lam1, lat.tail_lam0) == (lam[0], lam[1])
+    tail = lam[0, None, None] * layout._tail_b1 + lam[1, None, None] * layout._tail_b0
+    want = np.concatenate([np.array(lat.E_ray), tail], axis=0)
+    assert np.array_equal(lat.E_full, want)
+    # a second fit on the filled rows rewrites the same tail
+    again = np.array(lat.E_full)
+    assert np.array_equal(layout.fit_tail(again), lam)
+    assert np.array_equal(again, want)
+
+
 # ---------------------------------------------------------------------------
 # Lattice kernel
 

@@ -250,8 +250,12 @@ def test_laplace_matrix_row_blocks_bitwise(half_grid, monkeypatch, offset):
     import bo_halfline.halfline as halfline
     z = _laplace_points(halfline.LAPLACE_BLOCK_ROWS + offset)
     blocked = laplace_matrix(z, half_grid.nodes)
+    single = laplace_matrix(z, half_grid.nodes, np.complex64)
     monkeypatch.setattr(halfline, "LAPLACE_BLOCK_ROWS", z.size + 1)
     assert np.array_equal(blocked, laplace_matrix(z, half_grid.nodes))
+    # a single-precision matrix is the double one rounded once, entrywise
+    assert single.dtype == np.complex64
+    assert np.array_equal(single, blocked.astype(np.complex64))
 
 
 def test_laplace_matrix_allocation_peak(half_grid):
@@ -266,6 +270,23 @@ def test_laplace_matrix_allocation_peak(half_grid):
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         laplace_matrix(z, half_grid.nodes)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * out_bytes
+
+
+def test_laplace_matrix_single_precision_peak(half_grid):
+    # filled in the caller's dtype: a complex64 matrix never exists in
+    # complex128, so the peak stays near its own 8-byte entries
+    import tracemalloc
+    z = _laplace_points(15000)
+    out_bytes = z.size * half_grid.nodes.size * 8
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        laplace_matrix(z, half_grid.nodes, np.complex64)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

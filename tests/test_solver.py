@@ -152,6 +152,15 @@ class TestPicard:
                                   meta["accumulate_s"], meta["sweep_s"]):
             assert tf + acc <= sweep + 1e-9   # the sweep adds its X-norm
 
+    def test_stage_peak_rss_in_meta(self, solution):
+        # the process peak after each stage: positive and never falling
+        meta = solution.meta
+        peaks = [meta["linear_lattice_peak_rss_mb"],
+                 meta["propagator_build_peak_rss_mb"],
+                 *meta["sweep_peak_rss_mb"]]
+        assert len(peaks) == solution.n_iter + 3
+        assert peaks[0] > 0.0 and peaks == sorted(peaks)
+
     def test_large_data_aborts(self, fast_cfg):
         # At 200x the production amplitude the iteration diverges; the
         # solver must detect it and say so rather than return garbage.
@@ -352,14 +361,67 @@ class TestDuhamelPropagator:
         assert len(propagator._damping) < nodes.size - 1
 
     def test_filon_table_is_per_gap_weights(self, propagator):
+        # one table row per distinct gap, looked up through the index
         nodes = propagator.times.nodes
         p = propagator.layout.p_nodes
-        fw = propagator._fw
+        table, row_of = propagator._fw, propagator._fw_of
         for k in range(nodes.size):
             for ell in range(k + 1):
                 want = fresnel_weights(p, nodes[k] - nodes[ell])
-                assert np.array_equal(fw[k, ell], want.astype(np.complex64))
-        assert not np.any(fw[np.triu_indices(nodes.size, 1)])
+                assert np.array_equal(table[row_of[k, ell]],
+                                      want.astype(np.complex64))
+        lower = row_of[np.tril_indices(nodes.size)]
+        assert np.array_equal(np.unique(lower), np.arange(len(table)))
+        # l > k points one past the table: any lookup there raises
+        assert np.all(row_of[np.triu_indices(nodes.size, 1)] == len(table))
+        with pytest.raises(IndexError):
+            table[row_of[0, 1]]
+
+    def test_transform_allocates_little_beyond_its_output(
+            self, propagator, decaying_forcing):
+        # one preallocated kernel lattice per sweep: the tracemalloc peak of
+        # a call stays under twice the bytes it returns (2.7x when every
+        # product was cast, scaled and concatenated in full-lattice copies)
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            lat = propagator.transform_forcing(decaying_forcing)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        out = lat.e_full.nbytes + lat.e_brk.nbytes + lat.spectra.nbytes
+        assert peak <= 2.0 * out
+
+    def test_no_pairwise_lattice_but_the_index(self, propagator):
+        # nothing the propagator keeps grows like n_t^2 n_p: the only
+        # (n_t, n_t) array is the integer Filon index
+        nt = propagator.times.n
+        square = {name: a for name, a in vars(propagator).items()
+                  if isinstance(a, np.ndarray) and a.shape[:2] == (nt, nt)}
+        assert list(square) == ["_fw_of"]
+        assert square["_fw_of"].ndim == 2
+        assert np.issubdtype(square["_fw_of"].dtype, np.integer)
+
+    def test_transform_fills_ray_and_tail_rows_of_one_lattice(
+            self, propagator, decaying_forcing):
+        # the ray rows, then the corner-model tail fitted to them, as the
+        # old whole-lattice route built and concatenated them
+        prop = propagator
+        layout, nt = prop.layout, prop.times.n
+        n_ray, n_p = layout.n_ray, layout.p_nodes.size
+        lat = prop.transform_forcing(decaying_forcing)
+        fc = decaying_forcing.astype(np.complex64)
+        fz = prop._lap_axis @ fc.T
+        e_ray = (prop._t_ray @ fz).T.astype(complex).reshape(nt, n_ray, n_p)
+        scat = (prop._lap_scat_ray @ fc.T).T.astype(complex)
+        e_ray -= prop._bt_ray[None, :, None] * scat.reshape(nt, n_ray, n_p)
+        corner = e_ray[(Ellipsis,) + layout.corner].reshape(nt, -1)
+        lam = corner @ layout._pinv.T
+        tail = lam[:, 0, None, None] * layout._tail_b1 \
+            + lam[:, 1, None, None] * layout._tail_b0
+        assert np.array_equal(lat.e_full, np.concatenate([e_ray, tail], axis=1))
 
 
 class _NanPropagator:
