@@ -37,7 +37,8 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import gammainc, wofz
 
 from .contour import DampedRay, axis_nodes, log_graded_nodes
-from .halfline import Profile, WholeLineGrid, laplace_matrix, lattice_args
+from .halfline import (EXP_UNDERFLOW, Profile, WholeLineGrid, laplace_matrix,
+                       lattice_args)
 from .symbols import DirectionCache, Symbols
 
 TWO_PI_I = 2j * np.pi
@@ -165,9 +166,14 @@ class RayLayout:
         return lam
 
     def damping(self, t: float) -> np.ndarray:
-        """e^{s p^2 t} on (rows, p)."""
+        """e^{s p^2 t} on (rows, p).  Where the real exponent is below
+        EXP_UNDERFLOW the exponential is exactly 0 and is not evaluated:
+        those entries have the largest imaginary parts, so they are also the
+        slowest, and they are 20-40% of the production lattices."""
+        z = self.sp2 * t
+        out = np.zeros(z.shape, dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.exp(self.sp2 * t)
+            return np.exp(z, out=out, where=~(z.real < EXP_UNDERFLOW))
 
 
 class EMinusLattice:
@@ -289,41 +295,79 @@ class EMinusLattice:
 # Filon moments for the oscillatory residue pieces
 
 
-def fresnel_weights(p_nodes: np.ndarray, sigma: float) -> np.ndarray:
-    """Per-node weights w with sum_q w_q A(p_q) = int A(p) e^{i sigma p^2} dp
-    exact for piecewise-linear A between the nodes.
+#: Rows of a Filon table evaluated per block, so that its temporaries stay a
+#: few MB however many sigmas a caller asks for.
+FRESNEL_BLOCK_ROWS = 512
 
-    Stable for any real sigma (trapezoid limit as sigma -> 0); the oscillatory
-    branch uses Fresnel moments built from the Faddeeva function evaluated in
-    the upper half plane."""
-    if sigma < 0:
-        return np.conj(fresnel_weights(p_nodes, -sigma))
+
+def fresnel_table(p_nodes: np.ndarray, sigmas, dtype=complex) -> np.ndarray:
+    """Filon rows for every sigma of a 1-D array, shape (len(sigmas), n_p):
+    row i holds the per-node weights w with sum_q w_q A(p_q) = int A(p)
+    e^{i sigma_i p^2} dp, exact for piecewise-linear A between the nodes.
+
+    Stable for any real sigma (trapezoid limit as sigma -> 0); the
+    oscillatory panels use Fresnel moments built from the Faddeeva function
+    evaluated in the upper half plane.  Each node's e^{i sigma p^2} and
+    Faddeeva factor is evaluated once and shared by the two panels that meet
+    there.  The rows are formed in complex128 in blocks of
+    FRESNEL_BLOCK_ROWS and rounded once into the output of the given dtype.
+    A row does not depend on the other sigmas of the call: every entry goes
+    through the same elementwise operations, and the complex products are
+    explicit ``np.multiply`` calls, because an operator on a large temporary
+    may be evaluated in place with its operands swapped, which moves the
+    last bit of a fused multiply-add."""
     p = np.asarray(p_nodes, dtype=float)
+    sigmas = np.asarray(sigmas, dtype=float)
+    out = np.empty((sigmas.size, p.size), dtype=dtype)
+    for lo in range(0, sigmas.size, FRESNEL_BLOCK_ROWS):
+        out[lo:lo + FRESNEL_BLOCK_ROWS] = _fresnel_rows(
+            p, sigmas[lo:lo + FRESNEL_BLOCK_ROWS])
+    return out
+
+
+def _fresnel_rows(p: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """The complex128 rows of ``fresnel_table`` for one block of sigmas."""
+    sig = np.abs(sigmas)            # a negative sigma takes the conjugate row
     a, b = p[:-1], p[1:]
     h = b - a
-    m0 = np.empty(a.size, dtype=complex)
-    m1 = np.empty(a.size, dtype=complex)
-    small = sigma * b * b < 1.0e-4
-    if np.any(small):
-        aa, bb = a[small], b[small]
-        js = 1j * sigma
-        m0[small] = (bb - aa) + js * (bb**3 - aa**3) / 3.0 \
-            - sigma**2 * (bb**5 - aa**5) / 10.0
-        m1[small] = (bb**2 - aa**2) / 2.0 + js * (bb**4 - aa**4) / 4.0 \
-            - sigma**2 * (bb**6 - aa**6) / 12.0
-    big = ~small
-    if np.any(big):
-        aa, bb = a[big], b[big]
-        c = np.sqrt(-1j * sigma)  # principal root, Re c > 0
-        fa = np.exp(1j * sigma * aa * aa)
-        fb = np.exp(1j * sigma * bb * bb)
-        m0[big] = 0.5 * math.sqrt(math.pi) / c * (fa * wofz(1j * c * aa)
-                                                  - fb * wofz(1j * c * bb))
-        m1[big] = (fb - fa) / (2j * sigma)
-    w = np.zeros(p.size, dtype=complex)
-    w[:-1] += (b * m0 - m1) / h
-    w[1:] += (m1 - a * m0) / h
-    return w
+    m0 = np.empty((sig.size, h.size), dtype=complex)
+    m1 = np.empty_like(m0)
+    small = sig[:, None] * b * b < 1.0e-4
+    row, col = np.nonzero(small)
+    if row.size:
+        s, aa, bb = sig[row], a[col], b[col]
+        js = 1j * s
+        m0[row, col] = (bb - aa) + js * (bb**3 - aa**3) / 3.0 \
+            - s**2 * (bb**5 - aa**5) / 10.0
+        m1[row, col] = (bb**2 - aa**2) / 2.0 + js * (bb**4 - aa**4) / 4.0 \
+            - s**2 * (bb**6 - aa**6) / 12.0
+    row, col = np.nonzero(~small)
+    if row.size:
+        # e^{i sigma p^2} and its product with w(i c p) on every node of an
+        # oscillatory panel, c = sqrt(-i sigma) the principal root (Re c > 0)
+        node = np.zeros((sig.size, p.size), dtype=bool)
+        node[row, col] = node[row, col + 1] = True
+        nr, nc = np.nonzero(node)
+        c = np.sqrt(-1j * sig)
+        f = np.zeros(node.shape, dtype=complex)
+        g = np.zeros(node.shape, dtype=complex)
+        pn = p[nc]
+        f[nr, nc] = fn = np.exp(1j * sig[nr] * pn * pn)
+        g[nr, nc] = np.multiply(fn, wofz(1j * c[nr] * pn))
+        # c = 0 only on rows whose panels are all small, which never read it
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale = 0.5 * math.sqrt(math.pi) / c
+        m0[row, col] = np.multiply(scale[row], g[row, col] - g[row, col + 1])
+        m1[row, col] = (f[row, col + 1] - f[row, col]) / (2j * sig[row])
+    w = np.zeros((sig.size, p.size), dtype=complex)
+    w[:, :-1] += (b * m0 - m1) / h
+    w[:, 1:] += (m1 - a * m0) / h
+    return np.conjugate(w, out=w, where=sigmas[:, None] < 0)
+
+
+def fresnel_weights(p_nodes: np.ndarray, sigma: float) -> np.ndarray:
+    """The Filon row of one real sigma: ``fresnel_table`` of [sigma]."""
+    return fresnel_table(p_nodes, [sigma])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +467,7 @@ class GreenOperator:
         lat = self.lattice
         k_smooth = np.stack([lat.smooth_kernel(tk) for tk in times])
         k0 = lat.bracket(times[:, None])[:, 0] + k_smooth[:, 0]
-        w_brk = lat.E_brk * np.stack([fresnel_weights(lat.p_nodes, tk)
-                                      for tk in times])
+        w_brk = lat.E_brk * fresnel_table(lat.p_nodes, times)
         field = FieldAssembly(x, lat.p_nodes)
         return np.stack([field(d, k_smooth, w_brk, k0) for d in orders]).reshape(shape)
 

@@ -121,7 +121,8 @@ class WholeLineGrid:
         spectra ``spectra`` (rows broadcast to len(t)) are evolved to t_k by
         e^{-i xi|xi| t_k}: shape (len(orders), len(t), len(x)).  Of each
         inverse real FFT only a window FREE_WINDOW_MARGIN nodes past [0,
-        max x] is kept; one vector-valued spline per order reads it at x."""
+        max x] is kept; one vector-valued spline per order reads it at x.
+        A window that overflowed has no spline: its field is NaN."""
         xi = self.xi_half
         spectra = np.broadcast_to(spectra, (len(t), xi.size))
         x_top = float(np.max(x)) if x.size else 0.0
@@ -133,6 +134,8 @@ class WholeLineGrid:
             spec = np.exp(-1j * xi * np.abs(xi) * tk) * spectra[k]
             for i, mult in enumerate(mults):
                 window[i, k] = np.fft.irfft(spec * mult, self.n)[lo:hi]
+        if not np.isfinite(window).all():
+            return np.full((len(orders), len(t), x.size), np.nan)
         return np.stack([CubicSpline(self.nodes[lo:hi], w, axis=1)(x)
                          for w in window])
 
@@ -261,6 +264,11 @@ def _filon_laplace_ab(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 #: stay a few MB however many transform points a caller asks for.
 LAPLACE_BLOCK_ROWS = 256
 
+#: e^x rounds to exactly 0 in double precision for x below about -745.13
+#: (half the smallest subnormal), so a complex exponential whose real part
+#: lies below this bound is an exact zero as well.
+EXP_UNDERFLOW = -746.0
+
 
 def laplace_matrix(z_values: np.ndarray, x_nodes: np.ndarray,
                    dtype=complex) -> np.ndarray:
@@ -270,22 +278,30 @@ def laplace_matrix(z_values: np.ndarray, x_nodes: np.ndarray,
     exponential factors overflow and the transform is not used there).  The
     weights are formed in complex128 in blocks of LAPLACE_BLOCK_ROWS rows,
     each rounded once into the output of the given dtype, so a single-
-    precision matrix never exists in double precision.  Every entry is an
-    elementwise formula in its own z: the blocking does not change a bit."""
+    precision matrix never exists in double precision.  The blocks take the
+    rows in order of Re z, and each stops at the first panel where the front
+    factor e^{-z x} underflows to exactly 0 for all of its rows (the nodes
+    increase, so it stays 0 beyond): the weights past it are exact zeros and
+    are not evaluated.  Every evaluated entry is an elementwise formula in
+    its own z, so neither the blocking nor the row order changes a bit."""
     z = np.atleast_1d(np.asarray(z_values, dtype=complex))
     if np.any(z.real < -1.0e-12 * (1.0 + np.abs(z))):
         raise ValueError("laplace_matrix requires Re z >= 0")
     x = np.asarray(x_nodes, dtype=float)
     h = np.diff(x)                                    # (nx-1,)
-    out = np.empty((z.size, x.size), dtype=dtype)
+    out = np.zeros((z.size, x.size), dtype=dtype)
+    order = np.argsort(z.real, kind="stable")
     for lo in range(0, z.size, LAPLACE_BLOCK_ROWS):
-        zb = z[lo:lo + LAPLACE_BLOCK_ROWS, None]
-        wa, wb = _filon_laplace_ab(zb * h[None, :])
-        front = h[None, :] * np.exp(-zb * x[None, :-1])
-        block = np.zeros((zb.size, x.size), dtype=complex)
+        rows = order[lo:lo + LAPLACE_BLOCK_ROWS]
+        zb = z[rows, None]
+        # panels whose left node keeps e^{-z x} > 0 for some row of the block
+        n = int(np.count_nonzero(zb.real.min() * x[:-1] <= -EXP_UNDERFLOW))
+        wa, wb = _filon_laplace_ab(zb * h[None, :n])
+        front = h[None, :n] * np.exp(-zb * x[None, :n])
+        block = np.zeros((zb.size, n + 1), dtype=complex)
         block[:, :-1] += front * wa
         block[:, 1:] += front * wb
-        out[lo:lo + LAPLACE_BLOCK_ROWS] = block
+        out[rows, :n + 1] = block
     return out
 
 

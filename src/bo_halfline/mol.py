@@ -172,6 +172,16 @@ class MethodOfLines:
             return float("inf")
         top, _, _, _, info = dsyevr(gram.T, compute_v=0, range="I",
                                     il=n_in, iu=n_in, overwrite_a=1)
+        if info != 0:
+            # the bisection behind range "I" fails on a Gram matrix that is
+            # the identity to rounding (its Sturm counts are not monotone in
+            # a tight cluster at 1); it has overwritten the matrix, so rebuild
+            # it in place and take the whole spectrum, which dsyevr then gets
+            # from root-free QR (dsterf) at the same reduction cost
+            np.matmul(b.T, b, out=gram)
+            every, _, _, _, info = dsyevr(gram.T, compute_v=0, range="A",
+                                          overwrite_a=1)
+            top = every[-1:]
         return max(1.0, float(np.sqrt(top[0]))) if info == 0 else float("inf")
 
     # -- stepping --------------------------------------------------------------

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from . import __version__
 from .boundary import BoundaryKernel
@@ -120,7 +120,8 @@ def fit_affine(x: Sequence[float], y: Sequence[float]) -> SlopeFit:
     dof = n - 2
     sxx = float(np.sum((x - x.mean()) ** 2))
     se = math.sqrt(float(np.sum(resid**2)) / dof / sxx)
-    half = float(stats.t.ppf(0.975, dof)) * se
+    # the t quantile that scipy.stats.t.ppf returns, without importing stats
+    half = float(stdtrit(dof, 0.975)) * se
     return SlopeFit(float(b), float(a), float(b - half), float(b + half), n,
                     float(np.max(np.abs(resid))))
 

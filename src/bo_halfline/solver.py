@@ -26,7 +26,9 @@ from scipy.interpolate import CubicSpline
 from .boundary import BoundaryKernel
 from .config import RunConfig
 from .green import (FieldAssembly, GreenGrids, GreenOperator, RayLayout,
-                    e_minus_weights, fresnel_weights)
+                    e_minus_weights, fresnel_table)
+# the one-row Filon helper stays importable from this module too
+from .green import fresnel_weights  # noqa: F401
 from .halfline import (HalfLineGrid, WholeLineGrid, laplace_matrix,
                        make_profile, node_index, trapezoid_weights)
 from .mol import MethodOfLines
@@ -186,16 +188,14 @@ class DuhamelPropagator:
         self.field = FieldAssembly(xs, p)
 
         # oscillatory quadrature weights for every (t_k, tau_l) gap, one
-        # Filon build and one table row per distinct gap (the uniform half
-        # repeats them); _fw_of[k, l] is the row of gap t_k - t_l for l <= k
-        # and one past the table (no row) for l > k
+        # table row per distinct gap (the uniform half repeats them), all
+        # from one Filon table build; _fw_of[k, l] is the row of gap
+        # t_k - t_l for l <= k and one past the table (no row) for l > k
         nt = times.n
         lower = np.tril_indices(nt)
         gaps = (times.nodes[:, None] - times.nodes[None, :])[lower]
         distinct, which = np.unique(gaps, return_inverse=True)
-        self._fw = np.empty((distinct.size, p.size), dtype=np.complex64)
-        for i, sigma in enumerate(distinct):
-            self._fw[i] = fresnel_weights(p, float(sigma))
+        self._fw = fresnel_table(p, distinct, np.complex64)
         self._fw_of = np.full((nt, nt), distinct.size)
         self._fw_of[lower] = which
 
@@ -413,9 +413,13 @@ def picard_solve(config: RunConfig | None = None,
 
     def sweep(values: np.ndarray, derivs: np.ndarray):
         """One application of the Duhamel map and the X-norm of its step,
-        timed per stage."""
+        timed per stage.  A forcing u u_x that overflowed has no transform:
+        the step is then NaN, untimed, and the iteration aborts on it."""
         t0 = time.perf_counter()
-        lat = propagator.transform_forcing(advective_forcing(values, derivs))
+        forcing = advective_forcing(values, derivs)
+        if not np.isfinite(forcing).all():
+            return values, derivs, float("nan")
+        lat = propagator.transform_forcing(forcing)
         t1 = time.perf_counter()
         duh_val, duh_der = propagator.accumulate(lat)
         t2 = time.perf_counter()

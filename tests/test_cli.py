@@ -127,6 +127,23 @@ def test_solve_short_lattice_reports(env, expect, fast_cfg, monkeypatch, capsys)
         assert name in out
 
 
+@pytest.mark.parametrize("scale", ["1e100", "1e152", "1e200"])
+def test_solve_huge_data_aborts(scale, fast_cfg, monkeypatch, capsys):
+    # the iteration diverges at 1e100; at 1e152 the first sweep's free
+    # running sum overflows, at 1e200 the first forcing u u_x, and both
+    # used to end in a spline traceback (exit 2)
+    for key in ("n_x", "x_max", "contour_points_per_decade",
+                "axis_points_per_decade", "n_time_geometric",
+                "n_time_uniform", "picard_max_iter", "t_final", "t_switch"):
+        monkeypatch.setenv("BOHL_" + key.upper(), repr(getattr(fast_cfg, key)))
+    monkeypatch.setenv("BOHL_DATA_SCALE", scale)
+    code = main(["solve"])
+    out, err = capsys.readouterr()
+    assert code == 1, err
+    assert "Traceback" not in err
+    assert "[ABORT] picard/iteration-aborted" in out
+
+
 def test_solve_repeat_runs_byte_identical(fast_cfg, monkeypatch, tmp_path):
     # stage timings ride on the solution's meta and never reach the CSVs
     for key in ("n_x", "x_max", "contour_points_per_decade",
@@ -225,6 +242,21 @@ class TestConfigResolution:
 
 # ---------------------------------------------------------------------------
 # Installed console script
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs about half a second to import, and every solve
+    # starts by importing the cli
+    package_root = str(Path(bo_halfline.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, bo_halfline.cli; print(sorted(m for m in sys.modules "
+         "if m.startswith('scipy.stats')))"],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_script_end_to_end(tmp_path):

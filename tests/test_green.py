@@ -13,10 +13,12 @@ import pytest
 
 from types import SimpleNamespace
 
-from bo_halfline.green import (EMinusLattice, FieldAssembly, GreenGrids,
-                               GreenOperator, e_minus_weights)
-from bo_halfline.halfline import HalfLineGrid, make_profile
-from bo_halfline.solver import DUHAMEL_GRIDS
+from bo_halfline.green import (FRESNEL_BLOCK_ROWS, EMinusLattice,
+                               FieldAssembly, GreenGrids, GreenOperator,
+                               RayLayout, e_minus_weights, fresnel_table,
+                               fresnel_weights)
+from bo_halfline.halfline import EXP_UNDERFLOW, HalfLineGrid, make_profile
+from bo_halfline.solver import DUHAMEL_GRIDS, TimeGrid
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +106,40 @@ def test_tail_rows_filled_in_place(green_op):
     again = np.array(lat.E_full)
     assert np.array_equal(layout.fit_tail(again), lam)
     assert np.array_equal(again, want)
+
+
+@pytest.mark.parametrize("grids", [GreenGrids(), DUHAMEL_GRIDS],
+                         ids=["green", "duhamel"])
+def test_damping_skips_only_exact_zeros(grids, cfg):
+    # entries whose real exponent is below EXP_UNDERFLOW are not evaluated;
+    # the full exponential is exactly 0 there, so the table equals it
+    # bitwise, at the first nonzero time node and at t = 1 and t = 2
+    layout = RayLayout(grids, math.pi / 2.0 + cfg.delta_s)
+    times = TimeGrid(cfg.t_final, cfg.t_switch, cfg.n_time_geometric,
+                     cfg.n_time_uniform)
+    for t in (times.nodes[1], 1.0, 2.0):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.exp(layout.sp2 * t)
+        assert np.any((layout.sp2 * t).real < EXP_UNDERFLOW)
+        assert np.array_equal(layout.damping(t), want)
+
+
+def test_filon_table_rows_are_one_sigma_rows():
+    # each node's factors are shared by its two panels, and a row does not
+    # depend on the other sigmas of the call: across block boundaries, for
+    # sigma < 0 (the conjugate row) and at sigma = 0 (the trapezoid rule)
+    p = DUHAMEL_GRIDS.p_nodes
+    gaps = np.geomspace(1.0e-6, 2.0, FRESNEL_BLOCK_ROWS + 100)
+    sigmas = np.concatenate([gaps, -gaps[::9], [0.0]])
+    table = fresnel_table(p, sigmas)
+    for row, sigma in zip(table, sigmas):
+        assert np.array_equal(row, fresnel_weights(p, sigma))
+    trapezoid = np.zeros(p.size)
+    trapezoid[:-1] += 0.5 * np.diff(p)
+    trapezoid[1:] += 0.5 * np.diff(p)
+    assert np.allclose(table[-1], trapezoid, rtol=1e-14, atol=0.0)
+    single = fresnel_table(p, sigmas, np.complex64)
+    assert np.array_equal(single, table.astype(np.complex64))
 
 
 # ---------------------------------------------------------------------------

@@ -258,6 +258,38 @@ def test_laplace_matrix_row_blocks_bitwise(half_grid, monkeypatch, offset):
     assert np.array_equal(single, blocked.astype(np.complex64))
 
 
+@pytest.mark.parametrize("block_rows", [None, 7])
+def test_laplace_matrix_skips_only_exact_zeros(half_grid, monkeypatch,
+                                               block_rows):
+    # rows sorted by Re z from 0 to 6e7, as on the propagator's scattered
+    # ray points, stop at the panel where e^{-z x} underflows for the whole
+    # block; every row still equals the panel formula evaluated on its own.
+    # Small blocks put a block's smallest Re z at every scale.
+    import bo_halfline.halfline as halfline
+    from bo_halfline.halfline import _filon_laplace_ab
+    if block_rows is not None:
+        monkeypatch.setattr(halfline, "LAPLACE_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(11)
+    r = np.geomspace(1.0e-6, 1.0e8, 700)
+    z = r * np.exp(1j * rng.uniform(-0.5 * np.pi, 0.5 * np.pi, r.size))
+    z = np.concatenate([z, 1j * r[::50], [6.0e7 + 1.0e7j]])
+    assert 0.0 <= z.real.min() and z.real.max() > 6.0e7
+    # the grid shifted off the origin: its last row underflows on every panel
+    x = half_grid.nodes + 1.0
+    h = np.diff(x)
+    want = np.zeros((z.size, x.size), dtype=complex)
+    for i, zi in enumerate(z):
+        wa, wb = _filon_laplace_ab(zi * h)
+        with np.errstate(under="ignore"):
+            front = h * np.exp(-zi * x[:-1])
+        want[i, :-1] += front * wa
+        want[i, 1:] += front * wb
+    got = laplace_matrix(z, x)
+    assert np.array_equal(got, want)
+    assert not got[-1].any()
+    assert 0.2 < np.mean(got == 0.0) < 0.9
+
+
 def test_laplace_matrix_allocation_peak(half_grid):
     # the propagator's scattered-point matrix: 15,000 points x the production
     # grid; the row blocks keep the peak near the output itself (the

@@ -81,6 +81,19 @@ class TestCertificates:
         bound = m.stability_certificate(step=step)
         assert radius - 1e-12 <= bound <= 1.0 + 1e-9
 
+    @pytest.mark.parametrize("n,dt", [(64, 1e-18), (64, 1e-16),
+                                      (128, 1e-20), (128, 1e-18),
+                                      (128, 1e-12)])
+    def test_certificate_of_identity_to_rounding(self, cfg, n, dt):
+        # Steps this small make S the identity to rounding.  The top value
+        # of a Gram matrix so clustered at 1 made LAPACK's bisection fail
+        # (dsyevr info > 0) and the bound read inf for a stable step.
+        m = MethodOfLines(cfg, mol_n=n)
+        step = m.step_matrix(dt)
+        radius = float(np.max(np.abs(np.linalg.eigvals(step))))
+        bound = m.stability_certificate(step=step)
+        assert radius - 1e-12 <= bound <= 1.0 + 1e-9
+
     def test_certificate_catches_wall_instability(self, cfg):
         # The one-sided wall curvature row (2, -5, 4, -1)/dx^2 fed through
         # the PV matrix's wall column creates the unstable wall eigenpair

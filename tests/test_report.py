@@ -35,6 +35,22 @@ class TestFits:
         noisy = fit_affine(x, 2.0 * x + 0.5 * rng.standard_normal(10))
         assert (noisy.ci_high - noisy.ci_low) > (clean.ci_high - clean.ci_low)
 
+    def test_affine_ci_is_the_t_quantile(self, monkeypatch):
+        # the CI takes its quantile from scipy.special, so that the report
+        # does not import scipy.stats; it must be the same double
+        from scipy import stats
+
+        import bo_halfline.report as report
+        rng = np.random.default_rng(3)
+        for dof in range(1, 201):
+            x = np.arange(dof + 2.0)
+            y = 2.0 * x + rng.standard_normal(x.size)
+            got = fit_affine(x, y)
+            with monkeypatch.context() as m:
+                m.setattr(report, "stdtrit", lambda df, p: stats.t.ppf(p, df))
+                want = fit_affine(x, y)
+            assert (got.ci_low, got.ci_high) == (want.ci_low, want.ci_high)
+
     def test_loglog_exact_power(self):
         x = np.logspace(0, 2, 9)
         fit = fit_loglog(x, 5.0 * x ** -0.75)

@@ -163,10 +163,15 @@ class TestPicard:
 
     def test_large_data_aborts(self, fast_cfg):
         # At 200x the production amplitude the iteration diverges; the
-        # solver must detect it and say so rather than return garbage.
-        sol = picard_solve(fast_cfg.replace(data_scale=20.0))
-        assert sol.aborted and not sol.converged
-        assert np.isnan(sol.fixed_point_residual)
+        # solver must detect it and say so rather than return garbage.  At
+        # 1e152 the first sweep's free running sum overflows, and at 1e200
+        # the first forcing u u_x itself: both must abort the same way
+        # rather than raise from a spline.
+        for scale in (20.0, 1.0e152, 1.0e200):
+            sol = picard_solve(fast_cfg.replace(data_scale=scale))
+            assert sol.aborted and not sol.converged
+            assert np.isnan(sol.fixed_point_residual)
+        assert sol.n_iter == 1
 
 
 # ---------------------------------------------------------------------------
