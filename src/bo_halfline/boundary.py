@@ -28,8 +28,10 @@ from scipy.interpolate import CubicSpline
 from scipy.special import wofz
 
 from .contour import DampedRay, log_graded_nodes
-from .green import fresnel_weights
-from .halfline import laplace_matrix, lattice_args
+from .green import GreenGrids, RayKernel, RayLayout
+from .halfline import lattice_args
+from .green import fresnel_weights  # noqa: F401  (the benchmark reads it here)
+from .halfline import laplace_matrix  # noqa: F401  (the benchmark reads it here)
 from .symbols import Symbols
 
 _EULER_GAMMA = 0.5772156649015329
@@ -71,12 +73,10 @@ class BoundaryKernel:
 
     def __init__(self, symbols: Symbols):
         self.symbols = symbols
-        cfg = symbols.config
-        self.theta_u = math.pi / 2.0 + cfg.delta_u
-        self.theta_s = math.pi / 2.0 + cfg.delta_s
         # the 1/X tail of the profile is fed by ray radii r ~ X^2, so the ray
         # must extend well past X_MAX^2 or the tail table (and its fit) sag
-        self.ray = DampedRay(*log_graded_nodes(1.0e-7, 1.0e11, 24), self.theta_u)
+        self.ray = DampedRay(*log_graded_nodes(1.0e-7, 1.0e11, 24),
+                             math.pi / 2.0 + symbols.config.delta_u)
         self.psi_ray = symbols.direction(self.ray.phase).scalars(self.ray.r)["psi_b"]
         self.psi_unit = complex(symbols.direction(1j).scalars(np.array([1.0]))["psi_b"][0])
         self._build_profile()
@@ -205,27 +205,25 @@ class BoundaryKernel:
                 out[i, k, ~wall] = vals
         return out.reshape(shape)
 
-    def apply_spectral(self, h_hat, x: np.ndarray, t: float,
-                       deriv: int = 0) -> np.ndarray:
-        """Damped-ray spectral route, for data with an entire transform h_hat.
+    def apply_spectral(self, h_hat, x: np.ndarray, t, deriv=0) -> np.ndarray:
+        """Damped-ray spectral route, for data with an entire transform h_hat,
+        at every time and order of a lattice call; rows with t <= 0 are zero.
 
         B(t)h(x) = (1/pi)(-1)^d int_0^infty e^{-p x} p^{1+d} Bker(p, t) dp with
         Bker(p,t) = Im[e^{i p^2 t} Psi_B(i) h_hat(i p^2)]
-                  + (1/pi) Im int e^{s p^2 t} Psi_B(s) h_hat(s p^2)/(1+s^2) ds."""
-        x = np.asarray(x, dtype=float)
-        if t <= 0.0:
-            return np.zeros(x.shape)
-        p = np.geomspace(1.0e-6, 2.0e4, int(10.3 * 32) + 1)
-        p2 = p * p
-        ray = DampedRay(*log_graded_nodes(1.0e-7, 1.0e7, 24), self.theta_s)
-        psi_ray = self.symbols.direction(ray.phase).scalars(ray.r)["psi_b"]
-        with np.errstate(over="ignore", invalid="ignore"):
-            damp = np.exp(ray.s[:, None] * (p2 * t)[None, :])
-        rows = psi_ray[:, None] * h_hat(ray.s[:, None] * p2[None, :]) * damp
-        smooth = ray.smooth(rows)
-        lap = laplace_matrix(x, p)
-        part_smooth = lap @ (p ** (1 + deriv) * smooth)
-        amp = (p ** (1 + deriv) * self.psi_unit * h_hat(1j * p2))[None, :] \
-            * np.exp(-np.outer(x, p))
-        part_brk = np.imag(amp @ fresnel_weights(p, t))
-        return (part_smooth + part_brk) * ((-1.0) ** deriv / math.pi)
+                  + (1/pi) Im int e^{s p^2 t} Psi_B(s) h_hat(s p^2)/(1+s^2) ds:
+        minus the Green field of the rows p Bker on the Green layout, whose
+        tail rows stay zero (the corner model describes E-, not Psi_B h_hat)."""
+        x, times, orders, shape = lattice_args(x, t, deriv)
+        out = np.zeros((orders.size, times.size, x.size))
+        live = times > 0.0
+        if live.any():
+            layout = RayLayout(GreenGrids(),
+                               math.pi / 2.0 + self.symbols.config.delta_s)
+            p, ray, n = layout.p_nodes, layout.ray, layout.n_ray
+            psi_ray = self.symbols.direction(ray.phase).scalars(ray.r[:n])["psi_b"]
+            rows = np.zeros((ray.s.size, p.size), dtype=complex)
+            rows[:n] = p * psi_ray[:, None] * h_hat(ray.s[:n, None] * (p * p))
+            kernel = RayKernel(layout, rows, p * self.psi_unit * h_hat(1j * (p * p)))
+            out[:, live] = -kernel.field(x, times[live], orders)
+        return out.reshape(shape)

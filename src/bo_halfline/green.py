@@ -22,8 +22,8 @@ m = p sqrt(|s|) and rho = sqrt(|s|), and the axis integral is one weight
 formula (e_minus_weights) on a fixed imaginary quadrature.  Beyond the
 tabulated |s| range the kernel uses the fitted asymptotic E- ~ lam1 p^{-1/2}
 s^{3/4} + lam0 s (RayLayout), and FieldAssembly turns kernel samples into the
-correction field.  The Duhamel propagator runs the same three pieces on its
-own grid instance, so the linear map exists once.
+correction field; RayKernel holds K(p, t) and that map for the E- lattice and
+the boundary spectral route, and the Duhamel propagator runs them on its grid.
 """
 
 from __future__ import annotations
@@ -176,12 +176,42 @@ class RayLayout:
             return np.exp(z, out=out, where=~(z.real < EXP_UNDERFLOW))
 
 
-class EMinusLattice:
+class RayKernel:
+    """K(p, t) and its field from t-independent samples f(p, s): ``rows`` on
+    the ray and tail of ``layout``, ``row_brk`` at s = i.  f = E- gives the
+    Green correction, f = p Psi_B(s) h_hat(s p^2) the boundary spectral route."""
+
+    def __init__(self, layout: RayLayout, rows: np.ndarray, row_brk: np.ndarray):
+        self.layout, self.p_nodes = layout, layout.p_nodes
+        self.rows, self.row_brk = rows, row_brk
+
+    def bracket(self, t, cols=slice(None)) -> np.ndarray:
+        """Residue bracket Im[e^{i p^2 t} f(p, i)] on the p node columns cols."""
+        return np.imag(np.exp(1j * self.p_nodes[cols]**2 * t) * self.row_brk[cols])
+
+    def smooth_kernel(self, t: float) -> np.ndarray:
+        """Damped-ray plus tail part of K(p, t)."""
+        return self.layout.ray.smooth(self.rows * self.layout.damping(t))
+
+    def kernel(self, t: float) -> np.ndarray:
+        """K(p, t) on p_nodes (real array)."""
+        return self.bracket(t) + self.smooth_kernel(t)
+
+    def field(self, x: np.ndarray, times: np.ndarray, orders) -> np.ndarray:
+        """G2^{(d)}, shape (len(orders), len(times), len(x)): every time's smooth
+        kernel, Filon-weighted bracket row and K(p0, t) through one field map."""
+        k_smooth = np.stack([self.smooth_kernel(tk) for tk in times])
+        k0 = self.bracket(times, 0) + k_smooth[:, 0]
+        w_brk = self.row_brk * fresnel_table(self.p_nodes, times)
+        assembly = FieldAssembly(x, self.p_nodes)
+        return np.stack([assembly(d, k_smooth, w_brk, k0) for d in orders])
+
+
+class EMinusLattice(RayKernel):
     """E-(p, s) tabulated on the rotated ray (plus s = i) for one datum.
 
     psi_hat is the Laplace transform of the datum, callable on complex arrays
-    with Re z >= 0.  The lattice is profile-specific but t-independent; all
-    time dependence enters afterwards through e^{s p^2 t}.
+    with Re z >= 0.  The lattice is profile-specific but t-independent.
 
     The rows fold the axis integral onto its upper half, which needs two
     things: a real datum, so that psi_hat(conj z) = conj psi_hat(z), and an
@@ -191,18 +221,16 @@ class EMinusLattice:
 
     def __init__(self, symbols: Symbols, psi_hat, grids: GreenGrids,
                  theta0: float):
-        self.symbols = symbols
-        self.psi_hat = psi_hat
-        self.grids = grids
-        self.layout = layout = RayLayout(grids, theta0)
+        self.symbols, self.psi_hat, self.grids = symbols, psi_hat, grids
+        layout = RayLayout(grids, theta0)
         p = layout.p_nodes
-        self.p_nodes = p
-        self.E_full = np.empty((layout.ray.s.size, p.size), dtype=complex)
-        self.E_ray = self.E_full[:layout.n_ray]
+        rows = np.empty((layout.ray.s.size, p.size), dtype=complex)
+        self.E_ray = rows[:layout.n_ray]
         self._rows(symbols.direction(layout.ray.phase), grids.ray[0], p,
                    out=self.E_ray)
-        self.E_brk = self._rows(symbols.direction(1j), np.array([1.0]), p)[0]
-        lam = layout.fit_tail(self.E_full)
+        brk = self._rows(symbols.direction(1j), np.array([1.0]), p)[0]
+        lam = layout.fit_tail(rows)
+        super().__init__(layout, rows, brk)
         self.tail_lam1, self.tail_lam0 = complex(lam[0]), complex(lam[1])
         rhs = self.E_ray[layout.corner].ravel()
         scale = float(np.max(np.abs(rhs)))
@@ -232,20 +260,6 @@ class EMinusLattice:
                 - root[i, 0] * self.psi_hat(cache.phi_hat * m)
         return out
 
-    # -- kernel assembly ---------------------------------------------------
-
-    def bracket(self, t: float) -> np.ndarray:
-        """Residue bracket Im[e^{i p^2 t} E-(p, i)] of the kernel."""
-        return np.imag(np.exp(1j * self.p_nodes**2 * t) * self.E_brk)
-
-    def smooth_kernel(self, t: float) -> np.ndarray:
-        """Damped-ray plus tail part of K(p, t)."""
-        return self.layout.ray.smooth(self.E_full * self.layout.damping(t))
-
-    def kernel(self, t: float) -> np.ndarray:
-        """K(p, t) on p_nodes (real array)."""
-        return self.bracket(t) + self.smooth_kernel(t)
-
     @cached_property
     def kernel_zero_defect(self) -> np.ndarray:
         """Assembled kernel at t = 0 — a pure diagnostic.
@@ -269,14 +283,12 @@ class EMinusLattice:
         bracket_coefficient of 0.5/i (full residues with the principal value)
         is the negative control."""
         p_values = np.asarray(p_values, dtype=float)
-        axis_dir = self.symbols.direction(1j)
         u, wu = log_graded_nodes(1.0e-7, 1.0 - 1.0e-9, 32)
         y_hi, wy_hi = log_graded_nodes(2.0, 1.0e6, 32)
-        y_all = np.concatenate([1.0 - u, 1.0 + u, y_hi])
-        rows = self._rows(axis_dir, y_all, p_values)
+        y_all = np.concatenate([1.0 - u, 1.0 + u, y_hi, [1.0]])
+        rows = self._rows(self.symbols.direction(1j), y_all, p_values)
         n = u.size
-        g_lo, g_hi, g_far = rows[:n], rows[n:2 * n], rows[2 * n:]
-        e_brk = self._rows(axis_dir, np.array([1.0]), p_values)[0]
+        g_lo, g_hi, g_far, e_brk = rows[:n], rows[n:2 * n], rows[2 * n:-1], rows[-1]
         p2t = p_values**2 * t
 
         def f(y_vals, e_rows):
@@ -433,9 +445,7 @@ class GreenOperator:
                  whole_grid: WholeLineGrid | None = None):
         self.symbols = symbols
         self.profile = profile
-        self.grids = GreenGrids()
         self.whole_grid = whole_grid or WholeLineGrid()
-        self.theta0 = math.pi / 2.0 + symbols.config.delta_s
         wg = self.whole_grid
         samples = np.where(wg.nodes >= 0.0, profile(wg.nodes), 0.0)
         # the datum is real, so its spectrum is Hermitian, and the odd phase
@@ -448,8 +458,8 @@ class GreenOperator:
 
     @cached_property
     def lattice(self) -> EMinusLattice:
-        return EMinusLattice(self.symbols, self.profile.hat, self.grids,
-                             self.theta0)
+        return EMinusLattice(self.symbols, self.profile.hat, GreenGrids(),
+                             math.pi / 2.0 + self.symbols.config.delta_s)
 
     def free(self, x: np.ndarray, t, deriv=0) -> np.ndarray:
         """G1^{(d)}(t) psi, the whole-line group on the zero extension."""
@@ -460,16 +470,9 @@ class GreenOperator:
         return out.reshape(shape)
 
     def correction(self, x: np.ndarray, t, deriv=0) -> np.ndarray:
-        """G2^{(d)}(t) psi at the points x (x >= 0): the smooth kernel,
-        Filon-weighted bracket row and K(p0, t) of every time, stacked, go
-        through one field map."""
+        """G2^{(d)}(t) psi at the points x (x >= 0): the E- lattice's field."""
         x, times, orders, shape = lattice_args(x, t, deriv)
-        lat = self.lattice
-        k_smooth = np.stack([lat.smooth_kernel(tk) for tk in times])
-        k0 = lat.bracket(times[:, None])[:, 0] + k_smooth[:, 0]
-        w_brk = lat.E_brk * fresnel_table(lat.p_nodes, times)
-        field = FieldAssembly(x, lat.p_nodes)
-        return np.stack([field(d, k_smooth, w_brk, k0) for d in orders]).reshape(shape)
+        return self.lattice.field(x, times, orders).reshape(shape)
 
     def apply(self, x: np.ndarray, t, deriv=0) -> np.ndarray:
         """G^{(d)}(t) psi = G1 + G2; at t = 0 the datum itself stands in for

@@ -49,6 +49,15 @@ def lattice_args(x, t, deriv) -> tuple:
     return x.ravel(), np.atleast_1d(t).astype(float), np.atleast_1d(deriv), shape
 
 
+def l2_norm(values: np.ndarray, quad_weights, weight: np.ndarray | None = None):
+    """sqrt(int |f|^2 weight dx) by ``quad_weights`` over the last axis (one
+    scalar is the rectangle rule): one norm per row, a scalar for one row."""
+    density = np.abs(values) ** 2
+    if weight is not None:
+        density = density * weight
+    return np.sqrt(np.sum(density * quad_weights, axis=-1))
+
+
 @dataclass(frozen=True)
 class HalfLineGrid:
     """Nodes x_j = x_max (j/J)^2, j = 0..J: quadratic grading toward x = 0."""
@@ -66,12 +75,8 @@ class HalfLineGrid:
         return trapezoid_weights(self.nodes)
 
     def l2_norm(self, values: np.ndarray, weight: np.ndarray | None = None):
-        """sqrt(int |f|^2 weight dx) by the grid's quadrature over the last
-        axis: one norm per row, a float-like scalar for one row."""
-        density = np.abs(values) ** 2
-        if weight is not None:
-            density = density * weight
-        return np.sqrt(np.sum(density * self.quad_weights, axis=-1))
+        """The module's ``l2_norm`` by this grid's quadrature weights."""
+        return l2_norm(values, self.quad_weights, weight)
 
     def weighted_norm(self, values: np.ndarray, r: float):
         """L^{2,r} norm with the Japanese bracket weight <x>^{2r}."""

@@ -30,8 +30,8 @@ from scipy.linalg import cholesky_banded, inv
 from scipy.linalg.lapack import dsyevr
 
 from .config import RunConfig
-from .halfline import (WholeLineGrid, hilbert_whole_line, make_profile,
-                       node_index, pv_matrix)
+from .halfline import (WholeLineGrid, hilbert_whole_line, l2_norm,
+                       make_profile, node_index, pv_matrix)
 
 
 def _positive(name: str, value: float) -> float:
@@ -246,7 +246,8 @@ class MethodOfLines:
         if 0 in save_steps:
             out[save_steps[0]] = u_start
 
-        l2_start = float(np.sqrt(self.dx) * np.linalg.norm(u_start))
+        # the rectangle rule: with u(0, t) = h(t) != 0 a trapezoid rule differs
+        l2_start = float(l2_norm(u_start, self.dx))
         energy_start = self._dirichlet_energy(u_start)
         for step in range(1, n_steps + 1):
             t_prev = (step - 1) * dt
@@ -258,7 +259,7 @@ class MethodOfLines:
                 out[save_steps[step]] = v + h_t * self.chi
         h_end = float(self.h(np.array([t_final]))[0])
         u_end = v + h_end * self.chi
-        l2_end = float(np.sqrt(self.dx) * np.linalg.norm(u_end))
+        l2_end = float(l2_norm(u_end, self.dx))
         drift = abs(l2_end - l2_start) / max(l2_start, 1.0e-30)
         energy_end = self._dirichlet_energy(u_end)
         energy_drift = (abs(energy_end - energy_start)

@@ -37,7 +37,7 @@ from .contour import AxisSampling, cauchy_transform, log_graded_nodes, plemelj_l
 from .green import GreenOperator
 from .halfline import (HalfLineGrid, TruncatedWeight, WholeLineGrid,
                        ap_characteristic, convolution_decay, hilbert_whole_line,
-                       make_profile)
+                       l2_norm, make_profile, trapezoid_weights)
 from .solver import SpaceTimeSolution, cross_validate, picard_solve
 from .symbols import Symbols, root_k, root_phi
 
@@ -419,8 +419,7 @@ def _green_norms(cfg: RunConfig, profile_name: str,
     green = GreenOperator(symbols, psi, whole_grid=wg)
     sel = (wg.nodes >= 0.0) & (wg.nodes <= _GREEN_X_CAP)
     xs = wg.nodes[sel]
-    vals = green.apply(xs, t_values, (0, 1))
-    return np.sqrt(np.trapezoid(vals**2, xs, axis=-1))
+    return l2_norm(green.apply(xs, t_values, (0, 1)), trapezoid_weights(xs))
 
 
 def _green_decay_rows(cfg: RunConfig, t_values: Sequence[float]) -> list[CheckRow]:
@@ -449,8 +448,7 @@ def _boundary_decay_rows(cfg: RunConfig, sig_values: Sequence[float]) -> list[Ch
         for sig in sig_values:
             rs = math.sqrt(float(sig))
             x, wx = log_graded_nodes(1.0e-4 * rs, 1.0e6 * rs, 16)
-            vals = bker.kernel(x, float(sig), deriv)
-            norms.append(math.sqrt(float(np.sum(vals**2 * wx))))
+            norms.append(float(l2_norm(bker.kernel(x, float(sig), deriv), wx)))
         rows += _fitted(
             "boundary-decay", name, sig_values, norms, norms[-1], target,
             lambda fit: [

@@ -29,7 +29,7 @@ from .green import (FieldAssembly, GreenGrids, GreenOperator, RayLayout,
                     e_minus_weights, fresnel_table)
 # the one-row Filon helper stays importable from this module too
 from .green import fresnel_weights  # noqa: F401
-from .halfline import (HalfLineGrid, WholeLineGrid, laplace_matrix,
+from .halfline import (HalfLineGrid, WholeLineGrid, l2_norm, laplace_matrix,
                        make_profile, node_index, trapezoid_weights)
 from .mol import MethodOfLines
 from .symbols import Symbols
@@ -496,13 +496,12 @@ def cross_validate(config: RunConfig | None = None, t_compare: float = 1.0,
     res = mol.run(t_final=t_compare, save_times=saves)
     u_mol = res.at_time(t_compare)
     u_pic = sol.interpolate(mol.x, t_compare)
-    dx = mol.x[1] - mol.x[0]
-    diff = float(np.sqrt(dx) * np.linalg.norm(u_pic - u_mol))
-    ref = float(np.sqrt(dx) * np.linalg.norm(u_mol))
+    diff = float(l2_norm(u_pic - u_mol, mol.dx))
+    ref = float(l2_norm(u_mol, mol.dx))
     return {
         "rel_l2": diff / max(ref, 1.0e-30),
         "mol_norm": ref,
-        "picard_norm": float(np.sqrt(dx) * np.linalg.norm(u_pic)),
+        "picard_norm": float(l2_norm(u_pic, mol.dx)),
         "mol_drift": res.l2_drift,
         "reference": {"n": cfg.mol_n, "spectral_radius": res.spectral_radius,
                       "l2_drift": res.l2_drift, **res.meta},

@@ -212,18 +212,14 @@ class Symbols:
         g = self.gamma_tilde(w_arr, s)
         return np.exp(g) * (w_arr - phi) / (w_arr - k)
 
-    def _omega_pieces(self, s: complex):
+    def omega_weight(self, w, s: complex):
+        """Data weight Omega(w,s) multiplying the transformed datum in e_minus."""
+        s = complex(s)
         k = complex(root_k(s))
         phi = complex(root_phi(s).value)
         at = self.a_tilde(s)
         big_b = (1.0 - at) * k * k / (1.0 + k * at)
         c_ref = (1.0 + phi) / (1.0 + k)
-        return k, phi, at, big_b, c_ref
-
-    def omega_weight(self, w, s: complex):
-        """Data weight Omega(w,s) multiplying the transformed datum in e_minus."""
-        s = complex(s)
-        k, phi, _, big_b, c_ref = self._omega_pieces(s)
         e_ref = np.exp(self.gamma_tilde(-1.0, s))
         w_arr = np.asarray(w, dtype=complex)
         return c_ref * e_ref * (big_b - (w_arr - k) / (w_arr + 1.0))
@@ -263,23 +259,22 @@ class Symbols:
         evaluated instead; the two agree (internal oracle).
         """
         s = complex(s)
-        k, phi, _, big_b, c_ref = self._omega_pieces(s)
-        e_ref = np.exp(self.gamma_tilde(-1.0, s))
+        phi = complex(root_phi(s).value)
         g0 = self.gamma_tilde(0.0, s)
         rad = math.sqrt(abs(s))
         ppd = axis_ppd or max(self.ppd, 24)
         w_nodes, wv = axis_nodes(0.0, 1.0e-6 * min(1.0, rad),
                                  1.0e7 * max(1.0, rad), ppd)
         gw = self.gamma_tilde(w_nodes, s)
-        omega = c_ref * e_ref * (big_b - (w_nodes - k) / (w_nodes + 1.0))
+        # Omega on the nodes and, last, at the root w = phi
+        omega = self.omega_weight(np.append(w_nodes, phi), s)
         if subtracted:
             bracket = np.exp(-gw) - np.exp(-g0)
-            integrand = psi_hat(p * w_nodes) * bracket * omega / (w_nodes - phi)
+            integrand = psi_hat(p * w_nodes) * bracket * omega[:-1] / (w_nodes - phi)
             main = np.sum(integrand * wv) / TWO_PI_I
-            boundary = np.exp(-g0) * psi_hat(np.array([phi * p]))[0] \
-                * c_ref * e_ref * (big_b - (phi - k) / (phi + 1.0))
+            boundary = np.exp(-g0) * psi_hat(np.array([phi * p]))[0] * omega[-1]
             return complex(main - boundary)
-        integrand = psi_hat(p * w_nodes) * np.exp(-gw) * omega / (w_nodes - phi)
+        integrand = psi_hat(p * w_nodes) * np.exp(-gw) * omega[:-1] / (w_nodes - phi)
         return complex(np.sum(integrand * wv) / TWO_PI_I)
 
 

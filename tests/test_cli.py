@@ -244,6 +244,14 @@ class TestConfigResolution:
 # Installed console script
 
 
+def test_package_exports_resolve_once():
+    # a refactor that drops or duplicates an export shows here, not in a user
+    names = bo_halfline.__all__
+    assert len(names) == len(set(names))
+    missing = [name for name in names if not hasattr(bo_halfline, name)]
+    assert missing == []
+
+
 def test_cli_import_leaves_out_scipy_stats():
     # scipy.stats costs about half a second to import, and every solve
     # starts by importing the cli
