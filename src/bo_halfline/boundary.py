@@ -70,13 +70,16 @@ class BoundaryKernel:
 
     X_MIN = 1.0e-3
     X_MAX = 1.0e3
+    #: Angle of the damped ray of the u-moment inversions, pi/16 past the
+    #: imaginary axis (a choice of the method, like ``green.RAY_THETA``).
+    THETA_U = math.pi / 2.0 + math.pi / 16
 
     def __init__(self, symbols: Symbols):
         self.symbols = symbols
         # the 1/X tail of the profile is fed by ray radii r ~ X^2, so the ray
         # must extend well past X_MAX^2 or the tail table (and its fit) sag
         self.ray = DampedRay(*log_graded_nodes(1.0e-7, 1.0e11, 24),
-                             math.pi / 2.0 + symbols.config.delta_u)
+                             self.THETA_U)
         self.psi_ray = symbols.direction(self.ray.phase).scalars(self.ray.r)["psi_b"]
         self.psi_unit = complex(symbols.direction(1j).scalars(np.array([1.0]))["psi_b"][0])
         self._build_profile()
@@ -218,8 +221,7 @@ class BoundaryKernel:
         out = np.zeros((orders.size, times.size, x.size))
         live = times > 0.0
         if live.any():
-            layout = RayLayout(GreenGrids(),
-                               math.pi / 2.0 + self.symbols.config.delta_s)
+            layout = RayLayout(GreenGrids())
             p, ray, n = layout.p_nodes, layout.ray, layout.n_ray
             psi_ray = self.symbols.direction(ray.phase).scalars(ray.r[:n])["psi_b"]
             rows = np.zeros((ray.s.size, p.size), dtype=complex)

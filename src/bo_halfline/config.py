@@ -3,8 +3,9 @@
 Every tunable the experiment commands accept lives in one dataclass so a run is
 reproducible from (config, seed) alone.  Files are plain ``key = value`` lines;
 environment variables spelled ``BOHL_<KEY>`` override file values, and CLI
-flags override both.  Enumerated options are closed: an unknown value is a
-configuration error, not a warning.
+flags override both.  Keys and enumerated options are closed: a key that
+names no field (in a file or a ``BOHL_`` variable), a key set twice in one
+file and an unknown value are configuration errors, not warnings.
 """
 
 from __future__ import annotations
@@ -59,19 +60,12 @@ class RunConfig:
     c_q_variant: str = "alt"
     psi_b_variant: str = "derived"
 
-    # Rotated-contour angles (radians).  delta_s rotates the inverse-transform
-    # contour off the imaginary s-axis; delta_u rotates the oscillatory
-    # kernel-moment rays.  Both must stay below pi/4.
-    delta_s: float = math.pi / 8
-    delta_u: float = math.pi / 16
-
     # Half-line grid
     x_max: float = 40.0
     n_x: int = 256
 
-    # Quadrature density knobs (Gauss-Legendre points per decade of radius).
+    # Quadrature density (Gauss-Legendre points per decade of radius).
     contour_points_per_decade: int = 24
-    axis_points_per_decade: int = 24
 
     # Time discretization for the nonlinear solver: geometric nodes on
     # (0, t_switch], uniform on (t_switch, t_final].
@@ -113,13 +107,6 @@ class RunConfig:
                 raise ConfigError(
                     f"{name}={value!r} is not one of {sorted(allowed)}"
                 )
-        for name in ("delta_s", "delta_u"):
-            delta = getattr(self, name)
-            if not 0.0 < delta < math.pi / 4:
-                raise ConfigError(f"{name} must lie in (0, pi/4)")
-            # a delta lost to rounding in pi/2 + delta leaves the rays undamped
-            if not math.cos(math.pi / 2.0 + delta) < 0.0:
-                raise ConfigError(f"{name}={delta!r} rounds away in pi/2 + {name}")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         if self.n_x < 16:
@@ -137,9 +124,8 @@ class RunConfig:
         for name in ("n_time_geometric", "n_time_uniform", "picard_max_iter"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
-        for name in ("contour_points_per_decade", "axis_points_per_decade"):
-            if getattr(self, name) < 4:
-                raise ConfigError(f"{name} must be at least 4")
+        if self.contour_points_per_decade < 4:
+            raise ConfigError("contour_points_per_decade must be at least 4")
         if self.mol_n < MOL_MIN_N:
             raise ConfigError(f"mol_n must be at least {MOL_MIN_N}")
 
@@ -154,7 +140,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        raw = {}
+        raw, seen = {}, {}
         try:
             text = Path(path).read_text()
         except OSError as exc:
@@ -166,7 +152,12 @@ class RunConfig:
             if "=" not in stripped:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = stripped.partition("=")
-            raw[key.strip()] = value.strip()
+            key = key.strip()
+            if key in seen:
+                raise ConfigError(f"{path}:{lineno}: {key!r} repeats the "
+                                  f"value set on line {seen[key]}")
+            seen[key] = lineno
+            raw[key] = value.strip()
         return cls.from_mapping(raw)
 
     @classmethod
@@ -180,13 +171,16 @@ class RunConfig:
         return cls(**kwargs)
 
     def with_env_overrides(self, environ: dict[str, str] | None = None) -> "RunConfig":
-        """Return a copy with BOHL_<KEY> environment overrides applied."""
+        """Return a copy with BOHL_<KEY> environment overrides applied; a
+        BOHL_ variable that names no field is an error, as in a file."""
         env = os.environ if environ is None else environ
-        updates = {}
-        for f in fields(self):
-            env_key = ENV_PREFIX + f.name.upper()
-            if env_key in env:
-                updates[f.name] = _parse_value(f.type, env[env_key], f.name)
+        by_var = {ENV_PREFIX + f.name.upper(): f for f in fields(self)}
+        for var in sorted(env):
+            if var.startswith(ENV_PREFIX) and var not in by_var:
+                raise ConfigError(f"unknown config key in environment "
+                                  f"variable {var}")
+        updates = {f.name: _parse_value(f.type, env[var], f.name)
+                   for var, f in by_var.items() if var in env}
         return dataclasses.replace(self, **updates) if updates else self
 
     def replace(self, **kw) -> "RunConfig":

@@ -13,8 +13,8 @@ whose kernel K is assembled from the transformed datum E-(p, s) by a damped
            + (1/pi) Im int_0^infty e^{s(r) p^2 t} E-(p, s(r)) / (1+s(r)^2)
                     e^{i theta0} dr,        s(r) = r e^{i theta0},
 
-with theta0 = pi/2 + delta_s.  The equivalent principal-value form on the
-imaginary axis (half residues at +-i) is kept as an independent oracle.
+with theta0 = RAY_THETA = pi/2 + pi/8.  The equivalent principal-value form
+on the imaginary axis (half residues at +-i) is kept as an independent oracle.
 
 E- itself is evaluated through the scale-covariant split: all gamma_tilde
 data comes from per-direction caches, the modulus |s| enters only through
@@ -45,6 +45,11 @@ TWO_PI_I = 2j * np.pi
 
 #: Prefactor of the half-line correction G2 = -(1/pi) int e^{-px} K dp.
 G2_SIGN = -1.0 / np.pi
+
+#: Angle theta0 of the damped rays s = r e^{i theta0} of every RayLayout, pi/8
+#: past the imaginary axis.  The rotation inside the sector of analyticity is
+#: a choice of the method: the continuum kernel K(p, t) does not depend on it.
+RAY_THETA = math.pi / 2.0 + math.pi / 8
 
 # The corner model E- ~ lam1 p^{-1/2} s^{3/4} + lam0 s holds only before the
 # rollover at m = p |s|^{1/2} = O(1); past it the true rows decay, and the
@@ -122,20 +127,20 @@ def e_minus_weights(cache: DirectionCache, mod_s, v: np.ndarray,
 class RayLayout:
     """Damped-ray quadrature of the smooth kernel for one grid layout.
 
-    Rows 0..n_ray-1 are the tabulated rays s = r e^{i theta0}; the tail rows
+    Rows 0..n_ray-1 are the tabulated rays s = r e^{i RAY_THETA}; the tail rows
     beyond r_max carry the corner model E- ~ lam1 p^{-1/2} s^{3/4} + lam0 s,
     fitted on the large-|s|, small-m corner of the ray rows.  The smooth part
     of K(p, t) is ``ray.smooth`` of the rows E-(p, s) e^{s p^2 t}.
     """
 
-    def __init__(self, grids: GreenGrids, theta0: float):
+    def __init__(self, grids: GreenGrids):
         p = grids.p_nodes
         r, wr = grids.ray
         rt, wrt = grids.tail_ray
         self.p_nodes = p
         self.n_ray = r.size
         self.ray = DampedRay(np.concatenate([r, rt]), np.concatenate([wr, wrt]),
-                             theta0)
+                             RAY_THETA)
         s = self.ray.s
         self.sp2 = s[:, None] * (p**2)[None, :]
         # tail basis rows, valid only before the rollover at m = p sqrt(r) = O(1)
@@ -219,10 +224,9 @@ class EMinusLattice(RayKernel):
     via ``axis_nodes``).  Every shipped profile is real.
     """
 
-    def __init__(self, symbols: Symbols, psi_hat, grids: GreenGrids,
-                 theta0: float):
+    def __init__(self, symbols: Symbols, psi_hat, grids: GreenGrids):
         self.symbols, self.psi_hat, self.grids = symbols, psi_hat, grids
-        layout = RayLayout(grids, theta0)
+        layout = RayLayout(grids)
         p = layout.p_nodes
         rows = np.empty((layout.ray.s.size, p.size), dtype=complex)
         self.E_ray = rows[:layout.n_ray]
@@ -458,8 +462,7 @@ class GreenOperator:
 
     @cached_property
     def lattice(self) -> EMinusLattice:
-        return EMinusLattice(self.symbols, self.profile.hat, GreenGrids(),
-                             math.pi / 2.0 + self.symbols.config.delta_s)
+        return EMinusLattice(self.symbols, self.profile.hat, GreenGrids())
 
     def free(self, x: np.ndarray, t, deriv=0) -> np.ndarray:
         """G1^{(d)}(t) psi, the whole-line group on the zero extension."""

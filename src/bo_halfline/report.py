@@ -605,7 +605,7 @@ def _cross_validation_rows(cfg: RunConfig, sol: SpaceTimeSolution,
               source="contour-integral solution vs method-of-lines run"),
         info("cross-validation", f"picard-l2[t={t_c:g}]", xv["picard_norm"]),
         info("cross-validation", f"mol-l2[t={t_c:g}]", xv["mol_norm"]),
-        info("cross-validation", "mol-l2-drift", xv["mol_drift"],
+        info("cross-validation", "mol-l2-drift", xv["reference"]["l2_drift"],
              source="conservation drift of the reference run")]
 
 
@@ -693,11 +693,9 @@ def _plemelj_rows(cfg: RunConfig, rng: np.random.Generator) -> list[CheckRow]:
         for c in points:
             p = 1j * float(c)
             delta = 1.0e-4 * (1.0 + abs(c))
-            fine = AxisSampling(scale=1.0 + abs(c), decay_exponent=decay,
-                                points_per_decade=cfg.axis_points_per_decade)
+            fine = AxisSampling(scale=1.0 + abs(c), decay_exponent=decay)
             coarse = AxisSampling(scale=1.0 + abs(c), decay_exponent=decay,
-                                  points_per_decade=max(
-                                      6, cfg.axis_points_per_decade // 2))
+                                  points_per_decade=12)
             plus, minus = plemelj_limits(phi, p, fine)
             c_plus = cauchy_transform(phi, p - delta, fine)
             c_minus = cauchy_transform(phi, p + delta, fine)

@@ -133,7 +133,7 @@ class DuhamelPropagator:
             = e^{s p^2 h_{k-1}} (A_{k-1} + W_{k-1} E_{k-1}),   A_0 = 0,
 
     exactly; the p_0 bracket sum follows the same recurrence with
-    e^{i p_0^2 h}.  It is stable because s = r e^{i(pi/2 + delta_s)} gives
+    e^{i p_0^2 h}.  It is stable because s = r e^{i RAY_THETA} gives
     Re(s p^2) <= 0: every factor has modulus <= 1, so round-off is never
     amplified.  The split e^{s p^2 t_k} e^{-s p^2 t_l} would overflow.  The
     factors e^{s p^2 h} come from a table built once, one entry per distinct
@@ -169,7 +169,7 @@ class DuhamelPropagator:
         # forcings carry a wall jump, so their spectra reach the grid's cutoff
         self.whole.check_transport(float(times.nodes[-1]), float(xs[-1]),
                                    float(np.max(np.abs(self.whole.xi))))
-        self.layout = RayLayout(self.grids, math.pi / 2.0 + symbols.config.delta_s)
+        self.layout = RayLayout(self.grids)
         p = self.layout.p_nodes
 
         r, _ = self.grids.ray
@@ -502,9 +502,6 @@ def cross_validate(config: RunConfig | None = None, t_compare: float = 1.0,
         "rel_l2": diff / max(ref, 1.0e-30),
         "mol_norm": ref,
         "picard_norm": float(l2_norm(u_pic, mol.dx)),
-        "mol_drift": res.l2_drift,
         "reference": {"n": cfg.mol_n, "spectral_radius": res.spectral_radius,
                       "l2_drift": res.l2_drift, **res.meta},
-        "picard_converged": sol.converged,
-        "picard_residual_rel": sol.fixed_point_residual_rel,
     }

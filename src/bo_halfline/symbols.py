@@ -229,7 +229,7 @@ class Symbols:
 
         Three structural variants share the factor e^{gamma_tilde(-1,s) -
         gamma_tilde(0,s)}; the default was selected by the parameter-free
-        Dirichlet-trace identity (see boundary.trace_integral)."""
+        Dirichlet-trace identity (see BoundaryKernel.trace_profile_side)."""
         s = complex(s)
         k = complex(root_k(s))
         phi = complex(root_phi(s).value)

@@ -22,7 +22,6 @@ def cfg():
 def fast_cfg(cfg):
     """Reduced resolution for solver plumbing tests (runs in seconds)."""
     return cfg.replace(n_x=96, x_max=30.0, contour_points_per_decade=12,
-                       axis_points_per_decade=12,
                        n_time_geometric=16, n_time_uniform=16,
                        picard_max_iter=8, t_final=1.0, t_switch=0.5)
 

@@ -5,6 +5,7 @@ Most tests call main() in-process (fast, captures exit codes directly); one
 subprocess test exercises the installed console script end to end.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -16,11 +17,12 @@ import bo_halfline
 from bo_halfline.cli import main
 
 
-def run_cli(argv, monkeypatch=None, env=None):
-    if monkeypatch is not None:
-        for key, val in (env or {}).items():
-            monkeypatch.setenv(key, val)
-    return main(argv)
+def export_fast_cfg(fast_cfg, monkeypatch):
+    """Hand the reduced-resolution config to main() through BOHL_ variables;
+    a test sets any further variable after this call."""
+    for field in dataclasses.fields(fast_cfg):
+        monkeypatch.setenv("BOHL_" + field.name.upper(),
+                           repr(getattr(fast_cfg, field.name)))
 
 
 # ---------------------------------------------------------------------------
@@ -113,10 +115,7 @@ class TestConfigErrors:
 def test_solve_short_lattice_reports(env, expect, fast_cfg, monkeypatch, capsys):
     # valid configurations report without a traceback; all but the last
     # used to exit 2 with one
-    for key in ("n_x", "x_max", "contour_points_per_decade",
-                "axis_points_per_decade", "n_time_geometric",
-                "n_time_uniform", "picard_max_iter"):
-        monkeypatch.setenv("BOHL_" + key.upper(), repr(getattr(fast_cfg, key)))
+    export_fast_cfg(fast_cfg, monkeypatch)
     for key, val in env.items():
         monkeypatch.setenv("BOHL_" + key, val)
     code = main(["solve"])
@@ -132,10 +131,7 @@ def test_solve_huge_data_aborts(scale, fast_cfg, monkeypatch, capsys):
     # the iteration diverges at 1e100; at 1e152 the first sweep's free
     # running sum overflows, at 1e200 the first forcing u u_x, and both
     # used to end in a spline traceback (exit 2)
-    for key in ("n_x", "x_max", "contour_points_per_decade",
-                "axis_points_per_decade", "n_time_geometric",
-                "n_time_uniform", "picard_max_iter", "t_final", "t_switch"):
-        monkeypatch.setenv("BOHL_" + key.upper(), repr(getattr(fast_cfg, key)))
+    export_fast_cfg(fast_cfg, monkeypatch)
     monkeypatch.setenv("BOHL_DATA_SCALE", scale)
     code = main(["solve"])
     out, err = capsys.readouterr()
@@ -146,10 +142,7 @@ def test_solve_huge_data_aborts(scale, fast_cfg, monkeypatch, capsys):
 
 def test_solve_repeat_runs_byte_identical(fast_cfg, monkeypatch, tmp_path):
     # stage timings ride on the solution's meta and never reach the CSVs
-    for key in ("n_x", "x_max", "contour_points_per_decade",
-                "axis_points_per_decade", "n_time_geometric",
-                "n_time_uniform", "picard_max_iter", "t_final", "t_switch"):
-        monkeypatch.setenv("BOHL_" + key.upper(), repr(getattr(fast_cfg, key)))
+    export_fast_cfg(fast_cfg, monkeypatch)
     for run in ("a", "b"):
         main(["solve", "--out", str(tmp_path / run)])
     for name in ("solve.csv", "solution.csv"):
@@ -159,10 +152,7 @@ def test_solve_repeat_runs_byte_identical(fast_cfg, monkeypatch, tmp_path):
 
 def test_solve_prints_stage_telemetry(fast_cfg, monkeypatch, capsys,
                                       tmp_path):
-    for key in ("n_x", "x_max", "contour_points_per_decade",
-                "axis_points_per_decade", "n_time_geometric",
-                "n_time_uniform", "picard_max_iter", "t_final", "t_switch"):
-        monkeypatch.setenv("BOHL_" + key.upper(), repr(getattr(fast_cfg, key)))
+    export_fast_cfg(fast_cfg, monkeypatch)
     # the reference line belongs to the cross-validation block, the only
     # block that runs the method-of-lines reference
     main(["solve", "--suite", "cross-validation", "--out", str(tmp_path)])

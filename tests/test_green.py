@@ -13,7 +13,7 @@ import pytest
 
 from types import SimpleNamespace
 
-from bo_halfline.green import (FRESNEL_BLOCK_ROWS, EMinusLattice,
+from bo_halfline.green import (FRESNEL_BLOCK_ROWS, RAY_THETA, EMinusLattice,
                                FieldAssembly, GreenGrids, GreenOperator,
                                RayLayout, e_minus_weights, fresnel_table,
                                fresnel_weights)
@@ -34,10 +34,9 @@ _ORACLE_GAPS = {(0.3, 0.1): 1.02541, (0.3, 10.0): 0.117396,
                 (3.0, 0.1): 1.25089, (3.0, 10.0): 0.0219940}
 
 
-def test_e_minus_rows_on_both_node_families(sym, cfg):
+def test_e_minus_rows_on_both_node_families(sym):
     green, duhamel = GreenGrids(), DUHAMEL_GRIDS
-    theta0 = math.pi / 2.0 + cfg.delta_s
-    cache = sym.direction(np.exp(1j * theta0))
+    cache = sym.direction(np.exp(1j * RAY_THETA))
     psi_hat = make_profile("gauss_bump", 1.0).hat
     r, p_nodes = green.ray[0], green.p_nodes
     v, wv = green.axis
@@ -46,7 +45,7 @@ def test_e_minus_rows_on_both_node_families(sym, cfg):
         p = p_nodes[np.argmin(np.abs(np.log(p_nodes / p_near)))]
         mod_s = r[np.argmin(np.abs(np.log(r / s_near)))]
         m = p * math.sqrt(mod_s)
-        ref = sym.e_minus(psi_hat, p, mod_s * np.exp(1j * theta0))
+        ref = sym.e_minus(psi_hat, p, mod_s * np.exp(1j * RAY_THETA))
         w, root = e_minus_weights(cache, mod_s, v, wv)
         e_axis = psi_hat(m * v) @ w - root * psi_hat(cache.phi_hat * m)
         w, root = e_minus_weights(cache, mod_s, z / m, wz / m)
@@ -70,15 +69,14 @@ def test_axis_pairs_exactly(grids):
 
 
 @pytest.mark.parametrize("name", ["gauss_bump", "poly_exp"])
-def test_folded_rows_match_full_axis_sum(sym, cfg, name):
+def test_folded_rows_match_full_axis_sum(sym, name):
     grids = GreenGrids()
     psi_hat = make_profile(name, 1.0).hat
-    theta0 = math.pi / 2.0 + cfg.delta_s
     p = grids.p_nodes
     mod_s = grids.ray[0][::40]
     holder = SimpleNamespace(grids=grids, psi_hat=psi_hat)
     v, wv = grids.axis
-    for s_hat in (np.exp(1j * theta0), 1j):
+    for s_hat in (np.exp(1j * RAY_THETA), 1j):
         cache = sym.direction(s_hat)
         got = EMinusLattice._rows(holder, cache, mod_s, p)
         w, root = e_minus_weights(cache, mod_s[:, None], v, wv)
@@ -114,7 +112,7 @@ def test_damping_skips_only_exact_zeros(grids, cfg):
     # entries whose real exponent is below EXP_UNDERFLOW are not evaluated;
     # the full exponential is exactly 0 there, so the table equals it
     # bitwise, at the first nonzero time node and at t = 1 and t = 2
-    layout = RayLayout(grids, math.pi / 2.0 + cfg.delta_s)
+    layout = RayLayout(grids)
     times = TimeGrid(cfg.t_final, cfg.t_switch, cfg.n_time_geometric,
                      cfg.n_time_uniform)
     for t in (times.nodes[1], 1.0, 2.0):

@@ -244,16 +244,11 @@ class TestAccessors:
 class TestCrossValidate:
     def test_reuses_supplied_solution(self, fast_cfg, solution):
         out = cross_validate(fast_cfg, t_compare=1.0, solution=solution)
-        assert set(out) == {"rel_l2", "mol_norm", "picard_norm", "mol_drift",
-                            "picard_converged", "picard_residual_rel",
-                            "reference"}
+        assert set(out) == {"rel_l2", "mol_norm", "picard_norm", "reference"}
         ref = out["reference"]
         assert ref["n"] == fast_cfg.mol_n and ref["n_steps"] == 1000
-        assert ref["l2_drift"] == out["mol_drift"]
+        assert 0.0 <= ref["l2_drift"] < 0.5
         assert ref["spectral_radius"] <= 1.0 + 1e-9
-        assert out["picard_converged"] is True
-        assert out["picard_residual_rel"] == \
-            pytest.approx(solution.fixed_point_residual_rel, rel=1e-12)
 
     def test_reduced_resolution_gap_pinned(self, fast_cfg, solution):
         # The two arms agree on the overall size but not pointwise at this
