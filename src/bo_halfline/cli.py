@@ -3,9 +3,10 @@
 Exit codes: 0 when every executed check passed (or the selection was empty),
 1 when at least one check failed, 2 for configuration or infrastructure
 errors.  Reports are deterministic for a fixed (config, seed) pair; see
-``report``.  Run telemetry (the ``solve`` stage seconds and peak RSS, one
-line per Picard sweep and, when the cross-validation block runs, one for
-the method-of-lines reference) goes to standard error, never into a CSV.
+``report``.  Run telemetry (the ``solve`` stage seconds, peak RSS and CPU
+count, one line per Picard sweep and, when the cross-validation block runs,
+one for the method-of-lines reference) goes to standard error, never into a
+CSV.
 """
 
 from __future__ import annotations

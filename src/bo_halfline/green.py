@@ -37,8 +37,8 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import gammainc, wofz
 
 from .contour import DampedRay, axis_nodes, log_graded_nodes
-from .halfline import (EXP_UNDERFLOW, Profile, WholeLineGrid, laplace_matrix,
-                       lattice_args)
+from .halfline import (EXP_UNDERFLOW, Profile, WholeLineGrid, for_each_row,
+                       laplace_matrix, lattice_args)
 from .symbols import DirectionCache, Symbols
 
 TWO_PI_I = 2j * np.pi
@@ -180,6 +180,17 @@ class RayLayout:
         with np.errstate(over="ignore", invalid="ignore"):
             return np.exp(z, out=out, where=~(z.real < EXP_UNDERFLOW))
 
+    def damping_table(self, steps: np.ndarray) -> np.ndarray:
+        """``damping(h)`` for every h of ``steps``, shape (len(steps), rows,
+        p); the steps are independent rows, split by ``for_each_row``."""
+        out = np.empty((len(steps),) + self.sp2.shape, dtype=complex)
+
+        def fill(i: int) -> None:
+            out[i] = self.damping(steps[i])
+
+        for_each_row(len(steps), fill)
+        return out
+
 
 class RayKernel:
     """K(p, t) and its field from t-independent samples f(p, s): ``rows`` on
@@ -249,7 +260,9 @@ class EMinusLattice(RayKernel):
         The axis pairs its nodes exactly, v[:n] = -v[n:][::-1] with mirrored
         weights, and the datum is real, so psi_hat(m v_lower) is the reversed
         conj psi_hat(m v_upper) (m > 0): psi_hat is evaluated on the upper
-        half only and the lower weights are contracted against its conjugate."""
+        half only and the lower weights are contracted against its conjugate.
+        The moduli are independent rows, split by ``for_each_row``; the
+        contractions are ``np.einsum`` sums, not BLAS products."""
         v, wv = self.grids.axis
         n = v.size // 2
         w, root = e_minus_weights(cache, mod_s[:, None], v, wv)
@@ -257,11 +270,15 @@ class EMinusLattice(RayKernel):
         w_lo = np.conj(w[:, n - 1::-1])
         if out is None:
             out = np.empty((mod_s.size, p.size), dtype=complex)
-        for i, ms in enumerate(mod_s):
-            m = p * math.sqrt(ms)
+
+        def fill(i: int) -> None:
+            m = p * math.sqrt(mod_s[i])
             psi_up = self.psi_hat(m[:, None] * v[None, n:])
-            out[i] = psi_up @ w_up[i] + np.conj(psi_up @ w_lo[i]) \
+            out[i] = np.einsum("pq,q->p", psi_up, w_up[i]) \
+                + np.conj(np.einsum("pq,q->p", psi_up, w_lo[i])) \
                 - root[i, 0] * self.psi_hat(cache.phi_hat * m)
+
+        for_each_row(mod_s.size, fill)
         return out
 
     @cached_property
@@ -311,9 +328,11 @@ class EMinusLattice(RayKernel):
 # Filon moments for the oscillatory residue pieces
 
 
-#: Rows of a Filon table evaluated per block, so that its temporaries stay a
-#: few MB however many sigmas a caller asks for.
-FRESNEL_BLOCK_ROWS = 512
+#: Rows of a Filon table evaluated per block, so that its temporaries stay
+#: near 2.5 MB (at 125 p nodes) however many sigmas a caller asks for: the
+#: blocks run on several threads, and memory a thread frees can stay
+#: resident in that thread's malloc arena.
+FRESNEL_BLOCK_ROWS = 128
 
 
 def fresnel_table(p_nodes: np.ndarray, sigmas, dtype=complex) -> np.ndarray:
@@ -331,13 +350,17 @@ def fresnel_table(p_nodes: np.ndarray, sigmas, dtype=complex) -> np.ndarray:
     through the same elementwise operations, and the complex products are
     explicit ``np.multiply`` calls, because an operator on a large temporary
     may be evaluated in place with its operands swapped, which moves the
-    last bit of a fused multiply-add."""
+    last bit of a fused multiply-add.  The blocks are split across the
+    usable CPUs by ``for_each_row``."""
     p = np.asarray(p_nodes, dtype=float)
     sigmas = np.asarray(sigmas, dtype=float)
     out = np.empty((sigmas.size, p.size), dtype=dtype)
-    for lo in range(0, sigmas.size, FRESNEL_BLOCK_ROWS):
-        out[lo:lo + FRESNEL_BLOCK_ROWS] = _fresnel_rows(
-            p, sigmas[lo:lo + FRESNEL_BLOCK_ROWS])
+
+    def fill(b: int) -> None:
+        rows = slice(b * FRESNEL_BLOCK_ROWS, (b + 1) * FRESNEL_BLOCK_ROWS)
+        out[rows] = _fresnel_rows(p, sigmas[rows])
+
+    for_each_row(-(-sigmas.size // FRESNEL_BLOCK_ROWS), fill)
     return out
 
 

@@ -610,17 +610,18 @@ def _cross_validation_rows(cfg: RunConfig, sol: SpaceTimeSolution,
 
 
 def _solve_telemetry(sol: SpaceTimeSolution, xv: dict) -> list[str]:
-    """Stage seconds and peak RSS of the solve, one line per Duhamel sweep
-    (the Picard iterations, then the residual sweep) with its step norm and
-    the ratio to the previous step, and one line for the method-of-lines
-    reference run when it ran (``xv`` is empty otherwise)."""
+    """Stage seconds, peak RSS and CPU count of the solve, one line per
+    Duhamel sweep (the Picard iterations, then the residual sweep) with its
+    step norm and the ratio to the previous step, and one line for the
+    method-of-lines reference run when it ran (``xv`` is empty otherwise)."""
     meta = sol.meta
     lines = [f"solve: linear_lattice_s={meta['linear_lattice_s']:.3f} "
              f"linear_lattice_peak_rss_mb="
              f"{meta['linear_lattice_peak_rss_mb']:.1f} "
              f"propagator_build_s={meta['propagator_build_s']:.3f} "
              f"propagator_build_peak_rss_mb="
-             f"{meta['propagator_build_peak_rss_mb']:.1f}"]
+             f"{meta['propagator_build_peak_rss_mb']:.1f} "
+             f"workers={meta['workers']}"]
     steps = list(sol.step_norms)
     if len(meta["sweep_s"]) > sol.n_iter:     # the residual sweep ran
         steps.append(sol.fixed_point_residual)

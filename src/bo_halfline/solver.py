@@ -29,8 +29,9 @@ from .green import (FieldAssembly, GreenGrids, GreenOperator, RayLayout,
                     e_minus_weights, fresnel_table)
 # the one-row Filon helper stays importable from this module too
 from .green import fresnel_weights  # noqa: F401
-from .halfline import (HalfLineGrid, WholeLineGrid, l2_norm, laplace_matrix,
-                       make_profile, node_index, trapezoid_weights)
+from .halfline import (HalfLineGrid, WholeLineGrid, cpu_workers, for_each_row,
+                       l2_norm, laplace_matrix, make_profile, node_index,
+                       trapezoid_weights)
 from .mol import MethodOfLines
 from .symbols import Symbols
 
@@ -90,15 +91,18 @@ class XNorm:
 
 @dataclass
 class ForcingTransforms:
-    """Per-sweep kernel lattices of the forcing history (one row per node).
+    """Per-sweep free part and kernel lattices of the forcing history (one
+    row per node).
 
     Each array is allocated once and filled in place, so a sweep holds
     little beyond them: e_full's ray rows take the cast single-precision
-    products, its tail rows the corner model fitted to them."""
+    products, its tail rows the corner model fitted to them.  The free
+    part is finished before e_full is allocated, so its whole-line spectra
+    never coexist with the kernel lattice."""
 
+    free: np.ndarray        # (2, n_t, n_x) free part: values, x-derivatives
     e_full: np.ndarray      # (n_t, n_ray + n_tail, n_p) damped-ray + tail rows
     e_brk: np.ndarray       # (n_t, n_p) bracket-direction rows
-    spectra: np.ndarray     # (n_t, n_fft//2 + 1) back-propagated half spectra
 
 
 #: Layout of the memory-integral corrections.  Coarser than the single-shot
@@ -145,11 +149,13 @@ class DuhamelPropagator:
     is ever formed.
 
     The forcing is real, so its spectra are half spectra (real FFTs).  The
-    recurrence only records, per node, the running free spectrum and the
-    kernel pieces; the free part and the field of the whole lattice then
-    follow in one pass: WholeLineGrid.free_field, which the Green operator
-    uses too, and one FieldAssembly call on the stacked (n_t, n_p) kernel
-    rows.  The phases e^{i tau xi|xi|} of every node are built once.
+    free part of the whole lattice is one WholeLineGrid.free_field call on
+    their running sums (the Green operator uses it too), made by
+    transform_forcing before the kernel lattice is allocated.  The
+    recurrence only records the kernel pieces per node; the field of the
+    whole lattice then follows in one FieldAssembly call on the stacked
+    (n_t, n_p) kernel rows.  The phases e^{i tau xi|xi|} of every node are
+    built once.
 
     Memory: the single-precision Laplace matrices are filled in their own
     dtype (``laplace_matrix``), never in double precision first, and a sweep
@@ -201,10 +207,7 @@ class DuhamelPropagator:
 
         # e^{s p^2 h} for every distinct step h = t_{k+1} - t_k
         steps, self._step_of = np.unique(np.diff(times.nodes), return_inverse=True)
-        self._damping = np.empty((steps.size,) + self.layout.sp2.shape,
-                                 dtype=complex)
-        for i, h in enumerate(steps):
-            self._damping[i] = self.layout.damping(h)
+        self._damping = self.layout.damping_table(steps)
 
         # e^{i tau xi|xi|} at every node, on the half spectrum
         xi = self.whole.xi_half
@@ -223,20 +226,43 @@ class DuhamelPropagator:
         m = np.sqrt(moduli)[:, None] * p[None, :]            # (n_s, n_p)
         tensor = np.empty((moduli.size, p.size, z.size), dtype=np.complex64)
         bt = np.empty(moduli.size, dtype=complex)
-        for i, ms in enumerate(moduli):
+
+        def fill(i: int) -> None:
             mi = m[i][:, None]                               # (n_p, 1)
-            tensor[i], bt[i] = e_minus_weights(cache, ms, z[None, :] / mi,
-                                               wz[None, :] / mi)
+            tensor[i], bt[i] = e_minus_weights(cache, moduli[i],
+                                               z[None, :] / mi, wz[None, :] / mi)
+
+        for_each_row(moduli.size, fill)
         return tensor, bt, cache.phi_hat * m
 
     # -- per-sweep stages ------------------------------------------------------
 
     def transform_forcing(self, forcing: np.ndarray) -> ForcingTransforms:
-        """Kernel lattices and spectra for every forcing row (n_t, n_x)."""
+        """Free part and kernel lattices for every forcing row (n_t, n_x)."""
         nt = self.times.n
+        nodes = self.times.nodes
         layout = self.layout
         n_p = layout.p_nodes.size
         n_ray = layout.n_ray
+
+        # the free part first, so that its spectra are gone before the
+        # kernel lattice exists: zero-extended spectra, anti-evolved so the
+        # sums telescope over tau, their trapezoid running sums over nodes
+        # 0..k formed in one array, evolved to every t_k
+        samples = np.zeros((nt, self.whole.n))
+        spline = CubicSpline(self.half.nodes, forcing, axis=1)
+        samples[:, self._support] = spline(self.whole.nodes[self._support])
+        spectra = np.fft.rfft(samples, axis=1)
+        del samples
+        spectra *= self._back
+        running = np.empty_like(spectra)
+        running[0] = 0.0
+        np.add(spectra[:-1], spectra[1:], out=running[1:])
+        del spectra
+        running[1:] *= 0.5 * np.diff(nodes)[:, None]
+        np.cumsum(running[1:], axis=0, out=running[1:])
+        free = self.whole.free_field(running, nodes, self.half.nodes, (0, 1))
+        del running
 
         def by_node(prod: np.ndarray) -> np.ndarray:
             """(n_ray*n_p, nt) product as an (nt, n_ray, n_p) view."""
@@ -244,7 +270,7 @@ class DuhamelPropagator:
 
         # complex64 products, each cast once into the ray rows of the one
         # output lattice; the scatter term is subtracted in complex128 one
-        # ray row at a time, and its product freed before the spectra
+        # ray row at a time
         fc = forcing.astype(np.complex64)
         fz = self._lap_axis @ fc.T                            # (nz, nt)
         e_full = np.empty((nt, layout.ray.s.size, n_p), dtype=complex)
@@ -257,18 +283,12 @@ class DuhamelPropagator:
         e_brk = (self._t_brk @ fz).T.astype(complex)
         e_brk -= self._bt_brk * (self._lap_scat_brk @ fc.T).T
         layout.fit_tail(e_full)
-
-        # zero-extended spectra, anti-evolved so sums telescope over tau
-        samples = np.zeros((nt, self.whole.n))
-        spline = CubicSpline(self.half.nodes, forcing, axis=1)
-        samples[:, self._support] = spline(self.whole.nodes[self._support])
-        spectra = np.fft.rfft(samples, axis=1)
-        spectra *= self._back
-        return ForcingTransforms(e_full=e_full, e_brk=e_brk, spectra=spectra)
+        return ForcingTransforms(free=free, e_full=e_full, e_brk=e_brk)
 
     def accumulate(self, lat: ForcingTransforms) -> tuple[np.ndarray, np.ndarray]:
-        """Value and derivative lattices (n_t, n_x) of the memory integral,
-        by the damped recurrence of the class docstring."""
+        """Value and derivative lattices (n_t, n_x) of the memory integral:
+        the free part of ``lat`` plus the kernel field, by the damped
+        recurrence of the class docstring."""
         nodes = self.times.nodes
         nt = nodes.size
         layout = self.layout
@@ -295,13 +315,8 @@ class DuhamelPropagator:
             w_brk[k] = np.sum(w_e_brk[:k] * self._fw[self._fw_of[k, :k]], axis=0)
             k_smooth[k] = layout.ray.smooth(acc)
             k0[k] = k_smooth[k, 0] + np.imag(k0_brk)
-        # the free part: trapezoid running sums of the anti-evolved spectra
-        # over nodes 0..k, evolved to every t_k
-        running = np.zeros_like(lat.spectra)
-        running[1:] = np.cumsum(0.5 * np.diff(nodes)[:, None]
-                                * (lat.spectra[:-1] + lat.spectra[1:]), axis=0)
-        free = self.whole.free_field(running, nodes, self.half.nodes, (0, 1))
-        return tuple(free[d] + self.field(d, k_smooth, w_brk, k0) for d in (0, 1))
+        return tuple(lat.free[d] + self.field(d, k_smooth, w_brk, k0)
+                     for d in (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +343,8 @@ class SpaceTimeSolution:
     n_iter: int
     trace_error: float
     form_discrepancy: float
-    # run labels, stage seconds and the process peak RSS (MB) at the end of
+    # run labels, the CPU count that independent rows are split across
+    # (workers), stage seconds and the process peak RSS (MB) at the end of
     # each stage: linear_lattice_s and _peak_rss_mb, propagator_build_s (0
     # for a supplied propagator) and _peak_rss_mb, and lists with one entry
     # per Duhamel sweep (the Picard iterations, then the residual sweep):
@@ -400,7 +416,8 @@ def picard_solve(config: RunConfig | None = None,
     lin[:, 1:] = (green.apply(xs, times.nodes[1:], (0, 1))
                   + bker.apply_convolution(h, xs, times.nodes[1:], (0, 1)))
 
-    timings = {"linear_lattice_s": time.perf_counter() - clock,
+    timings = {"workers": cpu_workers(),
+               "linear_lattice_s": time.perf_counter() - clock,
                "linear_lattice_peak_rss_mb": peak_rss_mb(),
                "propagator_build_s": 0.0, "transform_forcing_s": [],
                "accumulate_s": [], "sweep_s": [], "sweep_peak_rss_mb": []}

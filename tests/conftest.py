@@ -6,6 +6,8 @@ wherever a test exercises plumbing rather than accuracy; accuracy claims are
 always made against the default configuration.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -64,3 +66,13 @@ def mol(cfg):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def set_workers(monkeypatch):
+    """Sets the usable CPU count, which ``for_each_row`` splits rows
+    across, by the affinity set that ``cpu_workers`` reads."""
+    def set_count(n: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                            raising=False)
+    return set_count

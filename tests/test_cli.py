@@ -161,7 +161,7 @@ def test_solve_prints_stage_telemetry(fast_cfg, monkeypatch, capsys,
     stages = [ln for ln in lines if "linear_lattice_s=" in ln]
     assert len(stages) == 1
     for key in ("propagator_build_s=", "linear_lattice_peak_rss_mb=",
-                "propagator_build_peak_rss_mb="):
+                "propagator_build_peak_rss_mb=", "workers="):
         assert key in stages[0]
     sweeps = [ln for ln in lines if "sweep" in ln]
     assert any("sweep 1:" in ln for ln in sweeps)
@@ -255,6 +255,24 @@ def test_cli_import_leaves_out_scipy_stats():
         env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_import_starts_no_thread():
+    # the row-block pool starts with the first split: importing the cli
+    # and a method-of-lines run start no thread
+    package_root = str(Path(bo_halfline.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import threading, bo_halfline.cli\n"
+         "from bo_halfline import MethodOfLines, RunConfig, halfline\n"
+         "print(threading.active_count(), halfline._pool is None)\n"
+         "MethodOfLines(RunConfig(), mol_n=64).run(t_final=1.0)\n"
+         "print(threading.active_count(), halfline._pool is None)"],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "True", "1", "True"]
 
 
 def test_console_script_end_to_end(tmp_path):

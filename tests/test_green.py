@@ -7,6 +7,7 @@ E-layer) are pinned at their measured size rather than hidden.
 """
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -87,6 +88,42 @@ def test_folded_rows_match_full_axis_sum(sym, name):
             assert np.max(np.abs(got[i] - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("workers", [2, 3, 7])
+def test_e_minus_rows_bitwise_for_any_worker_count(sym, set_workers, workers):
+    grids = GreenGrids()
+    holder = SimpleNamespace(grids=grids,
+                             psi_hat=make_profile("gauss_bump", 1.0).hat)
+    cache = sym.direction(np.exp(1j * RAY_THETA))
+    mod_s, p = grids.ray[0][::12], grids.p_nodes
+    set_workers(1)
+    want = EMinusLattice._rows(holder, cache, mod_s, p)
+    set_workers(workers)
+    assert np.array_equal(EMinusLattice._rows(holder, cache, mod_s, p), want)
+
+
+def test_e_minus_rows_raise_a_worker_error(sym, set_workers):
+    # a psi_hat that fails off the calling thread: the error reaches the
+    # caller, and the next lattice still gets every row
+    grids = GreenGrids()
+    psi_hat = make_profile("gauss_bump", 1.0).hat
+
+    def failing(z):
+        if threading.current_thread() is not threading.main_thread():
+            raise FloatingPointError("psi_hat failed on a worker")
+        return psi_hat(z)
+
+    cache = sym.direction(np.exp(1j * RAY_THETA))
+    mod_s, p = grids.ray[0][::24], grids.p_nodes
+    set_workers(2)
+    with pytest.raises(FloatingPointError, match="on a worker"):
+        EMinusLattice._rows(SimpleNamespace(grids=grids, psi_hat=failing),
+                            cache, mod_s, p)
+    holder = SimpleNamespace(grids=grids, psi_hat=psi_hat)
+    got = EMinusLattice._rows(holder, cache, mod_s, p)
+    set_workers(1)
+    assert np.array_equal(got, EMinusLattice._rows(holder, cache, mod_s, p))
+
+
 def test_tail_rows_filled_in_place(green_op):
     # the ray rows are a view of the full rows, and the in-place tail fit
     # gives bitwise the corner-model rows once concatenated onto them
@@ -138,6 +175,30 @@ def test_filon_table_rows_are_one_sigma_rows():
     assert np.allclose(table[-1], trapezoid, rtol=1e-14, atol=0.0)
     single = fresnel_table(p, sigmas, np.complex64)
     assert np.array_equal(single, table.astype(np.complex64))
+
+
+@pytest.mark.parametrize("workers", [2, 3, 7])
+def test_filon_table_bitwise_for_any_worker_count(set_workers, monkeypatch,
+                                                  workers):
+    import bo_halfline.green as green
+    monkeypatch.setattr(green, "FRESNEL_BLOCK_ROWS", 16)
+    p = DUHAMEL_GRIDS.p_nodes
+    sigmas = np.geomspace(1.0e-6, 2.0, 200)
+    set_workers(1)
+    want = fresnel_table(p, sigmas, np.complex64)
+    set_workers(workers)
+    assert np.array_equal(fresnel_table(p, sigmas, np.complex64), want)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 7])
+def test_damping_table_rows_are_damping_calls(set_workers, workers):
+    layout = RayLayout(DUHAMEL_GRIDS)
+    steps = np.geomspace(1.0e-4, 0.5, 11)
+    set_workers(workers)
+    table = layout.damping_table(steps)
+    assert table.shape == (steps.size,) + layout.sp2.shape
+    for row, h in zip(table, steps):
+        assert np.array_equal(row, layout.damping(h))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ form is exact to machine precision and is what is asserted.
 """
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 from bo_halfline import (HalfLineGrid, TruncatedWeight, WholeLineGrid,
                          ap_characteristic, convolution_decay,
                          hilbert_whole_line, laplace_matrix, make_profile)
-from bo_halfline.halfline import pv_matrix
+from bo_halfline.halfline import for_each_row, pv_matrix
 
 GAUSS_L2 = (2.0 * math.pi) ** 0.25 / 4.0
 
@@ -258,6 +260,16 @@ def test_laplace_matrix_row_blocks_bitwise(half_grid, monkeypatch, offset):
     assert np.array_equal(single, blocked.astype(np.complex64))
 
 
+@pytest.mark.parametrize("workers", [2, 3, 7])
+def test_laplace_matrix_bitwise_for_any_worker_count(half_grid, set_workers,
+                                                     workers):
+    z = _laplace_points(1000)
+    set_workers(1)
+    want = laplace_matrix(z, half_grid.nodes, np.complex64)
+    set_workers(workers)
+    assert np.array_equal(laplace_matrix(z, half_grid.nodes, np.complex64), want)
+
+
 @pytest.mark.parametrize("block_rows", [None, 7])
 def test_laplace_matrix_skips_only_exact_zeros(half_grid, monkeypatch,
                                                block_rows):
@@ -323,3 +335,121 @@ def test_laplace_matrix_single_precision_peak(half_grid):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * out_bytes
+
+
+# ---------------------------------------------------------------------------
+# independent rows across the usable CPUs
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 7, 40])
+@pytest.mark.parametrize("n", [0, 1, 5, 17])
+def test_each_row_runs_once(set_workers, n, workers):
+    set_workers(workers)
+    seen = []
+    for_each_row(n, seen.append)
+    assert sorted(seen) == list(range(n))
+
+
+def test_row_blocks_run_beside_the_caller(set_workers):
+    # one contiguous block per CPU: the calling thread takes the first,
+    # the pool the second
+    set_workers(2)
+    ident = {}
+    for_each_row(6, lambda i: ident.update({i: threading.get_ident()}))
+    here = threading.get_ident()
+    assert [ident[i] == here for i in range(6)] == [True] * 3 + [False] * 3
+    assert len({ident[i] for i in range(3, 6)}) == 1
+
+
+def test_worker_exception_reaches_caller_and_pool_survives(set_workers):
+    # every block runs to its end; the first failing block's error is
+    # raised, and the pool serves the next call
+    set_workers(3)
+    done = []
+
+    def row(i):
+        if i in (4, 7):
+            raise ValueError(f"row {i}")
+        done.append(i)
+
+    with pytest.raises(ValueError, match="row 4"):
+        for_each_row(9, row)
+    assert sorted(done) == [0, 1, 2, 3, 6]
+    out = np.zeros(9)
+
+    def fill(i):
+        out[i] = i
+
+    for_each_row(9, fill)
+    assert np.array_equal(out, np.arange(9.0))
+
+
+def _within(seconds, call, *args):
+    """Run call(*args) on a thread that must end within ``seconds``; its
+    error, if any, is raised here."""
+    errors = []
+
+    def target():
+        try:
+            call(*args)
+        except BaseException as exc:      # re-raised on the calling thread
+            errors.append(exc)
+
+    runner = threading.Thread(target=target)
+    runner.start()
+    runner.join(timeout=seconds)
+    assert not runner.is_alive(), "the split did not return"
+    if errors:
+        raise errors[0]
+
+
+def test_nested_split_runs_inline(set_workers):
+    # a split inside a block runs as one block on its thread, so a pool
+    # with fewer threads than blocks never waits on itself
+    set_workers(2)
+    out = np.zeros((4, 4))
+    threads = []
+
+    def outer(i):
+        def inner(j):
+            threads.append((i, threading.get_ident()))
+            out[i, j] = 10 * i + j
+        here = threading.get_ident()
+        for_each_row(4, inner)
+        assert all(t == here for k, t in threads if k == i)
+
+    _within(60, for_each_row, 4, outer)
+    assert np.array_equal(out, 10 * np.arange(4)[:, None] + np.arange(4))
+    assert len(threads) == 16
+
+
+def test_rows_written_once_under_frequent_switches(set_workers):
+    # more blocks than cores, switching threads every microsecond: each
+    # row's read-modify-write happens exactly once
+    set_workers(8)
+    out = np.zeros(4000, dtype=np.int64)
+
+    def row(i):
+        out[i] += i + 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1.0e-6)
+    try:
+        _within(60, for_each_row, out.size, row)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(out, np.arange(1, out.size + 1))
+
+
+@pytest.mark.parametrize("workers", [2, 3, 7])
+def test_free_field_bitwise_for_any_worker_count(set_workers, workers):
+    grid = WholeLineGrid(n=1024, dx=0.0625, x0=-16.0)
+    rng = np.random.default_rng(5)
+    damp = np.exp(-0.05 * grid.xi_half**2)
+    spectra = damp * (rng.standard_normal((9, damp.size))
+                      + 1j * rng.standard_normal((9, damp.size)))
+    t, x = np.linspace(0.0, 0.5, 9), np.linspace(0.0, 10.0, 33)
+    set_workers(1)
+    want = grid.free_field(spectra, t, x, (0, 1))
+    set_workers(workers)
+    assert np.array_equal(grid.free_field(spectra, t, x, (0, 1)), want)

@@ -15,7 +15,7 @@ from scipy.interpolate import CubicSpline
 
 from bo_halfline.config import ConfigError
 from bo_halfline.green import fresnel_weights
-from bo_halfline.halfline import HalfLineGrid, make_profile
+from bo_halfline.halfline import HalfLineGrid, cpu_workers, make_profile
 from bo_halfline.solver import (DuhamelPropagator, TimeGrid, XNorm,
                                 advective_forcing, cross_validate,
                                 picard_solve)
@@ -142,6 +142,7 @@ class TestPicard:
 
     def test_stage_timings_in_meta(self, solution):
         meta = solution.meta
+        assert meta["workers"] == cpu_workers()
         for key in ("linear_lattice_s", "propagator_build_s"):
             assert math.isfinite(meta[key]) and meta[key] >= 0.0
         # one entry per Picard sweep plus the residual sweep
@@ -309,10 +310,10 @@ def _memory_sum_double_loop(prop, lat):
 
 class TestDuhamelPropagator:
     def test_recurrence_matches_double_loop(self, propagator, decaying_forcing):
-        # zero spectra switch the free running sum off, leaving the damped
-        # ray, bracket and p0 sums that the recurrence replaces
+        # a zero free part switches the free running sum off, leaving the
+        # damped ray, bracket and p0 sums that the recurrence replaces
         lat = propagator.transform_forcing(decaying_forcing)
-        lat = dataclasses.replace(lat, spectra=np.zeros_like(lat.spectra))
+        lat = dataclasses.replace(lat, free=np.zeros_like(lat.free))
         got = propagator.accumulate(lat)
         want = _memory_sum_double_loop(propagator, lat)
         for d in (0, 1):
@@ -351,6 +352,17 @@ class TestDuhamelPropagator:
                 scale = np.max(np.abs(got[d]))
                 assert np.max(np.abs(got[d][k] - want)) <= 1e-12 * scale
         assert np.max(np.abs(got[0])) > 0.0
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_tensor_bitwise_for_any_worker_count(self, propagator,
+                                                 set_workers, workers):
+        cache = propagator.symbols.direction(propagator.layout.ray.phase)
+        moduli = propagator.grids.ray[0][::6]
+        set_workers(1)
+        want = propagator._build_tensor(cache, moduli)
+        set_workers(workers)
+        for got, ref in zip(propagator._build_tensor(cache, moduli), want):
+            assert np.array_equal(got, ref)
 
     def test_damping_table_is_per_step(self, propagator):
         nodes = propagator.times.nodes
@@ -391,7 +403,7 @@ class TestDuhamelPropagator:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        out = lat.e_full.nbytes + lat.e_brk.nbytes + lat.spectra.nbytes
+        out = lat.free.nbytes + lat.e_full.nbytes + lat.e_brk.nbytes
         assert peak <= 2.0 * out
 
     def test_no_pairwise_lattice_but_the_index(self, propagator):
@@ -422,6 +434,18 @@ class TestDuhamelPropagator:
         tail = lam[:, 0, None, None] * layout._tail_b1 \
             + lam[:, 1, None, None] * layout._tail_b0
         assert np.array_equal(lat.e_full, np.concatenate([e_ray, tail], axis=1))
+
+
+def test_solution_bitwise_for_any_worker_count(fast_cfg, solution,
+                                               set_workers):
+    # every split site at once: the linear lattice, the propagator build
+    # and the sweeps, on one block against the CPUs of this machine
+    set_workers(1)
+    serial = picard_solve(fast_cfg)
+    assert serial.meta["workers"] == 1
+    for name in ("values", "derivs", "linear_values"):
+        assert np.array_equal(getattr(serial, name), getattr(solution, name))
+    assert serial.step_norms == solution.step_norms
 
 
 class _NanPropagator:
