@@ -17,13 +17,13 @@ from .halfline import (PROFILES, HalfLineGrid, Profile, TruncatedWeight,
 from .mol import MethodOfLines, MolResult
 from .solver import (DuhamelPropagator, SpaceTimeSolution, TimeGrid, XNorm,
                      advective_forcing, cross_validate, picard_solve)
-from .symbols import (PhiRoot, Symbols, admissible_arg, ratio_weight, root_k,
-                      root_phi, symbol_K, symbol_K_tilde)
+from .symbols import (Symbols, admissible_arg, ratio_weight, root_k, root_phi,
+                      symbol_K, symbol_K_tilde)
 
 __all__ = [
     "AxisSampling", "BoundaryKernel", "DuhamelPropagator",
     "EMinusLattice", "GreenGrids", "GreenOperator", "HalfLineGrid",
-    "MethodOfLines", "MolResult", "PROFILES", "PhiRoot", "Profile",
+    "MethodOfLines", "MolResult", "PROFILES", "Profile",
     "RunConfig", "SpaceTimeSolution", "Symbols", "TimeGrid",
     "TruncatedWeight", "WholeLineGrid", "XNorm", "admissible_arg",
     "advective_forcing", "ap_characteristic", "cauchy_transform",

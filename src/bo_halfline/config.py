@@ -21,11 +21,9 @@ ENV_PREFIX = "BOHL_"
 #: Closed vocabularies for the string-valued options.  Variant names describe
 #: the structural choice they select, nothing else.
 ENUM_VALUES = {
-    "contour_angle": ("3pi8", "pi4"),
     "c_q_variant": ("derived", "alt"),
     "psi_b_variant": ("derived", "display", "polar"),
     "psi_profile": ("gauss_bump", "poly_exp"),
-    "h_profile": ("ramp_exp",),
 }
 
 
@@ -56,7 +54,6 @@ class RunConfig:
     # Symbol-layer structural variants.  psi_b_variant was selected by the
     # Dirichlet-trace identity; c_q_variant "alt" misses the finite-difference
     # oracle of a_tilde by 0.92 and 1.31, where "derived" matches to 1.7e-4.
-    contour_angle: str = "3pi8"
     c_q_variant: str = "alt"
     psi_b_variant: str = "derived"
 
@@ -84,9 +81,8 @@ class RunConfig:
     mol_length: float = 30.0
     mol_dt: float = 1.0e-3
 
-    # Data profiles
+    # Initial-datum profile; the boundary datum is always ramp_exp.
     psi_profile: str = "gauss_bump"
-    h_profile: str = "ramp_exp"
 
     # Weighted-space exponent (the epsilon in the H^{1+eps} / L^{2,eps} pair).
     epsilon_weight: float = 0.125

@@ -30,7 +30,7 @@ from scipy.linalg import cholesky_banded, inv
 from scipy.linalg.lapack import dsyevr
 
 from .config import RunConfig
-from .halfline import (WholeLineGrid, hilbert_whole_line, l2_norm,
+from .halfline import (RampExp, WholeLineGrid, hilbert_whole_line, l2_norm,
                        make_profile, node_index, pv_matrix)
 
 
@@ -68,7 +68,7 @@ class MethodOfLines:
         self.x = np.linspace(0.0, cfg.mol_length, n + 1)
         self.dx = self.x[1] - self.x[0]
         self.psi = make_profile(cfg.psi_profile, cfg.data_scale)
-        self.h = make_profile(cfg.h_profile, cfg.data_scale)
+        self.h = RampExp(cfg.data_scale)
         self._build_operators()
 
     def _build_operators(self) -> None:

@@ -35,7 +35,7 @@ from .boundary import BoundaryKernel
 from .config import RunConfig
 from .contour import AxisSampling, cauchy_transform, log_graded_nodes, plemelj_limits
 from .green import GreenOperator
-from .halfline import (HalfLineGrid, TruncatedWeight, WholeLineGrid,
+from .halfline import (HalfLineGrid, RampExp, TruncatedWeight, WholeLineGrid,
                        ap_characteristic, convolution_decay, hilbert_whole_line,
                        l2_norm, make_profile, trapezoid_weights)
 from .solver import SpaceTimeSolution, cross_validate, picard_solve
@@ -257,9 +257,8 @@ def _csv_str(s: str) -> str:
 
 
 def _config_tag(cfg: RunConfig) -> str:
-    return (f"seed={cfg.seed} contour={cfg.contour_angle} "
-            f"c_q={cfg.c_q_variant} psi_b={cfg.psi_b_variant} "
-            f"data_scale={cfg.data_scale:g}")
+    return (f"seed={cfg.seed} c_q={cfg.c_q_variant} "
+            f"psi_b={cfg.psi_b_variant} data_scale={cfg.data_scale:g}")
 
 
 def _select(blocks: Iterable[tuple[str, Callable[[], list[CheckRow]]]],
@@ -316,8 +315,8 @@ def _scaling_rows(cfg: RunConfig, rng: np.random.Generator) -> list[CheckRow]:
             sp = p * p * s
             errs["k"] = max(errs["k"], abs(root_k(sp) - p * root_k(s))
                             / abs(p * root_k(s)))
-            phi0 = complex(root_phi(s).value)
-            phi1 = complex(root_phi(sp).value)
+            phi0 = complex(root_phi(s))
+            phi1 = complex(root_phi(sp))
             errs["phi"] = max(errs["phi"], abs(phi1 - p * phi0) / abs(p * phi0))
             g0 = np.exp(symbols.gamma_tilde(w0, s))
             g1 = np.exp(symbols.gamma_tilde(p * w0, sp))
@@ -363,9 +362,7 @@ def _symbol_control_rows(cfg: RunConfig) -> list[CheckRow]:
     # of them and reads -1/2 -- a unit discrepancy the probe must see.
     symbols = Symbols(cfg)
     s = complex(2.0 * np.exp(1j * math.pi))
-    other = "pi4" if cfg.contour_angle == "3pi8" else "3pi8"
-    gap = abs(symbols.index(s)
-              - Symbols(cfg.replace(contour_angle=other)).index(s))
+    gap = abs(symbols.index(s) - Symbols(cfg, theta=np.pi / 4).index(s))
     # the scaling law pins the index power: substituting the wrong index
     # must leave a visible residual where the right one leaves ~1e-6.
     s0 = complex(1.5 * np.exp(1j * math.pi))
@@ -374,8 +371,7 @@ def _symbol_control_rows(cfg: RunConfig) -> list[CheckRow]:
     g1 = np.exp(symbols.gamma_tilde(-p + 0j, complex(p * p * s0)))
     wrong = abs(g1 - p ** (-0.5) * g0) / abs(g0)
     return [
-        control("controls", f"index-contour[{cfg.contour_angle}-vs-{other}]",
-                gap, 1.0, 1.0e-2,
+        control("controls", "index-contour[3pi8-vs-pi4]", gap, 1.0, 1.0e-2,
                 source="root separation depends on the contour angle"),
         control("controls", "exp-gamma-scaling[index=+1/2]", wrong, None,
                 1.0e-2, source="scaling residual with the wrong index must "
@@ -474,7 +470,7 @@ def _weighted_bound_rows(cfg: RunConfig) -> list[CheckRow]:
     sweep plus the fitted relaxation exponent of the tail.
     """
     bker = BoundaryKernel(Symbols(cfg))
-    h = make_profile(cfg.h_profile, 1.0)
+    h = RampExp(1.0)
     half = HalfLineGrid(x_max=400.0, n=2048)
     tg = WholeLineGrid(n=4096, dx=0.02, x0=-8.0)
     hv = np.where(tg.nodes >= 0.0, h(tg.nodes), 0.0)

@@ -29,9 +29,9 @@ from .green import (FieldAssembly, GreenGrids, GreenOperator, RayLayout,
                     e_minus_weights, fresnel_table)
 # the one-row Filon helper stays importable from this module too
 from .green import fresnel_weights  # noqa: F401
-from .halfline import (HalfLineGrid, WholeLineGrid, cpu_workers, for_each_row,
-                       l2_norm, laplace_matrix, make_profile, node_index,
-                       trapezoid_weights)
+from .halfline import (HalfLineGrid, RampExp, WholeLineGrid, cpu_workers,
+                       for_each_row, l2_norm, laplace_matrix, make_profile,
+                       node_index, trapezoid_weights)
 from .mol import MethodOfLines
 from .symbols import Symbols
 
@@ -58,9 +58,6 @@ class TimeGrid:
             parts.append(np.linspace(t_switch, t_final, n_uniform + 1)[1:])
         self.nodes = np.concatenate(parts)
         self.n = self.nodes.size
-
-    def index_of(self, t: float) -> int:
-        return node_index(self.nodes, t)
 
     def weights_upto(self, k: int) -> np.ndarray:
         """Trapezoid weights for int_0^{t_k} on nodes 0..k."""
@@ -106,9 +103,11 @@ class ForcingTransforms:
 
 
 #: Layout of the memory-integral corrections.  Coarser than the single-shot
-#: Green layout: each lattice cell is carried through every time step of the
-#: accumulation, and the time quadrature error (~1e-3) would swamp finer
-#: spatial resolution anyway.
+#: Green layout, because each lattice cell is carried through every time
+#: step of the accumulation.  On the Green correction of gauss_bump at
+#: t = 0.25, 1, 2 and 10 this layout differs from GreenGrids() by 6e-3 in
+#: value and 2.4e-2 in slope (max relative change); the time-quadrature
+#: error of the accumulation is unmeasured.
 DUHAMEL_GRIDS = GreenGrids(p_ppd=12, r_ppd=8, axis_min=1.0e-6, axis_max=1.0e6)
 
 
@@ -404,7 +403,7 @@ def picard_solve(config: RunConfig | None = None,
                      cfg.n_time_uniform)
     xs = half.nodes
     psi = make_profile(cfg.psi_profile, cfg.data_scale)
-    h = make_profile(cfg.h_profile, cfg.data_scale)
+    h = RampExp(cfg.data_scale)
     h_values = h(times.nodes)
 
     clock = time.perf_counter()
@@ -498,7 +497,7 @@ def picard_solve(config: RunConfig | None = None,
         solution_xnorm=u_norm, converged=converged, aborted=aborted,
         n_iter=n_iter, trace_error=trace_err, form_discrepancy=gap,
         meta={"data_scale": cfg.data_scale, "psi": cfg.psi_profile,
-              "h": cfg.h_profile, **timings})
+              **timings})
 
 
 def cross_validate(config: RunConfig | None = None, t_compare: float = 1.0,

@@ -20,7 +20,6 @@ unit-modulus directions s_hat cached as splines (DirectionCache).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline, PPoly
@@ -49,33 +48,17 @@ def root_k(xi):
     return np.sqrt(np.asarray(xi, dtype=complex))
 
 
-@dataclass(frozen=True)
-class PhiRoot:
-    value: np.ndarray
-    from_upper: np.ndarray  # True where the rule picked sqrt(-i s)
-    residual: np.ndarray    # |K(phi) + s| evaluated on the selected branch
-
-    def __iter__(self):
-        yield self.value
-        yield self.from_upper
-        yield self.residual
-
-
-def root_phi(s) -> PhiRoot:
+def root_phi(s) -> np.ndarray:
     """Root of the extended symbol equation K(q) + s = 0 tracked by half plane.
 
     For Im s >= 0 the root continued from the upper branch, sqrt(-i s), is
-    selected; otherwise sqrt(i s).  The residual is computed on the selected
-    branch (-i phi^2 resp. +i phi^2), which is the meaningful zero condition:
-    for Re s > 0 the root is the analytic continuation across the sector
-    boundary and the literal sectional K(phi) does not vanish.
+    selected; otherwise sqrt(i s).  It annihilates the selected branch
+    (-i phi^2 resp. +i phi^2) + s: for Re s > 0 the root is the analytic
+    continuation across the sector boundary and the literal sectional
+    K(phi) does not vanish.
     """
     s = np.asarray(s, dtype=complex)
-    upper = s.imag >= 0
-    value = np.where(upper, np.sqrt(-1j * s), np.sqrt(1j * s))
-    branch_K = np.where(upper, -1j * value * value, 1j * value * value)
-    residual = np.abs(branch_K + s)
-    return PhiRoot(value, upper, residual)
+    return np.where(s.imag >= 0, np.sqrt(-1j * s), np.sqrt(1j * s))
 
 
 def admissible_arg(xi) -> np.ndarray:
@@ -105,7 +88,11 @@ def ratio_weight(q, s, variant: str = "derived"):
     return 2.0 * q * s * c / ((symbol_K(q) + s) * (symbol_K_tilde(q) + s))
 
 
-_CONTOUR_ANGLES = {"3pi8": 3 * np.pi / 8, "pi4": np.pi / 4}
+#: Angle of the symbol-contour rays from the positive real axis.  A symbol
+#: root lies on a ray where arg s = 2 theta or 2 pi - 2 theta (3 pi/4 and
+#: 5 pi/4 here, which check_admissible rejects); pi/4 would put the bracket
+#: direction s = i on a ray.
+SYMBOL_THETA = 3 * np.pi / 8
 
 
 class Symbols:
@@ -113,11 +100,14 @@ class Symbols:
 
     Holds the contour geometry, the structural variant switches, and a memo
     of per-direction caches.  The instance is cheap; caches build lazily.
+    ``theta`` replaces the contour angle ``SYMBOL_THETA`` for negative
+    controls only.
     """
 
-    def __init__(self, config: RunConfig | None = None):
+    def __init__(self, config: RunConfig | None = None, *,
+                 theta: float = SYMBOL_THETA):
         self.config = cfg = config or RunConfig()
-        self.theta = _CONTOUR_ANGLES[cfg.contour_angle]
+        self.theta = theta
         self.ppd = cfg.contour_points_per_decade
         self._directions: dict[complex, DirectionCache] = {}
 
@@ -126,7 +116,7 @@ class Symbols:
     @property
     def resolution_tag(self) -> str:
         c = self.config
-        return f"{c.contour_angle}:{self.ppd}:{c.c_q_variant}:{c.psi_b_variant}"
+        return f"{self.theta!r}:{self.ppd}:{c.c_q_variant}:{c.psi_b_variant}"
 
     def contour(self, s: complex) -> tuple[np.ndarray, np.ndarray]:
         """Symbol-contour nodes q and dq-weights at s: radii 1e-5..1e5 |s|^{1/2}."""
@@ -200,14 +190,14 @@ class Symbols:
         a_tilde(s) and is O(|s|^{-1/2}) on the axis."""
         s = complex(s)
         k = complex(root_k(s))
-        phi = complex(root_phi(s).value)
+        phi = complex(root_phi(s))
         return -self.gamma_one(s) + (k - phi) / (k * phi)
 
     def y_plus(self, w, s: complex):
         """Left-analytic factor Y+(w,s) = e^{gamma_tilde(w,s)} (w-phi)/(w-k)."""
         s = complex(s)
         k = complex(root_k(s))
-        phi = complex(root_phi(s).value)
+        phi = complex(root_phi(s))
         w_arr = np.asarray(w, dtype=complex)
         g = self.gamma_tilde(w_arr, s)
         return np.exp(g) * (w_arr - phi) / (w_arr - k)
@@ -216,7 +206,7 @@ class Symbols:
         """Data weight Omega(w,s) multiplying the transformed datum in e_minus."""
         s = complex(s)
         k = complex(root_k(s))
-        phi = complex(root_phi(s).value)
+        phi = complex(root_phi(s))
         at = self.a_tilde(s)
         big_b = (1.0 - at) * k * k / (1.0 + k * at)
         c_ref = (1.0 + phi) / (1.0 + k)
@@ -232,7 +222,7 @@ class Symbols:
         Dirichlet-trace identity (see BoundaryKernel.trace_profile_side)."""
         s = complex(s)
         k = complex(root_k(s))
-        phi = complex(root_phi(s).value)
+        phi = complex(root_phi(s))
         at = self.a_tilde(s)
         delta = self.gamma_tilde(-1.0, s) - self.gamma_tilde(0.0, s)
         return _psi_boundary_from_pieces(self.config.psi_b_variant, s, k, phi,
@@ -259,7 +249,7 @@ class Symbols:
         evaluated instead; the two agree (internal oracle).
         """
         s = complex(s)
-        phi = complex(root_phi(s).value)
+        phi = complex(root_phi(s))
         g0 = self.gamma_tilde(0.0, s)
         rad = math.sqrt(abs(s))
         ppd = axis_ppd or max(self.ppd, 24)
@@ -316,7 +306,7 @@ class DirectionCache:
         self.ind = sy.index(s_hat)
         self.moment1 = sy.first_moment(s_hat)
         self.k_hat = complex(root_k(s_hat))
-        self.phi_hat = complex(root_phi(s_hat).value)
+        self.phi_hat = complex(root_phi(s_hat))
         self.a_hat = sy.a_tilde(s_hat)
 
         grid = np.exp(np.linspace(np.log(_V_LO), np.log(_V_HI),

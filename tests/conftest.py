@@ -45,7 +45,7 @@ def data_psi(cfg):
 
 @pytest.fixture(scope="session")
 def data_h(cfg):
-    return make_profile(cfg.h_profile, cfg.data_scale)
+    return make_profile("ramp_exp", cfg.data_scale)
 
 
 @pytest.fixture(scope="session")

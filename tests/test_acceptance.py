@@ -126,11 +126,12 @@ def test_criterion_04_green_decay_rates(decay_report):
            if r.passed is False]
     assert not bad, (
         "dispersive decay rates not reached (targets -1/4 for n=0, -3/4 "
-        "for n=1, tol 0.1): " + "; ".join(bad) + ".  The flow transports "
-        "the datum rightward at group velocity 2|xi| and conserves its "
-        "L^2 mass inside the observation window, so the windowed norms "
-        "stay flat; the stated rates require mass to leave through the "
-        "wall, which the assembled kernel does not do.")
+        "for n=1, tol 0.1): " + "; ".join(bad) + ".  The correction "
+        "carries a static c/sqrt(x) far field: sqrt(x) G(t)psi at x = 2400 "
+        "reads -0.180 (gauss_bump) and -0.385 (poly_exp), so the windowed "
+        "norms stay flat.  For n=1 the energy law of this H (skew on "
+        "L^2(0,inf)) keeps ||d_x G(t)psi|| constant.  The reference arm "
+        "gains mass for these data; none leaves through the wall.")
 
 
 def test_criterion_05_boundary_decay_rates(decay_report):
@@ -158,7 +159,7 @@ def test_criterion_06_linear_solution_residual_and_trace(cfg):
     t_start = time.perf_counter()
     sym = Symbols(cfg)
     psi = make_profile(cfg.psi_profile, cfg.data_scale)
-    h = make_profile(cfg.h_profile, cfg.data_scale)
+    h = make_profile("ramp_exp", cfg.data_scale)
     green = GreenOperator(sym, psi)
     kernel = BoundaryKernel(sym)
     nrm = np.linalg.norm
@@ -279,10 +280,10 @@ def test_criterion_08_cross_validation(cfg, solution):
                 f"method-of-lines norm {xv['mol_norm']:.4f}, reference "
                 f"drift {drift:.3f})")
     assert not problems, (
-        "\n".join(problems) + "\nThe two solvers agree in norm to a few "
-        "percent but differ pointwise: the analytic kernels carry a "
-        "boundary-layer closure defect that Duhamel propagates into the "
-        "interior, while the discretized run does not.")
+        "\n".join(problems) + "\nThe gap is the t = 0 defect of the "
+        "linear datum map: ||G_2(0)psi||/||psi|| reads 0.622 (gauss_bump) "
+        "and 0.465 (poly_exp), where G(0)psi = psi needs 0.  It is present "
+        "with h = 0 and without Duhamel.")
 
 
 def test_criterion_09_growth_envelopes(cfg, solution):

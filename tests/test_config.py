@@ -5,6 +5,7 @@ import dataclasses
 import io
 import math
 import os
+import re
 from pathlib import Path
 from unittest import mock
 
@@ -16,11 +17,21 @@ from bo_halfline.cli import main
 from bo_halfline.config import (ENUM_VALUES, MIN_T_SWITCH, MOL_MIN_N,
                                 ConfigError, RunConfig)
 
-DEFAULTS_FILE = Path(__file__).resolve().parents[1] / "src" / "bo_halfline" / "defaults.cfg"
+SRC_DIR = Path(__file__).resolve().parents[1] / "src" / "bo_halfline"
+DEFAULTS_FILE = SRC_DIR / "defaults.cfg"
 
 
 def test_defaults_file_matches_constructor():
     assert RunConfig.from_file(DEFAULTS_FILE) == RunConfig()
+
+
+def test_every_field_is_read_by_the_program():
+    # a key that no module reads is a knob that changes nothing
+    sources = "\n".join(p.read_text() for p in SRC_DIR.glob("*.py")
+                        if p.name != "config.py")
+    unread = [f.name for f in dataclasses.fields(RunConfig)
+              if not re.search(rf"\.{f.name}\b", sources)]
+    assert not unread, f"RunConfig fields read nowhere: {unread}"
 
 
 def test_round_trip_through_file(tmp_path):
@@ -87,10 +98,12 @@ def test_env_override_bad_value_is_config_error():
 
 
 # BOHL_ variables that name no field: keys deleted from RunConfig (the ray
-# angles are constants of green.py and boundary.py, the Plemelj check's axis
-# sampling is fixed) and a misspelling.  They used to be ignored silently.
+# angles are constants of green.py and boundary.py, the symbol-contour angle
+# is symbols.SYMBOL_THETA, the Plemelj check's axis sampling is fixed, the
+# boundary datum is always ramp_exp) and a misspelling.  They used to be
+# ignored silently.
 UNKNOWN_VARS = ["BOHL_DELTA_S", "BOHL_DELTA_U", "BOHL_AXIS_POINTS_PER_DECADE",
-                "BOHL_DATA_SCLAE"]
+                "BOHL_CONTOUR_ANGLE", "BOHL_H_PROFILE", "BOHL_DATA_SCLAE"]
 
 
 @pytest.mark.parametrize("var", UNKNOWN_VARS)
@@ -105,7 +118,7 @@ def test_replace_validates():
     with pytest.raises(ConfigError):
         RunConfig().replace(t_switch=3.0)  # exceeds t_final
     with pytest.raises(ConfigError):
-        RunConfig().replace(contour_angle="pi")
+        RunConfig().replace(psi_profile="bogus")
 
 
 # Values no run can use: mol_dt = 0, for one, divides by zero in the

@@ -241,7 +241,7 @@ def test_mass_law_with_zero_boundary_data(cfg, profile, gap_bound, mass_ends):
     # 0.40e-2).  The mass grows: these data gain it through the wall.
     scale = 1e-6
     m = MethodOfLines(cfg, psi_profile=profile, data_scale=scale, mol_n=512)
-    m.h = make_profile(cfg.h_profile, 0.0)
+    m.h = make_profile("ramp_exp", 0.0)
     times = np.linspace(0.0, 1.0, 11)
     u = m.run(1.0, save_times=times).values / scale
     mass = 0.5 * m.dx * np.sum(u**2, axis=1)

@@ -15,7 +15,8 @@ from scipy.interpolate import CubicSpline
 
 from bo_halfline.config import ConfigError
 from bo_halfline.green import fresnel_weights
-from bo_halfline.halfline import HalfLineGrid, cpu_workers, make_profile
+from bo_halfline.halfline import (HalfLineGrid, cpu_workers, make_profile,
+                                  node_index)
 from bo_halfline.solver import (DuhamelPropagator, TimeGrid, XNorm,
                                 advective_forcing, cross_validate,
                                 picard_solve)
@@ -42,13 +43,13 @@ class TestTimeGrid:
 
     def test_switch_node_is_exact(self):
         tg = TimeGrid(2.0, 1.0, 64, 64)
-        assert tg.index_of(1.0) == 64
+        assert node_index(tg.nodes, 1.0) == 64
         assert tg.nodes[64] == 1.0
 
     def test_index_of_rejects_off_node_time(self):
         tg = TimeGrid(2.0, 1.0, 64, 64)
         with pytest.raises(ValueError, match="not a lattice node"):
-            tg.index_of(0.123456)
+            node_index(tg.nodes, 0.123456)
 
     def test_quadrature_weights_integrate_one(self):
         tg = TimeGrid(2.0, 1.0, 64, 64)

@@ -49,31 +49,40 @@ class TestRootK:
         assert abs(complex(symbol_K_tilde(k)) + s) < 1e-14
 
 
+def _branch_residual(s) -> float:
+    """|K + s| at phi on the branch the half-plane rule selects: -i phi^2
+    for Im s >= 0, +i phi^2 below."""
+    phi = complex(root_phi(s))
+    branch = -1j if np.imag(s) >= 0 else 1j
+    return abs(branch * phi * phi + s)
+
+
 class TestRootPhi:
     def test_unit_point(self):
-        r = root_phi(1.0)
+        phi = complex(root_phi(1.0))
         want = (1.0 - 1.0j) / np.sqrt(2.0)
-        assert abs(complex(r.value) - want) < 1e-15
-        assert bool(r.from_upper)
-        assert float(r.residual) < 1e-12
+        assert abs(phi - want) < 1e-15
+        assert phi == complex(np.sqrt(-1j * 1.0))  # the upper branch
+        assert _branch_residual(1.0) < 1e-12
 
     def test_quadratic_scaling(self):
-        assert abs(complex(root_phi(4.0).value)
-                   - 2.0 * complex(root_phi(1.0).value)) < 1e-14
+        assert abs(complex(root_phi(4.0))
+                   - 2.0 * complex(root_phi(1.0))) < 1e-14
 
     def test_branch_tracks_half_plane(self):
-        up = root_phi(-2.0 + 1e-9j)
-        dn = root_phi(-2.0 - 1e-9j)
-        assert bool(up.from_upper) and not bool(dn.from_upper)
-        assert float(up.residual) < 1e-8 and float(dn.residual) < 1e-8
+        s_up, s_dn = -2.0 + 1e-9j, -2.0 - 1e-9j
+        up, dn = complex(root_phi(s_up)), complex(root_phi(s_dn))
+        assert up == complex(np.sqrt(-1j * s_up))
+        assert dn == complex(np.sqrt(1j * s_dn))
+        assert abs(up - dn) > 1.0  # the two branches are far apart here
+        assert _branch_residual(s_up) < 1e-8 and _branch_residual(s_dn) < 1e-8
 
     def test_residual_is_branch_zero_condition(self):
         # On the selected branch the root annihilates the continued symbol
         # even when the literal sectional symbol does not vanish.
         s = 2.0 * np.exp(0.4j)  # Re s > 0, continued root
-        r = root_phi(s)
-        assert float(r.residual) < 1e-12
-        assert abs(complex(symbol_K(complex(r.value))) + s) > 0.1
+        assert _branch_residual(s) < 1e-12
+        assert abs(complex(symbol_K(complex(root_phi(s)))) + s) > 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +105,14 @@ class TestAdmissibility:
 
     def test_check_accepts_interior(self, sym):
         sym.check_admissible(S_REF)
+
+    def test_contour_angle_is_fixed(self):
+        # theta= exists for the negative control only; its direction caches
+        # must not share a tracer key with the production contour's
+        default = Symbols(RunConfig())
+        assert default.theta == 3 * np.pi / 8
+        assert (Symbols(RunConfig(), theta=np.pi / 4).resolution_tag
+                != default.resolution_tag)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +194,7 @@ def a_tilde_oracle(sym, s):
     d2 = (sym.gamma_tilde(h / 2, s) - sym.gamma_tilde(-h / 2, s)) / h
     rich = (4.0 * d2 - d1) / 3.0
     k = complex(root_k(s))
-    phi = complex(root_phi(s).value)
+    phi = complex(root_phi(s))
     return -rich + (k - phi) / (k * phi)
 
 
