@@ -207,7 +207,11 @@ class RayKernel:
 
     def smooth_kernel(self, t: float) -> np.ndarray:
         """Damped-ray plus tail part of K(p, t)."""
-        return self.layout.ray.smooth(self.rows * self.layout.damping(t))
+        # explicit operand order here and in field: numpy may evaluate
+        # ``a * temporary`` as ``temporary *= a``, which rounds differently
+        d = self.layout.damping(t)
+        np.multiply(d, self.rows, out=d)
+        return self.layout.ray.smooth(d)
 
     def kernel(self, t: float) -> np.ndarray:
         """K(p, t) on p_nodes (real array)."""
@@ -218,7 +222,8 @@ class RayKernel:
         kernel, Filon-weighted bracket row and K(p0, t) through one field map."""
         k_smooth = np.stack([self.smooth_kernel(tk) for tk in times])
         k0 = self.bracket(times, 0) + k_smooth[:, 0]
-        w_brk = self.row_brk * fresnel_table(self.p_nodes, times)
+        w_brk = fresnel_table(self.p_nodes, times)
+        np.multiply(self.row_brk, w_brk, out=w_brk)
         assembly = FieldAssembly(x, self.p_nodes)
         return np.stack([assembly(d, k_smooth, w_brk, k0) for d in orders])
 

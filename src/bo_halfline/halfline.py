@@ -367,8 +367,9 @@ def laplace_matrix(z_values: np.ndarray, x_nodes: np.ndarray,
     factor e^{-z x} underflows to exactly 0 for all of its rows (the nodes
     increase, so it stays 0 beyond): the weights past it are exact zeros and
     are not evaluated.  Every evaluated entry is an elementwise formula in
-    its own z, so neither the blocking nor the row order changes a bit, and
-    the blocks are split across the usable CPUs by ``for_each_row``."""
+    its own z, so neither the blocking nor the row order changes a bit.
+    ``for_each_row`` runs the blocks in bit-reversed order, which spreads the
+    costly blocks of small Re z evenly over the CPUs' contiguous shares."""
     z = np.atleast_1d(np.asarray(z_values, dtype=complex))
     if np.any(z.real < -1.0e-12 * (1.0 + np.abs(z))):
         raise ValueError("laplace_matrix requires Re z >= 0")
@@ -376,6 +377,9 @@ def laplace_matrix(z_values: np.ndarray, x_nodes: np.ndarray,
     h = np.diff(x)                                    # (nx-1,)
     out = np.zeros((z.size, x.size), dtype=dtype)
     order = np.argsort(z.real, kind="stable")
+    n_blocks = -(-z.size // LAPLACE_BLOCK_ROWS)
+    bits = max(n_blocks - 1, 1).bit_length()
+    spread = sorted(range(n_blocks), key=lambda b: f"{b:0{bits}b}"[::-1])
 
     def fill(b: int) -> None:
         rows = order[b * LAPLACE_BLOCK_ROWS:(b + 1) * LAPLACE_BLOCK_ROWS]
@@ -389,7 +393,7 @@ def laplace_matrix(z_values: np.ndarray, x_nodes: np.ndarray,
         block[:, 1:] += front * wb
         out[rows, :n + 1] = block
 
-    for_each_row(-(-z.size // LAPLACE_BLOCK_ROWS), fill)
+    for_each_row(n_blocks, lambda i: fill(spread[i]))
     return out
 
 

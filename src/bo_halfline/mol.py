@@ -16,9 +16,8 @@ eigenvalues of its interior block S_ii.  On the interior A = H K with H skew
 and K = tridiag(-1, 2, -1)/dx^2 positive definite, so A is skew in the
 energy <v, K v> and S_ii is a contraction in the K-norm (Crank & Nicolson
 1947; Ascher, Ruuth & Wetton 1995).  max(1, ||S_ii||_K) is never below the
-radius and reads 1 to round-off.  It costs an O(n^2) similarity by the
-bidiagonal Cholesky factor of K, one Gram matrix and its top symmetric
-eigenvalue, instead of a dense nonsymmetric eigensolve."""
+radius.  It costs an O(n^2) similarity by the bidiagonal Cholesky factor of
+K, one Gram triangle and one Cholesky test instead of a dense eigensolve."""
 
 from __future__ import annotations
 
@@ -27,7 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cholesky_banded, inv
-from scipy.linalg.lapack import dsyevr
+from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dpotrf, dsyevr
 
 from .config import RunConfig
 from .halfline import (RampExp, WholeLineGrid, hilbert_whole_line, l2_norm,
@@ -133,28 +133,34 @@ class MethodOfLines:
         return inv(lhs.T, overwrite_a=True, check_finite=False).T
 
     def stability_certificate(self, dt: float | None = None,
-                              step: np.ndarray | None = None) -> float:
+                              step: np.ndarray | None = None,
+                              meta: dict | None = None) -> float:
         """Upper bound max(1, ||S_ii||_K) on the spectral radius of the
         implicit step matrix S = (I - dt A)^{-1}, where S_ii is S without its
         end rows and columns and ||.||_K the operator norm of the energy
         <v, K v>, K = tridiag(-1, 2, -1)/dx^2.  ``step`` passes an S already
-        formed for this ``dt``; the certificate consumes it, overwriting its
-        interior.  inf when an end row of S is not exactly a unit row (the
-        bound then no longer covers the end eigenvalues) or when no finite
-        bound comes out."""
+        formed for this ``dt``; the certificate consumes it.  With G the
+        order-n Gram matrix of top eigenvalue max(1, ||S_ii||_K)^2 and
+        delta = 16 n eps, the bound is sqrt(1 + 2 delta) if I - G/(1 + delta)
+        has a Cholesky factor, the second delta for rounding in G of typical
+        size n eps (worst case n^2 eps; Higham 2002, ch. 10), to which the
+        eigenvalue is also only accurate; else the eigenvalue's root.  inf
+        when an end row of S is not exactly a unit row (the bound then no
+        longer covers the end eigenvalues) or no finite bound comes out.
+        ``meta``, if given, gets ``certificate_route``: ``cholesky``,
+        ``eigen``, or ``none`` when inf came before either."""
+        meta = {} if meta is None else meta
+        meta["certificate_route"] = "none"
         if step is None:
             step = self.step_matrix(dt)
-        ends = step[[0, -1]]
-        unit = np.zeros_like(ends)
+        unit = np.zeros((2, step.shape[1]))
         unit[0, 0] = unit[-1, -1] = 1.0
-        if not np.array_equal(ends, unit):
+        if not np.array_equal(step[[0, -1]], unit):
             return float("inf")
         # K = L L^T with L lower bidiagonal (diagonal l, subdiagonal m);
         # ||S_ii||_K is the 2-norm of B = L^T S_ii L^{-T}, formed in place
         n_in = step.shape[0] - 2
-        band = np.empty((2, n_in))
-        band[0] = 2.0 / self.dx**2
-        band[1] = -1.0 / self.dx**2
+        band = np.outer([2.0, -1.0], np.full(n_in, 1.0 / self.dx**2))
         l, m = cholesky_banded(band, lower=True)
         b = step[1:-1, 1:-1]
         for i in range(n_in - 1):          # rows: b_i <- l_i b_i + m_i b_i+1
@@ -165,23 +171,22 @@ class MethodOfLines:
         for j in range(1, n_in):           # columns: solve against L^T
             b[:, j] -= m[j - 1] * b[:, j - 1]
             b[:, j] /= l[j]
-        # ||B||^2 is the top eigenvalue of the Gram matrix; its transpose is
-        # Fortran-ordered, so LAPACK works on it in place with no copy
-        gram = b.T @ b
-        if not np.isfinite(np.trace(gram)):     # sums every b_ij^2
+        # zeroed interior end columns make S blockdiag(1, B, 1); dsyrk reads
+        # the Fortran-ordered S^T, writes the triangle dpotrf and dsyevr read
+        step[1:-1, [0, -1]] = 0.0
+        n = step.shape[0]
+        delta = 16.0 * n * np.finfo(float).eps
+        gram = dsyrk(-1.0 / (1.0 + delta), step.T, beta=1.0,
+                     c=np.eye(n, order="F"), overwrite_c=1)
+        if not np.isfinite(np.trace(gram)):     # n - sum s_ij^2 / (1 + delta)
             return float("inf")
-        top, _, _, _, info = dsyevr(gram.T, compute_v=0, range="I",
-                                    il=n_in, iu=n_in, overwrite_a=1)
-        if info != 0:
-            # the bisection behind range "I" fails on a Gram matrix that is
-            # the identity to rounding (its Sturm counts are not monotone in
-            # a tight cluster at 1); it has overwritten the matrix, so rebuild
-            # it in place and take the whole spectrum, which dsyevr then gets
-            # from root-free QR (dsterf) at the same reduction cost
-            np.matmul(b.T, b, out=gram)
-            every, _, _, _, info = dsyevr(gram.T, compute_v=0, range="A",
-                                          overwrite_a=1)
-            top = every[-1:]
+        if dpotrf(gram, overwrite_a=1, clean=0)[1] == 0:
+            meta["certificate_route"] = "cholesky"
+            return float(np.sqrt(1.0 + 2.0 * delta))
+        meta["certificate_route"] = "eigen"
+        gram = dsyrk(1.0, step.T, c=gram, overwrite_c=1)
+        top, _, _, _, info = dsyevr(gram, compute_v=0, range="I",
+                                    il=n, iu=n, overwrite_a=1)
         return max(1.0, float(np.sqrt(top[0]))) if info == 0 else float("inf")
 
     # -- stepping --------------------------------------------------------------
@@ -204,7 +209,7 @@ class MethodOfLines:
         result, step_mat = self._march(t_final, dt, save_times)
         t0 = time.perf_counter()
         result.spectral_radius = self.stability_certificate(
-            result.meta["dt"], step=step_mat)
+            result.meta["dt"], step=step_mat, meta=result.meta)
         result.meta["certificate_s"] = time.perf_counter() - t0
         return result
 

@@ -640,6 +640,7 @@ def _solve_telemetry(sol: SpaceTimeSolution, xv: dict) -> list[str]:
                      f"step_matrix_s={ref['step_matrix_s']:.3f} "
                      f"steps_s={ref['steps_s']:.3f} "
                      f"certificate_s={ref['certificate_s']:.3f} "
+                     f"certificate_route={ref['certificate_route']} "
                      f"spectral_radius={ref['spectral_radius']:.17g} "
                      f"l2_drift={ref['l2_drift']:.6g} "
                      f"energy_drift={ref['energy_drift']:.6g}")

@@ -180,8 +180,8 @@ def test_solve_prints_stage_telemetry(fast_cfg, monkeypatch, capsys,
     reference = [ln for ln in lines if "reference:" in ln]
     assert len(reference) == 1
     for key in ("n=512 ", "n_steps=1000 ", "step_matrix_s=", "steps_s=",
-                "certificate_s=", "spectral_radius=", "l2_drift=",
-                "energy_drift="):
+                "certificate_s=", "certificate_route=cholesky ",
+                "spectral_radius=", "l2_drift=", "energy_drift="):
         assert key in reference[0]
     assert "_s=" not in out and "rss" not in out
     csvs = "".join(path.read_text() for path in tmp_path.glob("*.csv"))

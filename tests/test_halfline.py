@@ -302,6 +302,40 @@ def test_laplace_matrix_skips_only_exact_zeros(half_grid, monkeypatch,
     assert 0.2 < np.mean(got == 0.0) < 0.9
 
 
+def test_laplace_matrix_balances_panel_work(sym, half_grid, monkeypatch):
+    # on the propagator's scattered ray points the blocks of small Re z
+    # evaluate all 256 panels and the last ones 1; in Re z order the first
+    # of two CPUs took 29,952 of the 46,010 panels.  Run the blocks in the
+    # order for_each_row hands them out and count each block's panels.
+    import bo_halfline.halfline as halfline
+    from bo_halfline.green import RayLayout
+    from bo_halfline.solver import DUHAMEL_GRIDS
+    layout = RayLayout(DUHAMEL_GRIDS)
+    r, _ = DUHAMEL_GRIDS.ray
+    z = (sym.direction(layout.ray.phase).phi_hat
+         * (np.sqrt(r)[:, None] * layout.p_nodes[None, :])).ravel()
+    panels = []
+    real_ab = halfline._filon_laplace_ab
+
+    def counted(zh):
+        panels.append(zh.shape[1])
+        return real_ab(zh)
+
+    def in_order(n, row):
+        for i in range(n):
+            row(i)
+
+    want = laplace_matrix(z, half_grid.nodes, np.complex64)
+    monkeypatch.setattr(halfline, "_filon_laplace_ab", counted)
+    monkeypatch.setattr(halfline, "for_each_row", in_order)
+    assert np.array_equal(laplace_matrix(z, half_grid.nodes, np.complex64),
+                          want)
+    half = len(panels) // 2        # for_each_row's split for two CPUs
+    first, second = sum(panels[:half]), sum(panels[half:])
+    assert first + second > 40000
+    assert abs(first - second) < 0.1 * max(first, second)
+
+
 def test_laplace_matrix_allocation_peak(half_grid):
     # the propagator's scattered-point matrix: 15,000 points x the production
     # grid; the row blocks keep the peak near the output itself (the

@@ -6,12 +6,19 @@ crosscheck of the dense dispersion matrix, step-doubling time convergence,
 exact wall handling, and L2 conservation for a far-field packet.
 """
 
+import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
 
+import bo_halfline
+from bo_halfline import mol as mol_module
 from bo_halfline.halfline import make_profile
 from bo_halfline.mol import MethodOfLines
 
@@ -87,12 +94,15 @@ class TestCertificates:
     def test_certificate_of_identity_to_rounding(self, cfg, n, dt):
         # Steps this small make S the identity to rounding.  The top value
         # of a Gram matrix so clustered at 1 made LAPACK's bisection fail
-        # (dsyevr info > 0) and the bound read inf for a stable step.
+        # (dsyevr info > 0) and the bound read inf for a stable step; the
+        # Cholesky test now certifies it without an eigenvalue.
         m = MethodOfLines(cfg, mol_n=n)
         step = m.step_matrix(dt)
         radius = float(np.max(np.abs(np.linalg.eigvals(step))))
-        bound = m.stability_certificate(step=step)
+        meta = {}
+        bound = m.stability_certificate(step=step, meta=meta)
         assert radius - 1e-12 <= bound <= 1.0 + 1e-9
+        assert meta["certificate_route"] == "cholesky"
 
     def test_certificate_catches_wall_instability(self, cfg):
         # The one-sided wall curvature row (2, -5, 4, -1)/dx^2 fed through
@@ -119,6 +129,69 @@ class TestCertificates:
             step = m.step_matrix()
             step[row, col] = value
             assert m.stability_certificate(step=step) == float("inf")
+
+    def test_certificate_rejects_planted_instability(self, mol):
+        # An interior scaled by 1 + 1e-8 puts ||S_ii||_K near 1 + 1e-8, far
+        # above the Cholesky test's 1 + 32 n eps: the factorization must
+        # fail, and the top eigenvalue must still bound the dense radius.
+        step = mol.step_matrix()
+        step[1:-1, 1:-1] *= 1.0 + 1e-8
+        radius = float(np.max(np.abs(np.linalg.eigvals(step))))
+        assert radius > 1.0 + 5e-9
+        meta = {}
+        bound = mol.stability_certificate(step=step, meta=meta)
+        assert meta["certificate_route"] == "eigen"
+        assert bound >= radius - 1e-12
+
+    def test_production_certificate_needs_no_eigensolve(self, mol,
+                                                         monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dsyevr called")
+
+        monkeypatch.setattr(mol_module, "dsyevr", refuse)
+        meta = {}
+        n = mol.x.size
+        bound = mol.stability_certificate(meta=meta)
+        assert meta["certificate_route"] == "cholesky"
+        assert bound == math.sqrt(1.0 + 32.0 * n * np.finfo(float).eps)
+        assert bound <= 1.0 + 1e-9
+
+    def test_failed_eigensolve_fails_closed(self, cfg, monkeypatch):
+        # an interior scaled by 2 takes the eigenvalue route; a dsyevr that
+        # reports failure leaves no bound
+        def failing(a, **kwargs):
+            return np.full(1, 0.5), None, None, None, 1
+
+        m = MethodOfLines(cfg, mol_n=64)
+        step = m.step_matrix()
+        step[1:-1, 1:-1] *= 2.0
+        monkeypatch.setattr(mol_module, "dsyevr", failing)
+        assert m.stability_certificate(step=step) == float("inf")
+
+    def test_accept_value_same_for_one_and_two_blas_threads(self):
+        # the Cholesky route returns a constant of n, whatever order the
+        # BLAS threads sum the Gram matrix in
+        package_root = str(Path(bo_halfline.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [package_root,
+                                             os.environ.get("PYTHONPATH")]))
+        script = ("from bo_halfline import MethodOfLines, RunConfig\n"
+                  "meta = {}\n"
+                  "bound = MethodOfLines(RunConfig()).stability_certificate("
+                  "meta=meta)\n"
+                  "print(repr(bound), meta['certificate_route'])")
+        outs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": path}
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                        "MKL_NUM_THREADS"):
+                env[var] = threads
+            proc = subprocess.run([sys.executable, "-c", script],
+                                  capture_output=True, text=True,
+                                  timeout=300, env=env)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout.split())
+        assert outs[0] == outs[1]
+        assert outs[0][1] == "cholesky"
 
     def test_certificate_allocates_one_gram_matrix(self, mol):
         # The certificate works in place on S's interior and hands LAPACK a
@@ -190,6 +263,7 @@ class TestEvolution:
         assert res.meta["n_steps"] == 125
         for key in ("step_matrix_s", "steps_s", "certificate_s"):
             assert res.meta[key] >= 0.0
+        assert res.meta["certificate_route"] == "cholesky"
 
     def test_energy_drift_of_saved_states(self, cfg):
         # relative change of (1/2) sum (u_{i+1} - u_i)^2 / dx from t = 0 to
