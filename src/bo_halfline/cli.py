@@ -1,12 +1,12 @@
 """Command-line entry point: run a check suite, print it, optionally save CSV.
 
 Exit codes: 0 when every executed check passed (or the selection was empty),
-1 when at least one check failed, 2 for configuration or infrastructure
-errors.  Reports are deterministic for a fixed (config, seed) pair; see
-``report``.  Run telemetry (the ``solve`` stage seconds, peak RSS and CPU
-count, one line per Picard sweep and, when the cross-validation block runs,
-one for the method-of-lines reference) goes to standard error, never into a
-CSV.
+1 when at least one check failed, 2 for configuration, output or
+infrastructure errors.  Reports are deterministic for a fixed (config, seed)
+pair; see ``report``.  Run telemetry (the ``solve`` stage seconds, peak RSS,
+CPU count and form discrepancy, one line per Picard sweep and, when the
+cross-validation block runs, one for the method-of-lines reference) goes to
+standard error, never into a CSV.
 """
 
 from __future__ import annotations
@@ -68,15 +68,16 @@ def main(argv: list[str] | None = None) -> int:
     runner = SUITE_RUNNERS[args.command]
     try:
         report = runner(cfg, suite=args.suite)
-        if args.out:
-            path = report.write(args.out)
-        else:
-            path = None
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except Exception:
         traceback.print_exc()
+        return EXIT_ERROR
+    try:
+        path = report.write(args.out) if args.out else None
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     for line in report.telemetry:
         print(line, file=sys.stderr)

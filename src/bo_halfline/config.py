@@ -1,11 +1,14 @@
 """Run configuration: a flat key=value file format with environment overrides.
 
 Every tunable the experiment commands accept lives in one dataclass so a run is
-reproducible from (config, seed) alone.  Files are plain ``key = value`` lines;
-environment variables spelled ``BOHL_<KEY>`` override file values, and CLI
-flags override both.  Keys and enumerated options are closed: a key that
-names no field (in a file or a ``BOHL_`` variable), a key set twice in one
-file and an unknown value are configuration errors, not warnings.
+reproducible from (config, seed) alone.  The structural choices of the
+factorization (contour angles, the a_tilde weight and Psi_B variants) are not
+run inputs: they are constants of ``symbols``, ``green`` and ``boundary``.
+Files are plain ``key = value`` lines; environment variables spelled
+``BOHL_<KEY>`` override file values, and CLI flags override both.  Keys and
+enumerated options are closed: a key that names no field (in a file or a
+``BOHL_`` variable), a key set twice in one file and an unknown value are
+configuration errors, not warnings.
 """
 
 from __future__ import annotations
@@ -18,11 +21,8 @@ from pathlib import Path
 
 ENV_PREFIX = "BOHL_"
 
-#: Closed vocabularies for the string-valued options.  Variant names describe
-#: the structural choice they select, nothing else.
+#: Closed vocabularies for the string-valued options.
 ENUM_VALUES = {
-    "c_q_variant": ("derived", "alt"),
-    "psi_b_variant": ("derived", "display", "polar"),
     "psi_profile": ("gauss_bump", "poly_exp"),
 }
 
@@ -39,6 +39,14 @@ MOL_MIN_N = 16
 #: below t_switch ~ 5e-188, a NaN lattice at 1e-300).
 MIN_T_SWITCH = 1.0e-150
 
+#: Largest accepted mol_length and mol_n/mol_length (the reciprocal mesh
+#: width).  The reference squares both: the lifting profile's 4 x^2 at the
+#: last node, and the curvature's 1/dx^2 times the PV matrix.  Past the
+#: double range these end in NaN norms (mol_length = 1e154 at mol_n = 16,
+#: 1e-300 at mol_n = 512) or a LinAlgError (1e200); 1e150 leaves room for
+#: the factors.
+MAX_MOL_SCALE = 1.0e150
+
 _FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
 
 
@@ -50,12 +58,6 @@ class ConfigError(ValueError):
 class RunConfig:
     # Reproducibility
     seed: int = 0
-
-    # Symbol-layer structural variants.  psi_b_variant was selected by the
-    # Dirichlet-trace identity; c_q_variant "alt" misses the finite-difference
-    # oracle of a_tilde by 0.92 and 1.31, where "derived" matches to 1.7e-4.
-    c_q_variant: str = "alt"
-    psi_b_variant: str = "derived"
 
     # Half-line grid
     x_max: float = 40.0
@@ -124,6 +126,13 @@ class RunConfig:
             raise ConfigError("contour_points_per_decade must be at least 4")
         if self.mol_n < MOL_MIN_N:
             raise ConfigError(f"mol_n must be at least {MOL_MIN_N}")
+        if (self.mol_length > MAX_MOL_SCALE
+                or self.mol_n > MAX_MOL_SCALE * self.mol_length):
+            raise ConfigError(
+                f"mol_length={self.mol_length!r} (mol_n={self.mol_n}): "
+                f"mol_length and mol_n/mol_length must not exceed "
+                f"{MAX_MOL_SCALE:g}: the reference's squared nodes and "
+                f"squared reciprocal mesh width leave the double range")
 
     # -- serialization --------------------------------------------------
 
@@ -138,8 +147,8 @@ class RunConfig:
     def from_file(cls, path: str | Path) -> "RunConfig":
         raw, seen = {}, {}
         try:
-            text = Path(path).read_text()
-        except OSError as exc:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         for lineno, line in enumerate(text.splitlines(), 1):
             stripped = line.strip()

@@ -257,8 +257,7 @@ def _csv_str(s: str) -> str:
 
 
 def _config_tag(cfg: RunConfig) -> str:
-    return (f"seed={cfg.seed} c_q={cfg.c_q_variant} "
-            f"psi_b={cfg.psi_b_variant} data_scale={cfg.data_scale:g}")
+    return f"seed={cfg.seed} data_scale={cfg.data_scale:g}"
 
 
 def _select(blocks: Iterable[tuple[str, Callable[[], list[CheckRow]]]],
@@ -606,10 +605,11 @@ def _cross_validation_rows(cfg: RunConfig, sol: SpaceTimeSolution,
 
 
 def _solve_telemetry(sol: SpaceTimeSolution, xv: dict) -> list[str]:
-    """Stage seconds, peak RSS and CPU count of the solve, one line per
-    Duhamel sweep (the Picard iterations, then the residual sweep) with its
-    step norm and the ratio to the previous step, and one line for the
-    method-of-lines reference run when it ran (``xv`` is empty otherwise)."""
+    """Stage seconds, peak RSS, CPU count and form discrepancy (the gap
+    between u u_x and (u^2/2)_x) of the solve, one line per Duhamel sweep
+    (the Picard iterations, then the residual sweep) with its step norm and
+    the ratio to the previous step, and one line for the method-of-lines
+    reference run when it ran (``xv`` is empty otherwise)."""
     meta = sol.meta
     lines = [f"solve: linear_lattice_s={meta['linear_lattice_s']:.3f} "
              f"linear_lattice_peak_rss_mb="
@@ -617,7 +617,8 @@ def _solve_telemetry(sol: SpaceTimeSolution, xv: dict) -> list[str]:
              f"propagator_build_s={meta['propagator_build_s']:.3f} "
              f"propagator_build_peak_rss_mb="
              f"{meta['propagator_build_peak_rss_mb']:.1f} "
-             f"workers={meta['workers']}"]
+             f"workers={meta['workers']} "
+             f"form_discrepancy={sol.form_discrepancy:.6g}"]
     steps = list(sol.step_norms)
     if len(meta["sweep_s"]) > sol.n_iter:     # the residual sweep ran
         steps.append(sol.fixed_point_residual)

@@ -73,10 +73,7 @@ def ratio_weight(q, s, variant: str = "derived"):
     "derived": g = 2 q s (1 - i sgn Im q)/((K+s)(Ktilde+s)), the exact
     derivative of log[(K+s)/(Ktilde+s)] on each ray.  "alt" replaces the
     factor (1 - i sgn Im q) by (1 - i) sgn(Im q), which agrees on the upper
-    ray only.  "alt" is the production c_q_variant (it enters a_tilde through
-    gamma_one), yet its a_tilde misses the finite-difference oracle by 0.92
-    and 1.31 at s = 2 e^{i pi} and e^{0.9 i pi}, where "derived" matches to
-    1.7e-4."""
+    ray only; gamma_one (so a_tilde) takes C_Q_VARIANT, all else "derived"."""
     q = np.asarray(q, dtype=complex)
     sgn = np.sign(q.imag)
     if variant == "derived":
@@ -94,20 +91,30 @@ def ratio_weight(q, s, variant: str = "derived"):
 #: direction s = i on a ray.
 SYMBOL_THETA = 3 * np.pi / 8
 
+#: ratio_weight variant of gamma_one and a_tilde: "alt" misses the finite-
+#: difference oracle of a_tilde by 0.92 and 1.31, where "derived" matches to
+#: 1.7e-4.
+C_Q_VARIANT = "alt"
+#: Boundary-symbol variant, selected by the Dirichlet-trace identity.
+PSI_B_VARIANT = "derived"
+
 
 class Symbols:
     """Configured access to every symbol-layer quantity.
 
-    Holds the contour geometry, the structural variant switches, and a memo
-    of per-direction caches.  The instance is cheap; caches build lazily.
-    ``theta`` replaces the contour angle ``SYMBOL_THETA`` for negative
-    controls only.
+    Holds the contour geometry, the structural variants, and a memo of
+    per-direction caches.  The instance is cheap; caches build lazily.
+    ``theta``, ``c_q`` and ``psi_b`` replace SYMBOL_THETA, C_Q_VARIANT and
+    PSI_B_VARIANT for negative controls and variant-selection tests only.
     """
 
     def __init__(self, config: RunConfig | None = None, *,
-                 theta: float = SYMBOL_THETA):
+                 theta: float = SYMBOL_THETA, c_q: str = C_Q_VARIANT,
+                 psi_b: str = PSI_B_VARIANT):
         self.config = cfg = config or RunConfig()
         self.theta = theta
+        self.c_q = c_q
+        self.psi_b = psi_b
         self.ppd = cfg.contour_points_per_decade
         self._directions: dict[complex, DirectionCache] = {}
 
@@ -115,8 +122,7 @@ class Symbols:
 
     @property
     def resolution_tag(self) -> str:
-        c = self.config
-        return f"{self.theta!r}:{self.ppd}:{c.c_q_variant}:{c.psi_b_variant}"
+        return f"{self.theta!r}:{self.ppd}:{self.c_q}:{self.psi_b}"
 
     def contour(self, s: complex) -> tuple[np.ndarray, np.ndarray]:
         """Symbol-contour nodes q and dq-weights at s: radii 1e-5..1e5 |s|^{1/2}."""
@@ -170,7 +176,7 @@ class Symbols:
         s = complex(s)
         self.check_admissible(s)
         q, dq = self.contour(s)
-        g = ratio_weight(q, s, self.config.c_q_variant)
+        g = ratio_weight(q, s, self.c_q)
         return complex(np.sum(g / q * dq) / TWO_PI_I)
 
     def first_moment(self, s: complex) -> complex:
@@ -218,15 +224,14 @@ class Symbols:
         """Boundary symbol Psi_B(s): the p-free factor of the boundary kernel.
 
         Three structural variants share the factor e^{gamma_tilde(-1,s) -
-        gamma_tilde(0,s)}; the default was selected by the parameter-free
-        Dirichlet-trace identity (see BoundaryKernel.trace_profile_side)."""
+        gamma_tilde(0,s)}; self.psi_b selects one."""
         s = complex(s)
         k = complex(root_k(s))
         phi = complex(root_phi(s))
         at = self.a_tilde(s)
         delta = self.gamma_tilde(-1.0, s) - self.gamma_tilde(0.0, s)
-        return _psi_boundary_from_pieces(self.config.psi_b_variant, s, k, phi,
-                                         at, np.exp(delta))
+        return _psi_boundary_from_pieces(self.psi_b, s, k, phi, at,
+                                         np.exp(delta))
 
     # -- direction caches --------------------------------------------------
 
@@ -366,8 +371,8 @@ class DirectionCache:
         c_ref = (1.0 + phi) / (1.0 + k)
         gm1 = self.gamma_negreal(-1.0 / rad)
         e_delta = np.exp(gm1 - self.gamma0)
-        psi_b = _psi_boundary_from_pieces(
-            self.symbols.config.psi_b_variant, s, k, phi, at, e_delta)
+        psi_b = _psi_boundary_from_pieces(self.symbols.psi_b, s, k, phi,
+                                          at, e_delta)
         return {
             "s": s, "k": k, "phi": phi, "a_tilde": at, "B": big_b,
             "C": c_ref, "gamma_ref": gm1, "e_delta": e_delta, "psi_b": psi_b,

@@ -16,7 +16,7 @@ from bo_halfline.boundary import BoundaryKernel
 from bo_halfline.contour import log_graded_nodes
 from bo_halfline.halfline import make_profile
 from bo_halfline.report import fit_loglog
-from bo_halfline.symbols import Symbols
+from bo_halfline.symbols import PSI_B_VARIANT, Symbols
 
 TRACE_SIDE = 1.058140042274518
 
@@ -71,11 +71,10 @@ class TestTraceIdentity:
         # The trace identity discriminates the three boundary-symbol
         # variants: 1.058 / 1.441 / 0.174.  Production must be the variant
         # closest to the exact value 1.
-        sides = {v: BoundaryKernel(Symbols(cfg.replace(psi_b_variant=v)))
-                 .trace_profile_side()
+        sides = {v: BoundaryKernel(Symbols(cfg, psi_b=v)).trace_profile_side()
                  for v in ("derived", "display", "polar")}
         best = min(sides, key=lambda v: abs(sides[v] - 1.0))
-        assert best == cfg.psi_b_variant == "derived"
+        assert best == PSI_B_VARIANT == "derived"
         assert sides["display"] == pytest.approx(1.4408, abs=1e-3)
         assert sides["polar"] == pytest.approx(0.1739, abs=1e-3)
 

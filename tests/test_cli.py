@@ -90,6 +90,20 @@ class TestConfigErrors:
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_out_names_a_file(self, tmp_path, capsys):
+        # the suite runs, then its CSV has no directory to go to; this used
+        # to print a FileExistsError traceback
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        code = main(["selfcheck", "--suite", "convolution",
+                     "--out", str(taken)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err.startswith("output error: ") and str(taken) in err
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err and "wrote" not in out
+        assert taken.read_text() == "not a directory\n"
+
 
 # ---------------------------------------------------------------------------
 # Short horizons: the solve suite must report, not crash
@@ -161,7 +175,8 @@ def test_solve_prints_stage_telemetry(fast_cfg, monkeypatch, capsys,
     stages = [ln for ln in lines if "linear_lattice_s=" in ln]
     assert len(stages) == 1
     for key in ("propagator_build_s=", "linear_lattice_peak_rss_mb=",
-                "propagator_build_peak_rss_mb=", "workers="):
+                "propagator_build_peak_rss_mb=", "workers=",
+                "form_discrepancy="):
         assert key in stages[0]
     sweeps = [ln for ln in lines if "sweep" in ln]
     assert any("sweep 1:" in ln for ln in sweeps)
@@ -187,6 +202,7 @@ def test_solve_prints_stage_telemetry(fast_cfg, monkeypatch, capsys,
     csvs = "".join(path.read_text() for path in tmp_path.glob("*.csv"))
     assert "solve" in csvs
     assert "energy_drift" not in out + csvs
+    assert "form_discrepancy" not in out + csvs
     assert "rss" not in csvs
 
 

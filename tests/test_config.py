@@ -9,13 +9,15 @@ import re
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bo_halfline.cli import main
-from bo_halfline.config import (ENUM_VALUES, MIN_T_SWITCH, MOL_MIN_N,
-                                ConfigError, RunConfig)
+from bo_halfline.config import (ENUM_VALUES, MAX_MOL_SCALE, MIN_T_SWITCH,
+                                MOL_MIN_N, ConfigError, RunConfig)
+from bo_halfline.mol import MethodOfLines
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src" / "bo_halfline"
 DEFAULTS_FILE = SRC_DIR / "defaults.cfg"
@@ -54,6 +56,32 @@ def test_every_field_survives_round_trip(tmp_path):
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown config key"):
         RunConfig.from_mapping({"no_such_knob": "1"})
+
+
+@pytest.mark.parametrize("line", ["c_q_variant = 'alt'",
+                                  "psi_b_variant = 'derived'"])
+def test_variant_file_key_rejected(tmp_path, line):
+    # the structural variants are constants of symbols.py, not run inputs
+    path = tmp_path / "variant.cfg"
+    path.write_text(line + "\n")
+    with pytest.raises(ConfigError, match="unknown config key"):
+        RunConfig.from_file(path)
+
+
+def test_non_utf8_file_exits_2(tmp_path):
+    # used to end in a UnicodeDecodeError traceback with exit 1, the code
+    # of a failed check
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"seed = \xff\xfe\n")
+    with pytest.raises(ConfigError, match="cannot read config file"):
+        RunConfig.from_file(path)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(["selfcheck", "--config", str(path)])
+    assert code == 2
+    assert err.getvalue().startswith("configuration error: cannot read")
+    assert "Traceback" not in err.getvalue()
 
 
 def test_bad_value_rejected(tmp_path):
@@ -99,11 +127,13 @@ def test_env_override_bad_value_is_config_error():
 
 # BOHL_ variables that name no field: keys deleted from RunConfig (the ray
 # angles are constants of green.py and boundary.py, the symbol-contour angle
-# is symbols.SYMBOL_THETA, the Plemelj check's axis sampling is fixed, the
-# boundary datum is always ramp_exp) and a misspelling.  They used to be
-# ignored silently.
+# and the two structural variants are symbols.SYMBOL_THETA, C_Q_VARIANT and
+# PSI_B_VARIANT, the Plemelj check's axis sampling is fixed, the boundary
+# datum is always ramp_exp) and a misspelling.  They used to be ignored
+# silently, and BOHL_C_Q_VARIANT=derived swapped the whole solve's kernel.
 UNKNOWN_VARS = ["BOHL_DELTA_S", "BOHL_DELTA_U", "BOHL_AXIS_POINTS_PER_DECADE",
-                "BOHL_CONTOUR_ANGLE", "BOHL_H_PROFILE", "BOHL_DATA_SCLAE"]
+                "BOHL_CONTOUR_ANGLE", "BOHL_H_PROFILE", "BOHL_C_Q_VARIANT",
+                "BOHL_PSI_B_VARIANT", "BOHL_DATA_SCLAE"]
 
 
 @pytest.mark.parametrize("var", UNKNOWN_VARS)
@@ -132,6 +162,9 @@ REJECTED = [
     # the boundary convolution's lags at the first node leave the double
     # range: an overflowing kernel at 1e-200, a NaN lattice at 1e-300
     ("t_switch", 1e-200), ("t_switch", 1e-300),
+    # the reference's squared nodes and mesh width leave the double range:
+    # a LinAlgError traceback at 1e200, NaN cross-validation rows at 1e-300
+    ("mol_length", 1e200), ("mol_length", 1e-300),
 ]
 
 
@@ -167,6 +200,20 @@ def test_unknown_env_key_exits_2(var):
     assert code == 2
     assert "configuration error: unknown config key" in err and var in err
     assert "Traceback" not in err
+
+
+def test_mol_scale_edges():
+    # the largest accepted mol_length and mol_n/mol_length leave a
+    # reference run finite; just past either the config is rejected
+    for length in (MAX_MOL_SCALE, 1.000001 * MOL_MIN_N / MAX_MOL_SCALE):
+        res = MethodOfLines(RunConfig(), mol_n=MOL_MIN_N,
+                            mol_length=length).run(t_final=0.008)
+        assert np.isfinite(res.values).all(), length
+        assert math.isfinite(res.l2_drift), length
+        assert math.isfinite(res.meta["energy_drift"]), length
+    for length in (2.0 * MAX_MOL_SCALE, 0.5 * MOL_MIN_N / MAX_MOL_SCALE):
+        with pytest.raises(ConfigError, match="mol_length"):
+            RunConfig().replace(mol_n=MOL_MIN_N, mol_length=length)
 
 
 @pytest.mark.parametrize("horizon", [1e-300, 1e-200, 1e-170])

@@ -12,6 +12,8 @@ import pytest
 from bo_halfline.config import RunConfig
 from bo_halfline.report import fit_loglog
 from bo_halfline.symbols import (
+    C_Q_VARIANT,
+    PSI_B_VARIANT,
     Symbols,
     admissible_arg,
     root_k,
@@ -114,6 +116,16 @@ class TestAdmissibility:
         assert (Symbols(RunConfig(), theta=np.pi / 4).resolution_tag
                 != default.resolution_tag)
 
+    def test_structural_variants_are_fixed(self):
+        # c_q= and psi_b= exist for the variant-selection tests only; their
+        # direction caches must not share a tracer key with production's
+        default = Symbols(RunConfig())
+        assert ((default.c_q, default.psi_b) == (C_Q_VARIANT, PSI_B_VARIANT)
+                == ("alt", "derived"))
+        for other in (Symbols(RunConfig(), c_q="derived"),
+                      Symbols(RunConfig(), psi_b="polar")):
+            assert other.resolution_tag != default.resolution_tag
+
 
 # ---------------------------------------------------------------------------
 # Log-kernel integral gamma_tilde
@@ -202,15 +214,15 @@ class TestDerivativeCoefficient:
     def test_finite_difference_oracle(self):
         # Independent oracle (a_tilde_oracle).  Pins the derived weight
         # variant: measured gaps 8.1e-5 and 1.6e-4.
-        sym = Symbols(RunConfig().replace(c_q_variant="derived"))
+        sym = Symbols(RunConfig(), c_q="derived")
         for s in (S_REF, np.exp(0.9j * np.pi)):
             assert abs(sym.a_tilde(s) - a_tilde_oracle(sym, s)) < 1e-3, s
 
     def test_production_variant_misses_oracle(self, sym):
-        # The production c_q_variant "alt" is off from the same oracle by
+        # The production weight variant "alt" is off from the same oracle by
         # 0.924 and 1.306 at these points (a correctness finding, not a
         # tolerance): pinned so a change of the default shows here.
-        assert sym.config.c_q_variant == "alt"
+        assert sym.c_q == "alt"
         gaps = [abs(sym.a_tilde(s) - a_tilde_oracle(sym, s))
                 for s in (S_REF, np.exp(0.9j * np.pi))]
         assert gaps == pytest.approx([0.9238, 1.3064], abs=1e-3)
@@ -218,7 +230,7 @@ class TestDerivativeCoefficient:
     def test_weight_variants_differ(self, sym):
         # Negative control: the two ratio-weight variants give derivative
         # coefficients a unit apart, so the oracle above has teeth.
-        derived = Symbols(RunConfig().replace(c_q_variant="derived"))
+        derived = Symbols(RunConfig(), c_q="derived")
         for s in (S_REF, np.exp(0.9j * np.pi)):
             assert abs(sym.a_tilde(s) - derived.a_tilde(s)) > 0.5
 
