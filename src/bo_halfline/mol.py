@@ -1,14 +1,15 @@
 """Method-of-lines reference discretization on a truncated half line.
 
 This is the cross-validation arm: a plain finite-difference scheme that knows
-nothing about contour integrals.  The nonlocal dispersion is a dense
-principal-value matrix on the uniform grid (with an FFT crosscheck of the
-zero-extension identity), the inhomogeneous boundary value is lifted with a
-Gaussian cutoff so the evolved unknown vanishes at both ends, and time
-stepping is semi-implicit: the linear dispersive part through one inverted
-step matrix S = (I - dt A)^{-1}, explicit conservative transport for the rest.
-Stepping with S is one matrix-vector product per step, cheaper than the two
-triangular solves of an LU factorization.
+nothing about contour integrals.  The nonlocal dispersion is the midpoint
+principal-value matrix on the uniform grid, the Toeplitz matrix of the symbol
+c_k = -1/(pi k), c_0 = 0, from which the operators are built (with an FFT
+crosscheck of the zero-extension identity), the inhomogeneous boundary value
+is lifted with a Gaussian cutoff so the evolved unknown vanishes at both ends,
+and time stepping is semi-implicit: the linear dispersive part through one
+inverted step matrix S = (I - dt A)^{-1}, explicit conservative transport for
+the rest.  Stepping with S is one matrix-vector product per step, cheaper than
+the two triangular solves of an LU factorization.
 
 The run certifies that same S by an upper bound on its spectral radius.  The
 end rows of A are zero, so S has unit end rows and eig(S) = {1, 1} and the
@@ -25,19 +26,26 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import cholesky_banded, inv
 from scipy.linalg.blas import dsyrk
-from scipy.linalg.lapack import dpotrf, dsyevr
+from scipy.linalg.lapack import dpotrf, dsyevr, dtbtrs
 
 from .config import RunConfig
 from .halfline import (RampExp, WholeLineGrid, hilbert_whole_line, l2_norm,
-                       make_profile, node_index, pv_matrix)
+                       make_profile, node_index)
 
 
 def _positive(name: str, value: float) -> float:
     if not value > 0.0:
         raise ValueError(f"{name} must be positive, got {value!r}")
     return value
+
+
+def _toeplitz(seq: np.ndarray) -> np.ndarray:
+    """The read-only m x m Toeplitz view T[i, j] = seq[j - i + m - 1] of a
+    sequence of length 2m - 1, in the sequence's own O(m) memory."""
+    return sliding_window_view(seq, (seq.size + 1) // 2)[::-1]
 
 
 @dataclass
@@ -69,32 +77,46 @@ class MethodOfLines:
         self.dx = self.x[1] - self.x[0]
         self.psi = make_profile(cfg.psi_profile, cfg.data_scale)
         self.h = RampExp(cfg.data_scale)
+        t0 = time.perf_counter()
         self._build_operators()
+        self.build_s = time.perf_counter() - t0
 
     def _build_operators(self) -> None:
         x, dx = self.x, self.dx
-        self.hilbert_mat = -pv_matrix(x) / np.pi
+        # the symbol c_k = -1/(pi k) for |k| <= x.size, exactly skew
+        c = -1.0 / (np.pi * np.arange(1.0, x.size + 1.0))
+        c = np.concatenate([-c[::-1], [0.0], c])
+        self.symbol = c[1:-1]               # H[i, j] = c_{j-i}
+        hilbert = _toeplitz(self.symbol)
         # lifting profile: chi(0) = 1, flat at the wall, gone by mid-domain
         self.chi = np.exp(-x**2)
         self.chi_xx = (4.0 * x**2 - 2.0) * np.exp(-x**2)
-        self.h_chi_term = self.hilbert_mat @ self.chi_xx
+        self.h_chi_term = hilbert @ self.chi_xx
         # A = -H Lap with Lap the three-point curvature on the interior rows
-        # k only, so column j of H Lap is sum_k H[:, k] Lap[k, j]: three
-        # shifted slices of the interior columns of H.  End rows of Lap stay
-        # zero.  Extrapolated (or one-sided) curvature rows at the wall, fed
-        # through the dense PV matrix, create a single wall-localized
-        # eigenpair with Re(lambda) ~ +38 that destroys the run by t ~ 1;
-        # with zero end rows the generator is skew to machine precision.  The
-        # price is an O(dx^2) one-node quadrature defect in the dispersion
-        # integral at each end.
-        inner = self.hilbert_mat[:, 1:-1] * (1.0 / dx**2)
-        amat = np.zeros_like(self.hilbert_mat)
-        amat[:, :-2] -= inner
-        amat[:, 2:] -= inner
-        amat[:, 1:-1] += 2.0 * inner
-        amat[0, :] = 0.0
-        amat[-1, :] = 0.0
+        # k only, so column j of H Lap is sum_k H[:, k] Lap[k, j].  Where
+        # j - 1, j and j + 1 are all interior that is Toeplitz too, with the
+        # second difference of c as its symbol; the two columns at each end
+        # lose the stencil entries on end rows of Lap and are rebuilt from
+        # c.  End rows of Lap stay zero.  Extrapolated (or one-sided)
+        # curvature rows at the wall, fed through the PV matrix, create a
+        # single wall-localized eigenpair with Re(lambda) ~ +38 that destroys
+        # the run by t ~ 1; with zero end rows the generator is skew to
+        # machine precision.  The price is an O(dx^2) one-node quadrature
+        # defect in the dispersion integral at each end.
+        amat = _toeplitz((2.0 * c[1:-1] - (c[2:] + c[:-2])) / dx**2).copy()
+        ends = hilbert[:, [1, 2, -3, -2]] / dx**2
+        amat[:, 0] = -ends[:, 0]
+        amat[:, 1] = 2.0 * ends[:, 0] - ends[:, 1]
+        amat[:, -2] = 2.0 * ends[:, 3] - ends[:, 2]
+        amat[:, -1] = -ends[:, 3]
+        amat[[0, -1]] = 0.0
         self.amat = amat
+
+    @property
+    def hilbert_mat(self) -> np.ndarray:
+        """The dense PV matrix H, built on demand from the symbol: a test
+        oracle, since the operators read its O(n) Toeplitz view."""
+        return _toeplitz(self.symbol).copy()
 
     def gradient(self, f: np.ndarray) -> np.ndarray:
         """d/dx along the first axis: central differences inside, one-sided
@@ -109,10 +131,11 @@ class MethodOfLines:
     # -- diagnostics -----------------------------------------------------------
 
     def hilbert_fft_crosscheck(self) -> float:
-        """Relative mismatch between the dense PV route and the zero-extension
-        FFT route for the dispersion operator, on a smooth test function."""
+        """Relative mismatch between the PV matrix route and the
+        zero-extension FFT route for the dispersion operator, on a smooth
+        test function."""
         f = self.x * np.exp(-((self.x - 6.0) / 2.0) ** 2)
-        direct = self.hilbert_mat @ f
+        direct = _toeplitz(self.symbol) @ f
         wg = WholeLineGrid(n=1 << 15, dx=self.dx, x0=-self.dx * (1 << 14))
         ext = np.zeros(wg.n)
         i0 = wg.index_of(0.0)
@@ -167,10 +190,14 @@ class MethodOfLines:
             b[i] *= l[i]
             b[i] += m[i] * b[i + 1]
         b[-1] *= l[-1]
-        b[:, 0] /= l[0]
-        for j in range(1, n_in):           # columns: solve against L^T
-            b[:, j] -= m[j - 1] * b[:, j - 1]
-            b[:, j] /= l[j]
+        # columns: S <- S blockdiag(1, L, 1)^{-T}, one banded triangular
+        # solve in place on the Fortran-ordered S^T; S keeps its unit end
+        # columns and rows
+        pad = np.zeros((2, n_in + 2))
+        pad[0] = 1.0
+        pad[0, 1:-1] = l
+        pad[1, 1:-2] = m[:-1]
+        step = dtbtrs(pad, step.T, uplo="L", overwrite_b=1)[0].T
         # zeroed interior end columns make S blockdiag(1, B, 1); dsyrk reads
         # the Fortran-ordered S^T, writes the triangle dpotrf and dsyevr read
         step[1:-1, [0, -1]] = 0.0
@@ -195,9 +222,9 @@ class MethodOfLines:
         """The discrete Dirichlet energy (1/2) sum (u_{i+1} - u_i)^2 / dx."""
         return float(0.5 * np.sum(np.diff(u) ** 2) / self.dx)
 
-    def _rhs_explicit(self, v: np.ndarray, t: float) -> np.ndarray:
-        h_t = float(self.h(np.array([t]))[0])
-        hp_t = float(self.h.deriv(np.array([t]))[0])
+    def _rhs_explicit(self, v: np.ndarray, h_t: float,
+                      hp_t: float) -> np.ndarray:
+        """The explicit part at a time where h = h_t and h' = hp_t."""
         w = v + h_t * self.chi
         out = -0.5 * self.gradient(w**2) - hp_t * self.chi - h_t * self.h_chi_term
         out[0] = 0.0
@@ -242,12 +269,13 @@ class MethodOfLines:
         t0 = time.perf_counter()
         step_mat = self.step_matrix(dt)
         t1 = time.perf_counter()
-        h0 = float(self.h(np.array([0.0]))[0])
-        v = self.psi(self.x) - h0 * self.chi
+        t_k = np.arange(n_steps + 1) * dt       # every step time, one call
+        h_k, hp_k = self.h(t_k), self.h.deriv(t_k)
+        v = self.psi(self.x) - h_k[0] * self.chi
         v[0] = 0.0
         v[-1] = 0.0
         out = np.zeros((save_times.size, n))
-        u_start = v + h0 * self.chi
+        u_start = v + h_k[0] * self.chi
         if 0 in save_steps:
             out[save_steps[0]] = u_start
 
@@ -255,13 +283,12 @@ class MethodOfLines:
         l2_start = float(l2_norm(u_start, self.dx))
         energy_start = self._dirichlet_energy(u_start)
         for step in range(1, n_steps + 1):
-            t_prev = (step - 1) * dt
-            v = step_mat @ (v + dt * self._rhs_explicit(v, t_prev))
+            v = step_mat @ (v + dt * self._rhs_explicit(v, h_k[step - 1],
+                                                        hp_k[step - 1]))
             v[0] = 0.0
             v[-1] = 0.0
             if step in save_steps:
-                h_t = float(self.h(np.array([step * dt]))[0])
-                out[save_steps[step]] = v + h_t * self.chi
+                out[save_steps[step]] = v + h_k[step] * self.chi
         h_end = float(self.h(np.array([t_final]))[0])
         u_end = v + h_end * self.chi
         l2_end = float(l2_norm(u_end, self.dx))
@@ -273,6 +300,7 @@ class MethodOfLines:
                          l2_drift=drift, spectral_radius=float("nan"),
                          meta={"dt": dt, "n_steps": n_steps,
                                "energy_drift": energy_drift,
+                               "build_s": self.build_s,
                                "step_matrix_s": t1 - t0,
                                "steps_s": time.perf_counter() - t1}), step_mat
 

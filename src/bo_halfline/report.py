@@ -638,6 +638,7 @@ def _solve_telemetry(sol: SpaceTimeSolution, xv: dict) -> list[str]:
         ref = xv["reference"]
         lines.append(f"solve: reference: n={ref['n']} "
                      f"n_steps={ref['n_steps']} "
+                     f"build_s={ref['build_s']:.3f} "
                      f"step_matrix_s={ref['step_matrix_s']:.3f} "
                      f"steps_s={ref['steps_s']:.3f} "
                      f"certificate_s={ref['certificate_s']:.3f} "

@@ -503,15 +503,18 @@ def picard_solve(config: RunConfig | None = None,
 def cross_validate(config: RunConfig | None = None, t_compare: float = 1.0,
                    solution: SpaceTimeSolution | None = None) -> dict:
     """Relative L2 gap between the Picard solution and an independent
-    finite-difference run at one comparison time; ``reference`` holds that
-    run's size, stage seconds and certificates."""
+    finite-difference run at one comparison time, both norms taken on the
+    reference nodes inside the solution's grid, x <= x_max (the solution's
+    spline is not read past its last node); ``reference`` holds that run's
+    size, stage seconds and certificates."""
     cfg = config or RunConfig()
     sol = solution if solution is not None else picard_solve(cfg)
     mol = MethodOfLines(cfg)
     saves = np.array([0.0, t_compare])
     res = mol.run(t_final=t_compare, save_times=saves)
-    u_mol = res.at_time(t_compare)
-    u_pic = sol.interpolate(mol.x, t_compare)
+    common = mol.x <= sol.x[-1]
+    u_mol = res.at_time(t_compare)[common]
+    u_pic = sol.interpolate(mol.x[common], t_compare)
     diff = float(l2_norm(u_pic - u_mol, mol.dx))
     ref = float(l2_norm(u_mol, mol.dx))
     return {

@@ -6,6 +6,7 @@ subprocess test exercises the installed console script end to end.
 """
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -140,6 +141,25 @@ def test_solve_short_lattice_reports(env, expect, fast_cfg, monkeypatch, capsys)
         assert name in out
 
 
+def test_solve_reference_past_x_max_compares_inside(fast_cfg, monkeypatch,
+                                                    capsys):
+    # A reference domain far past x_max: the comparison reads the solution
+    # only at reference nodes with x <= x_max.  Through the solution's
+    # spline extrapolated to x = 1e10 this read picard-l2 1.2e28 and
+    # rel-l2 6.1e26, and inf from mol_length 1e50 up.
+    export_fast_cfg(fast_cfg, monkeypatch)
+    for key, val in {"MOL_N": "16", "T_FINAL": "0.008", "T_SWITCH": "0.004",
+                     "MOL_LENGTH": "1e10"}.items():
+        monkeypatch.setenv("BOHL_" + key, val)
+    code = main(["solve", "--suite", "cross-validation"])
+    out, err = capsys.readouterr()
+    assert code != 2, err
+    values = {ln.split()[1]: float(ln.split("value=")[1].split()[0])
+              for ln in out.splitlines() if "value=" in ln}
+    for name in ("picard-l2", "rel-l2"):
+        assert math.isfinite(values[f"cross-validation/{name}[t=0.008]"])
+
+
 @pytest.mark.parametrize("scale", ["1e100", "1e152", "1e200"])
 def test_solve_huge_data_aborts(scale, fast_cfg, monkeypatch, capsys):
     # the iteration diverges at 1e100; at 1e152 the first sweep's free
@@ -194,8 +214,8 @@ def test_solve_prints_stage_telemetry(fast_cfg, monkeypatch, capsys,
     assert peaks[0] > 0.0 and peaks == sorted(peaks)
     reference = [ln for ln in lines if "reference:" in ln]
     assert len(reference) == 1
-    for key in ("n=512 ", "n_steps=1000 ", "step_matrix_s=", "steps_s=",
-                "certificate_s=", "certificate_route=cholesky ",
+    for key in ("n=512 ", "n_steps=1000 ", "build_s=", "step_matrix_s=",
+                "steps_s=", "certificate_s=", "certificate_route=cholesky ",
                 "spectral_radius=", "l2_drift=", "energy_drift="):
         assert key in reference[0]
     assert "_s=" not in out and "rss" not in out
