@@ -16,7 +16,7 @@ u-integrals through the damped ray turns them into Gaussian-Laplace moments
 which satisfy a two-term recursion seeded by the Faddeeva function.  The
 Dirichlet trace identity 2 int hprofile(X)/X dX = 1 (equivalently the
 vanishing of hprofile at 0) is parameter-free and selects the boundary-symbol
-variant; both sides are implemented and compared.
+variant; it is evaluated on the tabulated profile (``trace_profile_side``).
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ from .halfline import lattice_args
 from .green import fresnel_weights  # noqa: F401  (the benchmark reads it here)
 from .halfline import laplace_matrix  # noqa: F401  (the benchmark reads it here)
 from .symbols import Symbols
-
-_EULER_GAMMA = 0.5772156649015329
 
 #: Lags of the causal convolution on (0, 1]; H is self-similar, so time t
 #: scales them by t.
@@ -57,12 +55,6 @@ def gaussian_laplace_moments(a, X, n_max: int = 2) -> list[np.ndarray]:
     for n in range(1, n_max):
         out.append((n * out[n - 1] - X * out[n]) / (2.0 * a))
     return out
-
-
-def _log_moment(a) -> np.ndarray:
-    """J(a) = int_0^infty u log(u) e^{-a u^2} du = -(euler_gamma + log a)/(4a)."""
-    a = np.asarray(a, dtype=complex)
-    return -(_EULER_GAMMA + np.log(a)) / (4.0 * a)
 
 
 class BoundaryKernel:
@@ -167,17 +159,6 @@ class BoundaryKernel:
         tail = self._tail_h[0] / self.X_MAX + self._tail_h[1] / (2.0 * self.X_MAX**2)
         return 2.0 * (core + head + tail)
 
-    def trace_symbol_side(self) -> float:
-        """-(2/pi) { Im[Psi_B(i) J(-i)] + (1/pi) Im int Psi_B J(-s)/(1+s^2) ds },
-        the same trace pushed through the symbol side in closed form."""
-        val = self._invert(_log_moment(-1j), _log_moment(-self.ray.s))
-        return -2.0 * float(val) / math.pi
-
-    def w_profile(self, u) -> np.ndarray:
-        """Pre-Laplace oscillatory profile W(u); W ~ c/u as u -> 0."""
-        u2 = np.asarray(u, dtype=float) ** 2
-        return self._invert(np.exp(1j * u2), np.exp(self.ray.s[:, None] * u2[None, :]))
-
     # -- application routes ---------------------------------------------------
 
     def apply_convolution(self, h_callable, x: np.ndarray, t,
@@ -209,8 +190,10 @@ class BoundaryKernel:
         return out.reshape(shape)
 
     def apply_spectral(self, h_hat, x: np.ndarray, t, deriv=0) -> np.ndarray:
-        """Damped-ray spectral route, for data with an entire transform h_hat,
-        at every time and order of a lattice call; rows with t <= 0 are zero.
+        """Damped-ray spectral route at every time and order of a lattice
+        call; rows with t <= 0 are zero.  It holds for data whose transform
+        h_hat(s p^2) is analytic on the swept sector arg s in [pi/2,
+        green.RAY_THETA]: the pole of ``ramp_exp`` at arg s = pi lies outside.
 
         B(t)h(x) = (1/pi)(-1)^d int_0^infty e^{-p x} p^{1+d} Bker(p, t) dp with
         Bker(p,t) = Im[e^{i p^2 t} Psi_B(i) h_hat(i p^2)]

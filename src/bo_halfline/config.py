@@ -122,6 +122,10 @@ class RunConfig:
         for name in ("n_time_geometric", "n_time_uniform", "picard_max_iter"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
+        if not 0.0 <= self.epsilon_weight < 0.5:
+            raise ConfigError(
+                f"epsilon_weight={self.epsilon_weight!r} is outside [0, 1/2): "
+                f"L^(2,eps) needs eps >= 0 and <x>^(2 eps) is A_2 only below 1/2")
         if self.contour_points_per_decade < 4:
             raise ConfigError("contour_points_per_decade must be at least 4")
         if self.mol_n < MOL_MIN_N:

@@ -14,43 +14,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 PV_EXCISION_FACTOR = 1.0e-6
 
 
-@lru_cache(maxsize=64)
-def _gl_rule(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+#: Gauss-Legendre points on every panel of ``log_graded_nodes``, and the rule.
+POINTS_PER_PANEL = 10
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(POINTS_PER_PANEL)
 
 
-def panel_nodes(edges: np.ndarray, points_per_panel: int = 10):
-    """Gauss-Legendre nodes/weights on consecutive panels [edges[i], edges[i+1]]."""
-    x, w = _gl_rule(points_per_panel)
-    a = edges[:-1]
-    b = edges[1:]
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
-
-
-def log_edges(r_min: float, r_max: float, points_per_decade: int,
-              points_per_panel: int = 10) -> np.ndarray:
-    """Panel edges geometrically spaced so the point density matches the knob."""
+def log_graded_nodes(r_min: float, r_max: float, points_per_decade: int):
+    """Gauss-Legendre nodes and weights on geometrically spaced panels of
+    [r_min, r_max], as many panels as give the density points_per_decade."""
     decades = np.log10(r_max / r_min)
-    n_panels = max(1, int(np.ceil(decades * points_per_decade / points_per_panel)))
-    return r_min * (r_max / r_min) ** (np.arange(n_panels + 1) / n_panels)
-
-
-def log_graded_nodes(r_min: float, r_max: float, points_per_decade: int,
-                     points_per_panel: int = 10):
-    edges = log_edges(r_min, r_max, points_per_decade, points_per_panel)
-    return panel_nodes(edges, points_per_panel)
+    n_panels = max(1, int(np.ceil(decades * points_per_decade / POINTS_PER_PANEL)))
+    edges = r_min * (r_max / r_min) ** (np.arange(n_panels + 1) / n_panels)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel()
+    weights = (half[:, None] * _GL_W[None, :]).ravel()
+    return nodes, weights
 
 
 def symbol_contour(angle: float, r_min: float = 1.0e-6, r_max: float = 1.0e6,
@@ -181,17 +166,15 @@ def pv_integral(f, singular_point: complex, sampling: AxisSampling) -> complex:
     return complex(np.sum(f(q) * w))
 
 
-def winding_index(values: np.ndarray, closed: bool = False) -> float:
+def winding_index(values: np.ndarray) -> float:
     """Total argument increment / 2 pi along an ordered sample of a non-vanishing
-    function.  Consecutive jumps at or above pi mean the sampling cannot be
-    unwrapped reliably and raise ValueError (refine the sampling instead)."""
+    function (append the first sample to close a loop).  Consecutive jumps at
+    or above pi mean the sampling cannot be unwrapped reliably and raise
+    ValueError (refine the sampling instead)."""
     values = np.asarray(values)
     if np.any(values == 0) or not np.all(np.isfinite(values)):
         raise ValueError("winding_index requires finite nonzero samples")
-    seq = values
-    if closed:
-        seq = np.concatenate([values, values[:1]])
-    increments = np.angle(seq[1:] / seq[:-1])
+    increments = np.angle(values[1:] / values[:-1])
     if np.any(np.abs(increments) >= np.pi * (1.0 - 1.0e-9)):
         raise ValueError("argument jump >= pi between samples; sampling too coarse")
     return float(np.sum(increments) / (2.0 * np.pi))

@@ -39,9 +39,7 @@ from scipy.special import gammainc, wofz
 from .contour import DampedRay, axis_nodes, log_graded_nodes
 from .halfline import (EXP_UNDERFLOW, Profile, WholeLineGrid, for_each_row,
                        laplace_matrix, lattice_args)
-from .symbols import DirectionCache, Symbols
-
-TWO_PI_I = 2j * np.pi
+from .symbols import TWO_PI_I, DirectionCache, Symbols
 
 #: Prefactor of the half-line correction G2 = -(1/pi) int e^{-px} K dp.
 G2_SIGN = -1.0 / np.pi

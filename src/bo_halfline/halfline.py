@@ -222,9 +222,6 @@ class WholeLineGrid:
         return np.stack([CubicSpline(self.nodes[first:last], w, axis=1)(x)
                          for w in window])
 
-    def apply_multiplier(self, values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(multiplier * np.fft.fft(values))
-
     def index_of(self, x: float) -> int:
         return int(round((x - self.x0) / self.dx))
 
@@ -304,11 +301,11 @@ def ap_characteristic(weight, n_cutoff: float, exponent: float = 2.0) -> float:
     return best
 
 
-def convolution_decay(a: float, b: float, x_fit=(50.0, 800.0)) -> tuple[float, float]:
+def convolution_decay(a: float, b: float) -> tuple[float, float]:
     """Measured vs predicted tail exponent of <x>^-a * <x>^-b.
 
     The product's tail is <x>^-delta with delta = min(a, b, a+b-1); returns
-    (predicted, fitted) where fitted is a log-log slope over x in x_fit."""
+    (predicted, fitted) where fitted is a log-log slope over x in [50, 800]."""
     if a + b <= 1.0:
         raise ValueError("convolution_decay requires a + b > 1 (integrability)")
     grid = WholeLineGrid(n=1 << 17, dx=0.125, x0=-8192.0)
@@ -317,7 +314,7 @@ def convolution_decay(a: float, b: float, x_fit=(50.0, 800.0)) -> tuple[float, f
     fb = (1.0 + x * x) ** (-b / 2.0)
     conv = np.fft.ifft(np.fft.fft(np.fft.ifftshift(fa)) * np.fft.fft(np.fft.ifftshift(fb))).real
     conv = np.fft.fftshift(conv) * grid.dx
-    lo, hi = (grid.index_of(x_fit[0]), grid.index_of(x_fit[1]))
+    lo, hi = grid.index_of(50.0), grid.index_of(800.0)
     xs = x[lo:hi]
     ys = conv[lo:hi]
     slope = np.polyfit(np.log(xs), np.log(np.abs(ys)), 1)[0]
@@ -402,9 +399,11 @@ def laplace_matrix(z_values: np.ndarray, x_nodes: np.ndarray,
 
 
 class Profile:
-    """A named profile: samples plus its exact Laplace transform."""
+    """A profile scaled by ``amplitude``: samples plus its exact Laplace
+    transform."""
 
-    name: str
+    def __init__(self, amplitude: float = 1.0):
+        self.amplitude = amplitude
 
     def __call__(self, x):
         raise NotImplementedError
@@ -419,10 +418,6 @@ class Profile:
 class GaussBump(Profile):
     """psi(x) = amplitude * x exp(-x^2); hat via the scaled complementary
     error function (Faddeeva w), stable for Re z >= 0."""
-
-    def __init__(self, amplitude: float = 1.0):
-        self.amplitude = amplitude
-        self.name = "gauss_bump"
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -440,10 +435,6 @@ class GaussBump(Profile):
 class PolyExp(Profile):
     """psi(x) = amplitude * x^2 exp(-x); hat(z) = 2 amplitude/(1+z)^3."""
 
-    def __init__(self, amplitude: float = 1.0):
-        self.amplitude = amplitude
-        self.name = "poly_exp"
-
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         return self.amplitude * x * x * np.exp(-x)
@@ -459,10 +450,6 @@ class PolyExp(Profile):
 
 class RampExp(Profile):
     """h(t) = amplitude * t exp(-t); hat(z) = amplitude/(1+z)^2."""
-
-    def __init__(self, amplitude: float = 1.0):
-        self.amplitude = amplitude
-        self.name = "ramp_exp"
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -494,7 +481,7 @@ def make_profile(name: str, amplitude: float = 1.0) -> Profile:
 def hilbert_whole_line(grid: WholeLineGrid, values: np.ndarray) -> np.ndarray:
     """PV int f(y)/(x-y) dy on the FFT grid: multiplier -i pi sgn(xi)."""
     mult = -1j * np.pi * np.sign(grid.xi)
-    out = grid.apply_multiplier(values, mult)
+    out = np.fft.ifft(mult * np.fft.fft(values))
     return out.real if np.isrealobj(values) else out
 
 

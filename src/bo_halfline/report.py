@@ -273,11 +273,10 @@ def _select(blocks: Iterable[tuple[str, Callable[[], list[CheckRow]]]],
 
 
 def _sample_sector_s(rng: np.random.Generator, n: int,
-                     arg_range: tuple[float, float],
-                     radius_range: tuple[float, float] = (0.1, 10.0)) -> np.ndarray:
-    """n points s = r e^{i a}, log-uniform radius, uniform argument."""
-    lo, hi = radius_range
-    r = np.exp(rng.uniform(math.log(lo), math.log(hi), n))
+                     arg_range: tuple[float, float]) -> np.ndarray:
+    """n points s = r e^{i a}, log-uniform radius in [0.1, 10], uniform
+    argument."""
+    r = np.exp(rng.uniform(math.log(0.1), math.log(10.0), n))
     a = rng.uniform(arg_range[0], arg_range[1], n)
     return r * np.exp(1j * a)
 
@@ -491,13 +490,12 @@ def _weighted_bound_rows(cfg: RunConfig) -> list[CheckRow]:
                      "-(3/4 - eps/2)")]
 
 
-def run_decay(config: RunConfig | None = None, suite: str | None = None,
-              t_values: Sequence[float] | None = None) -> RunReport:
+def run_decay(config: RunConfig | None = None,
+              suite: str | None = None) -> RunReport:
     cfg = config or RunConfig()
-    ts = tuple(float(t) for t in (_GREEN_T_SWEEP if t_values is None else t_values))
     blocks = [
-        ("green-decay", lambda: _green_decay_rows(cfg, ts)),
-        ("boundary-decay", lambda: _boundary_decay_rows(cfg, ts)),
+        ("green-decay", lambda: _green_decay_rows(cfg, _GREEN_T_SWEEP)),
+        ("boundary-decay", lambda: _boundary_decay_rows(cfg, _GREEN_T_SWEEP)),
         ("boundary-weighted", lambda: _weighted_bound_rows(cfg)),
     ]
     return RunReport("decay", _select(blocks, suite), _config_tag(cfg))

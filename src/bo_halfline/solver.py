@@ -342,13 +342,13 @@ class SpaceTimeSolution:
     n_iter: int
     trace_error: float
     form_discrepancy: float
-    # run labels, the CPU count that independent rows are split across
-    # (workers), stage seconds and the process peak RSS (MB) at the end of
-    # each stage: linear_lattice_s and _peak_rss_mb, propagator_build_s (0
-    # for a supplied propagator) and _peak_rss_mb, and lists with one entry
-    # per Duhamel sweep (the Picard iterations, then the residual sweep):
-    # transform_forcing_s, accumulate_s, sweep_s, which adds the X-norm of
-    # the step, and sweep_peak_rss_mb
+    # the CPU count that independent rows are split across (workers), stage
+    # seconds and the process peak RSS (MB) at the end of each stage:
+    # linear_lattice_s and _peak_rss_mb, propagator_build_s (0 for a supplied
+    # propagator) and _peak_rss_mb, and lists with one entry per Duhamel sweep
+    # (the Picard iterations, then the residual sweep): transform_forcing_s,
+    # accumulate_s, sweep_s, which adds the X-norm of the step, and
+    # sweep_peak_rss_mb
     meta: dict = field(default_factory=dict)
 
     def at_time(self, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -496,31 +496,28 @@ def picard_solve(config: RunConfig | None = None,
         fixed_point_residual=residual, fixed_point_residual_rel=residual_rel,
         solution_xnorm=u_norm, converged=converged, aborted=aborted,
         n_iter=n_iter, trace_error=trace_err, form_discrepancy=gap,
-        meta={"data_scale": cfg.data_scale, "psi": cfg.psi_profile,
-              **timings})
+        meta=timings)
 
 
-def cross_validate(config: RunConfig | None = None, t_compare: float = 1.0,
-                   solution: SpaceTimeSolution | None = None) -> dict:
+def cross_validate(config: RunConfig, t_compare: float,
+                   solution: SpaceTimeSolution) -> dict:
     """Relative L2 gap between the Picard solution and an independent
     finite-difference run at one comparison time, both norms taken on the
     reference nodes inside the solution's grid, x <= x_max (the solution's
     spline is not read past its last node); ``reference`` holds that run's
     size, stage seconds and certificates."""
-    cfg = config or RunConfig()
-    sol = solution if solution is not None else picard_solve(cfg)
-    mol = MethodOfLines(cfg)
+    mol = MethodOfLines(config)
     saves = np.array([0.0, t_compare])
     res = mol.run(t_final=t_compare, save_times=saves)
-    common = mol.x <= sol.x[-1]
+    common = mol.x <= solution.x[-1]
     u_mol = res.at_time(t_compare)[common]
-    u_pic = sol.interpolate(mol.x[common], t_compare)
+    u_pic = solution.interpolate(mol.x[common], t_compare)
     diff = float(l2_norm(u_pic - u_mol, mol.dx))
     ref = float(l2_norm(u_mol, mol.dx))
     return {
         "rel_l2": diff / max(ref, 1.0e-30),
         "mol_norm": ref,
         "picard_norm": float(l2_norm(u_pic, mol.dx)),
-        "reference": {"n": cfg.mol_n, "spectral_radius": res.spectral_radius,
+        "reference": {"n": config.mol_n, "spectral_radius": res.spectral_radius,
                       "l2_drift": res.l2_drift, **res.meta},
     }

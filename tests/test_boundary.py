@@ -78,32 +78,12 @@ class TestTraceIdentity:
         assert sides["display"] == pytest.approx(1.4408, abs=1e-3)
         assert sides["polar"] == pytest.approx(0.1739, abs=1e-3)
 
-    def test_symbol_side_is_diagnostic_only(self, boundary_op):
-        # The closed-form symbol-side route of the same trace reads ~0.42
-        # for every variant and disagrees with the profile side; it is kept
-        # as a finite diagnostic, not an oracle (see the profile value at
-        # X = 0+ below for the underlying defect).
-        val = boundary_op.trace_symbol_side()
-        assert np.isfinite(val)
-        assert 0.3 < val < 0.5
-
     def test_profile_wall_value_defect_pinned(self, boundary_op):
         # W(0+) should vanish; measured 0.0503.  This is the boundary-layer
         # face of the lattice closure defect and makes the trace integral
         # window-dependent (2 W(0) ln 10 per decade), so it is pinned.
         val = float(boundary_op.profile(np.array([1e-4]))[0])
         assert val == pytest.approx(0.0503, rel=5e-2)
-
-
-# ---------------------------------------------------------------------------
-# Pre-Laplace profile
-
-
-def test_oscillatory_profile_head_exponent(boundary_op):
-    # W(u) ~ c/u as u -> 0 (measured fitted exponent -0.94).
-    u = np.logspace(-3, -1, 8)
-    fit = fit_loglog(u, np.abs(boundary_op.w_profile(u)))
-    assert -1.1 < fit.slope < -0.8
 
 
 # ---------------------------------------------------------------------------

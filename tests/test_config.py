@@ -165,6 +165,10 @@ REJECTED = [
     # the reference's squared nodes and mesh width leave the double range:
     # a LinAlgError traceback at 1e200, NaN cross-validation rows at 1e-300
     ("mol_length", 1e200), ("mol_length", 1e-300),
+    # L^{2,eps} is a decay-weighted space for eps >= 0, and <x>^(2 eps) an
+    # A_2 weight for eps < 1/2; at 1e308 the weights block printed NaN rows
+    ("epsilon_weight", 1e308), ("epsilon_weight", 0.5),
+    ("epsilon_weight", -0.1),
 ]
 
 
@@ -253,6 +257,7 @@ def _assert_usable(cfg: RunConfig) -> None:
     assert cfg.mol_n >= MOL_MIN_N and cfg.n_x >= 16 and cfg.seed >= 0
     assert cfg.t_switch >= MIN_T_SWITCH
     assert cfg.contour_points_per_decade >= 4
+    assert 0.0 <= cfg.epsilon_weight < 0.5
 
 
 @settings(max_examples=150, deadline=None)

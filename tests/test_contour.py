@@ -175,17 +175,18 @@ def test_plemelj_sum_is_twice_principal_value():
 
 def test_winding_index_unit_circle():
     th = np.linspace(0.0, 2.0 * np.pi, 400, endpoint=False)
-    assert winding_index(np.exp(1j * th), closed=True) == pytest.approx(1.0)
+    vals = np.exp(1j * th)
+    assert winding_index(np.append(vals, vals[0])) == pytest.approx(1.0)
 
 
 def test_winding_index_constant_is_zero():
-    assert winding_index(np.ones(64), closed=True) == 0.0
+    vals = np.ones(64)
+    assert winding_index(np.append(vals, vals[0])) == 0.0
 
 
 def test_winding_index_rejects_coarse_sampling():
-    th = np.linspace(0.0, 2.0 * np.pi, 3, endpoint=False)  # jumps of 2pi/3 < pi... use 2
     with pytest.raises(ValueError, match="too coarse"):
-        winding_index(np.exp(1j * np.array([0.0, np.pi, 2.0 * np.pi])), closed=False)
+        winding_index(np.exp(1j * np.array([0.0, np.pi, 2.0 * np.pi])))
 
 
 def test_winding_index_rejects_zeros_and_nonfinite():
@@ -202,4 +203,5 @@ def test_winding_index_counts_turns(turns, phase):
     n = 64 * max(1, abs(turns)) * 4
     th = np.linspace(0.0, 2.0 * np.pi * turns, n, endpoint=False)
     vals = 2.5 * np.exp(1j * (th + phase))
-    assert winding_index(vals, closed=True) == pytest.approx(float(turns), abs=1e-9)
+    assert winding_index(np.append(vals, vals[0])) == pytest.approx(
+        float(turns), abs=1e-9)

@@ -9,7 +9,9 @@ exact scale-covariance identities the construction must satisfy.
 import numpy as np
 import pytest
 
+from bo_halfline.boundary import BoundaryKernel
 from bo_halfline.config import RunConfig
+from bo_halfline.green import RAY_THETA
 from bo_halfline.report import fit_loglog
 from bo_halfline.symbols import (
     C_Q_VARIANT,
@@ -192,6 +194,17 @@ class TestIndex:
         # the contour, computed by argument tracking, matches the moment
         # integral route to 1e-6.
         assert abs(sym.index_by_winding(S_REF) - sym.index(S_REF)) < 1e-6
+
+    @pytest.mark.parametrize("arg,want", [
+        (np.pi / 2, 0.5), (RAY_THETA, 0.5), (BoundaryKernel.THETA_U, 0.5),
+        (np.pi, -1.5)])
+    def test_index_on_kernel_directions(self, sym, arg, want):
+        # The kernels evaluate the factor at s = i (the residue bracket) and
+        # on the Green and boundary rays: there the index is +1/2.  The -3/2
+        # index holds only for arg s in (3pi/4, 5pi/4), e.g. at s = -1.
+        s = np.exp(1j * arg)
+        assert sym.index(s) == pytest.approx(want, abs=1e-3)
+        assert sym.index_by_winding(s) == pytest.approx(want, abs=1e-3)
 
 
 # ---------------------------------------------------------------------------
