@@ -1,12 +1,12 @@
 """Command-line entry point: run a check suite, print it, optionally save CSV.
 
-Exit codes: 0 when every executed check passed (or the selection was empty),
-1 when at least one check failed, 2 for configuration, output or
-infrastructure errors.  Reports are deterministic for a fixed (config, seed)
+Exit codes: 0 when every executed check passed, 1 when at least one check
+failed, 2 for configuration (an unknown ``--suite`` block among them), output
+or infrastructure errors.  Reports are deterministic for a fixed (config, seed)
 pair; see ``report``.  Run telemetry (the ``solve`` stage seconds, peak RSS,
-CPU count and form discrepancy, one line per Picard sweep and, when the
-cross-validation block runs, one for the method-of-lines reference) goes to
-standard error, never into a CSV.
+the propagator's kept arrays, CPU count and form discrepancy, one line per
+Picard sweep and, when the cross-validation block runs, one for the
+method-of-lines reference) goes to standard error, never into a CSV.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the sampling seed")
     common.add_argument("--suite", metavar="NAME",
                         help="run only the named block of the command; an "
-                             "unknown name yields an empty report")
+                             "unknown name is a configuration error (exit 2)")
     parser = argparse.ArgumentParser(
         prog="bo-halfline",
         description="Half-line dispersive solver check suites.")

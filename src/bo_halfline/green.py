@@ -178,17 +178,6 @@ class RayLayout:
         with np.errstate(over="ignore", invalid="ignore"):
             return np.exp(z, out=out, where=~(z.real < EXP_UNDERFLOW))
 
-    def damping_table(self, steps: np.ndarray) -> np.ndarray:
-        """``damping(h)`` for every h of ``steps``, shape (len(steps), rows,
-        p); the steps are independent rows, split by ``for_each_row``."""
-        out = np.empty((len(steps),) + self.sp2.shape, dtype=complex)
-
-        def fill(i: int) -> None:
-            out[i] = self.damping(steps[i])
-
-        for_each_row(len(steps), fill)
-        return out
-
 
 class RayKernel:
     """K(p, t) and its field from t-independent samples f(p, s): ``rows`` on

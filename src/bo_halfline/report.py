@@ -25,14 +25,14 @@ import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import stdtrit
 
 from . import __version__
 from .boundary import BoundaryKernel
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .contour import AxisSampling, cauchy_transform, log_graded_nodes, plemelj_limits
 from .green import GreenOperator
 from .halfline import (HalfLineGrid, RampExp, TruncatedWeight, WholeLineGrid,
@@ -260,10 +260,15 @@ def _config_tag(cfg: RunConfig) -> str:
     return f"seed={cfg.seed} data_scale={cfg.data_scale:g}"
 
 
-def _select(blocks: Iterable[tuple[str, Callable[[], list[CheckRow]]]],
+def _select(blocks: Sequence[tuple[str, Callable[[], list[CheckRow]]]],
             only: str | None) -> list[CheckRow]:
     """The rows of every block, or of the one named ``only``; a block that
-    is not selected is not run."""
+    is not selected is not run.  A name that is no block raises ConfigError
+    before any block runs."""
+    names = [name for name, _ in blocks]
+    if only is not None and only not in names:
+        raise ConfigError(f"unknown block {only!r}; this command's blocks "
+                          f"are {', '.join(names)}")
     return [row for name, runner in blocks if only in (None, name)
             for row in runner()]
 
@@ -603,11 +608,12 @@ def _cross_validation_rows(cfg: RunConfig, sol: SpaceTimeSolution,
 
 
 def _solve_telemetry(sol: SpaceTimeSolution, xv: dict) -> list[str]:
-    """Stage seconds, peak RSS, CPU count and form discrepancy (the gap
-    between u u_x and (u^2/2)_x) of the solve, one line per Duhamel sweep
-    (the Picard iterations, then the residual sweep) with its step norm and
-    the ratio to the previous step, and one line for the method-of-lines
-    reference run when it ran (``xv`` is empty otherwise)."""
+    """Stage seconds, peak RSS, the propagator's kept arrays (MB), CPU
+    count and form discrepancy (the gap between u u_x and (u^2/2)_x) of the
+    solve, one line per Duhamel sweep (the Picard iterations, then the
+    residual sweep) with its step norm and the ratio to the previous step,
+    and one line for the method-of-lines reference run when it ran (``xv``
+    is empty otherwise)."""
     meta = sol.meta
     lines = [f"solve: linear_lattice_s={meta['linear_lattice_s']:.3f} "
              f"linear_lattice_peak_rss_mb="
@@ -615,6 +621,7 @@ def _solve_telemetry(sol: SpaceTimeSolution, xv: dict) -> list[str]:
              f"propagator_build_s={meta['propagator_build_s']:.3f} "
              f"propagator_build_peak_rss_mb="
              f"{meta['propagator_build_peak_rss_mb']:.1f} "
+             f"propagator_mb={meta['propagator_mb']:.1f} "
              f"workers={meta['workers']} "
              f"form_discrepancy={sol.form_discrepancy:.6g}"]
     steps = list(sol.step_norms)
@@ -658,8 +665,6 @@ def run_solve(config: RunConfig | None = None,
         ("cross-validation", lambda: _cross_validation_rows(cfg, solution(), xv)),
     ]
     rows = _select(blocks, suite)
-    if not solution.cache_info().currsize:     # unknown block: nothing solved
-        return RunReport("solve", rows, _config_tag(cfg))
     sol = solution()
     return RunReport("solve", rows, _config_tag(cfg),
                      extras={"solution": _solution_table(sol)},

@@ -93,9 +93,10 @@ class ForcingTransforms:
 
     Each array is allocated once and filled in place, so a sweep holds
     little beyond them: e_full's ray rows take the cast single-precision
-    products, its tail rows the corner model fitted to them.  The free
-    part is finished before e_full is allocated, so its whole-line spectra
-    never coexist with the kernel lattice."""
+    products, SWEEP_CHUNK_RAYS rays at a time, its tail rows the corner
+    model fitted to them.  The free part is finished before e_full is
+    allocated, so its whole-line spectra never coexist with the kernel
+    lattice."""
 
     free: np.ndarray        # (2, n_t, n_x) free part: values, x-derivatives
     e_full: np.ndarray      # (n_t, n_ray + n_tail, n_p) damped-ray + tail rows
@@ -109,6 +110,15 @@ class ForcingTransforms:
 #: value and 2.4e-2 in slope (max relative change); the time-quadrature
 #: error of the accumulation is unmeasured.
 DUHAMEL_GRIDS = GreenGrids(p_ppd=12, r_ppd=8, axis_min=1.0e-6, axis_max=1.0e6)
+
+#: Rays of the kernel lattice formed per product in a sweep, so that the
+#: complex64 products and their complex128 scatter term stay near 2 and 4 MB
+#: (at 125 p nodes and 129 time nodes) instead of two whole 15.5 MB products
+#: beside the lattice they fill.  The chunks are rows of the products, and
+#: each row of a matrix product is the same dot products in any chunk (chunks
+#: of 4 to 60 rays are bitwise the whole product); chunks over the time nodes,
+#: the columns, are not (64 columns already differ).
+SWEEP_CHUNK_RAYS = 15
 
 
 class DuhamelPropagator:
@@ -139,13 +149,13 @@ class DuhamelPropagator:
     e^{i p_0^2 h}.  It is stable because s = r e^{i RAY_THETA} gives
     Re(s p^2) <= 0: every factor has modulus <= 1, so round-off is never
     amplified.  The split e^{s p^2 t_k} e^{-s p^2 t_l} would overflow.  The
-    factors e^{s p^2 h} come from a table built once, one entry per distinct
-    step h of the time lattice (the uniform half repeats one step).  The
-    Filon-weighted bracket row has no such recurrence (the weights are not
-    multiplicative in sigma) and is one contraction per node against the
-    table of weights: one single-precision row per distinct gap t_k - t_l,
-    read through an (n_t, n_t) integer index, so no (n_t, n_t, n_p) array
-    is ever formed.
+    factor e^{s p^2 h} is evaluated (RayLayout.damping) whenever the step h
+    changes, so once per distinct step of the time lattice (the uniform half
+    repeats one step), and no table of them is kept.  The Filon-weighted
+    bracket row has no such recurrence (the weights are not multiplicative
+    in sigma) and is one contraction per node against the table of weights:
+    one single-precision row per distinct gap t_k - t_l, read through an
+    (n_t, n_t) integer index, so no (n_t, n_t, n_p) array is ever formed.
 
     The forcing is real, so its spectra are half spectra (real FFTs).  The
     free part of the whole lattice is one WholeLineGrid.free_field call on
@@ -156,11 +166,16 @@ class DuhamelPropagator:
     (n_t, n_p) kernel rows.  The phases e^{i tau xi|xi|} of every node are
     built once.
 
-    Memory: the single-precision Laplace matrices are filled in their own
-    dtype (``laplace_matrix``), never in double precision first, and a sweep
-    allocates its ForcingTransforms once and writes every product into it.
-    The products, casts and their order are those of the whole-lattice
-    formulation, so the values are the same to the bit.
+    Memory: the propagator keeps the complex64 tensor and scattered Laplace
+    matrix, the Filon table and the phases, about 100 MB at production
+    (``kept_mb``), and small matrices and indices.  The single-precision
+    Laplace matrices are filled in their own dtype (``laplace_matrix``),
+    never in double precision first.  A sweep allocates its
+    ForcingTransforms once and forms the ray products in chunks of
+    SWEEP_CHUNK_RAYS rays, each written straight into its rows, so its
+    allocation peak is about 1.26 times what it returns.  The products,
+    casts and their order are those of the whole-lattice formulation, so
+    the values are the same to the bit.
     """
 
     def __init__(self, symbols: Symbols, half_grid: HalfLineGrid,
@@ -203,10 +218,6 @@ class DuhamelPropagator:
         self._fw = fresnel_table(p, distinct, np.complex64)
         self._fw_of = np.full((nt, nt), distinct.size)
         self._fw_of[lower] = which
-
-        # e^{s p^2 h} for every distinct step h = t_{k+1} - t_k
-        steps, self._step_of = np.unique(np.diff(times.nodes), return_inverse=True)
-        self._damping = self.layout.damping_table(steps)
 
         # e^{i tau xi|xi|} at every node, on the half spectrum
         xi = self.whole.xi_half
@@ -264,21 +275,22 @@ class DuhamelPropagator:
         del running
 
         def by_node(prod: np.ndarray) -> np.ndarray:
-            """(n_ray*n_p, nt) product as an (nt, n_ray, n_p) view."""
-            return np.moveaxis(prod.reshape(n_ray, n_p, nt), -1, 0)
+            """(n_rays*n_p, nt) product as an (nt, n_rays, n_p) view."""
+            return np.moveaxis(prod.reshape(-1, n_p, nt), -1, 0)
 
-        # complex64 products, each cast once into the ray rows of the one
-        # output lattice; the scatter term is subtracted in complex128 one
-        # ray row at a time
+        # complex64 products over SWEEP_CHUNK_RAYS rays at a time, each cast
+        # once into its ray rows of the one output lattice, then the scatter
+        # term subtracted in complex128, root coefficient first
         fc = forcing.astype(np.complex64)
         fz = self._lap_axis @ fc.T                            # (nz, nt)
         e_full = np.empty((nt, layout.ray.s.size, n_p), dtype=complex)
-        e_ray = e_full[:, :n_ray]
-        e_ray[...] = by_node(self._t_ray @ fz)
-        scat_ray = by_node(self._lap_scat_ray @ fc.T)
-        for i, bt in enumerate(self._bt_ray):
-            e_ray[:, i] -= bt * scat_ray[:, i]
-        del scat_ray
+        for lo in range(0, n_ray, SWEEP_CHUNK_RAYS):
+            rays = slice(lo, min(lo + SWEEP_CHUNK_RAYS, n_ray))
+            rows = slice(rays.start * n_p, rays.stop * n_p)
+            e_ray = e_full[:, rays]
+            e_ray[...] = by_node(self._t_ray[rows] @ fz)
+            e_ray -= self._bt_ray[rays, None] \
+                * by_node(self._lap_scat_ray[rows] @ fc.T)
         e_brk = (self._t_brk @ fz).T.astype(complex)
         e_brk -= self._bt_brk * (self._lap_scat_brk @ fc.T).T
         layout.fit_tail(e_full)
@@ -297,6 +309,7 @@ class DuhamelPropagator:
         w = self.times.weights_upto(nt - 1)
         w_e_brk = w[:, None] * lat.e_brk
         acc = np.zeros_like(layout.sp2)
+        hstep = damp = None
         k0_brk = 0.0j
         k_smooth = np.empty((nt, n_p))
         w_brk = np.empty((nt, n_p), dtype=complex)
@@ -306,9 +319,10 @@ class DuhamelPropagator:
         # that endpoint
         for k in range(nt):
             if k > 0:
-                hstep = nodes[k] - nodes[k - 1]
-                acc = self._damping[self._step_of[k - 1]] \
-                    * (acc + w[k - 1] * lat.e_full[k - 1])
+                h = nodes[k] - nodes[k - 1]
+                if h != hstep:                  # once per run of equal steps
+                    hstep, damp = h, layout.damping(h)
+                acc = damp * (acc + w[k - 1] * lat.e_full[k - 1])
                 k0_brk = np.exp(1j * p0sq * hstep) \
                     * (k0_brk + w_e_brk[k - 1, 0])
             w_brk[k] = np.sum(w_e_brk[:k] * self._fw[self._fw_of[k, :k]], axis=0)
@@ -345,7 +359,8 @@ class SpaceTimeSolution:
     # the CPU count that independent rows are split across (workers), stage
     # seconds and the process peak RSS (MB) at the end of each stage:
     # linear_lattice_s and _peak_rss_mb, propagator_build_s (0 for a supplied
-    # propagator) and _peak_rss_mb, and lists with one entry per Duhamel sweep
+    # propagator) and _peak_rss_mb, propagator_mb (the arrays the propagator
+    # keeps, kept_mb), and lists with one entry per Duhamel sweep
     # (the Picard iterations, then the residual sweep): transform_forcing_s,
     # accumulate_s, sweep_s, which adds the X-norm of the step, and
     # sweep_peak_rss_mb
@@ -369,6 +384,14 @@ class SpaceTimeSolution:
         if kind == "weighted":
             return grid.weighted_norm(self.values, weight_power)
         raise ValueError(f"unknown norm kind {kind!r}")
+
+
+def kept_mb(obj) -> float:
+    """MB (2^20 bytes) of the ndarrays that ``obj`` holds as attributes;
+    arrays of the objects it holds (a propagator's layout, grids and field
+    assembly, about 1 MB at production) are not counted."""
+    return sum(a.nbytes for a in vars(obj).values()
+               if isinstance(a, np.ndarray)) / 2.0**20
 
 
 def peak_rss_mb() -> float:
@@ -425,6 +448,7 @@ def picard_solve(config: RunConfig | None = None,
         propagator = DuhamelPropagator(symbols, half, times)
         timings["propagator_build_s"] = time.perf_counter() - clock
     timings["propagator_build_peak_rss_mb"] = peak_rss_mb()
+    timings["propagator_mb"] = kept_mb(propagator)
     xnorm = XNorm(half, times.nodes)
 
     def sweep(values: np.ndarray, derivs: np.ndarray):

@@ -184,6 +184,10 @@ class TestSpectralRoute:
     # input here, so these checks use the entire-transform bump datum.
 
     def test_late_time_cross_form_agreement(self, boundary_op, cfg):
+        # Reads 0.0045.  The bound measures the p grid as much as the two
+        # routes: the spectral route on its own 330-node p grid read 0.0080,
+        # on the Green layout's 331 nodes over the same range 0.0045, so a
+        # p-refinement ladder of this gap must come before it judges either.
         gh = make_profile("gauss_bump", cfg.data_scale)
         xg = np.linspace(0.5, 10.0, 20)
         conv = boundary_op.apply_convolution(gh, xg, 10.0)

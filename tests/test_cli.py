@@ -38,12 +38,6 @@ class TestPassingRuns:
         assert "selfcheck: 3/3 checks passed" in out
         assert "[PASS]" in out
 
-    def test_unknown_block_yields_empty_pass(self, capsys):
-        code = main(["selfcheck", "--suite", "no-such-block"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "0/0 checks passed" in out
-
     def test_csv_written_to_out_dir(self, tmp_path, capsys):
         code = main(["selfcheck", "--suite", "convolution",
                      "--out", str(tmp_path)])
@@ -90,6 +84,22 @@ class TestConfigErrors:
         code = main(["selfcheck", "--suite", "convolution"])
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,blocks", [
+        ("selfcheck", "plemelj, spectral, weights, convolution"),
+        ("solve", "picard, growth, cross-validation"),
+    ], ids=["selfcheck", "solve"])
+    def test_unknown_block_is_a_config_error(self, command, blocks, tmp_path,
+                                             capsys):
+        # a misspelt block used to run nothing and pass with 0/0 checks;
+        # it is refused before any block runs, so no solve and no CSV
+        code = main([command, "--suite", "nosuch", "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err == (f"configuration error: unknown block 'nosuch'; this "
+                       f"command's blocks are {blocks}\n")
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_out_names_a_file(self, tmp_path, capsys):
         # the suite runs, then its CSV has no directory to go to; this used
@@ -224,6 +234,21 @@ def test_solve_prints_stage_telemetry(fast_cfg, monkeypatch, capsys,
     assert "energy_drift" not in out + csvs
     assert "form_discrepancy" not in out + csvs
     assert "rss" not in csvs
+
+
+def test_solve_reports_propagator_memory_on_stderr(fast_cfg, monkeypatch,
+                                                   capsys, tmp_path):
+    # the arrays the propagator keeps, in MB, on the first solve line only
+    export_fast_cfg(fast_cfg, monkeypatch)
+    main(["solve", "--suite", "picard", "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert "propagator_mb=" in lines[0]
+    assert sum("propagator_mb=" in ln for ln in lines) == 1
+    mb = float(lines[0].split("propagator_mb=")[1].split()[0])
+    assert 1.0 < mb < 100.0
+    csvs = "".join(path.read_text() for path in tmp_path.glob("*.csv"))
+    assert "propagator_mb" not in out + csvs
 
 
 # ---------------------------------------------------------------------------

@@ -190,17 +190,6 @@ def test_filon_table_bitwise_for_any_worker_count(set_workers, monkeypatch,
     assert np.array_equal(fresnel_table(p, sigmas, np.complex64), want)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3, 7])
-def test_damping_table_rows_are_damping_calls(set_workers, workers):
-    layout = RayLayout(DUHAMEL_GRIDS)
-    steps = np.geomspace(1.0e-4, 0.5, 11)
-    set_workers(workers)
-    table = layout.damping_table(steps)
-    assert table.shape == (steps.size,) + layout.sp2.shape
-    for row, h in zip(table, steps):
-        assert np.array_equal(row, layout.damping(h))
-
-
 # ---------------------------------------------------------------------------
 # Lattice kernel
 

@@ -360,7 +360,11 @@ def test_mass_law_with_zero_boundary_data(cfg, profile, gap_bound, mass_ends):
     # that flux, with the integrand's x -> 0 limit u_x(0) in the trapezoid
     # rule: measured max gaps on [0.2, 0.9] are 4.33e-2 (gauss_bump) and
     # 1.10e-2 (poly_exp), bounded at 5e-2 and 1.5e-2 (margins 0.67e-2 and
-    # 0.40e-2).  The mass grows: these data gain it through the wall.
+    # 0.40e-2).  The mass grows: these data gain it through the wall.  The
+    # gap does not shrink with the grid (n = 512 -> 1024 at dt = 1e-3:
+    # 4.33e-2 -> 4.86e-2 for gauss_bump, 1.10e-2 -> 0.94e-2 for poly_exp),
+    # so the bound measures the backward-Euler time step, not the spatial
+    # discretization.
     scale = 1e-6
     m = MethodOfLines(cfg, psi_profile=profile, data_scale=scale, mol_n=512)
     m.h = make_profile("ramp_exp", 0.0)

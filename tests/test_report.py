@@ -4,6 +4,7 @@ deterministic self-check suites."""
 import numpy as np
 import pytest
 
+from bo_halfline.config import ConfigError
 from bo_halfline.report import (CheckRow, RunReport, SlopeFit, _csv_num,
                                 _csv_str, bound, check, control, fit_affine,
                                 fit_loglog, info, run_selfcheck, run_solve,
@@ -305,12 +306,16 @@ class TestSolveSuite:
         assert len(lines) == 1 + n_t * n_x
         assert lines[1] == "0,0,0"  # t = 0, wall node, vanishing datum
 
-    def test_unknown_block_is_empty_and_ships_nothing(self, fast_cfg,
-                                                      tmp_path):
-        report = run_solve(fast_cfg, suite="nonesuch")
-        assert report.rows == [] and report.extras == {}
-        report.write(tmp_path)
-        assert not (tmp_path / "solution.csv").exists()
+    def test_unknown_block_raises_before_solving(self, fast_cfg,
+                                                 monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("picard_solve called")
+
+        monkeypatch.setattr("bo_halfline.report.picard_solve", refuse)
+        with pytest.raises(ConfigError, match="unknown block 'nonesuch'; "
+                           "this command's blocks are picard, growth, "
+                           "cross-validation"):
+            run_solve(fast_cfg, suite="nonesuch")
 
     def test_picard_block_runs_no_reference(self, fast_cfg, monkeypatch):
         # an unselected block is not computed: the method-of-lines run
