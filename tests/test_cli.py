@@ -205,9 +205,13 @@ def test_solve_prints_stage_telemetry(fast_cfg, monkeypatch, capsys,
     stages = [ln for ln in lines if "linear_lattice_s=" in ln]
     assert len(stages) == 1
     for key in ("propagator_build_s=", "linear_lattice_peak_rss_mb=",
-                "propagator_build_peak_rss_mb=", "workers=",
+                "propagator_build_peak_rss_mb=", "propagator_mb=", "workers=",
                 "form_discrepancy="):
         assert key in stages[0]
+    # the arrays the propagator keeps, in MB, on the stage line only
+    assert sum("propagator_mb=" in ln for ln in lines) == 1
+    mb = float(stages[0].split("propagator_mb=")[1].split()[0])
+    assert 1.0 < mb < 100.0
     sweeps = [ln for ln in lines if "sweep" in ln]
     assert any("sweep 1:" in ln for ln in sweeps)
     assert any("residual sweep:" in ln for ln in sweeps)
@@ -233,22 +237,8 @@ def test_solve_prints_stage_telemetry(fast_cfg, monkeypatch, capsys,
     assert "solve" in csvs
     assert "energy_drift" not in out + csvs
     assert "form_discrepancy" not in out + csvs
-    assert "rss" not in csvs
-
-
-def test_solve_reports_propagator_memory_on_stderr(fast_cfg, monkeypatch,
-                                                   capsys, tmp_path):
-    # the arrays the propagator keeps, in MB, on the first solve line only
-    export_fast_cfg(fast_cfg, monkeypatch)
-    main(["solve", "--suite", "picard", "--out", str(tmp_path)])
-    out, err = capsys.readouterr()
-    lines = err.splitlines()
-    assert "propagator_mb=" in lines[0]
-    assert sum("propagator_mb=" in ln for ln in lines) == 1
-    mb = float(lines[0].split("propagator_mb=")[1].split()[0])
-    assert 1.0 < mb < 100.0
-    csvs = "".join(path.read_text() for path in tmp_path.glob("*.csv"))
     assert "propagator_mb" not in out + csvs
+    assert "rss" not in csvs
 
 
 # ---------------------------------------------------------------------------

@@ -179,15 +179,17 @@ def test_validate_rejects(key, value):
 
 
 def _cli_with_env(key: str, value, **more) -> tuple[int, str]:
-    """Exit code and stderr of config resolution with BOHL_<KEY> (and any
-    further keys) set; an unknown block keeps an accepted config from
-    running any check."""
+    """Exit code and stderr of the CLI with BOHL_<KEY> (and any further
+    keys) set, for a config that must be rejected.  The command names an
+    unknown block, so an accepted config runs no check: it ends in the
+    unknown-block configuration error, which fails here."""
     env = {"BOHL_" + k.upper(): str(v) for k, v in {key: value, **more}.items()}
     err = io.StringIO()
     with mock.patch.dict(os.environ, env), \
             contextlib.redirect_stderr(err), \
             contextlib.redirect_stdout(io.StringIO()):
         code = main(["selfcheck", "--suite", "no-such-block"])
+    assert "unknown block" not in err.getvalue(), (key, value, more)
     return code, err.getvalue()
 
 

@@ -454,10 +454,7 @@ class TestDuhamelPropagator:
         # table (5 MB here, 18.6 MB at production)
         big = sum(getattr(propagator, name).nbytes
                   for name in ("_t_ray", "_lap_scat_ray", "_fw", "_back"))
-        kept = kept_mb(propagator) * 2.0**20
-        assert kept == sum(a.nbytes for a in vars(propagator).values()
-                           if isinstance(a, np.ndarray))
-        assert kept <= big + 2.0**20
+        assert kept_mb(propagator) * 2.0**20 <= big + 2.0**20
 
     def test_no_pairwise_lattice_but_the_index(self, propagator):
         # nothing the propagator keeps grows like n_t^2 n_p: the only
