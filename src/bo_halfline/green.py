@@ -161,19 +161,30 @@ class RayLayout:
         """Least-squares (lam1, lam0), shape (..., 2), of the corner model for
         rows (..., n_ray + n_tail, n_p) whose ray rows are filled; the tail
         rows are written in place."""
-        corner = rows[(Ellipsis,) + self.corner]
-        lam = corner.reshape(corner.shape[:-2] + (-1,)) @ self._pinv.T
-        tail = rows[..., self.n_ray:, :]
-        np.multiply(lam[..., 0, None, None], self._tail_b1, out=tail)
-        tail += lam[..., 1, None, None] * self._tail_b0
+        lam = self.fit_corner(rows[(Ellipsis,) + self.corner])
+        self.fill_tail(lam, rows[..., self.n_ray:, :])
         return lam
 
-    def damping(self, t: float) -> np.ndarray:
-        """e^{s p^2 t} on (rows, p).  Where the real exponent is below
-        EXP_UNDERFLOW the exponential is exactly 0 and is not evaluated:
-        those entries have the largest imaginary parts, so they are also the
-        slowest, and they are 20-40% of the production lattices."""
-        z = self.sp2 * t
+    def fit_corner(self, corner: np.ndarray) -> np.ndarray:
+        """Least-squares (lam1, lam0), shape (..., 2), of the corner model for
+        the corner samples (..., n_corner_rays, n_corner_p) of filled rows."""
+        return corner.reshape(corner.shape[:-2] + (-1,)) @ self._pinv.T
+
+    def fill_tail(self, lam: np.ndarray, out: np.ndarray,
+                  rows=slice(None)) -> None:
+        """The corner model's tail rows ``rows`` (counted from the first tail
+        row) for constants lam (..., 2), written into out (..., rows, n_p)."""
+        np.multiply(lam[..., 0, None, None], self._tail_b1[rows], out=out)
+        out += lam[..., 1, None, None] * self._tail_b0[rows]
+
+    def damping(self, t: float, rows=slice(None)) -> np.ndarray:
+        """e^{s p^2 t} on the rows ``rows`` of the layout and every p node
+        (each entry on its own, so a chunk of rows is bitwise those rows of
+        the whole lattice).  Where the real exponent is below EXP_UNDERFLOW
+        the exponential is exactly 0 and is not evaluated: those entries
+        have the largest imaginary parts, so they are also the slowest, and
+        they are 20-40% of the production lattices."""
+        z = self.sp2[rows] * t
         out = np.zeros(z.shape, dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
             return np.exp(z, out=out, where=~(z.real < EXP_UNDERFLOW))

@@ -88,18 +88,17 @@ class XNorm:
 
 @dataclass
 class ForcingTransforms:
-    """Per-sweep free part and kernel lattices of the forcing history (one
-    row per node).
+    """Per-sweep free part of the forcing history and what its kernel
+    lattice is formed from (one row or column per node).
 
-    Each array is allocated once and filled in place, so a sweep holds
-    little beyond them: e_full's ray rows take the cast single-precision
-    products, SWEEP_CHUNK_RAYS rays at a time, its tail rows the corner
-    model fitted to them.  The free part is finished before e_full is
-    allocated, so its whole-line spectra never coexist with the kernel
-    lattice."""
+    The damped-ray and tail rows of the kernel lattice are never held
+    whole: ``accumulate`` forms them from fc and fz SWEEP_CHUNK_RAYS rays at
+    a time and folds each chunk into the memory sum before the next.  The
+    bracket rows are one row per node and are kept."""
 
     free: np.ndarray        # (2, n_t, n_x) free part: values, x-derivatives
-    e_full: np.ndarray      # (n_t, n_ray + n_tail, n_p) damped-ray + tail rows
+    fc: np.ndarray          # (n_t, n_x) the forcing in single precision
+    fz: np.ndarray          # (n_z, n_t) its Laplace samples on the axis lattice
     e_brk: np.ndarray       # (n_t, n_p) bracket-direction rows
 
 
@@ -111,13 +110,16 @@ class ForcingTransforms:
 #: error of the accumulation is unmeasured.
 DUHAMEL_GRIDS = GreenGrids(p_ppd=12, r_ppd=8, axis_min=1.0e-6, axis_max=1.0e6)
 
-#: Rays of the kernel lattice formed per product in a sweep, so that the
-#: complex64 products and their complex128 scatter term stay near 2 and 4 MB
-#: (at 125 p nodes and 129 time nodes) instead of two whole 15.5 MB products
-#: beside the lattice they fill.  The chunks are rows of the products, and
-#: each row of a matrix product is the same dot products in any chunk (chunks
-#: of 4 to 60 rays are bitwise the whole product); chunks over the time nodes,
-#: the columns, are not (64 columns already differ).
+#: Rays of the kernel lattice formed and folded into the memory sum at a
+#: time in a sweep, so that a chunk's complex64 products, its complex128
+#: rows and their scatter term stay near 2 and 4 MB (at 125 p nodes and 129
+#: time nodes), and no whole 36.9 MB lattice is formed.  The chunks are rows
+#: of the products, and each row of a matrix product is the same dot
+#: products in any chunk (chunks of 4 to 60 rays are bitwise the whole
+#: product); chunks over the time nodes, the columns, are not (64 columns
+#: already differ).  The constant also fixes the order of the ray sum of
+#: the smooth kernel, one partial sum per chunk, so it moves that sum's
+#: round-off (not the products or the recurrence).
 SWEEP_CHUNK_RAYS = 15
 
 
@@ -149,9 +151,10 @@ class DuhamelPropagator:
     e^{i p_0^2 h}.  It is stable because s = r e^{i RAY_THETA} gives
     Re(s p^2) <= 0: every factor has modulus <= 1, so round-off is never
     amplified.  The split e^{s p^2 t_k} e^{-s p^2 t_l} would overflow.  The
-    factor e^{s p^2 h} is evaluated (RayLayout.damping) whenever the step h
-    changes, so once per distinct step of the time lattice (the uniform half
-    repeats one step), and no table of them is kept.  The Filon-weighted
+    factor e^{s p^2 h} of a chunk of rows is evaluated (RayLayout.damping)
+    whenever the step h changes, so each entry once per distinct step of
+    the time lattice (the uniform half repeats one step), and no table of
+    them is kept.  The Filon-weighted
     bracket row has no such recurrence (the weights are not multiplicative
     in sigma) and is one contraction per node against the table of weights:
     one single-precision row per distinct gap t_k - t_l, read through an
@@ -160,22 +163,25 @@ class DuhamelPropagator:
     The forcing is real, so its spectra are half spectra (real FFTs).  The
     free part of the whole lattice is one WholeLineGrid.free_field call on
     their running sums (the Green operator uses it too), made by
-    transform_forcing before the kernel lattice is allocated.  The
-    recurrence only records the kernel pieces per node; the field of the
-    whole lattice then follows in one FieldAssembly call on the stacked
-    (n_t, n_p) kernel rows.  The phases e^{i tau xi|xi|} of every node are
-    built once.
+    transform_forcing.  The recurrence only records the kernel pieces per
+    node; the field of the whole lattice then follows in one FieldAssembly
+    call on the stacked (n_t, n_p) kernel rows.  The phases
+    e^{i tau xi|xi|} of every node are built once.
 
     Memory: the propagator keeps the complex64 tensor and scattered Laplace
     matrix, the Filon table and the phases, about 100 MB at production
     (``kept_mb``), and small matrices and indices.  The single-precision
     Laplace matrices are filled in their own dtype (``laplace_matrix``),
-    never in double precision first.  A sweep allocates its
-    ForcingTransforms once and forms the ray products in chunks of
-    SWEEP_CHUNK_RAYS rays, each written straight into its rows, so its
-    allocation peak is about 1.26 times what it returns.  The products,
-    casts and their order are those of the whole-lattice formulation, so
-    the values are the same to the bit.
+    never in double precision first.  A sweep never holds its whole
+    (n_t, n_ray + n_tail, n_p) kernel lattice: ``accumulate`` streams it
+    SWEEP_CHUNK_RAYS rays at a time, forming a chunk's products, running
+    the damped recurrence of its rows (each row's recurrence is independent
+    of the others) and adding its part of the ray sum, so only one chunk
+    and the corner samples of the tail fit are alive.  The free part's
+    whole-line spectra then set the sweep's allocation peak, about 0.56 of
+    one whole lattice on the test grid and 22.9 MB at production.  The products, casts, recurrence
+    and their operand order are those of the whole-lattice formulation, so
+    only the order of the ray sum moves the values (by round-off).
     """
 
     def __init__(self, symbols: Symbols, half_grid: HalfLineGrid,
@@ -248,17 +254,14 @@ class DuhamelPropagator:
     # -- per-sweep stages ------------------------------------------------------
 
     def transform_forcing(self, forcing: np.ndarray) -> ForcingTransforms:
-        """Free part and kernel lattices for every forcing row (n_t, n_x)."""
+        """Free part, Laplace samples and bracket rows for every forcing row
+        (n_t, n_x)."""
         nt = self.times.n
         nodes = self.times.nodes
-        layout = self.layout
-        n_p = layout.p_nodes.size
-        n_ray = layout.n_ray
 
-        # the free part first, so that its spectra are gone before the
-        # kernel lattice exists: zero-extended spectra, anti-evolved so the
-        # sums telescope over tau, their trapezoid running sums over nodes
-        # 0..k formed in one array, evolved to every t_k
+        # the free part: zero-extended spectra, anti-evolved so the sums
+        # telescope over tau, their trapezoid running sums over nodes 0..k
+        # formed in one array, evolved to every t_k
         samples = np.zeros((nt, self.whole.n))
         spline = CubicSpline(self.half.nodes, forcing, axis=1)
         samples[:, self._support] = spline(self.whole.nodes[self._support])
@@ -274,59 +277,88 @@ class DuhamelPropagator:
         free = self.whole.free_field(running, nodes, self.half.nodes, (0, 1))
         del running
 
-        def by_node(prod: np.ndarray) -> np.ndarray:
-            """(n_rays*n_p, nt) product as an (nt, n_rays, n_p) view."""
-            return np.moveaxis(prod.reshape(-1, n_p, nt), -1, 0)
-
-        # complex64 products over SWEEP_CHUNK_RAYS rays at a time, each cast
-        # once into its ray rows of the one output lattice, then the scatter
-        # term subtracted in complex128, root coefficient first
         fc = forcing.astype(np.complex64)
         fz = self._lap_axis @ fc.T                            # (nz, nt)
-        e_full = np.empty((nt, layout.ray.s.size, n_p), dtype=complex)
-        for lo in range(0, n_ray, SWEEP_CHUNK_RAYS):
-            rays = slice(lo, min(lo + SWEEP_CHUNK_RAYS, n_ray))
-            rows = slice(rays.start * n_p, rays.stop * n_p)
-            e_ray = e_full[:, rays]
-            e_ray[...] = by_node(self._t_ray[rows] @ fz)
-            e_ray -= self._bt_ray[rays, None] \
-                * by_node(self._lap_scat_ray[rows] @ fc.T)
         e_brk = (self._t_brk @ fz).T.astype(complex)
         e_brk -= self._bt_brk * (self._lap_scat_brk @ fc.T).T
-        layout.fit_tail(e_full)
-        return ForcingTransforms(free=free, e_full=e_full, e_brk=e_brk)
+        return ForcingTransforms(free=free, fc=fc, fz=fz, e_brk=e_brk)
 
     def accumulate(self, lat: ForcingTransforms) -> tuple[np.ndarray, np.ndarray]:
         """Value and derivative lattices (n_t, n_x) of the memory integral:
         the free part of ``lat`` plus the kernel field, by the damped
-        recurrence of the class docstring."""
+        recurrence of the class docstring, one chunk of SWEEP_CHUNK_RAYS
+        kernel lattice rows at a time."""
         nodes = self.times.nodes
         nt = nodes.size
+        steps = np.diff(nodes)
         layout = self.layout
         n_p = layout.p_nodes.size
-        p0sq = layout.p_nodes[0] ** 2
+        n_ray, n_rows = layout.n_ray, layout.ray.s.size
+        chunk = SWEEP_CHUNK_RAYS
         # W_l for every l < k, whatever k (the last weight is never used)
         w = self.times.weights_upto(nt - 1)
+        # sum over the rays of coef A_k, one partial sum per chunk; row 0 is
+        # A_0 = 0: the l == k slice is the correction at zero gap,
+        # identically zero by the t -> 0 identity of the propagator, and
+        # only the free part keeps that endpoint
+        ray_sum = np.zeros((nt, n_p), dtype=complex)
+
+        def fold(rows: slice, e: np.ndarray) -> None:
+            """Adds coef A_k of the layout rows ``rows``, whose kernel
+            lattice rows are e (nt, rows, n_p), to ray_sum."""
+            coef = layout.ray.coef[rows]
+            acc = np.zeros(e.shape[1:], dtype=complex)
+            hstep = damp = None
+            for k in range(1, nt):
+                if steps[k - 1] != hstep:       # once per run of equal steps
+                    hstep = steps[k - 1]
+                    damp = layout.damping(hstep, rows)
+                # explicit operand order, the whole-lattice one: see
+                # RayKernel.smooth_kernel
+                acc += w[k - 1] * e[k - 1]
+                np.multiply(acc, damp, out=acc)
+                ray_sum[k] += coef @ acc
+
+        def by_node(prod: np.ndarray) -> np.ndarray:
+            """(n_rays*n_p, nt) product as an (nt, n_rays, n_p) view."""
+            return np.moveaxis(prod.reshape(-1, n_p, nt), -1, 0)
+
+        # ray rows: complex64 products over a chunk of rays, cast once into
+        # the chunk buffer, then the scatter term subtracted in complex128,
+        # root coefficient first; the corner samples are kept for the tail
+        buf = np.empty((nt, min(chunk, n_rows), n_p), dtype=complex)
+        corner_rays, corner_p = (i.ravel() for i in layout.corner)
+        corner = np.empty((nt, corner_rays.size, corner_p.size), dtype=complex)
+        fc_t = lat.fc.T
+        for lo in range(0, n_ray, chunk):
+            rays = slice(lo, min(lo + chunk, n_ray))
+            prod_rows = slice(lo * n_p, rays.stop * n_p)
+            e = buf[:, :rays.stop - lo]
+            e[...] = by_node(self._t_ray[prod_rows] @ lat.fz)
+            e -= self._bt_ray[rays, None] \
+                * by_node(self._lap_scat_ray[prod_rows] @ fc_t)
+            mine = (corner_rays >= rays.start) & (corner_rays < rays.stop)
+            corner[:, mine] = e[:, corner_rays[mine] - lo][..., corner_p]
+            fold(rays, e)
+        # tail rows: the corner model fitted to the ray rows, last
+        lam = layout.fit_corner(corner)
+        for lo in range(n_ray, n_rows, chunk):
+            rows = slice(lo, min(lo + chunk, n_rows))
+            e = buf[:, :rows.stop - lo]
+            layout.fill_tail(lam, e, slice(lo - n_ray, rows.stop - n_ray))
+            fold(rows, e)
+        k_smooth = np.imag(ray_sum) / math.pi
+
+        p0sq = layout.p_nodes[0] ** 2
         w_e_brk = w[:, None] * lat.e_brk
-        acc = np.zeros_like(layout.sp2)
-        hstep = damp = None
         k0_brk = 0.0j
-        k_smooth = np.empty((nt, n_p))
         w_brk = np.empty((nt, n_p), dtype=complex)
         k0 = np.empty(nt)
-        # the l == k slice is the correction at zero gap, identically zero by
-        # the t -> 0 identity of the propagator; only the free part keeps
-        # that endpoint
         for k in range(nt):
             if k > 0:
-                h = nodes[k] - nodes[k - 1]
-                if h != hstep:                  # once per run of equal steps
-                    hstep, damp = h, layout.damping(h)
-                acc = damp * (acc + w[k - 1] * lat.e_full[k - 1])
-                k0_brk = np.exp(1j * p0sq * hstep) \
+                k0_brk = np.exp(1j * p0sq * steps[k - 1]) \
                     * (k0_brk + w_e_brk[k - 1, 0])
             w_brk[k] = np.sum(w_e_brk[:k] * self._fw[self._fw_of[k, :k]], axis=0)
-            k_smooth[k] = layout.ray.smooth(acc)
             k0[k] = k_smooth[k, 0] + np.imag(k0_brk)
         return tuple(lat.free[d] + self.field(d, k_smooth, w_brk, k0)
                      for d in (0, 1))

@@ -143,6 +143,24 @@ def test_tail_rows_filled_in_place(green_op):
     assert np.array_equal(again, want)
 
 
+def test_row_chunks_are_rows_of_the_whole_layout():
+    # the Duhamel sweep evaluates the damping factors and the tail rows one
+    # chunk of rows at a time; each chunk is bitwise those rows of the whole
+    layout = RayLayout(DUHAMEL_GRIDS)
+    n_rows, n_tail = layout.ray.s.size, layout.ray.s.size - layout.n_ray
+    lam = np.array([[0.3 - 0.2j, 1.5 + 0.7j], [-2.0 + 0.1j, 0.25j]])
+    tail = np.empty((2, n_tail, layout.p_nodes.size), dtype=complex)
+    layout.fill_tail(lam, tail)
+    for lo, hi in ((0, 7), (7, 22), (100, n_rows), (3, 4)):
+        rows = slice(lo, hi)
+        assert np.array_equal(layout.damping(0.37, rows),
+                              layout.damping(0.37)[rows])
+        part = np.empty((2, len(range(n_tail)[rows]), layout.p_nodes.size),
+                        dtype=complex)
+        layout.fill_tail(lam, part, rows)
+        assert np.array_equal(part, tail[:, rows])
+
+
 @pytest.mark.parametrize("grids", [GreenGrids(), DUHAMEL_GRIDS],
                          ids=["green", "duhamel"])
 def test_damping_skips_only_exact_zeros(grids, cfg):

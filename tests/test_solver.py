@@ -17,9 +17,10 @@ from bo_halfline.config import ConfigError
 from bo_halfline.green import fresnel_weights
 from bo_halfline.halfline import (HalfLineGrid, cpu_workers, make_profile,
                                   node_index)
-from bo_halfline.solver import (DuhamelPropagator, TimeGrid, XNorm,
-                                advective_forcing, cross_validate, kept_mb,
-                                picard_solve)
+from bo_halfline import solver
+from bo_halfline.solver import (SWEEP_CHUNK_RAYS, DuhamelPropagator, TimeGrid,
+                                XNorm, advective_forcing, cross_validate,
+                                kept_mb, picard_solve)
 from bo_halfline.symbols import Symbols
 
 
@@ -287,9 +288,27 @@ def decaying_forcing(fast_cfg, propagator):
     return advective_forcing(decay * psi(xs), decay * psi.deriv(xs))
 
 
-def _memory_sum_double_loop(prop, lat):
+def _whole_lattice(prop, lat):
+    """The damped-ray and tail rows (n_t, n_ray + n_tail, n_p) of the
+    kernel lattice, whole, as the two-stage sweep once built them: whole
+    products and their cast, the scatter term, then the corner model fitted
+    to the ray rows by hand."""
+    layout, nt = prop.layout, prop.times.n
+    n_ray, n_p = layout.n_ray, layout.p_nodes.size
+    e_ray = (prop._t_ray @ lat.fz).T.astype(complex).reshape(nt, n_ray, n_p)
+    scat = (prop._lap_scat_ray @ lat.fc.T).T.astype(complex)
+    e_ray -= prop._bt_ray[None, :, None] * scat.reshape(nt, n_ray, n_p)
+    corner = e_ray[(Ellipsis,) + layout.corner].reshape(nt, -1)
+    lam = corner @ layout._pinv.T
+    tail = lam[:, 0, None, None] * layout._tail_b1 \
+        + lam[:, 1, None, None] * layout._tail_b0
+    return np.concatenate([e_ray, tail], axis=1)
+
+
+def _memory_sum_double_loop(prop, lat, e_full):
     """The memory integral's kernel part summed directly over every
-    (t_k, tau_l) pair, l < k: O(n_t^2) damping and Filon builds."""
+    (t_k, tau_l) pair, l < k, on the whole lattice e_full: O(n_t^2) damping
+    and Filon builds."""
     times, layout = prop.times, prop.layout
     nodes, p = times.nodes, layout.p_nodes
     out = np.zeros((2, times.n, prop.half.nodes.size))
@@ -300,7 +319,7 @@ def _memory_sum_double_loop(prop, lat):
         k0_brk = 0.0j
         for ell in range(k):
             sigma = nodes[k] - nodes[ell]
-            acc += w[ell] * lat.e_full[ell] * layout.damping(sigma)
+            acc += w[ell] * e_full[ell] * layout.damping(sigma)
             # the propagator stores its Filon table in single precision
             fw = fresnel_weights(p, sigma).astype(np.complex64)
             w_brk += w[ell] * lat.e_brk[ell] * fw
@@ -312,9 +331,20 @@ def _memory_sum_double_loop(prop, lat):
     return out
 
 
-def _accumulate_with_table(prop, lat):
-    """``accumulate`` with its damping factors read from a table of one
-    ``layout.damping`` row per distinct step, as the propagator once kept."""
+def _chunks(layout):
+    """The row chunks of SWEEP_CHUNK_RAYS rays that ``accumulate`` forms:
+    the ray rows, then the tail rows."""
+    n_ray, n_rows = layout.n_ray, layout.ray.s.size
+    return [slice(lo, min(lo + SWEEP_CHUNK_RAYS, end))
+            for start, end in ((0, n_ray), (n_ray, n_rows))
+            for lo in range(start, end, SWEEP_CHUNK_RAYS)]
+
+
+def _accumulate_with_table(prop, lat, e_full):
+    """``accumulate`` on the whole lattice e_full, all rows at once, with
+    its damping factors read from a table of one ``layout.damping`` row per
+    distinct step, as the propagator once kept, and the ray sum added up in
+    the chunks of ``accumulate``."""
     nodes, layout = prop.times.nodes, prop.layout
     nt, n_p = nodes.size, layout.p_nodes.size
     steps, step_of = np.unique(np.diff(nodes), return_inverse=True)
@@ -322,18 +352,22 @@ def _accumulate_with_table(prop, lat):
     w = prop.times.weights_upto(nt - 1)
     w_e_brk = w[:, None] * lat.e_brk
     acc = np.zeros_like(layout.sp2)
+    ray_sum = np.zeros((nt, n_p), dtype=complex)
     k0_brk = 0.0j
-    k_smooth = np.empty((nt, n_p))
     w_brk = np.empty((nt, n_p), dtype=complex)
-    k0 = np.empty(nt)
+    k0_brk_im = np.zeros(nt)
     for k in range(nt):
         if k > 0:
-            acc = table[step_of[k - 1]] * (acc + w[k - 1] * lat.e_full[k - 1])
+            acc = np.multiply(acc + w[k - 1] * e_full[k - 1],
+                              table[step_of[k - 1]])
+            for rays in _chunks(layout):
+                ray_sum[k] += layout.ray.coef[rays] @ acc[rays]
             k0_brk = np.exp(1j * layout.p_nodes[0] ** 2 * (nodes[k] - nodes[k - 1])) \
                 * (k0_brk + w_e_brk[k - 1, 0])
         w_brk[k] = np.sum(w_e_brk[:k] * prop._fw[prop._fw_of[k, :k]], axis=0)
-        k_smooth[k] = layout.ray.smooth(acc)
-        k0[k] = k_smooth[k, 0] + np.imag(k0_brk)
+        k0_brk_im[k] = np.imag(k0_brk)
+    k_smooth = np.imag(ray_sum) / math.pi
+    k0 = k_smooth[:, 0] + k0_brk_im
     return tuple(lat.free[d] + prop.field(d, k_smooth, w_brk, k0) for d in (0, 1))
 
 
@@ -344,7 +378,8 @@ class TestDuhamelPropagator:
         lat = propagator.transform_forcing(decaying_forcing)
         lat = dataclasses.replace(lat, free=np.zeros_like(lat.free))
         got = propagator.accumulate(lat)
-        want = _memory_sum_double_loop(propagator, lat)
+        want = _memory_sum_double_loop(propagator, lat,
+                                       _whole_lattice(propagator, lat))
         for d in (0, 1):
             scale = np.max(np.abs(want[d]))
             assert scale > 0.0
@@ -352,12 +387,13 @@ class TestDuhamelPropagator:
 
     def test_free_part_matches_per_node_evaluation(self, propagator,
                                                    decaying_forcing):
-        # zero kernel lattices leave only the free running sum, which the
+        # zero kernel inputs leave only the free running sum, which the
         # propagator evaluates on half spectra for the whole lattice in one
         # pass; here it is the full complex spectrum of each zero-extended
         # forcing row, one inverse FFT and one spline per (node, order)
         lat = propagator.transform_forcing(decaying_forcing)
-        lat = dataclasses.replace(lat, e_full=np.zeros_like(lat.e_full),
+        lat = dataclasses.replace(lat, fc=np.zeros_like(lat.fc),
+                                  fz=np.zeros_like(lat.fz),
                                   e_brk=np.zeros_like(lat.e_brk))
         got = propagator.accumulate(lat)
         whole, nodes = propagator.whole, propagator.times.nodes
@@ -395,21 +431,31 @@ class TestDuhamelPropagator:
 
     def test_damping_per_step_is_the_table_recurrence(
             self, propagator, decaying_forcing, monkeypatch):
-        # the factors e^{s p^2 h} are recomputed when the step changes,
-        # once per distinct step here, and give the table's bits
+        # each chunk's factors e^{s p^2 h} are recomputed when the step
+        # changes, so every row's factor is evaluated once per distinct step
+        # here, as many exponentials as the table holds, and they give the
+        # table's bits
         lat = propagator.transform_forcing(decaying_forcing)
-        want = _accumulate_with_table(propagator, lat)
+        want = _accumulate_with_table(propagator, lat,
+                                      _whole_lattice(propagator, lat))
         layout = propagator.layout
         calls = []
         damping = layout.damping
         monkeypatch.setattr(layout, "damping",
-                            lambda h: calls.append(h) or damping(h))
+                            lambda h, rows: calls.append((h, rows))
+                            or damping(h, rows))
         got = propagator.accumulate(lat)
         for d in (0, 1):
             assert np.array_equal(got[d], want[d])
+        n_rows = layout.ray.s.size
+        rows_of = {}
+        for h, rows in calls:
+            rows_of.setdefault(h, []).extend(range(n_rows)[rows])
         steps = np.diff(propagator.times.nodes)
-        assert sorted(calls) == list(np.unique(steps))
-        assert len(calls) < steps.size
+        assert sorted(rows_of) == list(np.unique(steps))
+        assert len(rows_of) < steps.size
+        for rows in rows_of.values():
+            assert sorted(rows) == list(range(n_rows))
 
     def test_filon_table_is_per_gap_weights(self, propagator):
         # one table row per distinct gap, looked up through the index
@@ -428,23 +474,40 @@ class TestDuhamelPropagator:
         with pytest.raises(IndexError):
             table[row_of[0, 1]]
 
-    def test_transform_allocates_little_beyond_its_output(
+    def test_sweep_allocates_under_one_kernel_lattice(
             self, propagator, decaying_forcing):
-        # one preallocated kernel lattice per sweep, filled SWEEP_CHUNK_RAYS
-        # rays at a time: the tracemalloc peak of a call reads 1.25x the
-        # bytes it returns (1.45x with whole-lattice products, 2.7x when
-        # every product was cast, scaled and concatenated in full copies)
+        # the kernel lattice is streamed SWEEP_CHUNK_RAYS rays at a time and
+        # never held whole: the tracemalloc peak of a sweep's two stages
+        # reads 0.55x the bytes of one whole (n_t, n_ray + n_tail, n_p)
+        # complex lattice, the free part's spectra (1.26x when
+        # transform_forcing returned the whole lattice)
         import tracemalloc
+        layout = propagator.layout
+        whole = np.empty((propagator.times.n, layout.ray.s.size,
+                          layout.p_nodes.size), dtype=complex).nbytes
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            lat = propagator.transform_forcing(decaying_forcing)
+            propagator.accumulate(propagator.transform_forcing(decaying_forcing))
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        out = lat.free.nbytes + lat.e_full.nbytes + lat.e_brk.nbytes
-        assert peak <= 1.3 * out
+        assert peak <= 0.75 * whole
+
+    @pytest.mark.parametrize("chunk", [4, 30, 150])
+    def test_chunk_size_moves_only_the_ray_sum_round_off(
+            self, propagator, decaying_forcing, monkeypatch, chunk):
+        # the chunks are rows of the products and of the elementwise
+        # recurrence, so the chunk size only orders the ray sum differently
+        lat = propagator.transform_forcing(decaying_forcing)
+        want = propagator.accumulate(lat)
+        monkeypatch.setattr(solver, "SWEEP_CHUNK_RAYS", chunk)
+        got = propagator.accumulate(lat)
+        for d in (0, 1):
+            scale = np.max(np.abs(want[d]))
+            assert scale > 0.0
+            assert np.max(np.abs(got[d] - want[d])) <= 1e-13 * scale
 
     def test_keeps_little_beyond_tensor_laplace_filon_and_phases(
             self, propagator):
@@ -468,22 +531,20 @@ class TestDuhamelPropagator:
 
     def test_transform_fills_ray_and_tail_rows_of_one_lattice(
             self, propagator, decaying_forcing):
-        # the ray rows, then the corner-model tail fitted to them, as the
-        # old whole-lattice route built and concatenated them
+        # the sweep streams the ray rows, then the corner-model tail fitted
+        # to them, through the recurrence chunk by chunk; built whole, as
+        # the two-stage route did, they give the same bits
         prop = propagator
-        layout, nt = prop.layout, prop.times.n
-        n_ray, n_p = layout.n_ray, layout.p_nodes.size
         lat = prop.transform_forcing(decaying_forcing)
         fc = decaying_forcing.astype(np.complex64)
-        fz = prop._lap_axis @ fc.T
-        e_ray = (prop._t_ray @ fz).T.astype(complex).reshape(nt, n_ray, n_p)
-        scat = (prop._lap_scat_ray @ fc.T).T.astype(complex)
-        e_ray -= prop._bt_ray[None, :, None] * scat.reshape(nt, n_ray, n_p)
-        corner = e_ray[(Ellipsis,) + layout.corner].reshape(nt, -1)
-        lam = corner @ layout._pinv.T
-        tail = lam[:, 0, None, None] * layout._tail_b1 \
-            + lam[:, 1, None, None] * layout._tail_b0
-        assert np.array_equal(lat.e_full, np.concatenate([e_ray, tail], axis=1))
+        assert np.array_equal(lat.fc, fc)
+        assert np.array_equal(lat.fz, prop._lap_axis @ fc.T)
+        assert all(np.ndim(a) <= 2 for a in vars(lat).values()
+                   if a is not lat.free)
+        want = _accumulate_with_table(prop, lat, _whole_lattice(prop, lat))
+        got = prop.accumulate(lat)
+        for d in (0, 1):
+            assert np.array_equal(got[d], want[d])
 
 
 def test_solution_bitwise_for_any_worker_count(fast_cfg, solution,
