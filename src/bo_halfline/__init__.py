@@ -9,7 +9,7 @@ discretization for cross-validation.
 from .boundary import BoundaryKernel, gaussian_laplace_moments
 from .config import RunConfig
 from .contour import (AxisSampling, cauchy_transform, log_graded_nodes,
-                      plemelj_limits, pv_integral, symbol_contour, winding_index)
+                      plemelj_limits, symbol_contour, winding_index)
 from .green import EMinusLattice, GreenGrids, GreenOperator, fresnel_weights
 from .halfline import (PROFILES, HalfLineGrid, Profile, TruncatedWeight,
                        WholeLineGrid, ap_characteristic, convolution_decay,
@@ -30,7 +30,7 @@ __all__ = [
     "convolution_decay", "cross_validate", "fresnel_weights",
     "gaussian_laplace_moments", "hilbert_whole_line", "laplace_matrix",
     "log_graded_nodes", "make_profile", "picard_solve", "plemelj_limits",
-    "pv_integral", "ratio_weight", "root_k", "root_phi", "symbol_K",
+    "ratio_weight", "root_k", "root_phi", "symbol_K",
     "symbol_K_tilde", "symbol_contour", "winding_index",
 ]
 

@@ -47,6 +47,13 @@ MIN_T_SWITCH = 1.0e-150
 #: the factors.
 MAX_MOL_SCALE = 1.0e150
 
+#: Largest accepted t_final / mol_dt, the reference's step count (it runs to
+#: at most t_final).  Its step times, boundary values and their derivatives
+#: are arrays of one double per step, which must fit: 1e7 steps keeps them
+#: under 0.25 GB.  Past numpy's array size limit (mol_dt = 1e-300) the
+#: reference would fail only after the whole Picard solve.
+MAX_MOL_STEPS = 1.0e7
+
 _FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
 
 
@@ -122,6 +129,11 @@ class RunConfig:
         for name in ("n_time_geometric", "n_time_uniform", "picard_max_iter"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
+        if self.t_final / self.mol_dt > MAX_MOL_STEPS:
+            raise ConfigError(
+                f"mol_dt={self.mol_dt!r} (t_final={self.t_final!r}): "
+                f"t_final/mol_dt must not exceed {MAX_MOL_STEPS:g} reference "
+                f"steps: their step-time arrays must fit in memory")
         if not 0.0 <= self.epsilon_weight < 0.5:
             raise ConfigError(
                 f"epsilon_weight={self.epsilon_weight!r} is outside [0, 1/2): "

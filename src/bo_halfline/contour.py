@@ -3,11 +3,11 @@
 Everything downstream (symbol integrals, operator kernels) is built from two
 node generators -- log-graded Gauss-Legendre panels along a ray, and a
 two-sided sampling of the imaginary axis -- the damped-ray inversion both
-operator kernels share, and three classical operations:
-the off-axis Cauchy transform, its one-sided boundary values, and principal
-values with the singular point on the contour.  Principal values use symmetric
-pairing about the singularity (the pole contributions of mirrored nodes cancel
-exactly), with excision radius ``1e-6 * scale``.
+operator kernels share, and two classical operations:
+the off-axis Cauchy transform and its one-sided boundary values.  The
+boundary values take the principal value with the singular point on the
+contour, pole-subtracted, on nodes paired symmetrically about it, with
+excision radius ``1e-6 * scale``.
 """
 
 from __future__ import annotations
@@ -154,16 +154,6 @@ def plemelj_limits(phi, p: complex, sampling: AxisSampling):
     phi_p = phi(np.array([p]))[0]
     pv = np.sum((phi(q) - phi_p) * w / (q - p)) / (2j * np.pi)
     return complex(pv + 0.5 * phi_p), complex(pv - 0.5 * phi_p)
-
-
-def pv_integral(f, singular_point: complex, sampling: AxisSampling) -> complex:
-    """Principal value along the upward imaginary axis of f with one simple
-    pole at ``singular_point`` (on the axis).  Symmetric pairing: mirrored
-    nodes about the pole cancel its odd part exactly; excision radius is
-    1e-6 * scale."""
-    c = float(np.imag(singular_point))
-    q, w = sampling.nodes(c, sampling.scale * PV_EXCISION_FACTOR)
-    return complex(np.sum(f(q) * w))
 
 
 def winding_index(values: np.ndarray) -> float:

@@ -157,14 +157,6 @@ class RayLayout:
                                       (s_c * np.ones_like(p_c)).ravel()], axis=1)
         self._pinv = np.linalg.pinv(self.corner_basis)
 
-    def fit_tail(self, rows: np.ndarray) -> np.ndarray:
-        """Least-squares (lam1, lam0), shape (..., 2), of the corner model for
-        rows (..., n_ray + n_tail, n_p) whose ray rows are filled; the tail
-        rows are written in place."""
-        lam = self.fit_corner(rows[(Ellipsis,) + self.corner])
-        self.fill_tail(lam, rows[..., self.n_ray:, :])
-        return lam
-
     def fit_corner(self, corner: np.ndarray) -> np.ndarray:
         """Least-squares (lam1, lam0), shape (..., 2), of the corner model for
         the corner samples (..., n_corner_rays, n_corner_p) of filled rows."""
@@ -247,10 +239,12 @@ class EMinusLattice(RayKernel):
         self._rows(symbols.direction(layout.ray.phase), grids.ray[0], p,
                    out=self.E_ray)
         brk = self._rows(symbols.direction(1j), np.array([1.0]), p)[0]
-        lam = layout.fit_tail(rows)
+        corner = self.E_ray[layout.corner]
+        lam = layout.fit_corner(corner)
+        layout.fill_tail(lam, rows[layout.n_ray:])
         super().__init__(layout, rows, brk)
         self.tail_lam1, self.tail_lam0 = complex(lam[0]), complex(lam[1])
-        rhs = self.E_ray[layout.corner].ravel()
+        rhs = corner.ravel()
         scale = float(np.max(np.abs(rhs)))
         gap = float(np.max(np.abs(rhs - layout.corner_basis @ lam)))
         self.tail_fit_residual = gap / scale if scale else 0.0

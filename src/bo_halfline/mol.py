@@ -155,14 +155,13 @@ class MethodOfLines:
         # flops than solving against the identity
         return inv(lhs.T, overwrite_a=True, check_finite=False).T
 
-    def stability_certificate(self, dt: float | None = None,
-                              step: np.ndarray | None = None,
+    def stability_certificate(self, step: np.ndarray,
                               meta: dict | None = None) -> float:
         """Upper bound max(1, ||S_ii||_K) on the spectral radius of the
-        implicit step matrix S = (I - dt A)^{-1}, where S_ii is S without its
-        end rows and columns and ||.||_K the operator norm of the energy
-        <v, K v>, K = tridiag(-1, 2, -1)/dx^2.  ``step`` passes an S already
-        formed for this ``dt``; the certificate consumes it.  With G the
+        implicit step matrix ``step``, S = (I - dt A)^{-1}, where S_ii is S
+        without its end rows and columns and ||.||_K the operator norm of the
+        energy <v, K v>, K = tridiag(-1, 2, -1)/dx^2.  The certificate
+        consumes S (``step_matrix`` forms it).  With G the
         order-n Gram matrix of top eigenvalue max(1, ||S_ii||_K)^2 and
         delta = 16 n eps, the bound is sqrt(1 + 2 delta) if I - G/(1 + delta)
         has a Cholesky factor, the second delta for rounding in G of typical
@@ -174,8 +173,6 @@ class MethodOfLines:
         ``eigen``, or ``none`` when inf came before either."""
         meta = {} if meta is None else meta
         meta["certificate_route"] = "none"
-        if step is None:
-            step = self.step_matrix(dt)
         unit = np.zeros((2, step.shape[1]))
         unit[0, 0] = unit[-1, -1] = 1.0
         if not np.array_equal(step[[0, -1]], unit):
@@ -236,7 +233,7 @@ class MethodOfLines:
         result, step_mat = self._march(t_final, dt, save_times)
         t0 = time.perf_counter()
         result.spectral_radius = self.stability_certificate(
-            result.meta["dt"], step=step_mat, meta=result.meta)
+            step_mat, meta=result.meta)
         result.meta["certificate_s"] = time.perf_counter() - t0
         return result
 

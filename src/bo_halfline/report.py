@@ -558,8 +558,8 @@ def _growth_rows(cfg: RunConfig, sol: SpaceTimeSolution) -> list[CheckRow]:
     half = HalfLineGrid(x_max=cfg.x_max, n=cfg.n_x)
     pos = sol.times > 0.0
     ts = sol.times[pos]
-    h1 = sol.norm_history(half, "h1")[pos]
-    wnorm = sol.norm_history(half, "weighted", weight_power=1.0)[pos]
+    h1 = np.hypot(half.l2_norm(sol.values), half.l2_norm(sol.derivs))[pos]
+    wnorm = half.weighted_norm(sol.values, 1.0)[pos]
     late = ts >= cfg.t_switch
     h1_sup = float(np.max(h1))
 
@@ -624,19 +624,15 @@ def _solve_telemetry(sol: SpaceTimeSolution, xv: dict) -> list[str]:
              f"propagator_mb={meta['propagator_mb']:.1f} "
              f"workers={meta['workers']} "
              f"form_discrepancy={sol.form_discrepancy:.6g}"]
-    steps = list(sol.step_norms)
-    if len(meta["sweep_s"]) > sol.n_iter:     # the residual sweep ran
-        steps.append(sol.fixed_point_residual)
-    nan = float("nan")
+    steps = meta["step_norm"]
     for i, sweep_s in enumerate(meta["sweep_s"]):
         label = f"sweep {i + 1}" if i < sol.n_iter else "residual sweep"
-        step = steps[i] if i < len(steps) else nan
-        prev = steps[i - 1] if i > 0 else nan
-        ratio = step / prev if prev > 0.0 else nan
+        prev = steps[i - 1] if i > 0 else float("nan")
+        ratio = steps[i] / prev if prev > 0.0 else float("nan")
         lines.append(f"solve: {label}: "
                      f"transform_forcing_s={meta['transform_forcing_s'][i]:.3f} "
                      f"accumulate_s={meta['accumulate_s'][i]:.3f} "
-                     f"sweep_s={sweep_s:.3f} step_norm={step:.6g} "
+                     f"sweep_s={sweep_s:.3f} step_norm={steps[i]:.6g} "
                      f"contraction_ratio={ratio:.6g} "
                      f"peak_rss_mb={meta['sweep_peak_rss_mb'][i]:.1f}")
     if xv:

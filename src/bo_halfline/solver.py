@@ -179,8 +179,9 @@ class DuhamelPropagator:
     of the others) and adding its part of the ray sum, so only one chunk
     and the corner samples of the tail fit are alive.  The free part's
     whole-line spectra then set the sweep's allocation peak, about 0.56 of
-    one whole lattice on the test grid and 22.9 MB at production.  The products, casts, recurrence
-    and their operand order are those of the whole-lattice formulation, so
+    one whole lattice on the test grid and 22.9 MB at production.  A chunk
+    is bitwise those rows of the whole (n_t, n_ray + n_tail, n_p) lattice:
+    each row's products, casts and recurrence depend on that row alone, so
     only the order of the ray sum moves the values (by round-off).
     """
 
@@ -313,8 +314,8 @@ class DuhamelPropagator:
                 if steps[k - 1] != hstep:       # once per run of equal steps
                     hstep = steps[k - 1]
                     damp = layout.damping(hstep, rows)
-                # explicit operand order, the whole-lattice one: see
-                # RayKernel.smooth_kernel
+                # explicit operand order, so a row rounds the same in any
+                # chunk: see RayKernel.smooth_kernel
                 acc += w[k - 1] * e[k - 1]
                 np.multiply(acc, damp, out=acc)
                 ray_sum[k] += coef @ acc
@@ -377,11 +378,9 @@ class SpaceTimeSolution:
     values: np.ndarray                    # (n_t, n_x)
     derivs: np.ndarray                    # (n_t, n_x)
     boundary_values: np.ndarray           # h(t_k)
-    linear_values: np.ndarray             # G psi + B h lattice
     contraction_ratios: list
     step_norms: list                      # X-norm of successive differences
-    fixed_point_residual: float
-    fixed_point_residual_rel: float
+    fixed_point_residual_rel: float       # the residual sweep's step / X-norm
     solution_xnorm: float
     converged: bool
     aborted: bool
@@ -394,8 +393,8 @@ class SpaceTimeSolution:
     # propagator) and _peak_rss_mb, propagator_mb (the arrays the propagator
     # keeps, kept_mb), and lists with one entry per Duhamel sweep
     # (the Picard iterations, then the residual sweep): transform_forcing_s,
-    # accumulate_s, sweep_s, which adds the X-norm of the step, and
-    # sweep_peak_rss_mb
+    # accumulate_s, sweep_s, which adds the X-norm of the step, that
+    # step_norm, and sweep_peak_rss_mb
     meta: dict = field(default_factory=dict)
 
     def at_time(self, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -405,17 +404,6 @@ class SpaceTimeSolution:
     def interpolate(self, x_new: np.ndarray, t: float) -> np.ndarray:
         vals, _ = self.at_time(t)
         return CubicSpline(self.x, vals)(np.asarray(x_new, dtype=float))
-
-    def norm_history(self, grid: HalfLineGrid, kind: str = "l2",
-                     weight_power: float = 1.0) -> np.ndarray:
-        """Per-node norms: 'l2', 'h1', or polynomially 'weighted' L2."""
-        if kind == "l2":
-            return grid.l2_norm(self.values)
-        if kind == "h1":
-            return np.hypot(grid.l2_norm(self.values), grid.l2_norm(self.derivs))
-        if kind == "weighted":
-            return grid.weighted_norm(self.values, weight_power)
-        raise ValueError(f"unknown norm kind {kind!r}")
 
 
 def kept_mb(obj) -> float:
@@ -474,7 +462,8 @@ def picard_solve(config: RunConfig | None = None,
                "linear_lattice_s": time.perf_counter() - clock,
                "linear_lattice_peak_rss_mb": peak_rss_mb(),
                "propagator_build_s": 0.0, "transform_forcing_s": [],
-               "accumulate_s": [], "sweep_s": [], "sweep_peak_rss_mb": []}
+               "accumulate_s": [], "sweep_s": [], "step_norm": [],
+               "sweep_peak_rss_mb": []}
     if propagator is None:
         clock = time.perf_counter()
         propagator = DuhamelPropagator(symbols, half, times)
@@ -500,6 +489,7 @@ def picard_solve(config: RunConfig | None = None,
         timings["transform_forcing_s"].append(t1 - t0)
         timings["accumulate_s"].append(t2 - t1)
         timings["sweep_s"].append(time.perf_counter() - t0)
+        timings["step_norm"].append(step)
         timings["sweep_peak_rss_mb"].append(peak_rss_mb())
         return new_val, new_der, step
 
@@ -509,47 +499,38 @@ def picard_solve(config: RunConfig | None = None,
     converged = False
     aborted = False
     n_iter = 0
-    data_zero = xnorm(u_val, u_der) < 1.0e-30
-    if not data_zero:
-        for n_iter in range(1, cfg.picard_max_iter + 1):
-            new_val, new_der, step = sweep(u_val, u_der)
-            if not math.isfinite(step):
-                aborted = True
-                break
-            if step_norms:
-                prev = step_norms[-1]
-                ratios.append(step / prev if prev > 0.0 else 0.0)
-            step_norms.append(step)
-            u_val, u_der = new_val, new_der
-            u_norm = xnorm(u_val, u_der)
-            if step <= cfg.picard_tol * max(u_norm, 1.0e-30):
-                converged = True
-                break
-            if len(ratios) >= 2 and ratios[-1] > 1.0 and ratios[-2] > 1.0 \
-                    and step > 50.0 * max(step_norms[0], 1.0e-30):
-                aborted = True
-                break
+    for n_iter in range(1, cfg.picard_max_iter + 1):
+        new_val, new_der, step = sweep(u_val, u_der)
+        if not math.isfinite(step):
+            aborted = True
+            break
+        if step_norms:
+            prev = step_norms[-1]
+            ratios.append(step / prev if prev > 0.0 else 0.0)
+        step_norms.append(step)
+        u_val, u_der = new_val, new_der
+        u_norm = xnorm(u_val, u_der)
+        if step <= cfg.picard_tol * max(u_norm, 1.0e-30):
+            converged = True
+            break
+        if len(ratios) >= 2 and ratios[-1] > 1.0 and ratios[-2] > 1.0 \
+                and step > 50.0 * max(step_norms[0], 1.0e-30):
+            aborted = True
+            break
 
     u_norm = xnorm(u_val, u_der)
-    if data_zero:
-        residual = 0.0
-        converged = True
-    elif aborted:
-        residual = float("nan")
-    else:
-        residual = sweep(u_val, u_der)[2]
-    residual_rel = residual / max(u_norm, 1.0e-30)
+    residual_rel = float("nan") if aborted \
+        else sweep(u_val, u_der)[2] / max(u_norm, 1.0e-30)
 
+    # TimeGrid has nodes t > 0: t_switch >= MIN_T_SWITCH > 0
     interior = times.nodes > 0.0
-    trace_err = float(np.max(np.abs(u_val[interior, 0] - h_values[interior]))) \
-        if interior.any() else 0.0
+    trace_err = float(np.max(np.abs(u_val[interior, 0] - h_values[interior])))
     gap = _divergence_gap(u_val, u_der, half)
 
     return SpaceTimeSolution(
         x=xs, times=times.nodes.copy(), values=u_val, derivs=u_der,
-        boundary_values=h_values, linear_values=lin[0].copy(),
-        contraction_ratios=ratios, step_norms=step_norms,
-        fixed_point_residual=residual, fixed_point_residual_rel=residual_rel,
+        boundary_values=h_values, contraction_ratios=ratios,
+        step_norms=step_norms, fixed_point_residual_rel=residual_rel,
         solution_xnorm=u_norm, converged=converged, aborted=aborted,
         n_iter=n_iter, trace_error=trace_err, form_discrepancy=gap,
         meta=timings)

@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bo_halfline.cli import main
-from bo_halfline.config import (ENUM_VALUES, MAX_MOL_SCALE, MIN_T_SWITCH,
-                                MOL_MIN_N, ConfigError, RunConfig)
+from bo_halfline.config import (ENUM_VALUES, MAX_MOL_SCALE, MAX_MOL_STEPS,
+                                MIN_T_SWITCH, MOL_MIN_N, ConfigError,
+                                RunConfig)
 from bo_halfline.mol import MethodOfLines
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src" / "bo_halfline"
@@ -169,6 +170,9 @@ REJECTED = [
     # A_2 weight for eps < 1/2; at 1e308 the weights block printed NaN rows
     ("epsilon_weight", 1e308), ("epsilon_weight", 0.5),
     ("epsilon_weight", -0.1),
+    # the reference's per-step arrays: past numpy's size limit at 1e-300, a
+    # traceback after the whole Picard solve
+    ("mol_dt", 1e-300),
 ]
 
 
@@ -222,6 +226,17 @@ def test_mol_scale_edges():
             RunConfig().replace(mol_n=MOL_MIN_N, mol_length=length)
 
 
+def test_mol_step_count_edge():
+    # the production default takes 2,000 reference steps; the largest
+    # step count is accepted, and just past it the config is rejected
+    cfg = RunConfig()
+    assert cfg.t_final / cfg.mol_dt == 2000.0
+    edge = cfg.t_final / MAX_MOL_STEPS
+    assert cfg.replace(mol_dt=edge * (1.0 + 1e-12)).mol_dt > edge
+    with pytest.raises(ConfigError, match="mol_dt"):
+        cfg.replace(mol_dt=edge * (1.0 - 1e-12))
+
+
 @pytest.mark.parametrize("horizon", [1e-300, 1e-200, 1e-170])
 def test_vanishing_time_lattice_rejected(horizon):
     # t_final = t_switch = 1e-300 used to end in a CubicSpline traceback
@@ -258,6 +273,7 @@ def _assert_usable(cfg: RunConfig) -> None:
         assert getattr(cfg, name) >= 1, name
     assert cfg.mol_n >= MOL_MIN_N and cfg.n_x >= 16 and cfg.seed >= 0
     assert cfg.t_switch >= MIN_T_SWITCH
+    assert cfg.t_final / cfg.mol_dt <= MAX_MOL_STEPS
     assert cfg.contour_points_per_decade >= 4
     assert 0.0 <= cfg.epsilon_weight < 0.5
 

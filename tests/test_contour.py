@@ -1,4 +1,5 @@
-"""Contour primitives: PV quadrature, Cauchy transform, Plemelj limits, winding.
+"""Contour primitives: node generators, Cauchy transform, Plemelj limits,
+winding.
 
 Oracle values are closed forms computed independently (residue calculus on
 rational test functions); quadrature tolerances were measured once and frozen
@@ -11,9 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bo_halfline import (AxisSampling, cauchy_transform, log_graded_nodes,
-                         plemelj_limits, pv_integral, symbol_contour,
-                         winding_index)
-from bo_halfline.contour import DampedRay
+                         plemelj_limits, symbol_contour, winding_index)
+from bo_halfline.contour import PV_EXCISION_FACTOR, DampedRay
 
 
 # ---------------------------------------------------------------------------
@@ -73,27 +73,6 @@ def test_axis_sampling_adaptive_truncation():
 def test_axis_sampling_rejects_nonintegrable_tail():
     with pytest.raises(ValueError, match="decay_exponent"):
         _ = AxisSampling(scale=1.0, decay_exponent=1.0).r_max
-
-
-# ---------------------------------------------------------------------------
-# pv_integral: f(q) = 1/((q - i)(q + 2)), simple pole at q = i on the axis.
-# Closed form: PV integral along the upward axis = -pi/(1 - 2i)
-# (half residue at the on-axis pole plus the left-half-plane arc).
-
-def test_pv_integral_against_residue_oracle():
-    f = lambda q: 1.0 / ((q - 1j) * (q + 2.0))
-    got = pv_integral(f, 1j, AxisSampling(scale=1.0))
-    want = -np.pi / (1.0 - 2.0j)
-    assert abs(got - want) < 1e-5
-
-
-def test_pv_integral_excision_converges():
-    # halving the excision radius (via scale) moves the answer < 1e-6:
-    # symmetric pairing cancels the pole's odd part exactly
-    f = lambda q: 1.0 / ((q - 1j) * (q + 2.0))
-    a = pv_integral(f, 1j, AxisSampling(scale=1.0))
-    b = pv_integral(f, 1j, AxisSampling(scale=0.5))
-    assert abs(a - b) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +140,13 @@ def test_plemelj_jump_is_density(y):
 
 
 def test_plemelj_sum_is_twice_principal_value():
-    # P+ + P- = 2 PV C[phi]; the PV here comes from pv_integral on
-    # phi(q)/(q-p) with its on-axis pole at p
+    # P+ + P- = 2 PV C[phi]; the PV here sums phi(q)/(q-p) itself, pole
+    # and all, over nodes paired about p: mirrored nodes cancel the pole
     p = 0.7j
-    plus, minus = plemelj_limits(PHI, p, AxisSampling(scale=1.0))
-    pv = pv_integral(lambda q: PHI(q) / (q - p), p,
-                     AxisSampling(scale=1.0)) / (2j * np.pi)
+    sampling = AxisSampling(scale=1.0)
+    plus, minus = plemelj_limits(PHI, p, sampling)
+    q, w = sampling.nodes(0.7, sampling.scale * PV_EXCISION_FACTOR)
+    pv = np.sum(PHI(q) / (q - p) * w) / (2j * np.pi)
     assert abs((plus + minus) - 2.0 * pv) < 1e-5
 
 

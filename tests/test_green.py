@@ -137,9 +137,10 @@ def test_tail_rows_filled_in_place(green_op):
     tail = lam[0, None, None] * layout._tail_b1 + lam[1, None, None] * layout._tail_b0
     want = np.concatenate([np.array(lat.E_ray), tail], axis=0)
     assert np.array_equal(lat.rows, want)
-    # a second fit on the filled rows rewrites the same tail
+    # a second fit on the filled rows' corner rewrites the same tail
     again = np.array(lat.rows)
-    assert np.array_equal(layout.fit_tail(again), lam)
+    assert np.array_equal(layout.fit_corner(again[layout.corner]), lam)
+    layout.fill_tail(lam, again[layout.n_ray:])
     assert np.array_equal(again, want)
 
 

@@ -55,6 +55,16 @@ def test_weighted_norm_reduces_to_l2(half_grid):
     assert half_grid.weighted_norm(f, 0.0) == pytest.approx(half_grid.l2_norm(f))
 
 
+def test_lattice_norms_are_row_norms(half_grid):
+    # an (n_t, n_x) lattice gets one norm per row, bitwise the one-row
+    # norm of each row, which is a float
+    x = half_grid.nodes
+    lattice = np.stack([np.exp(-x) * np.cos(k * x) for k in range(5)])
+    for norm in (half_grid.l2_norm, lambda f: half_grid.weighted_norm(f, 1.0)):
+        assert isinstance(norm(lattice[0]), float)
+        assert np.array_equal(norm(lattice), [norm(f) for f in lattice])
+
+
 @settings(max_examples=25, deadline=None)
 @given(a=st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
        b=st.floats(min_value=-3.0, max_value=3.0, allow_nan=False))

@@ -122,7 +122,7 @@ class TestCertificates:
         # Unit end rows plus a step that contracts the interior in the
         # K-norm (A_ii = H_ii K with H_ii skew): the bound max(1, ||S_ii||_K)
         # reads 1 to round-off.
-        assert mol.stability_certificate() <= 1.0 + 1e-9
+        assert mol.stability_certificate(mol.step_matrix()) <= 1.0 + 1e-9
 
     @pytest.mark.parametrize("n", [64, 128, 256])
     def test_certificate_bounds_dense_radius(self, cfg, n):
@@ -197,7 +197,7 @@ class TestCertificates:
         monkeypatch.setattr(mol_module, "dsyevr", refuse)
         meta = {}
         n = mol.x.size
-        bound = mol.stability_certificate(meta=meta)
+        bound = mol.stability_certificate(mol.step_matrix(), meta=meta)
         assert meta["certificate_route"] == "cholesky"
         assert bound == math.sqrt(1.0 + 32.0 * n * np.finfo(float).eps)
         assert bound <= 1.0 + 1e-9
@@ -222,7 +222,8 @@ class TestCertificates:
                                              os.environ.get("PYTHONPATH")]))
         script = ("from bo_halfline import MethodOfLines, RunConfig\n"
                   "meta = {}\n"
-                  "bound = MethodOfLines(RunConfig()).stability_certificate("
+                  "mol = MethodOfLines(RunConfig())\n"
+                  "bound = mol.stability_certificate(mol.step_matrix(), "
                   "meta=meta)\n"
                   "print(repr(bound), meta['certificate_route'])")
         outs = []
@@ -325,7 +326,8 @@ class TestEvolution:
         dt = mol.config.mol_dt
         res = mol.run(8 * dt, save_times=np.array([0.0, 8 * dt]))
         assert res.meta["dt"] == dt
-        assert res.spectral_radius == mol.stability_certificate()
+        assert res.spectral_radius == mol.stability_certificate(
+            mol.step_matrix())
 
     def test_step_matrix_matches_lu_solves(self, mol):
         # 50 steps with S = (I - dt A)^{-1} against the LU-solve loop
@@ -416,7 +418,7 @@ class TestSaveTimes:
         with pytest.raises(ValueError, match="dt must be positive"):
             mol.run(0.25, dt=dt)
         with pytest.raises(ValueError, match="dt must be positive"):
-            mol.stability_certificate(dt)
+            mol.step_matrix(dt)
 
     @pytest.mark.parametrize("t_final", [0.0, -0.5])
     def test_nonpositive_horizon_rejected(self, mol, t_final):

@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
+from bo_halfline.boundary import BoundaryKernel
 from bo_halfline.config import ConfigError
-from bo_halfline.green import fresnel_weights
-from bo_halfline.halfline import (HalfLineGrid, cpu_workers, make_profile,
-                                  node_index)
+from bo_halfline.green import GreenOperator, fresnel_weights
+from bo_halfline.halfline import (HalfLineGrid, RampExp, cpu_workers,
+                                  make_profile, node_index)
 from bo_halfline import solver
 from bo_halfline.solver import (SWEEP_CHUNK_RAYS, DuhamelPropagator, TimeGrid,
                                 XNorm, advective_forcing, cross_validate,
@@ -122,9 +123,11 @@ class TestPicard:
         assert solution.fixed_point_residual_rel < 1e-4
 
     def test_initial_row_is_datum_exactly(self, solution, fast_cfg):
+        # the Duhamel integral vanishes at t = 0, so every iterate keeps
+        # the linear lattice's row 0: psi and psi' bit for bit
         psi = make_profile(fast_cfg.psi_profile, fast_cfg.data_scale)
         assert np.array_equal(solution.values[0], psi(solution.x))
-        assert np.array_equal(solution.linear_values[0], psi(solution.x))
+        assert np.array_equal(solution.derivs[0], psi.deriv(solution.x))
 
     def test_boundary_trace_transient_pinned(self, solution):
         # Max trace error over all t > 0 nodes, measured 0.0092 = 25% of
@@ -135,10 +138,12 @@ class TestPicard:
         assert solution.trace_error < 0.3 * max_h
 
     def test_zero_data_shortcut(self, fast_cfg):
+        # no shortcut: the forcing, the Duhamel lattice and the step are
+        # exactly 0, so the general loop converges at its first sweep
         sol = picard_solve(fast_cfg.replace(data_scale=0.0))
         assert sol.converged and not sol.aborted
-        assert sol.n_iter == 0
-        assert sol.fixed_point_residual == 0.0
+        assert sol.n_iter == 1
+        assert sol.fixed_point_residual_rel == 0.0
         assert sol.solution_xnorm == 0.0
         assert np.max(np.abs(sol.values)) == 0.0
 
@@ -148,9 +153,14 @@ class TestPicard:
         for key in ("linear_lattice_s", "propagator_build_s"):
             assert math.isfinite(meta[key]) and meta[key] >= 0.0
         # one entry per Picard sweep plus the residual sweep
-        for key in ("transform_forcing_s", "accumulate_s", "sweep_s"):
+        for key in ("transform_forcing_s", "accumulate_s", "sweep_s",
+                    "step_norm"):
             assert len(meta[key]) == solution.n_iter + 1
             assert all(math.isfinite(v) and v >= 0.0 for v in meta[key])
+        # the Picard steps, then the residual sweep's step
+        assert meta["step_norm"][:-1] == solution.step_norms
+        assert (meta["step_norm"][-1] / solution.solution_xnorm
+                == solution.fixed_point_residual_rel)
         for tf, acc, sweep in zip(meta["transform_forcing_s"],
                                   meta["accumulate_s"], meta["sweep_s"]):
             assert tf + acc <= sweep + 1e-9   # the sweep adds its X-norm
@@ -176,7 +186,7 @@ class TestPicard:
         for scale in (20.0, 1.0e152, 1.0e200):
             sol = picard_solve(fast_cfg.replace(data_scale=scale))
             assert sol.aborted and not sol.converged
-            assert np.isnan(sol.fixed_point_residual)
+            assert np.isnan(sol.fixed_point_residual_rel)
         assert sol.n_iter == 1
 
 
@@ -197,31 +207,6 @@ class TestAccessors:
         t = solution.times[-1]
         got = solution.interpolate(solution.x, t)
         assert np.max(np.abs(got - solution.values[-1])) < 1e-12
-
-    def test_norm_history_kinds(self, solution, fast_cfg):
-        grid = HalfLineGrid(x_max=fast_cfg.x_max, n=fast_cfg.n_x)
-        l2 = solution.norm_history(grid, "l2")
-        h1 = solution.norm_history(grid, "h1")
-        wt = solution.norm_history(grid, "weighted", weight_power=1.0)
-        assert l2.shape == solution.times.shape
-        assert np.all(h1 >= l2)        # h1 adds the derivative in quadrature
-        assert np.all(wt >= l2)        # the weight is >= 1
-        with pytest.raises(ValueError, match="unknown norm kind"):
-            solution.norm_history(grid, "sobolev")
-
-    def test_norm_history_is_per_row_norm(self, solution, fast_cfg):
-        # the lattice norms are the one-row norms, node by node: the same
-        # sums for l2 and weighted, np.hypot for math.hypot in h1 (one ulp)
-        grid = HalfLineGrid(x_max=fast_cfg.x_max, n=fast_cfg.n_x)
-        want = {"l2": [], "h1": [], "weighted": []}
-        for v, d in zip(solution.values, solution.derivs):
-            assert isinstance(grid.l2_norm(v), float)
-            want["l2"].append(grid.l2_norm(v))
-            want["h1"].append(math.hypot(grid.l2_norm(v), grid.l2_norm(d)))
-            want["weighted"].append(grid.weighted_norm(v, 1.0))
-        for kind, rtol in (("l2", 0.0), ("h1", 1e-15), ("weighted", 0.0)):
-            got = solution.norm_history(grid, kind, weight_power=1.0)
-            np.testing.assert_allclose(got, want[kind], rtol=rtol, atol=0.0)
 
     def test_form_discrepancy_is_max_over_rows(self, solution, fast_cfg):
         # the lattice figure against its node-by-node loop
@@ -547,14 +532,29 @@ class TestDuhamelPropagator:
             assert np.array_equal(got[d], want[d])
 
 
+def _linear_lattice(cfg) -> np.ndarray:
+    """G(t) psi + B(t) h and its x-derivative at the positive lattice
+    times, as picard_solve assembles them."""
+    symbols = Symbols(cfg)
+    xs = HalfLineGrid(x_max=cfg.x_max, n=cfg.n_x).nodes
+    times = TimeGrid(cfg.t_final, cfg.t_switch, cfg.n_time_geometric,
+                     cfg.n_time_uniform).nodes[1:]
+    psi = make_profile(cfg.psi_profile, cfg.data_scale)
+    return (GreenOperator(symbols, psi).apply(xs, times, (0, 1))
+            + BoundaryKernel(symbols).apply_convolution(
+                RampExp(cfg.data_scale), xs, times, (0, 1)))
+
+
 def test_solution_bitwise_for_any_worker_count(fast_cfg, solution,
                                                set_workers):
     # every split site at once: the linear lattice, the propagator build
     # and the sweeps, on one block against the CPUs of this machine
+    linear = _linear_lattice(fast_cfg)
     set_workers(1)
+    assert np.array_equal(_linear_lattice(fast_cfg), linear)
     serial = picard_solve(fast_cfg)
     assert serial.meta["workers"] == 1
-    for name in ("values", "derivs", "linear_values"):
+    for name in ("values", "derivs"):
         assert np.array_equal(getattr(serial, name), getattr(solution, name))
     assert serial.step_norms == solution.step_norms
 
@@ -574,7 +574,7 @@ def test_non_finite_step_aborts(fast_cfg):
     sol = picard_solve(fast_cfg, propagator=_NanPropagator())
     assert sol.aborted and not sol.converged
     assert sol.n_iter == 1
-    assert np.isnan(sol.fixed_point_residual)
+    assert np.isnan(sol.fixed_point_residual_rel)
 
 
 def test_propagator_transport_guard(fast_cfg):

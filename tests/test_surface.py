@@ -1,12 +1,14 @@
 """The public surface of ``src/bo_halfline`` that no module of it uses.
 
 A public function, class or method (and a public attribute a class sets on
-``self``) counts as used when some module of the package reads its name; an
-import or an ``__all__`` entry is no use.  What stays unused must be listed
-in ``KEPT`` with the reason it stays, so a name whose last caller goes is
-deleted or justified in the same change.  Names are matched bare, so a name
-shared with a used one (``apply``, ``name``) always counts as used: the guard
-finds dead names, it does not prove the others live.
+``self`` or annotates in its body, a dataclass field) counts as used when
+some module of the package reads its name; an import, an ``__all__`` entry,
+an assignment or a keyword argument that sets a field is no use.  What
+stays unused must be listed in ``KEPT`` with the reason it stays, so a name
+whose last caller goes is deleted or justified in the same change.  Names
+are matched bare, so a name shared with a used one (``apply``, ``name``)
+always counts as used: the guard finds dead names, it does not prove the
+others live.
 """
 
 import ast
@@ -26,7 +28,6 @@ KEPT = {
     "Symbols.e_minus": _ORACLE,
     "Symbols.psi_boundary": _ORACLE,
     "Symbols.y_plus": _ORACLE,
-    "pv_integral": _ORACLE,
     "pv_matrix": _ORACLE,
     "MethodOfLines.hilbert_mat": _ORACLE,
     "EMinusLattice.kernel_zero_defect": _HEALTH,
@@ -53,6 +54,9 @@ def _unused_public_names() -> set[str]:
                 for sub in node.body:
                     if isinstance(sub, ast.FunctionDef):
                         defined.add(f"{node.name}.{sub.name}")
+                    elif (isinstance(sub, ast.AnnAssign)
+                            and isinstance(sub.target, ast.Name)):
+                        defined.add(f"{node.name}.{sub.target.id}")
                 for sub in ast.walk(node):
                     if (isinstance(sub, ast.Attribute)
                             and isinstance(sub.ctx, ast.Store)
@@ -60,10 +64,9 @@ def _unused_public_names() -> set[str]:
                             and sub.value.id == "self"):
                         defined.add(f"{node.name}.{sub.attr}")
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
-                read.add(node.attr)
+            if (isinstance(node, (ast.Name, ast.Attribute))
+                    and not isinstance(node.ctx, ast.Store)):
+                read.add(node.id if isinstance(node, ast.Name) else node.attr)
     return {name for name in defined
             if not name.rsplit(".", 1)[-1].startswith("_")
             and name.rsplit(".", 1)[-1] not in read}
