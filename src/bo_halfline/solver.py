@@ -6,10 +6,11 @@ Picard iteration on the Duhamel integral equation
 
 with the linear part assembled once from the Green and boundary operators and
 the memory integral evaluated by an amortized propagator.  The propagator
-exploits that the kernel lattice is *linear* in the Laplace transform of the
-forcing: a fixed third-order tensor maps transform samples on one imaginary
-lattice straight to kernel rows, so each Picard sweep costs a handful of
-matrix products instead of thousands of kernel rebuilds.
+exploits that the kernel lattice is *linear* in the forcing: a fixed map,
+a third-order tensor on the Laplace samples of one imaginary lattice folded
+together with the Laplace matrices, takes forcing samples straight to
+kernel rows, so each Picard sweep costs a handful of matrix products
+instead of thousands of kernel rebuilds.
 """
 
 from __future__ import annotations
@@ -92,13 +93,13 @@ class ForcingTransforms:
     lattice is formed from (one row or column per node).
 
     The damped-ray and tail rows of the kernel lattice are never held
-    whole: ``accumulate`` forms them from fc and fz SWEEP_CHUNK_RAYS rays at
-    a time and folds each chunk into the memory sum before the next.  The
-    bracket rows are one row per node and are kept."""
+    whole: ``accumulate`` forms them from fc SWEEP_CHUNK_RAYS rays at a time
+    and folds each chunk into the memory sum before the next.  The bracket
+    rows are one row per node and are kept; the axis samples they are
+    formed from are not."""
 
     free: np.ndarray        # (2, n_t, n_x) free part: values, x-derivatives
     fc: np.ndarray          # (n_t, n_x) the forcing in single precision
-    fz: np.ndarray          # (n_z, n_t) its Laplace samples on the axis lattice
     e_brk: np.ndarray       # (n_t, n_p) bracket-direction rows
 
 
@@ -111,16 +112,25 @@ class ForcingTransforms:
 DUHAMEL_GRIDS = GreenGrids(p_ppd=12, r_ppd=8, axis_min=1.0e-6, axis_max=1.0e6)
 
 #: Rays of the kernel lattice formed and folded into the memory sum at a
-#: time in a sweep, so that a chunk's complex64 products, its complex128
-#: rows and their scatter term stay near 2 and 4 MB (at 125 p nodes and 129
-#: time nodes), and no whole 36.9 MB lattice is formed.  The chunks are rows
-#: of the products, and each row of a matrix product is the same dot
-#: products in any chunk (chunks of 4 to 60 rays are bitwise the whole
-#: product); chunks over the time nodes, the columns, are not (64 columns
-#: already differ).  The constant also fixes the order of the ray sum of
-#: the smooth kernel, one partial sum per chunk, so it moves that sum's
-#: round-off (not the products or the recurrence).
+#: time in a sweep, so that a chunk's complex64 product and its complex128
+#: rows stay near 2 and 4 MB (at 125 p nodes and 129 time nodes), and no
+#: whole 36.9 MB lattice is formed; and rays of the ray map M built at a
+#: time, so that a chunk's tensor rows stay near 7 MB (480 axis nodes) and
+#: the whole 57.6 MB tensor is never formed.  The chunks are rows of the
+#: products, and each row of a matrix product is the same dot products in
+#: any chunk (chunks of 4 to 150 rays are bitwise the whole product);
+#: chunks over the time nodes, the columns, are not (64 columns already
+#: differ).  The constant also fixes the order of the ray sum of the smooth
+#: kernel, one partial sum per chunk, so it moves that sum's round-off (not
+#: the products, M or the recurrence).
 SWEEP_CHUNK_RAYS = 15
+
+#: Time rows of the free part's whole-line arrays formed at a time in a
+#: sweep: its samples, spectra and running sums then stay near 1 MB each
+#: (8,192 whole-line nodes), not 8.5 MB at 129 time nodes.  Each row's FFT,
+#: phase, spline and evolution are its own, and the running sum is carried
+#: across blocks in node order, so any block size gives the same bits.
+FREE_BLOCK_ROWS = 16
 
 
 class DuhamelPropagator:
@@ -134,10 +144,15 @@ class DuhamelPropagator:
     and substituting z = m v turns the axis integral into a *fixed*
     imaginary lattice in z with m-dependent weights w(z/m) evaluated at
     wv = wz/m.  Everything except psi_hat(z_q) is forcing-independent, so it
-    freezes into a tensor T[row, p, q]; a sweep reduces to T contracted
-    against Laplace samples of each forcing row.  Free parts factor through
-    unitary phases, e^{is'|s'|(t-tau)} = e^{is'|s'|t} e^{-is'|s'|tau},
-    giving an O(n_t) running-sum recurrence on the whole-line spectra.
+    freezes into a tensor T[row, p, q] against Laplace samples
+    psi_hat(z_q) = L_axis f of each forcing row f.  The root term is a
+    Laplace matrix L_scat at the scattered points phi_hat m, so the ray
+    rows are one fixed map of the forcing samples,
+    M = T L_axis - bt (x) L_scat, and a sweep reduces to M against each
+    forcing row.  The bracket row keeps T_brk and its scatter term apart
+    (see transform_forcing).  Free parts factor through unitary phases,
+    e^{is'|s'|(t-tau)} = e^{is'|s'|t} e^{-is'|s'|tau}, giving an O(n_t)
+    running-sum recurrence on the whole-line spectra.
 
     The damped-ray part of the memory sum is O(n_t) too.  For l < k the
     trapezoid weight W_l of node l on nodes 0..k does not depend on k, and
@@ -161,27 +176,30 @@ class DuhamelPropagator:
     (n_t, n_t) integer index, so no (n_t, n_t, n_p) array is ever formed.
 
     The forcing is real, so its spectra are half spectra (real FFTs).  The
-    free part of the whole lattice is one WholeLineGrid.free_field call on
-    their running sums (the Green operator uses it too), made by
-    transform_forcing.  The recurrence only records the kernel pieces per
-    node; the field of the whole lattice then follows in one FieldAssembly
-    call on the stacked (n_t, n_p) kernel rows.  The phases
+    free part is WholeLineGrid.free_field on their running sums (the Green
+    operator uses it too), one call per block of FREE_BLOCK_ROWS time rows,
+    made by transform_forcing.  The recurrence only records the kernel
+    pieces per node; the field of the whole lattice then follows in one
+    FieldAssembly call on the stacked (n_t, n_p) kernel rows.  The phases
     e^{i tau xi|xi|} of every node are built once.
 
-    Memory: the propagator keeps the complex64 tensor and scattered Laplace
-    matrix, the Filon table and the phases, about 100 MB at production
-    (``kept_mb``), and small matrices and indices.  The single-precision
-    Laplace matrices are filled in their own dtype (``laplace_matrix``),
-    never in double precision first.  A sweep never holds its whole
-    (n_t, n_ray + n_tail, n_p) kernel lattice: ``accumulate`` streams it
-    SWEEP_CHUNK_RAYS rays at a time, forming a chunk's products, running
-    the damped recurrence of its rows (each row's recurrence is independent
-    of the others) and adding its part of the ray sum, so only one chunk
-    and the corner samples of the tail fit are alive.  The free part's
-    whole-line spectra then set the sweep's allocation peak, about 0.56 of
-    one whole lattice on the test grid and 22.9 MB at production.  A chunk
+    Memory: the propagator keeps the complex64 ray map M (30.8 MB at
+    production), the Filon table and the phases, about 45 MB at production
+    (``kept_mb``), and the bracket row's maps and indices.  M is built
+    SWEEP_CHUNK_RAYS rays at a time over the scattered Laplace matrix in its
+    own storage, so the ray rows' tensor (57.6 MB) never exists whole; the
+    single-precision Laplace matrices are filled in their own dtype
+    (``laplace_matrix``), never in double precision first.  A sweep never
+    holds its whole (n_t, n_ray + n_tail, n_p) kernel lattice:
+    ``accumulate`` streams it SWEEP_CHUNK_RAYS rays at a time, forming a
+    chunk's product, running the damped recurrence of its rows (each row's
+    recurrence is independent of the others) and adding its part of the
+    ray sum, so only one chunk and the corner samples of the tail fit are
+    alive; the free part's whole-line arrays are formed FREE_BLOCK_ROWS
+    time rows at a time.  A sweep's allocation peak is then about 0.52 of
+    one whole lattice on the test grid and 9.9 MB at production.  A chunk
     is bitwise those rows of the whole (n_t, n_ray + n_tail, n_p) lattice:
-    each row's products, casts and recurrence depend on that row alone, so
+    each row's product, cast and recurrence depend on that row alone, so
     only the order of the ray sum moves the values (by round-off).
     """
 
@@ -199,19 +217,14 @@ class DuhamelPropagator:
         self.layout = RayLayout(self.grids)
         p = self.layout.p_nodes
 
-        r, _ = self.grids.ray
         z, _ = self.grids.axis
-        t_ray, bt_ray, scat_ray = self._build_tensor(
-            symbols.direction(self.layout.ray.phase), r)
-        t_brk, bt_brk, scat_brk = self._build_tensor(symbols.direction(1j),
-                                                     np.array([1.0]))
-        self._t_ray = t_ray.reshape(-1, z.size)      # (n_ray*n_p, nz) complex64
-        self._t_brk = t_brk[0]                       # (n_p, nz)
-        self._bt_ray = bt_ray                        # (n_ray,)
-        self._bt_brk = complex(bt_brk[0])
         self._lap_axis = laplace_matrix(z, xs, np.complex64)
-        self._lap_scat_ray = laplace_matrix(scat_ray.ravel(), xs, np.complex64)
-        self._lap_scat_brk = laplace_matrix(scat_brk[0], xs, np.complex64)
+        self._m_ray = self._ray_map(symbols.direction(self.layout.ray.phase))
+        brk = symbols.direction(1j)
+        t_brk, bt_brk = self._build_tensor(brk, np.array([1.0]))
+        self._t_brk = t_brk[0]                       # (n_p, nz)
+        self._bt_brk = complex(bt_brk[0])
+        self._lap_scat_brk = self._scattered_laplace(brk, np.array([1.0]))
         self.field = FieldAssembly(xs, p)
 
         # oscillatory quadrature weights for every (t_k, tau_l) gap, one
@@ -236,8 +249,8 @@ class DuhamelPropagator:
     # -- construction helpers ------------------------------------------------
 
     def _build_tensor(self, cache, moduli: np.ndarray):
-        """Tensor, root-term coefficients and scattered Laplace points
-        phi_hat m for one unit direction, rows indexed by |s|."""
+        """Tensor and root-term coefficients for one unit direction, rows
+        indexed by |s|."""
         p = self.layout.p_nodes
         z, wz = self.grids.axis
         m = np.sqrt(moduli)[:, None] * p[None, :]            # (n_s, n_p)
@@ -250,39 +263,87 @@ class DuhamelPropagator:
                                                z[None, :] / mi, wz[None, :] / mi)
 
         for_each_row(moduli.size, fill)
-        return tensor, bt, cache.phi_hat * m
+        return tensor, bt
+
+    def _scattered_laplace(self, cache, moduli: np.ndarray) -> np.ndarray:
+        """Complex64 Laplace matrix at the scattered points phi_hat m of the
+        root term, m = p |s|^{1/2}, rows (|s|, p) flattened."""
+        m = np.sqrt(moduli)[:, None] * self.layout.p_nodes[None, :]
+        return laplace_matrix((cache.phi_hat * m).ravel(), self.half.nodes,
+                              np.complex64)
+
+    def _ray_map(self, cache) -> np.ndarray:
+        """The ray rows' map from forcing samples to kernel rows,
+        M = T L_axis - bt (x) L_scat, (n_ray n_p, n_x) complex64.  L_scat is
+        formed first, in M's own storage; then SWEEP_CHUNK_RAYS rays at a
+        time, the chunk's tensor rows are built, the scatter term of its
+        rows taken, root coefficient first, in complex128, the complex64
+        product T L_axis written over those rows and the scatter term
+        subtracted from it in complex128 and rounded once.  So the whole
+        tensor never exists, and each row depends on its own ray alone."""
+        r, _ = self.grids.ray
+        n_p = self.layout.p_nodes.size
+        m_ray = self._scattered_laplace(cache, r)
+        for lo in range(0, r.size, SWEEP_CHUNK_RAYS):
+            rays = slice(lo, min(lo + SWEEP_CHUNK_RAYS, r.size))
+            tensor, bt = self._build_tensor(cache, r[rays])
+            rows = m_ray[lo * n_p:rays.stop * n_p]
+            scatter = np.repeat(bt, n_p)[:, None] * rows
+            np.matmul(tensor.reshape(rows.shape[0], -1), self._lap_axis,
+                      out=rows)
+            rows -= scatter
+        return m_ray
 
     # -- per-sweep stages ------------------------------------------------------
 
     def transform_forcing(self, forcing: np.ndarray) -> ForcingTransforms:
-        """Free part, Laplace samples and bracket rows for every forcing row
-        (n_t, n_x)."""
+        """Free part, single-precision samples and bracket rows for every
+        forcing row (n_t, n_x)."""
         nt = self.times.n
         nodes = self.times.nodes
+        xs = self.half.nodes
+        half_steps = 0.5 * np.diff(nodes)
 
         # the free part: zero-extended spectra, anti-evolved so the sums
-        # telescope over tau, their trapezoid running sums over nodes 0..k
-        # formed in one array, evolved to every t_k
-        samples = np.zeros((nt, self.whole.n))
-        spline = CubicSpline(self.half.nodes, forcing, axis=1)
-        samples[:, self._support] = spline(self.whole.nodes[self._support])
-        spectra = np.fft.rfft(samples, axis=1)
-        del samples
-        spectra *= self._back
-        running = np.empty_like(spectra)
-        running[0] = 0.0
-        np.add(spectra[:-1], spectra[1:], out=running[1:])
-        del spectra
-        running[1:] *= 0.5 * np.diff(nodes)[:, None]
-        np.cumsum(running[1:], axis=0, out=running[1:])
-        free = self.whole.free_field(running, nodes, self.half.nodes, (0, 1))
-        del running
+        # telescope over tau, their trapezoid running sums over nodes 0..k,
+        # evolved to every t_k; FREE_BLOCK_ROWS time rows at a time, each
+        # block carrying the last spectrum and running sum of the one before
+        at_support = CubicSpline(xs, forcing, axis=1)(
+            self.whole.nodes[self._support])
+        samples = np.zeros((min(FREE_BLOCK_ROWS, nt), self.whole.n))
+        free = np.empty((2, nt, xs.size))
+        for lo in range(0, nt, FREE_BLOCK_ROWS):
+            rows = slice(lo, min(lo + FREE_BLOCK_ROWS, nt))
+            block = samples[:rows.stop - lo]
+            block[:, self._support] = at_support[rows]
+            spectra = np.fft.rfft(block, axis=1)
+            spectra *= self._back[rows]
+            running = np.empty_like(spectra)
+            np.add(spectra[:-1], spectra[1:], out=running[1:])
+            if lo == 0:
+                running[0] = 0.0
+                running[1:] *= half_steps[:rows.stop - 1, None]
+            else:
+                np.add(last_spectrum, spectra[0], out=running[0])
+                running *= half_steps[lo - 1:rows.stop - 1, None]
+                running[0] += last_sum
+            np.cumsum(running, axis=0, out=running)
+            last_spectrum, last_sum = spectra[-1].copy(), running[-1].copy()
+            free[:, rows] = self.whole.free_field(running, nodes[rows], xs,
+                                                  (0, 1))
 
+        # the bracket row stays two maps, T_brk against the axis samples and
+        # the scatter term, unlike the ray rows' fused M: do not fuse it.
+        # Fused as well, it moved the production solve's contraction-ratio[1]
+        # by -2.4e-6 relative with its product in complex64 and by -2.3e-6
+        # in complex128 (-1.5e-6 with M also formed in complex128), past the
+        # 1e-6 RTOL of benchmark/gate.py; M alone moves it by -4.9e-7
+        # (seed 0, 2 BLAS threads)
         fc = forcing.astype(np.complex64)
         fz = self._lap_axis @ fc.T                            # (nz, nt)
         e_brk = (self._t_brk @ fz).T.astype(complex)
         e_brk -= self._bt_brk * (self._lap_scat_brk @ fc.T).T
-        return ForcingTransforms(free=free, fc=fc, fz=fz, e_brk=e_brk)
+        return ForcingTransforms(free=free, fc=fc, e_brk=e_brk)
 
     def accumulate(self, lat: ForcingTransforms) -> tuple[np.ndarray, np.ndarray]:
         """Value and derivative lattices (n_t, n_x) of the memory integral:
@@ -324,20 +385,17 @@ class DuhamelPropagator:
             """(n_rays*n_p, nt) product as an (nt, n_rays, n_p) view."""
             return np.moveaxis(prod.reshape(-1, n_p, nt), -1, 0)
 
-        # ray rows: complex64 products over a chunk of rays, cast once into
-        # the chunk buffer, then the scatter term subtracted in complex128,
-        # root coefficient first; the corner samples are kept for the tail
+        # ray rows: one complex64 product of the fused map over a chunk of
+        # rays, cast once into the chunk buffer; the corner samples are kept
+        # for the tail
         buf = np.empty((nt, min(chunk, n_rows), n_p), dtype=complex)
         corner_rays, corner_p = (i.ravel() for i in layout.corner)
         corner = np.empty((nt, corner_rays.size, corner_p.size), dtype=complex)
         fc_t = lat.fc.T
         for lo in range(0, n_ray, chunk):
             rays = slice(lo, min(lo + chunk, n_ray))
-            prod_rows = slice(lo * n_p, rays.stop * n_p)
             e = buf[:, :rays.stop - lo]
-            e[...] = by_node(self._t_ray[prod_rows] @ lat.fz)
-            e -= self._bt_ray[rays, None] \
-                * by_node(self._lap_scat_ray[prod_rows] @ fc_t)
+            e[...] = by_node(self._m_ray[lo * n_p:rays.stop * n_p] @ fc_t)
             mine = (corner_rays >= rays.start) & (corner_rays < rays.stop)
             corner[:, mine] = e[:, corner_rays[mine] - lo][..., corner_p]
             fold(rays, e)

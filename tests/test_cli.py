@@ -208,10 +208,12 @@ def test_solve_prints_stage_telemetry(fast_cfg, monkeypatch, capsys,
                 "propagator_build_peak_rss_mb=", "propagator_mb=", "workers=",
                 "form_discrepancy="):
         assert key in stages[0]
-    # the arrays the propagator keeps, in MB, on the stage line only
+    # the arrays the propagator keeps, in MB, on the stage line only: 14.5
+    # on this config (the fused ray map 11.1, the phases 2.1, the Filon
+    # table and small maps 1.3), bounded with 1.5 MB to spare
     assert sum("propagator_mb=" in ln for ln in lines) == 1
     mb = float(stages[0].split("propagator_mb=")[1].split()[0])
-    assert 1.0 < mb < 100.0
+    assert 1.0 < mb < 16.0
     sweeps = [ln for ln in lines if "sweep" in ln]
     assert any("sweep 1:" in ln for ln in sweeps)
     assert any("residual sweep:" in ln for ln in sweeps)

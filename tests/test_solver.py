@@ -17,7 +17,7 @@ from bo_halfline.boundary import BoundaryKernel
 from bo_halfline.config import ConfigError
 from bo_halfline.green import GreenOperator, fresnel_weights
 from bo_halfline.halfline import (HalfLineGrid, RampExp, cpu_workers,
-                                  make_profile, node_index)
+                                  laplace_matrix, make_profile, node_index)
 from bo_halfline import solver
 from bo_halfline.solver import (SWEEP_CHUNK_RAYS, DuhamelPropagator, TimeGrid,
                                 XNorm, advective_forcing, cross_validate,
@@ -275,14 +275,12 @@ def decaying_forcing(fast_cfg, propagator):
 
 def _whole_lattice(prop, lat):
     """The damped-ray and tail rows (n_t, n_ray + n_tail, n_p) of the
-    kernel lattice, whole, as the two-stage sweep once built them: whole
-    products and their cast, the scatter term, then the corner model fitted
+    kernel lattice, whole, as the two-stage sweep once built them: the whole
+    product of the fused ray map and its cast, then the corner model fitted
     to the ray rows by hand."""
     layout, nt = prop.layout, prop.times.n
     n_ray, n_p = layout.n_ray, layout.p_nodes.size
-    e_ray = (prop._t_ray @ lat.fz).T.astype(complex).reshape(nt, n_ray, n_p)
-    scat = (prop._lap_scat_ray @ lat.fc.T).T.astype(complex)
-    e_ray -= prop._bt_ray[None, :, None] * scat.reshape(nt, n_ray, n_p)
+    e_ray = (prop._m_ray @ lat.fc.T).T.astype(complex).reshape(nt, n_ray, n_p)
     corner = e_ray[(Ellipsis,) + layout.corner].reshape(nt, -1)
     lam = corner @ layout._pinv.T
     tail = lam[:, 0, None, None] * layout._tail_b1 \
@@ -378,7 +376,6 @@ class TestDuhamelPropagator:
         # forcing row, one inverse FFT and one spline per (node, order)
         lat = propagator.transform_forcing(decaying_forcing)
         lat = dataclasses.replace(lat, fc=np.zeros_like(lat.fc),
-                                  fz=np.zeros_like(lat.fz),
                                   e_brk=np.zeros_like(lat.e_brk))
         got = propagator.accumulate(lat)
         whole, nodes = propagator.whole, propagator.times.nodes
@@ -463,9 +460,8 @@ class TestDuhamelPropagator:
             self, propagator, decaying_forcing):
         # the kernel lattice is streamed SWEEP_CHUNK_RAYS rays at a time and
         # never held whole: the tracemalloc peak of a sweep's two stages
-        # reads 0.55x the bytes of one whole (n_t, n_ray + n_tail, n_p)
-        # complex lattice, the free part's spectra (1.26x when
-        # transform_forcing returned the whole lattice)
+        # reads 0.52x the bytes of one whole (n_t, n_ray + n_tail, n_p)
+        # complex lattice here (0.27x, 9.9 MB, at production)
         import tracemalloc
         layout = propagator.layout
         whole = np.empty((propagator.times.n, layout.ray.s.size,
@@ -496,12 +492,13 @@ class TestDuhamelPropagator:
 
     def test_keeps_little_beyond_tensor_laplace_filon_and_phases(
             self, propagator):
-        # the tensor, the scattered Laplace matrix, the Filon table and the
-        # phases e^{i tau xi|xi|} are what a sweep cannot cheaply rebuild;
-        # the rest (0.9 MB here) is small matrices and indices, no damping
-        # table (5 MB here, 18.6 MB at production)
+        # the fused ray map M = T L_axis - bt (x) L_scat (the tensor and the
+        # Laplace matrices in one), the Filon table and the phases
+        # e^{i tau xi|xi|} are what a sweep cannot cheaply rebuild; the rest
+        # (0.9 MB here) is the bracket row's maps and indices, no tensor of
+        # the ray rows (55 MB), no damping table (5 MB here)
         big = sum(getattr(propagator, name).nbytes
-                  for name in ("_t_ray", "_lap_scat_ray", "_fw", "_back"))
+                  for name in ("_m_ray", "_fw", "_back"))
         assert kept_mb(propagator) * 2.0**20 <= big + 2.0**20
 
     def test_no_pairwise_lattice_but_the_index(self, propagator):
@@ -523,13 +520,89 @@ class TestDuhamelPropagator:
         lat = prop.transform_forcing(decaying_forcing)
         fc = decaying_forcing.astype(np.complex64)
         assert np.array_equal(lat.fc, fc)
-        assert np.array_equal(lat.fz, prop._lap_axis @ fc.T)
         assert all(np.ndim(a) <= 2 for a in vars(lat).values()
                    if a is not lat.free)
+        # the bracket rows keep their two maps: the tensor against the axis
+        # samples, then the scatter term
+        fz = prop._lap_axis @ fc.T
+        e_brk = (prop._t_brk @ fz).T.astype(complex) \
+            - prop._bt_brk * (prop._lap_scat_brk @ fc.T).T
+        assert np.array_equal(lat.e_brk, e_brk)
         want = _accumulate_with_table(prop, lat, _whole_lattice(prop, lat))
         got = prop.accumulate(lat)
         for d in (0, 1):
             assert np.array_equal(got[d], want[d])
+
+    def test_ray_map_matches_complex128_oracle(self, propagator):
+        # M = T L_axis - bt (x) L_scat from the whole tensor and the whole
+        # scattered Laplace matrix, each in one call, multiplied in
+        # complex128: the chunked complex64 map agrees to the rounding of
+        # its complex64 product and of L_axis, within 32 units of complex64
+        # round-off of |T| |L_axis| + |bt| |L_scat| entry by entry
+        # (measured 9.4)
+        prop = propagator
+        cache = prop.symbols.direction(prop.layout.ray.phase)
+        r, _ = prop.grids.ray
+        z, _ = prop.grids.axis
+        xs, p = prop.half.nodes, prop.layout.p_nodes
+        tensor, bt = prop._build_tensor(cache, r)
+        scat = cache.phi_hat * (np.sqrt(r)[:, None] * p[None, :])
+        lap_axis = laplace_matrix(z, xs)
+        lap_scat = laplace_matrix(scat.ravel(), xs).reshape(r.size, p.size, -1)
+        want = np.stack([t.astype(complex) @ lap_axis - b * lap
+                         for t, b, lap in zip(tensor, bt, lap_scat)])
+        scale = np.stack([np.abs(t) @ np.abs(lap_axis) + abs(b) * np.abs(lap)
+                          for t, b, lap in zip(tensor, bt, lap_scat)])
+        got = prop._m_ray.reshape(want.shape)
+        assert prop._m_ray.dtype == np.complex64
+        assert np.all(scale > 0.0)
+        unit = np.finfo(np.float32).eps / 2.0
+        assert np.max(np.abs(got - want) / scale) <= 32.0 * unit
+
+    @pytest.mark.parametrize("chunk", [4, 30, 150])
+    def test_ray_map_bitwise_for_any_chunk(self, propagator, monkeypatch,
+                                           chunk):
+        # each row of M is its own ray's tensor row, Laplace row and dot
+        # products, so the build's ray chunks give the same bits
+        cache = propagator.symbols.direction(propagator.layout.ray.phase)
+        monkeypatch.setattr(solver, "SWEEP_CHUNK_RAYS", chunk)
+        assert np.array_equal(propagator._ray_map(cache), propagator._m_ray)
+
+    def test_build_never_holds_the_whole_tensor(self, propagator,
+                                                set_workers):
+        # the ray map is formed one chunk of tensor rows at a time: the
+        # build's tracemalloc peak stays below the bytes of the whole
+        # complex64 tensor plus what the propagator keeps (it reads kept +
+        # 0.46 of the tensor on two CPUs, most of it the E- rows'
+        # temporaries of one ray per CPU, so the CPU count is fixed)
+        import tracemalloc
+        set_workers(2)
+        prop = propagator
+        z, _ = prop.grids.axis
+        whole_t = np.empty((prop.layout.n_ray, prop.layout.p_nodes.size,
+                            z.size), dtype=np.complex64).nbytes
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            built = DuhamelPropagator(prop.symbols, prop.half, prop.times)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(built._m_ray, prop._m_ray)
+        assert peak < whole_t + kept_mb(built) * 2.0**20
+
+    @pytest.mark.parametrize("block", [5, 33])
+    def test_free_part_bitwise_for_any_block_of_time_rows(
+            self, propagator, decaying_forcing, monkeypatch, block):
+        # the free part's time rows go FREE_BLOCK_ROWS at a time, the
+        # running sum carried from block to block; 33 rows are the whole
+        # lattice in one block here, 5 leave a short last block
+        want = propagator.transform_forcing(decaying_forcing)
+        monkeypatch.setattr(solver, "FREE_BLOCK_ROWS", block)
+        got = propagator.transform_forcing(decaying_forcing)
+        assert propagator.times.n == 33
+        assert np.array_equal(got.free, want.free)
 
 
 def _linear_lattice(cfg) -> np.ndarray:
