@@ -159,8 +159,8 @@ class RayLayout:
 
     def fit_corner(self, corner: np.ndarray) -> np.ndarray:
         """Least-squares (lam1, lam0), shape (..., 2), of the corner model for
-        the corner samples (..., n_corner_rays, n_corner_p) of filled rows."""
-        return corner.reshape(corner.shape[:-2] + (-1,)) @ self._pinv.T
+        the corner samples (..., n_corner) of filled rows, ray by ray."""
+        return corner @ self._pinv.T
 
     def fill_tail(self, lam: np.ndarray, out: np.ndarray,
                   rows=slice(None)) -> None:
@@ -239,14 +239,12 @@ class EMinusLattice(RayKernel):
         self._rows(symbols.direction(layout.ray.phase), grids.ray[0], p,
                    out=self.E_ray)
         brk = self._rows(symbols.direction(1j), np.array([1.0]), p)[0]
-        corner = self.E_ray[layout.corner]
+        corner = self.E_ray[layout.corner].ravel()
         lam = layout.fit_corner(corner)
         layout.fill_tail(lam, rows[layout.n_ray:])
         super().__init__(layout, rows, brk)
-        self.tail_lam1, self.tail_lam0 = complex(lam[0]), complex(lam[1])
-        rhs = corner.ravel()
-        scale = float(np.max(np.abs(rhs)))
-        gap = float(np.max(np.abs(rhs - layout.corner_basis @ lam)))
+        scale = float(np.max(np.abs(corner)))
+        gap = float(np.max(np.abs(corner - layout.corner_basis @ lam)))
         self.tail_fit_residual = gap / scale if scale else 0.0
 
     def _rows(self, cache: DirectionCache, mod_s: np.ndarray, p: np.ndarray,

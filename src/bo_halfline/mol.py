@@ -112,12 +112,6 @@ class MethodOfLines:
         amat[[0, -1]] = 0.0
         self.amat = amat
 
-    @property
-    def hilbert_mat(self) -> np.ndarray:
-        """The dense PV matrix H, built on demand from the symbol: a test
-        oracle, since the operators read its O(n) Toeplitz view."""
-        return _toeplitz(self.symbol).copy()
-
     def gradient(self, f: np.ndarray) -> np.ndarray:
         """d/dx along the first axis: central differences inside, one-sided
         three-point stencils at both ends."""

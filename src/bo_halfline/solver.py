@@ -93,10 +93,11 @@ class ForcingTransforms:
     lattice is formed from (one row or column per node).
 
     The damped-ray and tail rows of the kernel lattice are never held
-    whole: ``accumulate`` forms them from fc SWEEP_CHUNK_RAYS rays at a time
-    and folds each chunk into the memory sum before the next.  The bracket
-    rows are one row per node and are kept; the axis samples they are
-    formed from are not."""
+    whole: ``accumulate`` fits the tail's corner model to the corner rows
+    of the ray map's product with fc, then forms the rows SWEEP_CHUNK_RAYS
+    rays at a time and folds each chunk into the memory sum before the
+    next.  The bracket rows are one row per node and are kept; the axis
+    samples they are formed from are not."""
 
     free: np.ndarray        # (2, n_t, n_x) free part: values, x-derivatives
     fc: np.ndarray          # (n_t, n_x) the forcing in single precision
@@ -191,13 +192,15 @@ class DuhamelPropagator:
     single-precision Laplace matrices are filled in their own dtype
     (``laplace_matrix``), never in double precision first.  A sweep never
     holds its whole (n_t, n_ray + n_tail, n_p) kernel lattice:
-    ``accumulate`` streams it SWEEP_CHUNK_RAYS rays at a time, forming a
-    chunk's product, running the damped recurrence of its rows (each row's
-    recurrence is independent of the others) and adding its part of the
-    ray sum, so only one chunk and the corner samples of the tail fit are
-    alive; the free part's whole-line arrays are formed FREE_BLOCK_ROWS
-    time rows at a time.  A sweep's allocation peak is then about 0.52 of
-    one whole lattice on the test grid and 9.9 MB at production.  A chunk
+    ``accumulate`` fits the tail's corner model first, from the corner
+    rows of the ray map alone, then streams the lattice SWEEP_CHUNK_RAYS
+    rays at a time, forming a chunk's product, running the damped
+    recurrence of its rows (each row's recurrence is independent of the
+    others) and adding its part of the ray sum, so only one chunk and the
+    ray sum are alive; the free part's whole-line arrays are formed
+    FREE_BLOCK_ROWS time rows at a time.  A sweep's allocation peak is then
+    about 0.52 of one whole lattice on the test grid and 9.3 MB at
+    production.  A chunk
     is bitwise those rows of the whole (n_t, n_ray + n_tail, n_p) lattice:
     each row's product, cast and recurrence depend on that row alone, so
     only the order of the ray sum moves the values (by round-off).
@@ -302,15 +305,18 @@ class DuhamelPropagator:
         nt = self.times.n
         nodes = self.times.nodes
         xs = self.half.nodes
-        half_steps = 0.5 * np.diff(nodes)
+        # half the step into each node, 0 into node 0
+        half_steps = 0.5 * np.diff(nodes, prepend=nodes[0])
 
         # the free part: zero-extended spectra, anti-evolved so the sums
         # telescope over tau, their trapezoid running sums over nodes 0..k,
         # evolved to every t_k; FREE_BLOCK_ROWS time rows at a time, each
         # block carrying the last spectrum and running sum of the one before
+        # (zero rows before the first block)
         at_support = CubicSpline(xs, forcing, axis=1)(
             self.whole.nodes[self._support])
         samples = np.zeros((min(FREE_BLOCK_ROWS, nt), self.whole.n))
+        last_spectrum = last_sum = np.zeros(self._back.shape[1], dtype=complex)
         free = np.empty((2, nt, xs.size))
         for lo in range(0, nt, FREE_BLOCK_ROWS):
             rows = slice(lo, min(lo + FREE_BLOCK_ROWS, nt))
@@ -320,13 +326,9 @@ class DuhamelPropagator:
             spectra *= self._back[rows]
             running = np.empty_like(spectra)
             np.add(spectra[:-1], spectra[1:], out=running[1:])
-            if lo == 0:
-                running[0] = 0.0
-                running[1:] *= half_steps[:rows.stop - 1, None]
-            else:
-                np.add(last_spectrum, spectra[0], out=running[0])
-                running *= half_steps[lo - 1:rows.stop - 1, None]
-                running[0] += last_sum
+            np.add(last_spectrum, spectra[0], out=running[0])
+            running *= half_steps[rows, None]
+            running[0] += last_sum
             np.cumsum(running, axis=0, out=running)
             last_spectrum, last_sum = spectra[-1].copy(), running[-1].copy()
             free[:, rows] = self.whole.free_field(running, nodes[rows], xs,
@@ -385,22 +387,21 @@ class DuhamelPropagator:
             """(n_rays*n_p, nt) product as an (nt, n_rays, n_p) view."""
             return np.moveaxis(prod.reshape(-1, n_p, nt), -1, 0)
 
-        # ray rows: one complex64 product of the fused map over a chunk of
-        # rays, cast once into the chunk buffer; the corner samples are kept
-        # for the tail
-        buf = np.empty((nt, min(chunk, n_rows), n_p), dtype=complex)
-        corner_rays, corner_p = (i.ravel() for i in layout.corner)
-        corner = np.empty((nt, corner_rays.size, corner_p.size), dtype=complex)
+        # the tail's corner model, fitted up front to the corner rows of the
+        # fused map's product, bitwise those rows of the chunk products
         fc_t = lat.fc.T
+        corner_rays, corner_p = layout.corner
+        corner = (self._m_ray[(corner_rays * n_p + corner_p).ravel()] @ fc_t).T
+        lam = layout.fit_corner(corner.astype(complex, order="C"))
+        # ray rows: one complex64 product of the fused map over a chunk of
+        # rays, cast once into the chunk buffer; then the tail rows, so the
+        # ray sum adds its partial sums in layout order
+        buf = np.empty((nt, min(chunk, n_rows), n_p), dtype=complex)
         for lo in range(0, n_ray, chunk):
             rays = slice(lo, min(lo + chunk, n_ray))
             e = buf[:, :rays.stop - lo]
             e[...] = by_node(self._m_ray[lo * n_p:rays.stop * n_p] @ fc_t)
-            mine = (corner_rays >= rays.start) & (corner_rays < rays.stop)
-            corner[:, mine] = e[:, corner_rays[mine] - lo][..., corner_p]
             fold(rays, e)
-        # tail rows: the corner model fitted to the ray rows, last
-        lam = layout.fit_corner(corner)
         for lo in range(n_ray, n_rows, chunk):
             rows = slice(lo, min(lo + chunk, n_rows))
             e = buf[:, :rows.stop - lo]
@@ -437,7 +438,6 @@ class SpaceTimeSolution:
     derivs: np.ndarray                    # (n_t, n_x)
     boundary_values: np.ndarray           # h(t_k)
     contraction_ratios: list
-    step_norms: list                      # X-norm of successive differences
     fixed_point_residual_rel: float       # the residual sweep's step / X-norm
     solution_xnorm: float
     converged: bool
@@ -588,7 +588,7 @@ def picard_solve(config: RunConfig | None = None,
     return SpaceTimeSolution(
         x=xs, times=times.nodes.copy(), values=u_val, derivs=u_der,
         boundary_values=h_values, contraction_ratios=ratios,
-        step_norms=step_norms, fixed_point_residual_rel=residual_rel,
+        fixed_point_residual_rel=residual_rel,
         solution_xnorm=u_norm, converged=converged, aborted=aborted,
         n_iter=n_iter, trace_error=trace_err, form_discrepancy=gap,
         meta=timings)

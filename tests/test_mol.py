@@ -31,12 +31,14 @@ from bo_halfline.mol import MethodOfLines
 
 class TestOperators:
     def test_dispersion_matrix_antisymmetric(self, mol):
-        assert np.array_equal(mol.hilbert_mat, -mol.hilbert_mat.T)
+        hilbert = mol_module._toeplitz(mol.symbol)
+        assert np.array_equal(hilbert, -hilbert.T)
 
     def test_dispersion_matrix_is_its_symbol(self, mol):
         # exactly Toeplitz: every diagonal is one value of the symbol
-        # c_k = -1/(pi k), c_0 = 0, and the dense matrix is built from it
-        h, n = mol.hilbert_mat, mol.x.size
+        # c_k = -1/(pi k), c_0 = 0, and the operators read it through its
+        # Toeplitz view
+        h, n = mol_module._toeplitz(mol.symbol), mol.x.size
         assert np.array_equal(h[1:, 1:], h[:-1, :-1])
         assert np.array_equal(h[0], mol.symbol[n - 1:])
         assert np.array_equal(h[:, 0], mol.symbol[n - 1::-1])
@@ -80,8 +82,8 @@ class TestOperators:
     def test_wall_rows_are_zero(self, mol):
         # Zero end rows keep the generator skew; extrapolated wall-curvature
         # rows create an unstable wall eigenpair.  Between its zero end rows
-        # A is -H Lap with the three-point Lap on interior rows only
-        # (measured 5.7e-17 relative).
+        # A is -H Lap with the three-point Lap on interior rows only, H the
+        # dense midpoint PV matrix (measured 1.5e-16 relative).
         n = mol.x.size
         idx = np.arange(1, n - 1)
         lap = np.zeros((n, n))
@@ -89,7 +91,8 @@ class TestOperators:
         lap[idx, idx] = -2.0
         lap[idx, idx + 1] = 1.0
         lap /= mol.dx**2
-        dense = (-mol.hilbert_mat @ lap)[1:-1]
+        hilbert = -pv_matrix(mol.x) / np.pi
+        dense = (-hilbert @ lap)[1:-1]
         assert np.max(np.abs(mol.amat[1:-1] - dense)) \
             <= 1e-15 * np.max(np.abs(dense))
         assert np.all(mol.amat[0] == 0.0)
@@ -157,7 +160,8 @@ class TestCertificates:
         # against a dense radius of 1.009.
         m = MethodOfLines(cfg, mol_n=256)
         stencil = np.array([2.0, -5.0, 4.0, -1.0]) / m.dx**2
-        m.amat[:, :4] -= np.outer(m.hilbert_mat[:, 0], stencil)
+        wall_column = m.symbol[m.x.size - 1::-1]    # H[:, 0]
+        m.amat[:, :4] -= np.outer(wall_column, stencil)
         m.amat[0] = 0.0
         m.amat[-1] = 0.0
         step = m.step_matrix()

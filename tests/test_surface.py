@@ -3,12 +3,15 @@
 A public function, class or method (and a public attribute a class sets on
 ``self`` or annotates in its body, a dataclass field) counts as used when
 some module of the package reads its name; an import, an ``__all__`` entry,
-an assignment or a keyword argument that sets a field is no use.  What
-stays unused must be listed in ``KEPT`` with the reason it stays, so a name
-whose last caller goes is deleted or justified in the same change.  Names
-are matched bare, so a name shared with a used one (``apply``, ``name``)
-always counts as used: the guard finds dead names, it does not prove the
-others live.
+an assignment or a keyword argument that sets a field is no use.  A class
+member is read only through an attribute load (``obj.name``), so a local
+variable of the same name does not keep it; a module-level function or
+class is read by its bare name as well.  What stays unused must be listed
+in ``KEPT`` with the reason it stays, so a name whose last caller goes is
+deleted or justified in the same change.  Attribute loads are matched
+without their object, so a member that shares its name with an attribute
+read elsewhere (``apply``, ``name``) counts as used: the guard finds dead
+names, it does not prove the others live.
 """
 
 import ast
@@ -29,13 +32,10 @@ KEPT = {
     "Symbols.psi_boundary": _ORACLE,
     "Symbols.y_plus": _ORACLE,
     "pv_matrix": _ORACLE,
-    "MethodOfLines.hilbert_mat": _ORACLE,
     "EMinusLattice.kernel_zero_defect": _HEALTH,
     "MethodOfLines.hilbert_fft_crosscheck": _HEALTH,
     "MethodOfLines.step_doubling_error": _HEALTH,
     "EMinusLattice.tail_fit_residual": _HEALTH,
-    "EMinusLattice.tail_lam0": "the corner model's constants, beside its residual",
-    "EMinusLattice.tail_lam1": "the corner model's constants, beside its residual",
     "fresnel_weights": _BENCH + " (a traced layer)",
     "Symbols.resolution_tag": _BENCH + " (the direction-cache key)",
     "RunConfig.to_file": "the write half of the config file round trip",
@@ -45,7 +45,8 @@ KEPT = {
 def _unused_public_names() -> set[str]:
     trees = [ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")]
     defined: set[str] = set()
-    read: set[str] = set()
+    attrs: set[str] = set()      # names loaded as obj.name
+    bare: set[str] = set()       # names loaded on their own
     for tree in trees:
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -64,12 +65,17 @@ def _unused_public_names() -> set[str]:
                             and sub.value.id == "self"):
                         defined.add(f"{node.name}.{sub.attr}")
         for node in ast.walk(tree):
-            if (isinstance(node, (ast.Name, ast.Attribute))
-                    and not isinstance(node.ctx, ast.Store)):
-                read.add(node.id if isinstance(node, ast.Name) else node.attr)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attrs.add(node.attr)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                bare.add(node.id)
+
+    def is_read(name: str) -> bool:
+        owner, _, short = name.rpartition(".")
+        return short in attrs or (not owner and short in bare)
+
     return {name for name in defined
-            if not name.rsplit(".", 1)[-1].startswith("_")
-            and name.rsplit(".", 1)[-1] not in read}
+            if not name.rsplit(".", 1)[-1].startswith("_") and not is_read(name)}
 
 
 def test_unused_public_names_are_the_kept_ones():
