@@ -18,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 PV_EXCISION_FACTOR = 1.0e-6
+#: Relative tail an AxisSampling discards, for a unit-scale integrand.
+AXIS_TAIL_TOL = 1.0e-10
 
 
 #: Gauss-Legendre points on every panel of ``log_graded_nodes``, and the rule.
@@ -82,12 +84,11 @@ class AxisSampling:
 
     ``decay_exponent`` is the integrand's large-|q| power decay; the outer
     truncation radius is chosen adaptively so the discarded tail is below
-    ``tail_tol`` (relative, for a unit-scale integrand), capped at 1e12*scale.
+    AXIS_TAIL_TOL, capped at 1e12*scale.
     """
 
     scale: float = 1.0
     decay_exponent: float = 2.0
-    tail_tol: float = 1.0e-10
     points_per_decade: int = 24
 
     @property
@@ -96,7 +97,7 @@ class AxisSampling:
             raise ValueError("decay_exponent must exceed 1 for an adaptive tail")
         # Cap in log space: for decay exponents barely above 1 the adaptive
         # radius overflows a double long before the cap would apply.
-        log_r = -math.log10(self.tail_tol) / (self.decay_exponent - 1.0)
+        log_r = -math.log10(AXIS_TAIL_TOL) / (self.decay_exponent - 1.0)
         if log_r >= 12.0:
             return 1.0e12 * self.scale
         return self.scale * 10.0 ** log_r

@@ -53,8 +53,16 @@ RAY_THETA = math.pi / 2.0 + math.pi / 8
 # rollover at m = p |s|^{1/2} = O(1); past it the true rows decay, and the
 # damped weight 1/(1+s^2) makes their tail negligible.  Extrapolating the
 # linear-in-s term past the rollover would instead inject a spurious
-# p-independent constant ~ Im(lam0) log(r_top/r_max) into the kernel at t=0.
+# p-independent constant ~ Im(lam0) log(r_top/R_MAX) into the kernel at t=0.
 _TAIL_M_CUT = 0.3
+
+
+#: What every GreenGrids shares: p nodes on [P_MIN, P_MAX], the ray on
+#: [R_MIN, R_MAX], its tail on to TAIL_R_MAX at TAIL_PPD points per decade
+#: and AXIS_PPD points per decade on the axis.  P_MIN sqrt(R_MAX) <= 0.1 puts
+#: the first p node in the corner that RayLayout fits.
+P_MIN, P_MAX, R_MIN, R_MAX = 1.0e-6, 2.0e4, 1.0e-7, 1.0e7
+TAIL_R_MAX, TAIL_PPD, AXIS_PPD = 1.0e13, 4, 20
 
 
 @dataclass(frozen=True)
@@ -62,38 +70,32 @@ class GreenGrids:
     """Quadrature layout for the kernel assembly: p nodes, the damped ray and
     its tail, and the imaginary transform axis the E- rows integrate over.
 
-    The defaults are the single-shot Green layout; the Duhamel propagator
-    runs a coarser instance of the same class."""
+    The fields are what the layouts differ in; the rest is the constants
+    above.  The defaults are the single-shot Green layout; the Duhamel
+    propagator runs a coarser instance of the same class."""
 
-    p_min: float = 1.0e-6
-    p_max: float = 2.0e4
     p_ppd: int = 32
-    r_min: float = 1.0e-7
-    r_max: float = 1.0e7
     r_ppd: int = 20
     axis_min: float = 1.0e-5
     axis_max: float = 1.0e8
-    axis_ppd: int = 20
-    tail_r_max: float = 1.0e13
-    tail_ppd: int = 4
 
     @cached_property
     def p_nodes(self) -> np.ndarray:
-        count = int(math.ceil(math.log10(self.p_max / self.p_min) * self.p_ppd)) + 1
-        return np.geomspace(self.p_min, self.p_max, count)
+        count = int(math.ceil(math.log10(P_MAX / P_MIN) * self.p_ppd)) + 1
+        return np.geomspace(P_MIN, P_MAX, count)
 
     @cached_property
     def ray(self) -> tuple[np.ndarray, np.ndarray]:
-        return log_graded_nodes(self.r_min, self.r_max, self.r_ppd)
+        return log_graded_nodes(R_MIN, R_MAX, self.r_ppd)
 
     @cached_property
     def tail_ray(self) -> tuple[np.ndarray, np.ndarray]:
-        return log_graded_nodes(self.r_max, self.tail_r_max, self.tail_ppd)
+        return log_graded_nodes(R_MAX, TAIL_R_MAX, TAIL_PPD)
 
     @cached_property
     def axis(self) -> tuple[np.ndarray, np.ndarray]:
         """Upward imaginary-axis nodes iV and weights i dV."""
-        return axis_nodes(0.0, self.axis_min, self.axis_max, self.axis_ppd)
+        return axis_nodes(0.0, self.axis_min, self.axis_max, AXIS_PPD)
 
 
 def e_minus_weights(cache: DirectionCache, mod_s, v: np.ndarray,
@@ -126,7 +128,7 @@ class RayLayout:
     """Damped-ray quadrature of the smooth kernel for one grid layout.
 
     Rows 0..n_ray-1 are the tabulated rays s = r e^{i RAY_THETA}; the tail rows
-    beyond r_max carry the corner model E- ~ lam1 p^{-1/2} s^{3/4} + lam0 s,
+    beyond R_MAX carry the corner model E- ~ lam1 p^{-1/2} s^{3/4} + lam0 s,
     fitted on the large-|s|, small-m corner of the ray rows.  The smooth part
     of K(p, t) is ``ray.smooth`` of the rows E-(p, s) e^{s p^2 t}.
     """
@@ -146,10 +148,8 @@ class RayLayout:
         valid = np.sqrt(rt)[:, None] * p[None, :] <= _TAIL_M_CUT
         self._tail_b1 = valid * s_tail ** 0.75 / np.sqrt(p)[None, :]
         self._tail_b0 = valid * s_tail
-        rows = r >= grids.r_max / 1.0e2
+        rows = r >= R_MAX / 1.0e2
         cols = p * np.sqrt(r[rows].max()) <= 0.1
-        if not np.any(cols):
-            cols = p <= p[3]
         self.corner = np.ix_(rows, cols)
         s_c = s[:r.size][rows][:, None]
         p_c = p[cols][None, :]

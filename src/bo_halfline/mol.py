@@ -222,24 +222,23 @@ class MethodOfLines:
         out[-1] = 0.0
         return out
 
-    def run(self, t_final: float | None = None, dt: float | None = None,
+    def run(self, t_final: float | None = None,
             save_times: np.ndarray | None = None) -> MolResult:
-        result, step_mat = self._march(t_final, dt, save_times)
+        result, step_mat = self._march(t_final, self.config.mol_dt, save_times)
         t0 = time.perf_counter()
         result.spectral_radius = self.stability_certificate(
             step_mat, meta=result.meta)
         result.meta["certificate_s"] = time.perf_counter() - t0
         return result
 
-    def _march(self, t_final: float | None, dt: float | None,
+    def _march(self, t_final: float | None, dt: float,
                save_times: np.ndarray | None) -> tuple[MolResult, np.ndarray]:
         """The stepped run without its certificate (spectral radius NaN),
         and the step matrix it stepped with.  ``meta`` carries the relative
         drift of the discrete Dirichlet energy next to ``l2_drift``."""
-        cfg = self.config
-        t_final = t_final if t_final is not None else cfg.t_final
-        t_final = _positive("t_final", t_final)
-        dt = _positive("dt", cfg.mol_dt if dt is None else dt)
+        t_final = _positive("t_final", self.config.t_final
+                            if t_final is None else t_final)
+        dt = _positive("dt", dt)
         n_steps = max(1, int(round(t_final / dt)))
         dt = t_final / n_steps
         if save_times is None:

@@ -189,7 +189,6 @@ class RunReport:
     suite: str
     rows: list[CheckRow] = field(default_factory=list)
     config_tag: str = ""
-    version: str = __version__
     # side tables written next to the report CSV, name -> CSV text
     # (the solve suite ships its space-time solution lattice this way)
     extras: dict = field(default_factory=dict)
@@ -222,7 +221,7 @@ class RunReport:
     def to_csv(self) -> str:
         lines = [",".join(_CSV_COLUMNS)]
         stamp = info("meta", "environment", None,
-                     source=f"{self.version}; numpy {np.__version__}; "
+                     source=f"{__version__}; numpy {np.__version__}; "
                             f"{self.config_tag}")
         for r in [stamp, *self.rows]:
             lines.append(",".join((

@@ -552,7 +552,6 @@ def picard_solve(config: RunConfig | None = None,
         return new_val, new_der, step
 
     u_val, u_der = lin[0].copy(), lin[1].copy()
-    step_norms: list[float] = []
     ratios: list[float] = []
     converged = False
     aborted = False
@@ -562,17 +561,15 @@ def picard_solve(config: RunConfig | None = None,
         if not math.isfinite(step):
             aborted = True
             break
-        if step_norms:
-            prev = step_norms[-1]
-            ratios.append(step / prev if prev > 0.0 else 0.0)
-        step_norms.append(step)
+        if n_iter > 1:  # the previous step did not converge, so it is > 0
+            ratios.append(step / timings["step_norm"][-2])
         u_val, u_der = new_val, new_der
         u_norm = xnorm(u_val, u_der)
         if step <= cfg.picard_tol * max(u_norm, 1.0e-30):
             converged = True
             break
         if len(ratios) >= 2 and ratios[-1] > 1.0 and ratios[-2] > 1.0 \
-                and step > 50.0 * max(step_norms[0], 1.0e-30):
+                and step > 50.0 * max(timings["step_norm"][0], 1.0e-30):
             aborted = True
             break
 

@@ -102,19 +102,16 @@ PSI_B_VARIANT = "derived"
 class Symbols:
     """Configured access to every symbol-layer quantity.
 
-    Holds the contour geometry, the structural variants, and a memo of
-    per-direction caches.  The instance is cheap; caches build lazily.
-    ``theta``, ``c_q`` and ``psi_b`` replace SYMBOL_THETA, C_Q_VARIANT and
-    PSI_B_VARIANT for negative controls and variant-selection tests only.
+    Holds the contour geometry and a memo of per-direction caches.  The
+    instance is cheap; caches build lazily.  ``theta`` replaces SYMBOL_THETA
+    for the verify-symbols negative control.  C_Q_VARIANT and PSI_B_VARIANT
+    are read at evaluation: tests patch them and build a fresh instance.
     """
 
     def __init__(self, config: RunConfig | None = None, *,
-                 theta: float = SYMBOL_THETA, c_q: str = C_Q_VARIANT,
-                 psi_b: str = PSI_B_VARIANT):
+                 theta: float = SYMBOL_THETA):
         self.config = cfg = config or RunConfig()
         self.theta = theta
-        self.c_q = c_q
-        self.psi_b = psi_b
         self.ppd = cfg.contour_points_per_decade
         self._directions: dict[complex, DirectionCache] = {}
 
@@ -122,7 +119,7 @@ class Symbols:
 
     @property
     def resolution_tag(self) -> str:
-        return f"{self.theta!r}:{self.ppd}:{self.c_q}:{self.psi_b}"
+        return f"{self.theta!r}:{self.ppd}"
 
     def contour(self, s: complex) -> tuple[np.ndarray, np.ndarray]:
         """Symbol-contour nodes q and dq-weights at s: radii 1e-5..1e5 |s|^{1/2}."""
@@ -176,7 +173,7 @@ class Symbols:
         s = complex(s)
         self.check_admissible(s)
         q, dq = self.contour(s)
-        g = ratio_weight(q, s, self.c_q)
+        g = ratio_weight(q, s, C_Q_VARIANT)
         return complex(np.sum(g / q * dq) / TWO_PI_I)
 
     def first_moment(self, s: complex) -> complex:
@@ -224,13 +221,13 @@ class Symbols:
         """Boundary symbol Psi_B(s): the p-free factor of the boundary kernel.
 
         Three structural variants share the factor e^{gamma_tilde(-1,s) -
-        gamma_tilde(0,s)}; self.psi_b selects one."""
+        gamma_tilde(0,s)}; PSI_B_VARIANT selects one."""
         s = complex(s)
         k = complex(root_k(s))
         phi = complex(root_phi(s))
         at = self.a_tilde(s)
         delta = self.gamma_tilde(-1.0, s) - self.gamma_tilde(0.0, s)
-        return _psi_boundary_from_pieces(self.psi_b, s, k, phi, at,
+        return _psi_boundary_from_pieces(PSI_B_VARIANT, s, k, phi, at,
                                          np.exp(delta))
 
     # -- direction caches --------------------------------------------------
@@ -302,10 +299,8 @@ class DirectionCache:
     All scale-covariant quantities at s = s_hat |s| reduce to lookups here.
     """
 
-    def __init__(self, symbols: Symbols, s_hat: complex):
+    def __init__(self, sy: Symbols, s_hat: complex):
         self.s_hat = s_hat
-        self.symbols = symbols
-        sy = symbols
         self.gamma0 = sy.gamma_tilde(0.0, s_hat)
         self.gamma1 = sy.gamma_one(s_hat)
         self.ind = sy.index(s_hat)
@@ -371,8 +366,8 @@ class DirectionCache:
         c_ref = (1.0 + phi) / (1.0 + k)
         gm1 = self.gamma_negreal(-1.0 / rad)
         e_delta = np.exp(gm1 - self.gamma0)
-        psi_b = _psi_boundary_from_pieces(self.symbols.psi_b, s, k, phi,
-                                          at, e_delta)
+        psi_b = _psi_boundary_from_pieces(PSI_B_VARIANT, s, k, phi, at,
+                                          e_delta)
         return {
             "s": s, "k": k, "phi": phi, "a_tilde": at, "B": big_b,
             "C": c_ref, "gamma_ref": gm1, "e_delta": e_delta, "psi_b": psi_b,

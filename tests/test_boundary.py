@@ -16,6 +16,7 @@ from bo_halfline.boundary import BoundaryKernel
 from bo_halfline.contour import log_graded_nodes
 from bo_halfline.halfline import make_profile
 from bo_halfline.report import fit_loglog
+from bo_halfline import symbols
 from bo_halfline.symbols import PSI_B_VARIANT, Symbols
 
 TRACE_SIDE = 1.058140042274518
@@ -67,12 +68,14 @@ class TestTraceIdentity:
         assert side == pytest.approx(TRACE_SIDE, abs=1e-9)
         assert abs(side - 1.0) <= 0.1
 
-    def test_identity_selects_production_variant(self, cfg):
+    def test_identity_selects_production_variant(self, cfg, monkeypatch):
         # The trace identity discriminates the three boundary-symbol
         # variants: 1.058 / 1.441 / 0.174.  Production must be the variant
-        # closest to the exact value 1.
-        sides = {v: BoundaryKernel(Symbols(cfg, psi_b=v)).trace_profile_side()
-                 for v in ("derived", "display", "polar")}
+        # closest to the exact value 1.  Each variant gets fresh symbols.
+        sides = {}
+        for v in ("derived", "display", "polar"):
+            monkeypatch.setattr(symbols, "PSI_B_VARIANT", v)
+            sides[v] = BoundaryKernel(Symbols(cfg)).trace_profile_side()
         best = min(sides, key=lambda v: abs(sides[v] - 1.0))
         assert best == PSI_B_VARIANT == "derived"
         assert sides["display"] == pytest.approx(1.4408, abs=1e-3)

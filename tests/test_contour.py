@@ -64,9 +64,9 @@ def test_boundary_kernel_ray_against_closed_form(boundary_op):
 
 
 def test_axis_sampling_adaptive_truncation():
-    s = AxisSampling(scale=1.0, decay_exponent=2.0, tail_tol=1e-10)
+    s = AxisSampling(scale=1.0, decay_exponent=2.0)
     assert s.r_max == pytest.approx(1e10)
-    capped = AxisSampling(scale=1.0, decay_exponent=1.01, tail_tol=1e-10)
+    capped = AxisSampling(scale=1.0, decay_exponent=1.01)
     assert capped.r_max == pytest.approx(1e12)
 
 

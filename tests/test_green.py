@@ -14,7 +14,8 @@ import pytest
 
 from types import SimpleNamespace
 
-from bo_halfline.green import (FRESNEL_BLOCK_ROWS, RAY_THETA, EMinusLattice,
+from bo_halfline.green import (FRESNEL_BLOCK_ROWS, P_MAX, P_MIN, R_MAX, R_MIN,
+                               RAY_THETA, TAIL_R_MAX, EMinusLattice,
                                FieldAssembly, GreenGrids, GreenOperator,
                                RayLayout, e_minus_weights, fresnel_table,
                                fresnel_weights)
@@ -159,6 +160,16 @@ def test_row_chunks_are_rows_of_the_whole_layout():
                         dtype=complex)
         layout.fill_tail(lam, part, rows)
         assert np.array_equal(part, tail[:, rows])
+
+
+@pytest.mark.parametrize("grids", [GreenGrids(), DUHAMEL_GRIDS],
+                         ids=["green", "duhamel"])
+def test_first_p_node_is_in_the_corner(grids):
+    # the corner model is fitted on the columns with p sqrt(r) <= 0.1 at the
+    # largest ray node; the first p node is one of them in every layout
+    assert P_MIN * math.sqrt(R_MAX) <= 0.1
+    layout = RayLayout(grids)
+    assert layout.corner[1][0, 0] == 0
 
 
 @pytest.mark.parametrize("grids", [GreenGrids(), DUHAMEL_GRIDS],
@@ -403,6 +414,5 @@ class TestAssembledMap:
         assert np.array_equal(got, GreenOperator(sym, data_psi).apply(x, 0.3, (0, 1)))
 
     def test_grid_defaults_are_consistent(self):
-        g = GreenGrids()
-        assert g.p_min < 1.0 < g.p_max
-        assert g.r_min < 1.0 < g.r_max < g.tail_r_max
+        assert P_MIN < 1.0 < P_MAX
+        assert R_MIN < 1.0 < R_MAX < TAIL_R_MAX

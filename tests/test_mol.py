@@ -267,12 +267,12 @@ class TestCertificates:
         assert mol.step_doubling_error(0.5) < 2e-2
 
     def test_step_doubling_certifies_neither_run(self, cfg, monkeypatch):
-        # the figure is exactly the end-state gap of two plain runs, and it
-        # pays for no spectral radius
+        # the figure is exactly the end-state gap of the plain run and one at
+        # half its step, and it pays for no spectral radius
         small = MethodOfLines(cfg, mol_n=128)
         save = np.array([0.0, 0.5])
-        coarse = small.run(0.5, cfg.mol_dt, save).values[-1]
-        fine = small.run(0.5, cfg.mol_dt / 2.0, save).values[-1]
+        coarse = small.run(0.5, save).values[-1]
+        fine = small._march(0.5, cfg.mol_dt / 2.0, save)[0].values[-1]
         expected = float(np.linalg.norm(fine - coarse)
                          / max(np.linalg.norm(fine), 1.0e-30))
 
@@ -420,7 +420,7 @@ class TestSaveTimes:
     @pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan")])
     def test_nonpositive_dt_rejected(self, mol, dt):
         with pytest.raises(ValueError, match="dt must be positive"):
-            mol.run(0.25, dt=dt)
+            mol._march(0.25, dt, None)
         with pytest.raises(ValueError, match="dt must be positive"):
             mol.step_matrix(dt)
 

@@ -12,6 +12,11 @@ deleted or justified in the same change.  Attribute loads are matched
 without their object, so a member that shares its name with an attribute
 read elsewhere (``apply``, ``name``) counts as used: the guard finds dead
 names, it does not prove the others live.
+
+A dataclass field with a default must also be set by some call in the
+package, by position, by keyword or through ``**``; ``cls(...)`` in a
+method of the class is a call to it.  A default that no call overrides is
+a setting with one value, and belongs in a module constant.
 """
 
 import ast
@@ -78,7 +83,60 @@ def _unused_public_names() -> set[str]:
             if not name.rsplit(".", 1)[-1].startswith("_") and not is_read(name)}
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        func = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(func, "id", getattr(func, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _unset_defaulted_fields() -> set[str]:
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")]
+    fields: dict[str, list[str]] = {}     # class -> fields in order
+    defaulted: set[str] = set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields[node.name] = []
+                for sub in node.body:
+                    if (isinstance(sub, ast.AnnAssign)
+                            and isinstance(sub.target, ast.Name)):
+                        fields[node.name].append(sub.target.id)
+                        if sub.value is not None:
+                            defaulted.add(f"{node.name}.{sub.target.id}")
+    set_fields: set[str] = set()
+
+    def visit(node: ast.AST, owner: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "id", getattr(child.func, "attr", None))
+                name = owner if name == "cls" else name
+                if name in fields:
+                    order = fields[name]
+                    if (any(isinstance(a, ast.Starred) for a in child.args)
+                            or any(k.arg is None for k in child.keywords)):
+                        named = order
+                    else:
+                        named = order[:len(child.args)] \
+                            + [k.arg for k in child.keywords]
+                    set_fields.update(f"{name}.{f}" for f in named)
+            visit(child, owner)
+
+    for tree in trees:
+        visit(tree, None)
+    return defaulted - set_fields
+
+
 def test_unused_public_names_are_the_kept_ones():
     unused = _unused_public_names()
     assert sorted(unused - KEPT.keys()) == [], "delete these, or keep them with a reason"
     assert sorted(KEPT.keys() - unused) == [], "used now: drop them from KEPT"
+
+
+def test_every_defaulted_field_is_set_by_some_call():
+    assert sorted(_unset_defaulted_fields()) == [], \
+        "no call sets these: make them module constants"
