@@ -189,26 +189,31 @@ class BoundaryKernel:
                 out[i, k, ~wall] = vals
         return out.reshape(shape)
 
+    def spectral_kernel(self, h_hat) -> RayKernel:
+        """The spectral route's kernel on the Green layout, from the rows
+        f(p, s) = p Psi_B(s) h_hat(s p^2); its tail rows stay zero (the
+        corner model describes E-, not Psi_B h_hat).  It holds for data whose
+        transform h_hat(s p^2) is analytic on the swept sector arg s in
+        [pi/2, green.RAY_THETA]: the pole of ``ramp_exp`` at arg s = pi lies
+        outside."""
+
+        def rows_at(s_hat, moduli: np.ndarray, p: np.ndarray) -> np.ndarray:
+            psi = self.symbols.direction(s_hat).scalars(moduli)["psi_b"]
+            return p * psi[:, None] * h_hat((moduli * s_hat)[:, None] * (p * p))
+
+        return RayKernel(RayLayout(GreenGrids()), rows_at)
+
     def apply_spectral(self, h_hat, x: np.ndarray, t, deriv=0) -> np.ndarray:
         """Damped-ray spectral route at every time and order of a lattice
-        call; rows with t <= 0 are zero.  It holds for data whose transform
-        h_hat(s p^2) is analytic on the swept sector arg s in [pi/2,
-        green.RAY_THETA]: the pole of ``ramp_exp`` at arg s = pi lies outside.
+        call; rows with t <= 0 are zero.
 
         B(t)h(x) = (1/pi)(-1)^d int_0^infty e^{-p x} p^{1+d} Bker(p, t) dp with
         Bker(p,t) = Im[e^{i p^2 t} Psi_B(i) h_hat(i p^2)]
                   + (1/pi) Im int e^{s p^2 t} Psi_B(s) h_hat(s p^2)/(1+s^2) ds:
-        minus the Green field of the rows p Bker on the Green layout, whose
-        tail rows stay zero (the corner model describes E-, not Psi_B h_hat)."""
+        minus the Green field of the rows p Bker (``spectral_kernel``)."""
         x, times, orders, shape = lattice_args(x, t, deriv)
         out = np.zeros((orders.size, times.size, x.size))
         live = times > 0.0
         if live.any():
-            layout = RayLayout(GreenGrids())
-            p, ray, n = layout.p_nodes, layout.ray, layout.n_ray
-            psi_ray = self.symbols.direction(ray.phase).scalars(ray.r[:n])["psi_b"]
-            rows = np.zeros((ray.s.size, p.size), dtype=complex)
-            rows[:n] = p * psi_ray[:, None] * h_hat(ray.s[:n, None] * (p * p))
-            kernel = RayKernel(layout, rows, p * self.psi_unit * h_hat(1j * (p * p)))
-            out[:, live] = -kernel.field(x, times[live], orders)
+            out[:, live] = -self.spectral_kernel(h_hat).field(x, times[live], orders)
         return out.reshape(shape)

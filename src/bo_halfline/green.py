@@ -183,13 +183,18 @@ class RayLayout:
 
 
 class RayKernel:
-    """K(p, t) and its field from t-independent samples f(p, s): ``rows`` on
-    the ray and tail of ``layout``, ``row_brk`` at s = i.  f = E- gives the
-    Green correction, f = p Psi_B(s) h_hat(s p^2) the boundary spectral route."""
+    """K(p, t) and its field from t-independent samples of the row function
+    ``rows_at(s_hat, moduli, p)``, f(p, s) at s = s_hat moduli with shape
+    (moduli, p): ``rows`` on the ray rows of ``layout`` (its tail rows left
+    zero) and ``row_brk`` at s = i.  f = E- gives the Green correction,
+    f = p Psi_B(s) h_hat(s p^2) the boundary spectral route."""
 
-    def __init__(self, layout: RayLayout, rows: np.ndarray, row_brk: np.ndarray):
-        self.layout, self.p_nodes = layout, layout.p_nodes
-        self.rows, self.row_brk = rows, row_brk
+    def __init__(self, layout: RayLayout, rows_at):
+        self.layout, self.p_nodes, self.rows_at = layout, layout.p_nodes, rows_at
+        p, n = layout.p_nodes, layout.n_ray
+        self.rows = np.zeros((layout.ray.s.size, p.size), dtype=complex)
+        self.rows[:n] = rows_at(layout.ray.phase, layout.ray.r[:n], p)
+        self.row_brk = rows_at(1j, np.array([1.0]), p)[0]
 
     def bracket(self, t, cols=slice(None)) -> np.ndarray:
         """Residue bracket Im[e^{i p^2 t} f(p, i)] on the p node columns cols."""
@@ -217,92 +222,20 @@ class RayKernel:
         assembly = FieldAssembly(x, self.p_nodes)
         return np.stack([assembly(d, k_smooth, w_brk, k0) for d in orders])
 
-
-class EMinusLattice(RayKernel):
-    """E-(p, s) tabulated on the rotated ray (plus s = i) for one datum.
-
-    psi_hat is the Laplace transform of the datum, callable on complex arrays
-    with Re z >= 0.  The lattice is profile-specific but t-independent.
-
-    The rows fold the axis integral onto its upper half, which needs two
-    things: a real datum, so that psi_hat(conj z) = conj psi_hat(z), and an
-    axis whose nodes and weights pair exactly about 0 (``GreenGrids.axis``
-    via ``axis_nodes``).  Every shipped profile is real.
-    """
-
-    def __init__(self, symbols: Symbols, psi_hat, grids: GreenGrids):
-        self.symbols, self.psi_hat, self.grids = symbols, psi_hat, grids
-        layout = RayLayout(grids)
-        p = layout.p_nodes
-        rows = np.empty((layout.ray.s.size, p.size), dtype=complex)
-        self.E_ray = rows[:layout.n_ray]
-        self._rows(symbols.direction(layout.ray.phase), grids.ray[0], p,
-                   out=self.E_ray)
-        brk = self._rows(symbols.direction(1j), np.array([1.0]), p)[0]
-        corner = self.E_ray[layout.corner].ravel()
-        lam = layout.fit_corner(corner)
-        layout.fill_tail(lam, rows[layout.n_ray:])
-        super().__init__(layout, rows, brk)
-        scale = float(np.max(np.abs(corner)))
-        gap = float(np.max(np.abs(corner - layout.corner_basis @ lam)))
-        self.tail_fit_residual = gap / scale if scale else 0.0
-
-    def _rows(self, cache: DirectionCache, mod_s: np.ndarray, p: np.ndarray,
-              out: np.ndarray | None = None) -> np.ndarray:
-        """E- rows (n_s, n_p) at the moduli mod_s, written into ``out`` when
-        it is given.
-
-        The axis pairs its nodes exactly, v[:n] = -v[n:][::-1] with mirrored
-        weights, and the datum is real, so psi_hat(m v_lower) is the reversed
-        conj psi_hat(m v_upper) (m > 0): psi_hat is evaluated on the upper
-        half only and the lower weights are contracted against its conjugate.
-        The moduli are independent rows, split by ``for_each_row``; the
-        contractions are ``np.einsum`` sums, not BLAS products."""
-        v, wv = self.grids.axis
-        n = v.size // 2
-        w, root = e_minus_weights(cache, mod_s[:, None], v, wv)
-        w_up = w[:, n:]
-        w_lo = np.conj(w[:, n - 1::-1])
-        if out is None:
-            out = np.empty((mod_s.size, p.size), dtype=complex)
-
-        def fill(i: int) -> None:
-            m = p * math.sqrt(mod_s[i])
-            psi_up = self.psi_hat(m[:, None] * v[None, n:])
-            out[i] = np.einsum("pq,q->p", psi_up, w_up[i]) \
-                + np.conj(np.einsum("pq,q->p", psi_up, w_lo[i])) \
-                - root[i, 0] * self.psi_hat(cache.phi_hat * m)
-
-        for_each_row(mod_s.size, fill)
-        return out
-
-    @cached_property
-    def kernel_zero_defect(self) -> np.ndarray:
-        """Assembled kernel at t = 0 — a pure diagnostic.
-
-        In the continuum the zero-time propagator is the identity and the
-        free part already reproduces the data, so this is identically zero;
-        on the lattice it measures the contour-closure defect of the E-layer
-        (the bracket row does not cancel the ray integral pointwise).  It is
-        reported, not subtracted: the defect's time carrier is unknown, and a
-        frozen subtraction merely trades the far-field error at early times
-        for an equally large wall-trace error at late times."""
-        return self.kernel(0.0)
-
     def kernel_axis_reference(self, t: float, p_values: np.ndarray,
                               bracket_coefficient: complex = 0.25 / 1j) -> np.ndarray:
         """Independent principal-value route on the (undeformed) imaginary axis.
 
-        K = (1/pi) Re PV int_0^infty e^{i y p^2 t} E-(p, iy)/(1-y^2) dy plus
+        K = (1/pi) Re PV int_0^infty e^{i y p^2 t} f(p, iy)/(1-y^2) dy plus
         the half-residue bracket at s = +-i; the pole at y = 1 is handled by
-        symmetric pairing.  Slow; cross-checks the rotated-ray assembly.  A
-        bracket_coefficient of 0.5/i (full residues with the principal value)
-        is the negative control."""
+        symmetric pairing.  Slow; cross-checks the rotated-ray assembly, and
+        holds at any real t.  A bracket_coefficient of 0.5/i (full residues
+        with the principal value) is the negative control."""
         p_values = np.asarray(p_values, dtype=float)
         u, wu = log_graded_nodes(1.0e-7, 1.0 - 1.0e-9, 32)
         y_hi, wy_hi = log_graded_nodes(2.0, 1.0e6, 32)
         y_all = np.concatenate([1.0 - u, 1.0 + u, y_hi, [1.0]])
-        rows = self._rows(self.symbols.direction(1j), y_all, p_values)
+        rows = self.rows_at(1j, y_all, p_values)
         n = u.size
         g_lo, g_hi, g_far, e_brk = rows[:n], rows[n:2 * n], rows[2 * n:-1], rows[-1]
         p2t = p_values**2 * t
@@ -317,6 +250,67 @@ class EMinusLattice(RayKernel):
         axis = np.real(pv + far) / np.pi
         bracket = 2.0 * np.real(bracket_coefficient * np.exp(1j * p2t) * e_brk)
         return axis + bracket
+
+
+def e_minus_rows(cache: DirectionCache, psi_hat, axis, mod_s: np.ndarray,
+                 p: np.ndarray) -> np.ndarray:
+    """E- rows (n_s, n_p) of psi_hat at s = s_hat mod_s (s_hat the direction
+    of ``cache``) on the imaginary axis nodes and weights ``axis`` = (v, wv).
+
+    The axis pairs its nodes exactly, v[:n] = -v[n:][::-1] with mirrored
+    weights, and the datum is real, so psi_hat(m v_lower) is the reversed
+    conj psi_hat(m v_upper) (m > 0): psi_hat is evaluated on the upper
+    half only and the lower weights are contracted against its conjugate.
+    The moduli are independent rows, split by ``for_each_row``; the
+    contractions are ``np.einsum`` sums, not BLAS products."""
+    v, wv = axis
+    n = v.size // 2
+    w, root = e_minus_weights(cache, mod_s[:, None], v, wv)
+    w_up = w[:, n:]
+    w_lo = np.conj(w[:, n - 1::-1])
+    out = np.empty((mod_s.size, p.size), dtype=complex)
+
+    def fill(i: int) -> None:
+        m = p * math.sqrt(mod_s[i])
+        psi_up = psi_hat(m[:, None] * v[None, n:])
+        out[i] = np.einsum("pq,q->p", psi_up, w_up[i]) \
+            + np.conj(np.einsum("pq,q->p", psi_up, w_lo[i])) \
+            - root[i, 0] * psi_hat(cache.phi_hat * m)
+
+    for_each_row(mod_s.size, fill)
+    return out
+
+
+class EMinusLattice(RayKernel):
+    """E-(p, s) tabulated on the rotated ray (plus s = i) for one datum.
+
+    psi_hat is the Laplace transform of the datum, callable on complex arrays
+    with Re z >= 0.  The lattice is profile-specific but t-independent.  Its
+    tail rows are the corner model fitted to the ray rows, written in place;
+    ``tail_fit_residual`` is the fit's largest gap on the corner relative to
+    the corner's largest sample.
+
+    The rows fold the axis integral onto its upper half, which needs two
+    things: a real datum, so that psi_hat(conj z) = conj psi_hat(z), and an
+    axis whose nodes and weights pair exactly about 0 (``GreenGrids.axis``
+    via ``axis_nodes``).  Every shipped profile is real.
+
+    ``kernel(0.0)``, zero in the continuum, is the contour-closure defect
+    of the E-layer.  It is not subtracted: its time carrier is unknown, and
+    a frozen subtraction trades the far-field error at early times for an
+    equally large wall-trace error at late times.
+    """
+
+    def __init__(self, symbols: Symbols, psi_hat, grids: GreenGrids):
+        super().__init__(RayLayout(grids), lambda s_hat, mod_s, p: e_minus_rows(
+            symbols.direction(s_hat), psi_hat, grids.axis, mod_s, p))
+        layout = self.layout
+        corner = self.rows[layout.corner].ravel()
+        lam = layout.fit_corner(corner)
+        layout.fill_tail(lam, self.rows[layout.n_ray:])
+        scale = float(np.max(np.abs(corner)))
+        gap = float(np.max(np.abs(corner - layout.corner_basis @ lam)))
+        self.tail_fit_residual = gap / scale if scale else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -44,8 +44,8 @@ from .symbols import Symbols
 class TimeGrid:
     """Geometric nodes up to the switch time, uniform afterwards.
 
-    Node 0 is exactly t = 0; trapezoid weights over the leading k+1 nodes
-    discretize int_0^{t_k}.
+    Node 0 is exactly t = 0; ``weights`` are the trapezoid weights on every
+    node, and weights[:k] those of the nodes l < k on nodes 0..k.
     """
 
     def __init__(self, t_final: float, t_switch: float, n_geometric: int,
@@ -59,10 +59,7 @@ class TimeGrid:
             parts.append(np.linspace(t_switch, t_final, n_uniform + 1)[1:])
         self.nodes = np.concatenate(parts)
         self.n = self.nodes.size
-
-    def weights_upto(self, k: int) -> np.ndarray:
-        """Trapezoid weights for int_0^{t_k} on nodes 0..k."""
-        return trapezoid_weights(self.nodes[:k + 1])
+        self.weights = trapezoid_weights(self.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +82,25 @@ class XNorm:
 
 # ---------------------------------------------------------------------------
 # the amortized propagator
+
+
+def damped_sums(nodes: np.ndarray, w: np.ndarray, e: np.ndarray, damping):
+    """Yields k and A_k = D(h_{k-1}) (A_{k-1} + w_{k-1} e_{k-1}) for k = 1 to
+    n - 1, A_0 = 0, h_k = t_{k+1} - t_k: the memory sum sum_{l<k} w_l e_l
+    D(t_k - t_l) of samples e (n, ...) on the nodes t, for a factor with
+    D(a + b) = D(a) D(b).  D = damping(h) is evaluated once per run of equal
+    steps.  A_k is one buffer, overwritten by the next step."""
+    acc = np.zeros(e.shape[1:], dtype=complex)
+    h = damp = None
+    for k in range(1, nodes.size):
+        if nodes[k] - nodes[k - 1] != h:
+            h = nodes[k] - nodes[k - 1]
+            damp = damping(h)
+        # explicit operand order, so a row rounds the same in any chunk:
+        # see RayKernel.smooth_kernel
+        acc += w[k - 1] * e[k - 1]
+        np.multiply(acc, damp, out=acc)
+        yield k, acc
 
 
 @dataclass
@@ -163,8 +179,8 @@ class DuhamelPropagator:
         A_k = sum_{l<k} W_l E_l e^{s p^2 (t_k - t_l)}
             = e^{s p^2 h_{k-1}} (A_{k-1} + W_{k-1} E_{k-1}),   A_0 = 0,
 
-    exactly; the p_0 bracket sum follows the same recurrence with
-    e^{i p_0^2 h}.  It is stable because s = r e^{i RAY_THETA} gives
+    exactly (``damped_sums``); the p_0 bracket sum runs the same recurrence
+    with e^{i p_0^2 h}.  It is stable because s = r e^{i RAY_THETA} gives
     Re(s p^2) <= 0: every factor has modulus <= 1, so round-off is never
     amplified.  The split e^{s p^2 t_k} e^{-s p^2 t_l} would overflow.  The
     factor e^{s p^2 h} of a chunk of rows is evaluated (RayLayout.damping)
@@ -354,38 +370,17 @@ class DuhamelPropagator:
         kernel lattice rows at a time."""
         nodes = self.times.nodes
         nt = nodes.size
-        steps = np.diff(nodes)
         layout = self.layout
         n_p = layout.p_nodes.size
         n_ray, n_rows = layout.n_ray, layout.ray.s.size
         chunk = SWEEP_CHUNK_RAYS
         # W_l for every l < k, whatever k (the last weight is never used)
-        w = self.times.weights_upto(nt - 1)
+        w = self.times.weights
         # sum over the rays of coef A_k, one partial sum per chunk; row 0 is
         # A_0 = 0: the l == k slice is the correction at zero gap,
         # identically zero by the t -> 0 identity of the propagator, and
         # only the free part keeps that endpoint
         ray_sum = np.zeros((nt, n_p), dtype=complex)
-
-        def fold(rows: slice, e: np.ndarray) -> None:
-            """Adds coef A_k of the layout rows ``rows``, whose kernel
-            lattice rows are e (nt, rows, n_p), to ray_sum."""
-            coef = layout.ray.coef[rows]
-            acc = np.zeros(e.shape[1:], dtype=complex)
-            hstep = damp = None
-            for k in range(1, nt):
-                if steps[k - 1] != hstep:       # once per run of equal steps
-                    hstep = steps[k - 1]
-                    damp = layout.damping(hstep, rows)
-                # explicit operand order, so a row rounds the same in any
-                # chunk: see RayKernel.smooth_kernel
-                acc += w[k - 1] * e[k - 1]
-                np.multiply(acc, damp, out=acc)
-                ray_sum[k] += coef @ acc
-
-        def by_node(prod: np.ndarray) -> np.ndarray:
-            """(n_rays*n_p, nt) product as an (nt, n_rays, n_p) view."""
-            return np.moveaxis(prod.reshape(-1, n_p, nt), -1, 0)
 
         # the tail's corner model, fitted up front to the corner rows of the
         # fused map's product, bitwise those rows of the chunk products
@@ -393,33 +388,37 @@ class DuhamelPropagator:
         corner_rays, corner_p = layout.corner
         corner = (self._m_ray[(corner_rays * n_p + corner_p).ravel()] @ fc_t).T
         lam = layout.fit_corner(corner.astype(complex, order="C"))
-        # ray rows: one complex64 product of the fused map over a chunk of
-        # rays, cast once into the chunk buffer; then the tail rows, so the
-        # ray sum adds its partial sums in layout order
+        # the chunks of the ray rows, then of the tail rows, so the ray sum
+        # adds its partial sums in layout order.  A ray chunk is one
+        # complex64 product of the fused map, cast once into the chunk
+        # buffer; a tail chunk is the corner model's rows
         buf = np.empty((nt, min(chunk, n_rows), n_p), dtype=complex)
-        for lo in range(0, n_ray, chunk):
-            rays = slice(lo, min(lo + chunk, n_ray))
-            e = buf[:, :rays.stop - lo]
-            e[...] = by_node(self._m_ray[lo * n_p:rays.stop * n_p] @ fc_t)
-            fold(rays, e)
-        for lo in range(n_ray, n_rows, chunk):
-            rows = slice(lo, min(lo + chunk, n_rows))
-            e = buf[:, :rows.stop - lo]
-            layout.fill_tail(lam, e, slice(lo - n_ray, rows.stop - n_ray))
-            fold(rows, e)
+        for lo in [*range(0, n_ray, chunk), *range(n_ray, n_rows, chunk)]:
+            hi = min(lo + chunk, n_ray if lo < n_ray else n_rows)
+            e = buf[:, :hi - lo]
+            if lo < n_ray:
+                # the (rays * n_p, nt) product, read as (nt, rays, n_p), and
+                # freed before the chunk's recurrence
+                e[...] = np.moveaxis((self._m_ray[lo * n_p:hi * n_p] @ fc_t)
+                                     .reshape(-1, n_p, nt), -1, 0)
+            else:
+                layout.fill_tail(lam, e, slice(lo - n_ray, hi - n_ray))
+            rows = slice(lo, hi)
+            coef = layout.ray.coef[rows]
+            for k, acc in damped_sums(nodes, w, e,
+                                      lambda h: layout.damping(h, rows)):
+                ray_sum[k] += coef @ acc
         k_smooth = np.imag(ray_sum) / math.pi
 
         p0sq = layout.p_nodes[0] ** 2
+        k0 = k_smooth[:, 0].copy()
+        for k, acc in damped_sums(nodes, w, lat.e_brk[:, 0],
+                                  lambda h: np.exp(1j * p0sq * h)):
+            k0[k] += np.imag(acc)
         w_e_brk = w[:, None] * lat.e_brk
-        k0_brk = 0.0j
         w_brk = np.empty((nt, n_p), dtype=complex)
-        k0 = np.empty(nt)
         for k in range(nt):
-            if k > 0:
-                k0_brk = np.exp(1j * p0sq * steps[k - 1]) \
-                    * (k0_brk + w_e_brk[k - 1, 0])
             w_brk[k] = np.sum(w_e_brk[:k] * self._fw[self._fw_of[k, :k]], axis=0)
-            k0[k] = k_smooth[k, 0] + np.imag(k0_brk)
         return tuple(lat.free[d] + self.field(d, k_smooth, w_brk, k0)
                      for d in (0, 1))
 

@@ -12,13 +12,11 @@ import threading
 import numpy as np
 import pytest
 
-from types import SimpleNamespace
-
 from bo_halfline.green import (FRESNEL_BLOCK_ROWS, P_MAX, P_MIN, R_MAX, R_MIN,
                                RAY_THETA, TAIL_R_MAX, EMinusLattice,
                                FieldAssembly, GreenGrids, GreenOperator,
-                               RayLayout, e_minus_weights, fresnel_table,
-                               fresnel_weights)
+                               RayLayout, e_minus_rows, e_minus_weights,
+                               fresnel_table, fresnel_weights)
 from bo_halfline.halfline import EXP_UNDERFLOW, HalfLineGrid, make_profile
 from bo_halfline.solver import DUHAMEL_GRIDS, TimeGrid
 
@@ -76,11 +74,10 @@ def test_folded_rows_match_full_axis_sum(sym, name):
     psi_hat = make_profile(name, 1.0).hat
     p = grids.p_nodes
     mod_s = grids.ray[0][::40]
-    holder = SimpleNamespace(grids=grids, psi_hat=psi_hat)
     v, wv = grids.axis
     for s_hat in (np.exp(1j * RAY_THETA), 1j):
         cache = sym.direction(s_hat)
-        got = EMinusLattice._rows(holder, cache, mod_s, p)
+        got = e_minus_rows(cache, psi_hat, grids.axis, mod_s, p)
         w, root = e_minus_weights(cache, mod_s[:, None], v, wv)
         for i, ms in enumerate(mod_s):
             m = p * math.sqrt(ms)
@@ -92,14 +89,14 @@ def test_folded_rows_match_full_axis_sum(sym, name):
 @pytest.mark.parametrize("workers", [2, 3, 7])
 def test_e_minus_rows_bitwise_for_any_worker_count(sym, set_workers, workers):
     grids = GreenGrids()
-    holder = SimpleNamespace(grids=grids,
-                             psi_hat=make_profile("gauss_bump", 1.0).hat)
+    psi_hat = make_profile("gauss_bump", 1.0).hat
     cache = sym.direction(np.exp(1j * RAY_THETA))
     mod_s, p = grids.ray[0][::12], grids.p_nodes
     set_workers(1)
-    want = EMinusLattice._rows(holder, cache, mod_s, p)
+    want = e_minus_rows(cache, psi_hat, grids.axis, mod_s, p)
     set_workers(workers)
-    assert np.array_equal(EMinusLattice._rows(holder, cache, mod_s, p), want)
+    assert np.array_equal(e_minus_rows(cache, psi_hat, grids.axis, mod_s, p),
+                          want)
 
 
 def test_e_minus_rows_raise_a_worker_error(sym, set_workers):
@@ -117,31 +114,38 @@ def test_e_minus_rows_raise_a_worker_error(sym, set_workers):
     mod_s, p = grids.ray[0][::24], grids.p_nodes
     set_workers(2)
     with pytest.raises(FloatingPointError, match="on a worker"):
-        EMinusLattice._rows(SimpleNamespace(grids=grids, psi_hat=failing),
-                            cache, mod_s, p)
-    holder = SimpleNamespace(grids=grids, psi_hat=psi_hat)
-    got = EMinusLattice._rows(holder, cache, mod_s, p)
+        e_minus_rows(cache, failing, grids.axis, mod_s, p)
+    got = e_minus_rows(cache, psi_hat, grids.axis, mod_s, p)
     set_workers(1)
-    assert np.array_equal(got, EMinusLattice._rows(holder, cache, mod_s, p))
+    assert np.array_equal(got, e_minus_rows(cache, psi_hat, grids.axis, mod_s, p))
 
 
 def test_tail_rows_filled_in_place(green_op):
-    # the ray rows are a view of the full rows, and the in-place tail fit
-    # gives bitwise the corner-model rows once concatenated onto them
+    # the in-place tail fit gives bitwise the corner-model rows once
+    # concatenated onto the ray rows
     lat = green_op.lattice
     layout = lat.layout
     assert lat.rows.shape == (layout.ray.s.size, lat.p_nodes.size)
-    assert np.shares_memory(lat.E_ray, lat.rows)
-    assert np.array_equal(lat.E_ray, lat.rows[:layout.n_ray])
-    lam = lat.E_ray[layout.corner].reshape(-1) @ layout._pinv.T
+    ray_rows = lat.rows[:layout.n_ray]
+    lam = ray_rows[layout.corner].reshape(-1) @ layout._pinv.T
     tail = lam[0, None, None] * layout._tail_b1 + lam[1, None, None] * layout._tail_b0
-    want = np.concatenate([np.array(lat.E_ray), tail], axis=0)
+    want = np.concatenate([np.array(ray_rows), tail], axis=0)
     assert np.array_equal(lat.rows, want)
     # a second fit on the filled rows' corner rewrites the same tail
     again = np.array(lat.rows)
     assert np.array_equal(layout.fit_corner(again[layout.corner].ravel()), lam)
     layout.fill_tail(lam, again[layout.n_ray:])
     assert np.array_equal(again, want)
+
+
+@pytest.mark.parametrize("name, residual", [("gauss_bump", 5.80e-3),
+                                            ("poly_exp", 1.31e-2)])
+def test_tail_fit_residual_pinned(sym, name, residual):
+    # the corner model's largest gap on the corner, relative to the corner's
+    # largest sample, at data_scale 0.1 on the Green layout: a finding, not
+    # a bound
+    lat = EMinusLattice(sym, make_profile(name, 0.1).hat, GreenGrids())
+    assert lat.tail_fit_residual == pytest.approx(residual, rel=1e-2)
 
 
 def test_row_chunks_are_rows_of_the_whole_layout():
@@ -249,7 +253,7 @@ class TestKernel:
         assert np.max(np.abs(k_lat - k_ctl)) / scale > 0.1
 
     def test_zero_time_defect_is_finite_diagnostic(self, green_op):
-        kzd = green_op.lattice.kernel_zero_defect
+        kzd = green_op.lattice.kernel(0.0)
         assert np.all(np.isfinite(kzd))
         # Pinned size (datum at amplitude 0.1): the defect is O(1) per unit
         # datum, not machine-zero — the lattice E-layer does not close the

@@ -17,7 +17,8 @@ from bo_halfline.boundary import BoundaryKernel
 from bo_halfline.config import ConfigError
 from bo_halfline.green import GreenOperator, fresnel_weights
 from bo_halfline.halfline import (HalfLineGrid, RampExp, cpu_workers,
-                                  laplace_matrix, make_profile, node_index)
+                                  laplace_matrix, make_profile, node_index,
+                                  trapezoid_weights)
 from bo_halfline import solver
 from bo_halfline.solver import (SWEEP_CHUNK_RAYS, DuhamelPropagator, TimeGrid,
                                 XNorm, advective_forcing, cross_validate,
@@ -56,10 +57,13 @@ class TestTimeGrid:
     def test_quadrature_weights_integrate_one(self):
         tg = TimeGrid(2.0, 1.0, 64, 64)
         for k in (1, 10, 64, 128):
-            w = tg.weights_upto(k)
+            w = trapezoid_weights(tg.nodes[:k + 1])
             assert w.size == k + 1
             assert np.sum(w) == pytest.approx(tg.nodes[k], rel=1e-13)
-        assert np.array_equal(tg.weights_upto(0), np.zeros(1))
+            # W_l does not depend on k for l < k
+            assert np.array_equal(w[:k], tg.weights[:k])
+        assert np.array_equal(tg.weights, trapezoid_weights(tg.nodes))
+        assert np.array_equal(trapezoid_weights(tg.nodes[:1]), np.zeros(1))
 
     def test_degenerate_switch_collapses_to_geometric(self):
         tg = TimeGrid(1.0, 2.0, 16, 16)  # switch beyond final
@@ -294,8 +298,8 @@ def _memory_sum_double_loop(prop, lat, e_full):
     times, layout = prop.times, prop.layout
     nodes, p = times.nodes, layout.p_nodes
     out = np.zeros((2, times.n, prop.half.nodes.size))
+    w = times.weights
     for k in range(times.n):
-        w = times.weights_upto(k)
         acc = np.zeros_like(layout.sp2)
         w_brk = np.zeros(p.size, dtype=complex)
         k0_brk = 0.0j
@@ -331,7 +335,7 @@ def _accumulate_with_table(prop, lat, e_full):
     nt, n_p = nodes.size, layout.p_nodes.size
     steps, step_of = np.unique(np.diff(nodes), return_inverse=True)
     table = np.stack([layout.damping(h) for h in steps])
-    w = prop.times.weights_upto(nt - 1)
+    w = prop.times.weights
     w_e_brk = w[:, None] * lat.e_brk
     acc = np.zeros_like(layout.sp2)
     ray_sum = np.zeros((nt, n_p), dtype=complex)

@@ -17,6 +17,10 @@ A dataclass field with a default must also be set by some call in the
 package, by position, by keyword or through ``**``; ``cls(...)`` in a
 method of the class is a call to it.  A default that no call overrides is
 a setting with one value, and belongs in a module constant.
+
+A ``KEPT`` name must in turn be read by some file under ``tests/`` or
+``benchmark/`` (matched as above, by an attribute load or a bare name): a
+name that nothing at all reads is not kept, whatever its reason.
 """
 
 import ast
@@ -25,19 +29,19 @@ from pathlib import Path
 import bo_halfline
 
 SRC = Path(bo_halfline.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parent.parent
 
 _ORACLE = "named oracle: an independent route that tests check production against"
 _HEALTH = "health row to come (ROADMAP item 8)"
 _BENCH = "read by benchmark/"
 
 KEPT = {
-    "EMinusLattice.kernel_axis_reference": _ORACLE,
+    "RayKernel.kernel_axis_reference": _ORACLE,
     "BoundaryKernel.apply_spectral": _ORACLE,
     "Symbols.e_minus": _ORACLE,
     "Symbols.psi_boundary": _ORACLE,
     "Symbols.y_plus": _ORACLE,
     "pv_matrix": _ORACLE,
-    "EMinusLattice.kernel_zero_defect": _HEALTH,
     "MethodOfLines.hilbert_fft_crosscheck": _HEALTH,
     "MethodOfLines.step_doubling_error": _HEALTH,
     "EMinusLattice.tail_fit_residual": _HEALTH,
@@ -131,6 +135,17 @@ def _unset_defaulted_fields() -> set[str]:
     return defaulted - set_fields
 
 
+def _names_read_by_tests_and_benchmark() -> set[str]:
+    names: set[str] = set()
+    for path in [*(ROOT / "tests").rglob("*.py"), *(ROOT / "benchmark").rglob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+    return names
+
+
 def test_unused_public_names_are_the_kept_ones():
     unused = _unused_public_names()
     assert sorted(unused - KEPT.keys()) == [], "delete these, or keep them with a reason"
@@ -140,3 +155,9 @@ def test_unused_public_names_are_the_kept_ones():
 def test_every_defaulted_field_is_set_by_some_call():
     assert sorted(_unset_defaulted_fields()) == [], \
         "no call sets these: make them module constants"
+
+
+def test_every_kept_name_is_read_by_a_test_or_the_benchmark():
+    read = _names_read_by_tests_and_benchmark()
+    assert sorted(n for n in KEPT if n.rsplit(".", 1)[-1] not in read) == [], \
+        "nothing reads these: delete them, or test them"
