@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 from scipy.special import wofz
 
 from .contour import DampedRay, log_graded_nodes
@@ -99,39 +99,51 @@ class BoundaryKernel:
         self.h_at_zero = float(h[0])
         self.hp_at_zero = float(hp[0])
         self._X_grid = X
-        # profile and slope tables on X > 0, indexed by derivative order
+        # profile and slope tables on X > 0, indexed by derivative order, and
+        # one piecewise cubic in log X whose columns are their splines
         self._tables = (h, hp)
-        self._splines = tuple(CubicSpline(np.log(X[1:]), v[1:]) for v in self._tables)
+        splines = [CubicSpline(np.log(X[1:]), v[1:]) for v in self._tables]
+        self._spline = PPoly(np.stack([sp.c for sp in splines], axis=-1),
+                             splines[0].x)
         # inverse-power tail fit over the last decade: hprofile ~ c1/X + c2/X^2
         tail = X >= self.X_MAX / 10.0
         basis = np.stack([1.0 / X[tail], 1.0 / X[tail] ** 2], axis=1)
         self._tail_h = np.linalg.lstsq(basis, h[tail], rcond=None)[0]
 
-    def profile(self, X, deriv: int = 0) -> np.ndarray:
-        """hprofile(X), or its slope for deriv=1: the shape of the kernel at
-        unit time scale."""
+    def profile(self, X, deriv=0) -> np.ndarray:
+        """hprofile(X) for order 0 and its slope for order 1: the shape of
+        the kernel at unit time scale, at every order of ``deriv``, shape
+        shape(deriv) + shape(X) (the ``lattice_args`` convention).  The
+        orders share one log, one mask and one interval search."""
         X = np.asarray(X, dtype=float)
-        out = np.empty(X.shape, dtype=float)
+        orders = np.atleast_1d(deriv)
+        out = np.empty(orders.shape + X.shape)
         lo = X < self.X_MIN
         hi = X > self.X_MAX
         mid = ~(lo | hi)
         c1, c2 = self._tail_h
         x_lo, x_hi = X[lo], X[hi]
-        if deriv == 0:
-            out[lo] = self.h_at_zero + self.hp_at_zero * x_lo
-            out[hi] = c1 / x_hi + c2 / x_hi ** 2
-        else:
-            out[lo] = self.hp_at_zero
-            out[hi] = -c1 / x_hi ** 2 - 2.0 * c2 / x_hi ** 3
-        out[mid] = self._splines[deriv](np.log(X[mid]))
-        return out
+        spline = self._spline(np.log(X[mid]))
+        for row, d in zip(out, orders):
+            if d == 0:
+                row[lo] = self.h_at_zero + self.hp_at_zero * x_lo
+                row[hi] = c1 / x_hi + c2 / x_hi ** 2
+            else:
+                row[lo] = self.hp_at_zero
+                row[hi] = -c1 / x_hi ** 2 - 2.0 * c2 / x_hi ** 3
+            row[mid] = spline[..., d]
+        return out.reshape(np.shape(deriv) + X.shape)
 
-    def kernel(self, x, sigma, deriv: int = 0) -> np.ndarray:
-        """H(x, sigma) or its x-derivative: sigma^{-1-d/2} h^{(d)}(x sigma^{-1/2});
-        x and sigma > 0 broadcast against each other."""
-        x = np.asarray(x, dtype=float)
+    def kernel(self, x, sigma, deriv=0) -> np.ndarray:
+        """H(x, sigma) or its x-derivative, sigma^{-1-d/2} h^{(d)}(x sigma^{-1/2}),
+        at every order d of ``deriv``: x and sigma > 0 broadcast against each
+        other, and the result is shape(deriv) + their shape."""
+        orders = np.atleast_1d(deriv)
         sigma = np.asarray(sigma, dtype=float)
-        return self.profile(x / np.sqrt(sigma), deriv) / sigma ** (1 + deriv / 2)
+        out = self.profile(np.asarray(x, dtype=float) / np.sqrt(sigma), orders)
+        for row, d in zip(out, orders.tolist()):
+            row /= sigma ** (1 + d / 2)
+        return out.reshape(np.shape(deriv) + out.shape[1:])
 
     # -- exact-rate norms ----------------------------------------------------
 
@@ -165,7 +177,8 @@ class BoundaryKernel:
                           deriv=0) -> np.ndarray:
         """Causal convolution int_0^t H(x, sigma) h(t - sigma) dsigma at every
         time and order of a lattice call (see ``lattice_args``); rows with
-        t <= 0 are zero.  Each time reads h once for all orders."""
+        t <= 0 are zero.  Each time reads h and evaluates the kernel once
+        for all orders."""
         x, times, orders, shape = lattice_args(x, t, deriv)
         out = np.zeros((orders.size, times.size, x.size))
         # x -> 0 limits: the Dirichlet trace for the value, zero for the
@@ -178,8 +191,9 @@ class BoundaryKernel:
             sig, wsig = times[k] * _UNIT_LAGS[0], times[k] * _UNIT_LAGS[1]
             h_end = float(np.asarray(h_callable(times[k:k + 1]), dtype=float)[0])
             hw = wsig * np.asarray(h_callable(times[k] - sig), dtype=float)
+            kern = self.kernel(xs[:, None], sig[None, :], orders)
             for i, d in enumerate(orders):
-                vals = self.kernel(xs[:, None], sig[None, :], d) @ hw
+                vals = kern[i] @ hw
                 # analytic head below the smallest sigma node, using the tail model
                 if d == 0:
                     out[i, k, wall] = trace * h_end

@@ -19,7 +19,11 @@ on the imaginary axis (half residues at +-i) is kept as an independent oracle.
 E- itself is evaluated through the scale-covariant split: all gamma_tilde
 data comes from per-direction caches, the modulus |s| enters only through
 m = p sqrt(|s|) and rho = sqrt(|s|), and the axis integral is one weight
-formula (e_minus_weights) on a fixed imaginary quadrature.  Beyond the
+formula (e_minus_weights).  The Green lattice takes it as a trapezoid rule
+in ln V whose step is the p lattice's own, so p V lies on one geometric
+lattice and each ray's row is a correlation of psi_hat samples on it
+(e_minus_rows, a discrete Mellin correlation); the Duhamel propagator keeps
+Gauss panels on its fixed z lattice (solver.DUHAMEL_GRIDS).  Beyond the
 tabulated |s| range the kernel uses the fitted asymptotic E- ~ lam1 p^{-1/2}
 s^{3/4} + lam0 s (RayLayout), and FieldAssembly turns kernel samples into the
 correction field; RayKernel holds K(p, t) and that map for the E- lattice and
@@ -33,6 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gamma as gamma_fn
 from scipy.special import gammainc, wofz
 
@@ -94,8 +99,26 @@ class GreenGrids:
 
     @cached_property
     def axis(self) -> tuple[np.ndarray, np.ndarray]:
-        """Upward imaginary-axis nodes iV and weights i dV."""
+        """Upward imaginary-axis nodes iV and weights i dV on Gauss panels
+        (the Duhamel propagator's fixed z lattice)."""
         return axis_nodes(0.0, self.axis_min, self.axis_max, AXIS_PPD)
+
+    @cached_property
+    def log_axis(self) -> tuple[np.ndarray, np.ndarray]:
+        """The trapezoid rule in ln V at the p lattice's step, for the E-
+        rows: upward nodes iV and weights i dV, V_q = axis_min rho^q from
+        axis_min to the first node at or past axis_max, rho the ratio of
+        p_nodes, weights V_q ln rho halved at both ends, paired exactly
+        about 0 like ``axis``."""
+        log_ratio = math.log(P_MAX / P_MIN) / (self.p_nodes.size - 1)
+        count = int(math.ceil(math.log(self.axis_max / self.axis_min)
+                              / log_ratio)) + 1
+        big_v = self.axis_min * np.exp(log_ratio * np.arange(count))
+        w = big_v * log_ratio
+        w[[0, -1]] *= 0.5
+        y = np.concatenate([-big_v[::-1], big_v])
+        wy = np.concatenate([w[::-1], w])
+        return 1j * y, 1j * wy
 
 
 def e_minus_weights(cache: DirectionCache, mod_s, v: np.ndarray,
@@ -222,60 +245,85 @@ class RayKernel:
         assembly = FieldAssembly(x, self.p_nodes)
         return np.stack([assembly(d, k_smooth, w_brk, k0) for d in orders])
 
-    def kernel_axis_reference(self, t: float, p_values: np.ndarray,
+    def kernel_axis_reference(self, t, p_values: np.ndarray,
                               bracket_coefficient: complex = 0.25 / 1j) -> np.ndarray:
-        """Independent principal-value route on the (undeformed) imaginary axis.
+        """Independent principal-value route on the (undeformed) imaginary axis,
+        shape(t) + shape(p_values).
 
         K = (1/pi) Re PV int_0^infty e^{i y p^2 t} f(p, iy)/(1-y^2) dy plus
         the half-residue bracket at s = +-i; the pole at y = 1 is handled by
-        symmetric pairing.  Slow; cross-checks the rotated-ray assembly, and
-        holds at any real t.  A bracket_coefficient of 0.5/i (full residues
-        with the principal value) is the negative control."""
+        symmetric pairing.  The rows f(p, iy) are evaluated once for every
+        time of t, and each time's kernel is bitwise its one-time call.
+        Slow; cross-checks the rotated-ray assembly, and holds at any real
+        t.  A bracket_coefficient of 0.5/i (full residues with the principal
+        value) is the negative control."""
         p_values = np.asarray(p_values, dtype=float)
+        times = np.atleast_1d(np.asarray(t, dtype=float))
         u, wu = log_graded_nodes(1.0e-7, 1.0 - 1.0e-9, 32)
         y_hi, wy_hi = log_graded_nodes(2.0, 1.0e6, 32)
         y_all = np.concatenate([1.0 - u, 1.0 + u, y_hi, [1.0]])
         rows = self.rows_at(1j, y_all, p_values)
         n = u.size
         g_lo, g_hi, g_far, e_brk = rows[:n], rows[n:2 * n], rows[2 * n:-1], rows[-1]
-        p2t = p_values**2 * t
 
-        def f(y_vals, e_rows):
+        def f(y_vals, e_rows, p2t):
             return np.exp(1j * y_vals[:, None] * p2t[None, :]) * e_rows \
                 / (1.0 + y_vals[:, None])
 
-        pv = np.sum(wu[:, None] * (f(1.0 - u, g_lo) - f(1.0 + u, g_hi)) / u[:, None],
-                    axis=0)
-        far = np.sum(wy_hi[:, None] * f(y_hi, g_far) / (1.0 - y_hi)[:, None], axis=0)
-        axis = np.real(pv + far) / np.pi
-        bracket = 2.0 * np.real(bracket_coefficient * np.exp(1j * p2t) * e_brk)
-        return axis + bracket
+        out = np.empty((times.size, p_values.size))
+        for k, tk in enumerate(times):
+            p2t = p_values**2 * tk
+            pv = np.sum(wu[:, None] * (f(1.0 - u, g_lo, p2t) - f(1.0 + u, g_hi, p2t))
+                        / u[:, None], axis=0)
+            far = np.sum(wy_hi[:, None] * f(y_hi, g_far, p2t)
+                         / (1.0 - y_hi)[:, None], axis=0)
+            bracket = 2.0 * np.real(bracket_coefficient * np.exp(1j * p2t) * e_brk)
+            out[k] = np.real(pv + far) / np.pi + bracket
+        return out.reshape(np.shape(t) + p_values.shape)
 
 
 def e_minus_rows(cache: DirectionCache, psi_hat, axis, mod_s: np.ndarray,
                  p: np.ndarray) -> np.ndarray:
     """E- rows (n_s, n_p) of psi_hat at s = s_hat mod_s (s_hat the direction
-    of ``cache``) on the imaginary axis nodes and weights ``axis`` = (v, wv).
+    of ``cache``) on the geometric imaginary axis ``axis`` = (v, wv) of
+    ``GreenGrids.log_axis``, for p on the lattice P_MIN rho^j of the axis's
+    own ratio rho.
 
     The axis pairs its nodes exactly, v[:n] = -v[n:][::-1] with mirrored
     weights, and the datum is real, so psi_hat(m v_lower) is the reversed
-    conj psi_hat(m v_upper) (m > 0): psi_hat is evaluated on the upper
-    half only and the lower weights are contracted against its conjugate.
-    The moduli are independent rows, split by ``for_each_row``; the
-    contractions are ``np.einsum`` sums, not BLAS products."""
+    conj psi_hat(m v_upper) (m > 0): only the upper half is sampled, and the
+    lower weights are contracted against the conjugate.  On the upper half
+    v_q = i V_0 rho^q, so p_j sqrt|s| v_q = i sqrt|s| P_MIN V_0 rho^{j+q}:
+    each row samples psi_hat on the n_p + n - 1 points of that one lattice
+    and is a correlation of those samples with the weights (a sliding window
+    contracted with them).  The moduli are independent rows, split by
+    ``for_each_row``; the contractions are ``np.einsum`` sums, not BLAS
+    products.  Raises ValueError for an axis that is not geometric or a p
+    off its lattice (so also for an axis whose ratio is not the p step)."""
     v, wv = axis
     n = v.size // 2
+    big_v = v[n:].imag
+    log_ratio = math.log(big_v[-1] / big_v[0]) / (n - 1)
+    if np.max(np.abs(np.log(big_v / big_v[0]) - log_ratio * np.arange(n))) > 1.0e-9:
+        raise ValueError("e_minus_rows needs a geometric axis (GreenGrids.log_axis)")
+    j = np.log(p / P_MIN) / log_ratio
+    lattice = np.rint(j).astype(int)
+    if np.any(np.abs(j - lattice) > 1.0e-6) or np.any(lattice < 0):
+        raise ValueError("e_minus_rows needs p on the lattice P_MIN rho^j of "
+                         "the axis ratio rho")
+    first = int(lattice.min())
+    ladder = np.exp(log_ratio * np.arange(first, lattice.max() + n))
     w, root = e_minus_weights(cache, mod_s[:, None], v, wv)
     w_up = w[:, n:]
     w_lo = np.conj(w[:, n - 1::-1])
     out = np.empty((mod_s.size, p.size), dtype=complex)
 
     def fill(i: int) -> None:
-        m = p * math.sqrt(mod_s[i])
-        psi_up = psi_hat(m[:, None] * v[None, n:])
-        out[i] = np.einsum("pq,q->p", psi_up, w_up[i]) \
-            + np.conj(np.einsum("pq,q->p", psi_up, w_lo[i])) \
-            - root[i, 0] * psi_hat(cache.phi_hat * m)
+        rs = math.sqrt(mod_s[i])
+        window = sliding_window_view(psi_hat(1j * (rs * P_MIN * big_v[0]) * ladder), n)
+        out[i] = (np.einsum("kq,q->k", window, w_up[i])
+                  + np.conj(np.einsum("kq,q->k", window, w_lo[i])))[lattice - first] \
+            - root[i, 0] * psi_hat(cache.phi_hat * (p * rs))
 
     for_each_row(mod_s.size, fill)
     return out
@@ -290,10 +338,11 @@ class EMinusLattice(RayKernel):
     ``tail_fit_residual`` is the fit's largest gap on the corner relative to
     the corner's largest sample.
 
-    The rows fold the axis integral onto its upper half, which needs two
-    things: a real datum, so that psi_hat(conj z) = conj psi_hat(z), and an
-    axis whose nodes and weights pair exactly about 0 (``GreenGrids.axis``
-    via ``axis_nodes``).  Every shipped profile is real.
+    The rows are correlations on the geometric axis ``GreenGrids.log_axis``
+    (see ``e_minus_rows``), so every p they are asked for, the p nodes and
+    any p of ``kernel_axis_reference``, lies on the p lattice.  They fold
+    the axis integral onto its upper half, which needs a real datum, so
+    that psi_hat(conj z) = conj psi_hat(z): every shipped profile is real.
 
     ``kernel(0.0)``, zero in the continuum, is the contour-closure defect
     of the E-layer.  It is not subtracted: its time carrier is unknown, and
@@ -303,7 +352,7 @@ class EMinusLattice(RayKernel):
 
     def __init__(self, symbols: Symbols, psi_hat, grids: GreenGrids):
         super().__init__(RayLayout(grids), lambda s_hat, mod_s, p: e_minus_rows(
-            symbols.direction(s_hat), psi_hat, grids.axis, mod_s, p))
+            symbols.direction(s_hat), psi_hat, grids.log_axis, mod_s, p))
         layout = self.layout
         corner = self.rows[layout.corner].ravel()
         lam = layout.fit_corner(corner)
@@ -481,7 +530,11 @@ class GreenOperator:
         x, times, orders, shape = lattice_args(x, t, deriv)
         x_need = float(np.max(x)) if x.size else 0.0
         self.whole_grid.check_transport(float(np.max(times)), x_need, self._xi_eff)
-        out = self.whole_grid.free_field(self._free_spectrum, times, x, orders)
+        spectra = np.broadcast_to(self._free_spectrum,
+                                  (times.size, self._free_spectrum.size))
+        phase = self.whole_grid.phase
+        out = self.whole_grid.free_field(
+            spectra, lambda k: np.exp(phase * times[k]), x, orders)
         return out.reshape(shape)
 
     def correction(self, x: np.ndarray, t, deriv=0) -> np.ndarray:

@@ -193,32 +193,40 @@ class WholeLineGrid:
         and, for even n, the Nyquist node."""
         return self.xi[:self.n // 2 + 1]
 
-    def free_field(self, spectra: np.ndarray, t: np.ndarray, x: np.ndarray,
+    @property
+    def phase(self) -> np.ndarray:
+        """-i xi|xi| on the half spectrum: the free group is e^{phase t}.
+        Formed at each read, so the grid keeps no copy."""
+        xi = self.xi_half
+        return -1j * xi * np.abs(xi)
+
+    def free_field(self, spectra: np.ndarray, phases, x: np.ndarray,
                    orders) -> np.ndarray:
         """Order-d x-derivatives at x >= 0 of the real fields whose half
-        spectra ``spectra`` (rows broadcast to len(t)) are evolved to t_k by
-        e^{-i xi|xi| t_k}: shape (len(orders), len(t), len(x)).  Of each
-        inverse real FFT only a window FREE_WINDOW_MARGIN nodes past [0,
-        max x] is kept; one vector-valued spline per order reads it at x.
-        A window that overflowed has no spline: its field is NaN.  The
-        times are independent rows, split by ``for_each_row``."""
+        spectra ``spectra`` (one row per time) are evolved by ``phases(k)``,
+        the row e^{phase t_k} of time k: shape (len(orders), len(spectra),
+        len(x)).  Each row's phases are asked for in that row's turn, so no
+        table of them need exist.  Of each inverse real FFT only a window
+        FREE_WINDOW_MARGIN nodes past [0, max x] is kept; one vector-valued
+        spline per order reads it at x.  A window that overflowed has no
+        spline: its field is NaN.  The times are independent rows, split by
+        ``for_each_row``."""
         xi = self.xi_half
-        spectra = np.broadcast_to(spectra, (len(t), xi.size))
+        n_t = len(spectra)
         x_top = float(np.max(x)) if x.size else 0.0
         first = max(self.index_of(0.0) - FREE_WINDOW_MARGIN, 0)
         last = min(self.index_of(x_top) + FREE_WINDOW_MARGIN, self.n)
-        phase = -1j * xi * np.abs(xi)
         mults = [(1j * xi) ** d for d in orders]
-        window = np.empty((len(orders), len(t), last - first))
+        window = np.empty((len(orders), n_t, last - first))
 
         def evolve(k: int) -> None:
-            spec = np.exp(phase * t[k]) * spectra[k]
+            spec = phases(k) * spectra[k]
             for i, mult in enumerate(mults):
                 window[i, k] = np.fft.irfft(spec * mult, self.n)[first:last]
 
-        for_each_row(len(t), evolve)
+        for_each_row(n_t, evolve)
         if not np.isfinite(window).all():
-            return np.full((len(orders), len(t), x.size), np.nan)
+            return np.full((len(orders), n_t, x.size), np.nan)
         return np.stack([CubicSpline(self.nodes[first:last], w, axis=1)(x)
                          for w in window])
 

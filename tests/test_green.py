@@ -35,19 +35,21 @@ _ORACLE_GAPS = {(0.3, 0.1): 1.02541, (0.3, 10.0): 0.117396,
 
 
 def test_e_minus_rows_on_both_node_families(sym):
+    # the Green lattice's geometric axis against the Duhamel propagator's
+    # fixed z lattice on Gauss panels
     green, duhamel = GreenGrids(), DUHAMEL_GRIDS
     cache = sym.direction(np.exp(1j * RAY_THETA))
     psi_hat = make_profile("gauss_bump", 1.0).hat
     r, p_nodes = green.ray[0], green.p_nodes
-    v, wv = green.axis
     z, wz = duhamel.axis
     for (p_near, s_near), gap in _ORACLE_GAPS.items():
-        p = p_nodes[np.argmin(np.abs(np.log(p_nodes / p_near)))]
+        j = np.argmin(np.abs(np.log(p_nodes / p_near)))
+        p = p_nodes[j]
         mod_s = r[np.argmin(np.abs(np.log(r / s_near)))]
         m = p * math.sqrt(mod_s)
         ref = sym.e_minus(psi_hat, p, mod_s * np.exp(1j * RAY_THETA))
-        w, root = e_minus_weights(cache, mod_s, v, wv)
-        e_axis = psi_hat(m * v) @ w - root * psi_hat(cache.phi_hat * m)
+        e_axis = e_minus_rows(cache, psi_hat, green.log_axis, np.array([mod_s]),
+                              p_nodes[j:j + 1])[0, 0]
         w, root = e_minus_weights(cache, mod_s, z / m, wz / m)
         e_lattice = psi_hat(z) @ w - root * psi_hat(cache.phi_hat * m)
         # the two node families agree to quadrature accuracy (measured 6.8e-8)
@@ -56,34 +58,109 @@ def test_e_minus_rows_on_both_node_families(sym):
         assert abs(e_lattice - ref) / abs(ref) == pytest.approx(gap, rel=1e-3)
 
 
-@pytest.mark.parametrize("grids", [GreenGrids(), DUHAMEL_GRIDS],
+@pytest.mark.parametrize("grids, axis", [(GreenGrids(), "log_axis"),
+                                         (DUHAMEL_GRIDS, "axis")],
                          ids=["green", "duhamel"])
-def test_axis_pairs_exactly(grids):
-    # the folded E- rows read the lower half of the axis off the upper half
-    v, wv = grids.axis
+def test_axis_pairs_exactly(grids, axis):
+    # the folded E- rows read the lower half of the axis off the upper half,
+    # and the Green lattice's correlation needs its ratio to be p_1/p_0
+    v, wv = getattr(grids, axis)
     n = v.size // 2
     assert v.size == 2 * n
     assert np.array_equal(v[:n], -v[n:][::-1])
     assert np.array_equal(wv[:n], wv[n:][::-1])
     assert np.all(v[n:].imag > 0.0)
+    if axis == "log_axis":
+        p = grids.p_nodes
+        assert np.allclose(v[n + 1:] / v[n:-1], p[1] / p[0], rtol=1e-13, atol=0.0)
+
+
+def test_log_axis_nodes_and_weights():
+    # V_q = axis_min rho^q from axis_min to the first node past axis_max,
+    # and the trapezoid weights V_q ln rho halved at both ends
+    grids = GreenGrids()
+    p = grids.p_nodes
+    v, wv = grids.log_axis
+    big_v, w = v[v.size // 2:].imag, wv[wv.size // 2:].imag
+    assert big_v.size == 418 and p.size + big_v.size - 1 == 748
+    assert big_v[0] == grids.axis_min
+    assert big_v[-2] < grids.axis_max <= big_v[-1]
+    want = big_v * math.log(p[1] / p[0])
+    want[[0, -1]] *= 0.5
+    assert np.allclose(w, want, rtol=1e-13, atol=0.0)
+
+
+def _direct_sum(cache, psi_hat, axis, mod_s, p):
+    """E- rows (n_s, n_p) by the direct sum over every node of ``axis``."""
+    v, wv = axis
+    w, root = e_minus_weights(cache, mod_s[:, None], v, wv)
+    rows = []
+    for i, ms in enumerate(mod_s):
+        m = p * math.sqrt(ms)
+        rows.append(psi_hat(m[:, None] * v[None, :]) @ w[i]
+                    - root[i, 0] * psi_hat(cache.phi_hat * m))
+    return np.array(rows)
 
 
 @pytest.mark.parametrize("name", ["gauss_bump", "poly_exp"])
 def test_folded_rows_match_full_axis_sum(sym, name):
+    # the correlation against the direct sum over the whole paired axis
+    # (measured 8.6e-15 for gauss_bump and 1.5e-15 for poly_exp)
     grids = GreenGrids()
     psi_hat = make_profile(name, 1.0).hat
     p = grids.p_nodes
     mod_s = grids.ray[0][::40]
-    v, wv = grids.axis
     for s_hat in (np.exp(1j * RAY_THETA), 1j):
         cache = sym.direction(s_hat)
-        got = e_minus_rows(cache, psi_hat, grids.axis, mod_s, p)
-        w, root = e_minus_weights(cache, mod_s[:, None], v, wv)
-        for i, ms in enumerate(mod_s):
-            m = p * math.sqrt(ms)
-            want = psi_hat(m[:, None] * v[None, :]) @ w[i] \
-                - root[i, 0] * psi_hat(cache.phi_hat * m)
-            assert np.max(np.abs(got[i] - want)) <= 1e-14 * np.max(np.abs(want))
+        got = e_minus_rows(cache, psi_hat, grids.log_axis, mod_s, p)
+        want = _direct_sum(cache, psi_hat, grids.log_axis, mod_s, p)
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w))
+
+
+@pytest.mark.parametrize("name", ["gauss_bump", "poly_exp"])
+def test_rows_converge_against_half_step_sum(sym, name):
+    # a direct sum on the ln axis of half the step, on the same range: every
+    # 20th ray row within 1e-7 of the largest ray row (over all ray rows,
+    # measured 3.1e-8 for gauss_bump and 8.4e-9 for poly_exp), and the
+    # bracket row within 1e-6 of its largest entry (measured 3.0e-7 and
+    # 5.0e-9)
+    grids = GreenGrids()
+    psi_hat = make_profile(name, 1.0).hat
+    p, r = grids.p_nodes, grids.ray[0]
+    v, _ = grids.log_axis
+    n = v.size // 2
+    log_step = 0.5 * math.log(P_MAX / P_MIN) / (p.size - 1)
+    big_v = grids.axis_min * np.exp(log_step * np.arange(2 * n - 1))
+    w = big_v * log_step
+    w[[0, -1]] *= 0.5
+    half = (1j * np.concatenate([-big_v[::-1], big_v]),
+            1j * np.concatenate([w[::-1], w]))
+    ray = sym.direction(np.exp(1j * RAY_THETA))
+    rows = e_minus_rows(ray, psi_hat, grids.log_axis, r, p)
+    want = _direct_sum(ray, psi_hat, half, r[::20], p)
+    assert np.max(np.abs(rows[::20] - want)) <= 1e-7 * np.max(np.abs(rows))
+    brk, one = sym.direction(1j), np.array([1.0])
+    got = e_minus_rows(brk, psi_hat, grids.log_axis, one, p)
+    want = _direct_sum(brk, psi_hat, half, one, p)
+    assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(got))
+
+
+def test_e_minus_rows_need_p_on_the_axis_lattice(sym):
+    grids = GreenGrids()
+    psi_hat = make_profile("gauss_bump", 1.0).hat
+    cache = sym.direction(np.exp(1j * RAY_THETA))
+    mod_s, p = grids.ray[0][:3], grids.p_nodes
+    e_minus_rows(cache, psi_hat, grids.log_axis, mod_s, p[[3, 40, 41]])
+    with pytest.raises(ValueError, match="lattice"):
+        e_minus_rows(cache, psi_hat, grids.log_axis, mod_s, p * 1.01)
+    with pytest.raises(ValueError, match="lattice"):
+        e_minus_rows(cache, psi_hat, grids.log_axis, mod_s, p[:1] / p[1] * p[0])
+    # an axis of another ratio: the Duhamel layout's p step
+    with pytest.raises(ValueError, match="lattice"):
+        e_minus_rows(cache, psi_hat, DUHAMEL_GRIDS.log_axis, mod_s, p)
+    with pytest.raises(ValueError, match="geometric"):
+        e_minus_rows(cache, psi_hat, grids.axis, mod_s, p)
 
 
 @pytest.mark.parametrize("workers", [2, 3, 7])
@@ -93,9 +170,9 @@ def test_e_minus_rows_bitwise_for_any_worker_count(sym, set_workers, workers):
     cache = sym.direction(np.exp(1j * RAY_THETA))
     mod_s, p = grids.ray[0][::12], grids.p_nodes
     set_workers(1)
-    want = e_minus_rows(cache, psi_hat, grids.axis, mod_s, p)
+    want = e_minus_rows(cache, psi_hat, grids.log_axis, mod_s, p)
     set_workers(workers)
-    assert np.array_equal(e_minus_rows(cache, psi_hat, grids.axis, mod_s, p),
+    assert np.array_equal(e_minus_rows(cache, psi_hat, grids.log_axis, mod_s, p),
                           want)
 
 
@@ -114,10 +191,11 @@ def test_e_minus_rows_raise_a_worker_error(sym, set_workers):
     mod_s, p = grids.ray[0][::24], grids.p_nodes
     set_workers(2)
     with pytest.raises(FloatingPointError, match="on a worker"):
-        e_minus_rows(cache, failing, grids.axis, mod_s, p)
-    got = e_minus_rows(cache, psi_hat, grids.axis, mod_s, p)
+        e_minus_rows(cache, failing, grids.log_axis, mod_s, p)
+    got = e_minus_rows(cache, psi_hat, grids.log_axis, mod_s, p)
     set_workers(1)
-    assert np.array_equal(got, e_minus_rows(cache, psi_hat, grids.axis, mod_s, p))
+    assert np.array_equal(got, e_minus_rows(cache, psi_hat, grids.log_axis,
+                                            mod_s, p))
 
 
 def test_tail_rows_filled_in_place(green_op):
@@ -251,6 +329,26 @@ class TestKernel:
         k_ctl = lat.kernel_axis_reference(1.0, sel, bracket_coefficient=0.5 / 1j)
         scale = np.max(np.abs(k_ctl))
         assert np.max(np.abs(k_lat - k_ctl)) / scale > 0.1
+
+    def test_axis_reference_evaluates_its_rows_once(self, green_op,
+                                                    monkeypatch):
+        # one call over several times evaluates the t-independent axis rows
+        # once, and each time's kernel is bitwise its one-time call
+        lat = green_op.lattice
+        p = lat.p_nodes[40:300:37]
+        times = np.array([-0.5, 0.25, 1.0, 2.0])
+        calls = []
+        rows_at = lat.rows_at
+
+        def counted(*args):
+            calls.append(args)
+            return rows_at(*args)
+
+        monkeypatch.setattr(lat, "rows_at", counted)
+        table = lat.kernel_axis_reference(times, p)
+        assert table.shape == (times.size, p.size) and len(calls) == 1
+        for k, t in enumerate(times):
+            assert np.array_equal(table[k], lat.kernel_axis_reference(float(t), p))
 
     def test_zero_time_defect_is_finite_diagnostic(self, green_op):
         kzd = green_op.lattice.kernel(0.0)

@@ -403,6 +403,13 @@ class TestDuhamelPropagator:
                 assert np.max(np.abs(got[d][k] - want)) <= 1e-12 * scale
         assert np.max(np.abs(got[0])) > 0.0
 
+    def test_free_part_reads_the_kept_phases(self, propagator):
+        # the sweep evolves node k's running sum by conj(_back[k]), which is
+        # bitwise the phase WholeLineGrid evaluates for the Green operator
+        phase = propagator.whole.phase
+        for k, t in enumerate(propagator.times.nodes):
+            assert np.array_equal(np.conj(propagator._back[k]), np.exp(phase * t))
+
     @pytest.mark.parametrize("workers", [2, 3])
     def test_tensor_bitwise_for_any_worker_count(self, propagator,
                                                  set_workers, workers):
