@@ -28,7 +28,7 @@ from scipy.interpolate import CubicSpline, PPoly
 from scipy.special import wofz
 
 from .contour import DampedRay, log_graded_nodes
-from .green import GreenGrids, RayKernel, RayLayout
+from .green import GreenGrids, RayKernel
 from .halfline import lattice_args
 from .green import fresnel_weights  # noqa: F401  (the benchmark reads it here)
 from .halfline import laplace_matrix  # noqa: F401  (the benchmark reads it here)
@@ -215,7 +215,7 @@ class BoundaryKernel:
             psi = self.symbols.direction(s_hat).scalars(moduli)["psi_b"]
             return p * psi[:, None] * h_hat((moduli * s_hat)[:, None] * (p * p))
 
-        return RayKernel(RayLayout(GreenGrids()), rows_at)
+        return RayKernel(GreenGrids(), rows_at)
 
     def apply_spectral(self, h_hat, x: np.ndarray, t, deriv=0) -> np.ndarray:
         """Damped-ray spectral route at every time and order of a lattice

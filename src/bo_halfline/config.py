@@ -39,6 +39,13 @@ MOL_MIN_N = 16
 #: below t_switch ~ 5e-188, a NaN lattice at 1e-300).
 MIN_T_SWITCH = 1.0e-150
 
+#: Smallest accepted first node spacing x_max / n_x^2 of the half-line grid
+#: (nodes x_max (j/n_x)^2): its square, 1e-300, must be a normal double with
+#: room to spare.  The forcing's cubic spline divides by the squared
+#: spacing; once that underflows, the solve ends in NaN step norms (spacing
+#: 1.5e-165, x_max = 1e-160 at n_x = 256; finite at 1.5e-155, x_max = 1e-150).
+MIN_X_STEP = 1.0e-150
+
 #: Largest accepted mol_length and mol_n/mol_length (the reciprocal mesh
 #: width).  The reference squares both: the lifting profile's 4 x^2 at the
 #: last node, and the curvature's 1/dx^2 times the PV matrix.  Past the
@@ -126,6 +133,11 @@ class RunConfig:
         for name in ("x_max", "mol_length", "mol_dt", "picard_tol"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        if self.n_x ** 2 > self.x_max / MIN_X_STEP:
+            raise ConfigError(
+                f"x_max={self.x_max!r} (n_x={self.n_x}): the first node "
+                f"spacing x_max/n_x^2 is below {MIN_X_STEP:g}: the forcing "
+                f"spline's squared spacing leaves the double range")
         for name in ("n_time_geometric", "n_time_uniform", "picard_max_iter"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")

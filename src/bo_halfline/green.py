@@ -25,7 +25,7 @@ lattice and each ray's row is a correlation of psi_hat samples on it
 (e_minus_rows, a discrete Mellin correlation); the Duhamel propagator keeps
 Gauss panels on its fixed z lattice (solver.DUHAMEL_GRIDS).  Beyond the
 tabulated |s| range the kernel uses the fitted asymptotic E- ~ lam1 p^{-1/2}
-s^{3/4} + lam0 s (RayLayout), and FieldAssembly turns kernel samples into the
+s^{3/4} + lam0 s (GreenGrids), and FieldAssembly turns kernel samples into the
 correction field; RayKernel holds K(p, t) and that map for the E- lattice and
 the boundary spectral route, and the Duhamel propagator runs them on its grid.
 """
@@ -33,7 +33,6 @@ the boundary spectral route, and the Duhamel propagator runs them on its grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -49,9 +48,10 @@ from .symbols import TWO_PI_I, DirectionCache, Symbols
 #: Prefactor of the half-line correction G2 = -(1/pi) int e^{-px} K dp.
 G2_SIGN = -1.0 / np.pi
 
-#: Angle theta0 of the damped rays s = r e^{i theta0} of every RayLayout, pi/8
-#: past the imaginary axis.  The rotation inside the sector of analyticity is
-#: a choice of the method: the continuum kernel K(p, t) does not depend on it.
+#: Angle theta0 of the damped rays s = r e^{i theta0} of every GreenGrids
+#: layout, pi/8 past the imaginary axis.  The rotation inside the sector of
+#: analyticity is a choice of the method: the continuum kernel K(p, t) does
+#: not depend on it.
 RAY_THETA = math.pi / 2.0 + math.pi / 8
 
 # The corner model E- ~ lam1 p^{-1/2} s^{3/4} + lam0 s holds only before the
@@ -65,37 +65,54 @@ _TAIL_M_CUT = 0.3
 #: What every GreenGrids shares: p nodes on [P_MIN, P_MAX], the ray on
 #: [R_MIN, R_MAX], its tail on to TAIL_R_MAX at TAIL_PPD points per decade
 #: and AXIS_PPD points per decade on the axis.  P_MIN sqrt(R_MAX) <= 0.1 puts
-#: the first p node in the corner that RayLayout fits.
+#: the first p node in the corner that GreenGrids fits.
 P_MIN, P_MAX, R_MIN, R_MAX = 1.0e-6, 2.0e4, 1.0e-7, 1.0e7
 TAIL_R_MAX, TAIL_PPD, AXIS_PPD = 1.0e13, 4, 20
 
 
-@dataclass(frozen=True)
 class GreenGrids:
-    """Quadrature layout for the kernel assembly: p nodes, the damped ray and
-    its tail, and the imaginary transform axis the E- rows integrate over.
+    """Quadrature layout of one kernel assembly: the p nodes, the damped ray
+    and its tail, the corner model of the tail rows, and the imaginary
+    transform axes the E- rows integrate over.
 
-    The fields are what the layouts differ in; the rest is the constants
+    Rows 0..n_ray-1 of ``ray`` are the tabulated rays s = r e^{i RAY_THETA};
+    the tail rows beyond R_MAX carry the corner model E- ~ lam1 p^{-1/2}
+    s^{3/4} + lam0 s, fitted on the large-|s|, small-m corner of the ray
+    rows.  The smooth part of K(p, t) is ``ray.smooth`` of the rows
+    E-(p, s) e^{s p^2 t}.  The p nodes are the lattice P_MIN rho^j, with
+    ``log_ratio`` = ln rho.
+
+    The keywords are what the layouts differ in; the rest is the constants
     above.  The defaults are the single-shot Green layout; the Duhamel
-    propagator runs a coarser instance of the same class."""
+    propagator runs a coarser instance of the same class.  The axes are
+    built on first use."""
 
-    p_ppd: int = 32
-    r_ppd: int = 20
-    axis_min: float = 1.0e-5
-    axis_max: float = 1.0e8
-
-    @cached_property
-    def p_nodes(self) -> np.ndarray:
-        count = int(math.ceil(math.log10(P_MAX / P_MIN) * self.p_ppd)) + 1
-        return np.geomspace(P_MIN, P_MAX, count)
-
-    @cached_property
-    def ray(self) -> tuple[np.ndarray, np.ndarray]:
-        return log_graded_nodes(R_MIN, R_MAX, self.r_ppd)
-
-    @cached_property
-    def tail_ray(self) -> tuple[np.ndarray, np.ndarray]:
-        return log_graded_nodes(R_MAX, TAIL_R_MAX, TAIL_PPD)
+    def __init__(self, p_ppd: int = 32, r_ppd: int = 20,
+                 axis_min: float = 1.0e-5, axis_max: float = 1.0e8):
+        self.axis_min, self.axis_max = axis_min, axis_max
+        count = int(math.ceil(math.log10(P_MAX / P_MIN) * p_ppd)) + 1
+        p = self.p_nodes = np.geomspace(P_MIN, P_MAX, count)
+        self.log_ratio = math.log(P_MAX / P_MIN) / (count - 1)
+        r, wr = log_graded_nodes(R_MIN, R_MAX, r_ppd)
+        rt, wrt = log_graded_nodes(R_MAX, TAIL_R_MAX, TAIL_PPD)
+        self.n_ray = r.size
+        self.ray = DampedRay(np.concatenate([r, rt]), np.concatenate([wr, wrt]),
+                             RAY_THETA)
+        s = self.ray.s
+        self.sp2 = s[:, None] * (p**2)[None, :]
+        # tail basis rows, valid only before the rollover at m = p sqrt(r) = O(1)
+        s_tail = s[r.size:, None]
+        valid = np.sqrt(rt)[:, None] * p[None, :] <= _TAIL_M_CUT
+        self._tail_b1 = valid * s_tail ** 0.75 / np.sqrt(p)[None, :]
+        self._tail_b0 = valid * s_tail
+        rows = r >= R_MAX / 1.0e2
+        cols = p * np.sqrt(r[rows].max()) <= 0.1
+        self.corner = np.ix_(rows, cols)
+        s_c = s[:r.size][rows][:, None]
+        p_c = p[cols][None, :]
+        self.corner_basis = np.stack([(s_c ** 0.75 / np.sqrt(p_c)).ravel(),
+                                      (s_c * np.ones_like(p_c)).ravel()], axis=1)
+        self._pinv = np.linalg.pinv(self.corner_basis)
 
     @cached_property
     def axis(self) -> tuple[np.ndarray, np.ndarray]:
@@ -107,18 +124,40 @@ class GreenGrids:
     def log_axis(self) -> tuple[np.ndarray, np.ndarray]:
         """The trapezoid rule in ln V at the p lattice's step, for the E-
         rows: upward nodes iV and weights i dV, V_q = axis_min rho^q from
-        axis_min to the first node at or past axis_max, rho the ratio of
-        p_nodes, weights V_q ln rho halved at both ends, paired exactly
-        about 0 like ``axis``."""
-        log_ratio = math.log(P_MAX / P_MIN) / (self.p_nodes.size - 1)
+        axis_min to the first node at or past axis_max, weights V_q ln rho
+        halved at both ends, paired exactly about 0 like ``axis``."""
         count = int(math.ceil(math.log(self.axis_max / self.axis_min)
-                              / log_ratio)) + 1
-        big_v = self.axis_min * np.exp(log_ratio * np.arange(count))
-        w = big_v * log_ratio
+                              / self.log_ratio)) + 1
+        big_v = self.axis_min * np.exp(self.log_ratio * np.arange(count))
+        w = big_v * self.log_ratio
         w[[0, -1]] *= 0.5
         y = np.concatenate([-big_v[::-1], big_v])
         wy = np.concatenate([w[::-1], w])
         return 1j * y, 1j * wy
+
+    def fit_corner(self, corner: np.ndarray) -> np.ndarray:
+        """Least-squares (lam1, lam0), shape (..., 2), of the corner model for
+        the corner samples (..., n_corner) of filled rows, ray by ray."""
+        return corner @ self._pinv.T
+
+    def fill_tail(self, lam: np.ndarray, out: np.ndarray,
+                  rows=slice(None)) -> None:
+        """The corner model's tail rows ``rows`` (counted from the first tail
+        row) for constants lam (..., 2), written into out (..., rows, n_p)."""
+        np.multiply(lam[..., 0, None, None], self._tail_b1[rows], out=out)
+        out += lam[..., 1, None, None] * self._tail_b0[rows]
+
+    def damping(self, t: float, rows=slice(None)) -> np.ndarray:
+        """e^{s p^2 t} on the rows ``rows`` of the layout and every p node
+        (each entry on its own, so a chunk of rows is bitwise those rows of
+        the whole lattice).  Where the real exponent is below EXP_UNDERFLOW
+        the exponential is exactly 0 and is not evaluated: those entries
+        have the largest imaginary parts, so they are also the slowest, and
+        they are 20-40% of the production lattices."""
+        z = self.sp2[rows] * t
+        out = np.zeros(z.shape, dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.exp(z, out=out, where=~(z.real < EXP_UNDERFLOW))
 
 
 def e_minus_weights(cache: DirectionCache, mod_s, v: np.ndarray,
@@ -147,64 +186,6 @@ def e_minus_weights(cache: DirectionCache, mod_s, v: np.ndarray,
     return w, root
 
 
-class RayLayout:
-    """Damped-ray quadrature of the smooth kernel for one grid layout.
-
-    Rows 0..n_ray-1 are the tabulated rays s = r e^{i RAY_THETA}; the tail rows
-    beyond R_MAX carry the corner model E- ~ lam1 p^{-1/2} s^{3/4} + lam0 s,
-    fitted on the large-|s|, small-m corner of the ray rows.  The smooth part
-    of K(p, t) is ``ray.smooth`` of the rows E-(p, s) e^{s p^2 t}.
-    """
-
-    def __init__(self, grids: GreenGrids):
-        p = grids.p_nodes
-        r, wr = grids.ray
-        rt, wrt = grids.tail_ray
-        self.p_nodes = p
-        self.n_ray = r.size
-        self.ray = DampedRay(np.concatenate([r, rt]), np.concatenate([wr, wrt]),
-                             RAY_THETA)
-        s = self.ray.s
-        self.sp2 = s[:, None] * (p**2)[None, :]
-        # tail basis rows, valid only before the rollover at m = p sqrt(r) = O(1)
-        s_tail = s[r.size:, None]
-        valid = np.sqrt(rt)[:, None] * p[None, :] <= _TAIL_M_CUT
-        self._tail_b1 = valid * s_tail ** 0.75 / np.sqrt(p)[None, :]
-        self._tail_b0 = valid * s_tail
-        rows = r >= R_MAX / 1.0e2
-        cols = p * np.sqrt(r[rows].max()) <= 0.1
-        self.corner = np.ix_(rows, cols)
-        s_c = s[:r.size][rows][:, None]
-        p_c = p[cols][None, :]
-        self.corner_basis = np.stack([(s_c ** 0.75 / np.sqrt(p_c)).ravel(),
-                                      (s_c * np.ones_like(p_c)).ravel()], axis=1)
-        self._pinv = np.linalg.pinv(self.corner_basis)
-
-    def fit_corner(self, corner: np.ndarray) -> np.ndarray:
-        """Least-squares (lam1, lam0), shape (..., 2), of the corner model for
-        the corner samples (..., n_corner) of filled rows, ray by ray."""
-        return corner @ self._pinv.T
-
-    def fill_tail(self, lam: np.ndarray, out: np.ndarray,
-                  rows=slice(None)) -> None:
-        """The corner model's tail rows ``rows`` (counted from the first tail
-        row) for constants lam (..., 2), written into out (..., rows, n_p)."""
-        np.multiply(lam[..., 0, None, None], self._tail_b1[rows], out=out)
-        out += lam[..., 1, None, None] * self._tail_b0[rows]
-
-    def damping(self, t: float, rows=slice(None)) -> np.ndarray:
-        """e^{s p^2 t} on the rows ``rows`` of the layout and every p node
-        (each entry on its own, so a chunk of rows is bitwise those rows of
-        the whole lattice).  Where the real exponent is below EXP_UNDERFLOW
-        the exponential is exactly 0 and is not evaluated: those entries
-        have the largest imaginary parts, so they are also the slowest, and
-        they are 20-40% of the production lattices."""
-        z = self.sp2[rows] * t
-        out = np.zeros(z.shape, dtype=complex)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.exp(z, out=out, where=~(z.real < EXP_UNDERFLOW))
-
-
 class RayKernel:
     """K(p, t) and its field from t-independent samples of the row function
     ``rows_at(s_hat, moduli, p)``, f(p, s) at s = s_hat moduli with shape
@@ -212,7 +193,7 @@ class RayKernel:
     zero) and ``row_brk`` at s = i.  f = E- gives the Green correction,
     f = p Psi_B(s) h_hat(s p^2) the boundary spectral route."""
 
-    def __init__(self, layout: RayLayout, rows_at):
+    def __init__(self, layout: GreenGrids, rows_at):
         self.layout, self.p_nodes, self.rows_at = layout, layout.p_nodes, rows_at
         p, n = layout.p_nodes, layout.n_ray
         self.rows = np.zeros((layout.ray.s.size, p.size), dtype=complex)
@@ -282,12 +263,12 @@ class RayKernel:
         return out.reshape(np.shape(t) + p_values.shape)
 
 
-def e_minus_rows(cache: DirectionCache, psi_hat, axis, mod_s: np.ndarray,
-                 p: np.ndarray) -> np.ndarray:
+def e_minus_rows(cache: DirectionCache, psi_hat, grids: GreenGrids,
+                 mod_s: np.ndarray, p: np.ndarray) -> np.ndarray:
     """E- rows (n_s, n_p) of psi_hat at s = s_hat mod_s (s_hat the direction
-    of ``cache``) on the geometric imaginary axis ``axis`` = (v, wv) of
-    ``GreenGrids.log_axis``, for p on the lattice P_MIN rho^j of the axis's
-    own ratio rho.
+    of ``cache``) on the geometric imaginary axis (v, wv) of
+    ``grids.log_axis``, for p on the lattice P_MIN rho^j of the layout,
+    ln rho = ``grids.log_ratio``.
 
     The axis pairs its nodes exactly, v[:n] = -v[n:][::-1] with mirrored
     weights, and the datum is real, so psi_hat(m v_lower) is the reversed
@@ -298,19 +279,16 @@ def e_minus_rows(cache: DirectionCache, psi_hat, axis, mod_s: np.ndarray,
     and is a correlation of those samples with the weights (a sliding window
     contracted with them).  The moduli are independent rows, split by
     ``for_each_row``; the contractions are ``np.einsum`` sums, not BLAS
-    products.  Raises ValueError for an axis that is not geometric or a p
-    off its lattice (so also for an axis whose ratio is not the p step)."""
-    v, wv = axis
+    products.  Raises ValueError for a p off the layout's lattice."""
+    v, wv = grids.log_axis
     n = v.size // 2
     big_v = v[n:].imag
-    log_ratio = math.log(big_v[-1] / big_v[0]) / (n - 1)
-    if np.max(np.abs(np.log(big_v / big_v[0]) - log_ratio * np.arange(n))) > 1.0e-9:
-        raise ValueError("e_minus_rows needs a geometric axis (GreenGrids.log_axis)")
+    log_ratio = grids.log_ratio
     j = np.log(p / P_MIN) / log_ratio
     lattice = np.rint(j).astype(int)
     if np.any(np.abs(j - lattice) > 1.0e-6) or np.any(lattice < 0):
         raise ValueError("e_minus_rows needs p on the lattice P_MIN rho^j of "
-                         "the axis ratio rho")
+                         "the layout's ratio rho")
     first = int(lattice.min())
     ladder = np.exp(log_ratio * np.arange(first, lattice.max() + n))
     w, root = e_minus_weights(cache, mod_s[:, None], v, wv)
@@ -351,8 +329,8 @@ class EMinusLattice(RayKernel):
     """
 
     def __init__(self, symbols: Symbols, psi_hat, grids: GreenGrids):
-        super().__init__(RayLayout(grids), lambda s_hat, mod_s, p: e_minus_rows(
-            symbols.direction(s_hat), psi_hat, grids.log_axis, mod_s, p))
+        super().__init__(grids, lambda s_hat, mod_s, p: e_minus_rows(
+            symbols.direction(s_hat), psi_hat, grids, mod_s, p))
         layout = self.layout
         corner = self.rows[layout.corner].ravel()
         lam = layout.fit_corner(corner)

@@ -26,7 +26,7 @@ from scipy.interpolate import CubicSpline
 
 from .boundary import BoundaryKernel
 from .config import RunConfig
-from .green import (FieldAssembly, GreenGrids, GreenOperator, RayLayout,
+from .green import (FieldAssembly, GreenGrids, GreenOperator,
                     e_minus_weights, fresnel_table)
 # the one-row Filon helper stays importable from this module too
 from .green import fresnel_weights  # noqa: F401
@@ -193,7 +193,7 @@ class DuhamelPropagator:
     with e^{i p_0^2 h}.  It is stable because s = r e^{i RAY_THETA} gives
     Re(s p^2) <= 0: every factor has modulus <= 1, so round-off is never
     amplified.  The split e^{s p^2 t_k} e^{-s p^2 t_l} would overflow.  The
-    factor e^{s p^2 h} of a chunk of rows is evaluated (RayLayout.damping)
+    factor e^{s p^2 h} of a chunk of rows is evaluated (GreenGrids.damping)
     whenever the step h changes, so each entry once per distinct step of
     the time lattice (the uniform half repeats one step), and no table of
     them is kept.  The Filon-weighted
@@ -235,8 +235,7 @@ class DuhamelPropagator:
 
     def __init__(self, symbols: Symbols, half_grid: HalfLineGrid,
                  times: TimeGrid):
-        self.symbols = symbols
-        self.grids = DUHAMEL_GRIDS
+        self.layout = DUHAMEL_GRIDS
         self.half = half_grid
         self.times = times
         self.whole = WholeLineGrid(n=8192, dx=0.0625, x0=-64.0)
@@ -244,10 +243,9 @@ class DuhamelPropagator:
         # forcings carry a wall jump, so their spectra reach the grid's cutoff
         self.whole.check_transport(float(times.nodes[-1]), float(xs[-1]),
                                    float(np.max(np.abs(self.whole.xi))))
-        self.layout = RayLayout(self.grids)
         p = self.layout.p_nodes
 
-        z, _ = self.grids.axis
+        z, _ = self.layout.axis
         self._lap_axis = laplace_matrix(z, xs, np.complex64)
         self._m_ray = self._ray_map(symbols.direction(self.layout.ray.phase))
         brk = symbols.direction(1j)
@@ -282,7 +280,7 @@ class DuhamelPropagator:
         """Tensor and root-term coefficients for one unit direction, rows
         indexed by |s|."""
         p = self.layout.p_nodes
-        z, wz = self.grids.axis
+        z, wz = self.layout.axis
         m = np.sqrt(moduli)[:, None] * p[None, :]            # (n_s, n_p)
         tensor = np.empty((moduli.size, p.size, z.size), dtype=np.complex64)
         bt = np.empty(moduli.size, dtype=complex)
@@ -311,7 +309,7 @@ class DuhamelPropagator:
         product T L_axis written over those rows and the scatter term
         subtracted from it in complex128 and rounded once.  So the whole
         tensor never exists, and each row depends on its own ray alone."""
-        r, _ = self.grids.ray
+        r = self.layout.ray.r[:self.layout.n_ray]
         n_p = self.layout.p_nodes.size
         m_ray = self._scattered_laplace(cache, r)
         for lo in range(0, r.size, SWEEP_CHUNK_RAYS):
@@ -478,7 +476,7 @@ class SpaceTimeSolution:
 
 def kept_mb(obj) -> float:
     """MB (2^20 bytes) of the ndarrays that ``obj`` holds as attributes;
-    arrays of the objects it holds (a propagator's layout, grids and field
+    arrays of the objects it holds (a propagator's layout and field
     assembly, about 1 MB at production) are not counted."""
     return sum(a.nbytes for a in vars(obj).values()
                if isinstance(a, np.ndarray)) / 2.0**20

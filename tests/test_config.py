@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 
 from bo_halfline.cli import main
 from bo_halfline.config import (ENUM_VALUES, MAX_MOL_SCALE, MAX_MOL_STEPS,
-                                MIN_T_SWITCH, MOL_MIN_N, ConfigError,
-                                RunConfig)
+                                MIN_T_SWITCH, MIN_X_STEP, MOL_MIN_N,
+                                ConfigError, RunConfig)
 from bo_halfline.mol import MethodOfLines
+from bo_halfline.solver import picard_solve
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src" / "bo_halfline"
 DEFAULTS_FILE = SRC_DIR / "defaults.cfg"
@@ -163,6 +164,9 @@ REJECTED = [
     # the boundary convolution's lags at the first node leave the double
     # range: an overflowing kernel at 1e-200, a NaN lattice at 1e-300
     ("t_switch", 1e-200), ("t_switch", 1e-300),
+    # the forcing spline's squared first node spacing underflows: NaN step
+    # norms and an aborted Picard iteration at n_x = 256
+    ("x_max", 1e-160), ("x_max", 1e-200), ("x_max", 1e-300),
     # the reference's squared nodes and mesh width leave the double range:
     # a LinAlgError traceback at 1e200, NaN cross-validation rows at 1e-300
     ("mol_length", 1e200), ("mol_length", 1e-300),
@@ -237,6 +241,34 @@ def test_mol_step_count_edge():
         cfg.replace(mol_dt=edge * (1.0 - 1e-12))
 
 
+def test_x_step_edge(fast_cfg):
+    # at the smallest accepted first node spacing x_max/n_x^2 the solve is
+    # finite, in process and through the CLI; just below it the config is
+    # rejected, in process and with exit 2 and one line from the CLI
+    edge = MIN_X_STEP * fast_cfg.n_x ** 2
+    cfg = fast_cfg.replace(x_max=edge * (1.0 + 1e-12))
+    sol = picard_solve(cfg)
+    assert sol.converged
+    assert np.isfinite(sol.values).all() and np.isfinite(sol.derivs).all()
+    with pytest.raises(ConfigError, match="x_max"):
+        fast_cfg.replace(x_max=edge * (1.0 - 1e-12))
+    env = {"BOHL_" + f.name.upper(): repr(getattr(cfg, f.name))
+           for f in dataclasses.fields(cfg)}
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, env), contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(out):
+        code = main(["solve", "--suite", "picard"])
+    assert code in (0, 1), err.getvalue()
+    assert "[ABORT]" not in out.getvalue()
+    norms = re.findall(r"step_norm=(\S+)", err.getvalue())
+    assert norms and all(math.isfinite(float(v)) for v in norms)
+    code, err = _cli_with_env("x_max", edge * (1.0 - 1e-12),
+                              n_x=fast_cfg.n_x)
+    assert code == 2
+    assert err.startswith("configuration error: x_max=")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("horizon", [1e-300, 1e-200, 1e-170])
 def test_vanishing_time_lattice_rejected(horizon):
     # t_final = t_switch = 1e-300 used to end in a CubicSpline traceback
@@ -273,6 +305,7 @@ def _assert_usable(cfg: RunConfig) -> None:
         assert getattr(cfg, name) >= 1, name
     assert cfg.mol_n >= MOL_MIN_N and cfg.n_x >= 16 and cfg.seed >= 0
     assert cfg.t_switch >= MIN_T_SWITCH
+    assert cfg.x_max / cfg.n_x ** 2 >= MIN_X_STEP
     assert cfg.t_final / cfg.mol_dt <= MAX_MOL_STEPS
     assert cfg.contour_points_per_decade >= 4
     assert 0.0 <= cfg.epsilon_weight < 0.5

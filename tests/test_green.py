@@ -15,7 +15,7 @@ import pytest
 from bo_halfline.green import (FRESNEL_BLOCK_ROWS, P_MAX, P_MIN, R_MAX, R_MIN,
                                RAY_THETA, TAIL_R_MAX, EMinusLattice,
                                FieldAssembly, GreenGrids, GreenOperator,
-                               RayLayout, e_minus_rows, e_minus_weights,
+                               e_minus_rows, e_minus_weights,
                                fresnel_table, fresnel_weights)
 from bo_halfline.halfline import EXP_UNDERFLOW, HalfLineGrid, make_profile
 from bo_halfline.solver import DUHAMEL_GRIDS, TimeGrid
@@ -40,7 +40,7 @@ def test_e_minus_rows_on_both_node_families(sym):
     green, duhamel = GreenGrids(), DUHAMEL_GRIDS
     cache = sym.direction(np.exp(1j * RAY_THETA))
     psi_hat = make_profile("gauss_bump", 1.0).hat
-    r, p_nodes = green.ray[0], green.p_nodes
+    r, p_nodes = green.ray.r[:green.n_ray], green.p_nodes
     z, wz = duhamel.axis
     for (p_near, s_near), gap in _ORACLE_GAPS.items():
         j = np.argmin(np.abs(np.log(p_nodes / p_near)))
@@ -48,7 +48,7 @@ def test_e_minus_rows_on_both_node_families(sym):
         mod_s = r[np.argmin(np.abs(np.log(r / s_near)))]
         m = p * math.sqrt(mod_s)
         ref = sym.e_minus(psi_hat, p, mod_s * np.exp(1j * RAY_THETA))
-        e_axis = e_minus_rows(cache, psi_hat, green.log_axis, np.array([mod_s]),
+        e_axis = e_minus_rows(cache, psi_hat, green, np.array([mod_s]),
                               p_nodes[j:j + 1])[0, 0]
         w, root = e_minus_weights(cache, mod_s, z / m, wz / m)
         e_lattice = psi_hat(z) @ w - root * psi_hat(cache.phi_hat * m)
@@ -109,10 +109,10 @@ def test_folded_rows_match_full_axis_sum(sym, name):
     grids = GreenGrids()
     psi_hat = make_profile(name, 1.0).hat
     p = grids.p_nodes
-    mod_s = grids.ray[0][::40]
+    mod_s = grids.ray.r[:grids.n_ray][::40]
     for s_hat in (np.exp(1j * RAY_THETA), 1j):
         cache = sym.direction(s_hat)
-        got = e_minus_rows(cache, psi_hat, grids.log_axis, mod_s, p)
+        got = e_minus_rows(cache, psi_hat, grids, mod_s, p)
         want = _direct_sum(cache, psi_hat, grids.log_axis, mod_s, p)
         for g, w in zip(got, want):
             assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w))
@@ -127,7 +127,7 @@ def test_rows_converge_against_half_step_sum(sym, name):
     # 5.0e-9)
     grids = GreenGrids()
     psi_hat = make_profile(name, 1.0).hat
-    p, r = grids.p_nodes, grids.ray[0]
+    p, r = grids.p_nodes, grids.ray.r[:grids.n_ray]
     v, _ = grids.log_axis
     n = v.size // 2
     log_step = 0.5 * math.log(P_MAX / P_MIN) / (p.size - 1)
@@ -137,11 +137,11 @@ def test_rows_converge_against_half_step_sum(sym, name):
     half = (1j * np.concatenate([-big_v[::-1], big_v]),
             1j * np.concatenate([w[::-1], w]))
     ray = sym.direction(np.exp(1j * RAY_THETA))
-    rows = e_minus_rows(ray, psi_hat, grids.log_axis, r, p)
+    rows = e_minus_rows(ray, psi_hat, grids, r, p)
     want = _direct_sum(ray, psi_hat, half, r[::20], p)
     assert np.max(np.abs(rows[::20] - want)) <= 1e-7 * np.max(np.abs(rows))
     brk, one = sym.direction(1j), np.array([1.0])
-    got = e_minus_rows(brk, psi_hat, grids.log_axis, one, p)
+    got = e_minus_rows(brk, psi_hat, grids, one, p)
     want = _direct_sum(brk, psi_hat, half, one, p)
     assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(got))
 
@@ -150,17 +150,15 @@ def test_e_minus_rows_need_p_on_the_axis_lattice(sym):
     grids = GreenGrids()
     psi_hat = make_profile("gauss_bump", 1.0).hat
     cache = sym.direction(np.exp(1j * RAY_THETA))
-    mod_s, p = grids.ray[0][:3], grids.p_nodes
-    e_minus_rows(cache, psi_hat, grids.log_axis, mod_s, p[[3, 40, 41]])
+    mod_s, p = grids.ray.r[:grids.n_ray][:3], grids.p_nodes
+    e_minus_rows(cache, psi_hat, grids, mod_s, p[[3, 40, 41]])
     with pytest.raises(ValueError, match="lattice"):
-        e_minus_rows(cache, psi_hat, grids.log_axis, mod_s, p * 1.01)
+        e_minus_rows(cache, psi_hat, grids, mod_s, p * 1.01)
     with pytest.raises(ValueError, match="lattice"):
-        e_minus_rows(cache, psi_hat, grids.log_axis, mod_s, p[:1] / p[1] * p[0])
-    # an axis of another ratio: the Duhamel layout's p step
+        e_minus_rows(cache, psi_hat, grids, mod_s, p[:1] / p[1] * p[0])
+    # a layout of another ratio: the Duhamel layout's p step
     with pytest.raises(ValueError, match="lattice"):
-        e_minus_rows(cache, psi_hat, DUHAMEL_GRIDS.log_axis, mod_s, p)
-    with pytest.raises(ValueError, match="geometric"):
-        e_minus_rows(cache, psi_hat, grids.axis, mod_s, p)
+        e_minus_rows(cache, psi_hat, DUHAMEL_GRIDS, mod_s, p)
 
 
 @pytest.mark.parametrize("workers", [2, 3, 7])
@@ -168,11 +166,11 @@ def test_e_minus_rows_bitwise_for_any_worker_count(sym, set_workers, workers):
     grids = GreenGrids()
     psi_hat = make_profile("gauss_bump", 1.0).hat
     cache = sym.direction(np.exp(1j * RAY_THETA))
-    mod_s, p = grids.ray[0][::12], grids.p_nodes
+    mod_s, p = grids.ray.r[:grids.n_ray][::12], grids.p_nodes
     set_workers(1)
-    want = e_minus_rows(cache, psi_hat, grids.log_axis, mod_s, p)
+    want = e_minus_rows(cache, psi_hat, grids, mod_s, p)
     set_workers(workers)
-    assert np.array_equal(e_minus_rows(cache, psi_hat, grids.log_axis, mod_s, p),
+    assert np.array_equal(e_minus_rows(cache, psi_hat, grids, mod_s, p),
                           want)
 
 
@@ -188,13 +186,13 @@ def test_e_minus_rows_raise_a_worker_error(sym, set_workers):
         return psi_hat(z)
 
     cache = sym.direction(np.exp(1j * RAY_THETA))
-    mod_s, p = grids.ray[0][::24], grids.p_nodes
+    mod_s, p = grids.ray.r[:grids.n_ray][::24], grids.p_nodes
     set_workers(2)
     with pytest.raises(FloatingPointError, match="on a worker"):
-        e_minus_rows(cache, failing, grids.log_axis, mod_s, p)
-    got = e_minus_rows(cache, psi_hat, grids.log_axis, mod_s, p)
+        e_minus_rows(cache, failing, grids, mod_s, p)
+    got = e_minus_rows(cache, psi_hat, grids, mod_s, p)
     set_workers(1)
-    assert np.array_equal(got, e_minus_rows(cache, psi_hat, grids.log_axis,
+    assert np.array_equal(got, e_minus_rows(cache, psi_hat, grids,
                                             mod_s, p))
 
 
@@ -229,7 +227,7 @@ def test_tail_fit_residual_pinned(sym, name, residual):
 def test_row_chunks_are_rows_of_the_whole_layout():
     # the Duhamel sweep evaluates the damping factors and the tail rows one
     # chunk of rows at a time; each chunk is bitwise those rows of the whole
-    layout = RayLayout(DUHAMEL_GRIDS)
+    layout = DUHAMEL_GRIDS
     n_rows, n_tail = layout.ray.s.size, layout.ray.s.size - layout.n_ray
     lam = np.array([[0.3 - 0.2j, 1.5 + 0.7j], [-2.0 + 0.1j, 0.25j]])
     tail = np.empty((2, n_tail, layout.p_nodes.size), dtype=complex)
@@ -250,8 +248,7 @@ def test_first_p_node_is_in_the_corner(grids):
     # the corner model is fitted on the columns with p sqrt(r) <= 0.1 at the
     # largest ray node; the first p node is one of them in every layout
     assert P_MIN * math.sqrt(R_MAX) <= 0.1
-    layout = RayLayout(grids)
-    assert layout.corner[1][0, 0] == 0
+    assert grids.corner[1][0, 0] == 0
 
 
 @pytest.mark.parametrize("grids", [GreenGrids(), DUHAMEL_GRIDS],
@@ -260,14 +257,13 @@ def test_damping_skips_only_exact_zeros(grids, cfg):
     # entries whose real exponent is below EXP_UNDERFLOW are not evaluated;
     # the full exponential is exactly 0 there, so the table equals it
     # bitwise, at the first nonzero time node and at t = 1 and t = 2
-    layout = RayLayout(grids)
     times = TimeGrid(cfg.t_final, cfg.t_switch, cfg.n_time_geometric,
                      cfg.n_time_uniform)
     for t in (times.nodes[1], 1.0, 2.0):
         with np.errstate(over="ignore", invalid="ignore"):
-            want = np.exp(layout.sp2 * t)
-        assert np.any((layout.sp2 * t).real < EXP_UNDERFLOW)
-        assert np.array_equal(layout.damping(t), want)
+            want = np.exp(grids.sp2 * t)
+        assert np.any((grids.sp2 * t).real < EXP_UNDERFLOW)
+        assert np.array_equal(grids.damping(t), want)
 
 
 def test_filon_table_rows_are_one_sigma_rows():

@@ -318,10 +318,9 @@ def test_laplace_matrix_balances_panel_work(sym, half_grid, monkeypatch):
     # of two CPUs took 29,952 of the 46,010 panels.  Run the blocks in the
     # order for_each_row hands them out and count each block's panels.
     import bo_halfline.halfline as halfline
-    from bo_halfline.green import RayLayout
     from bo_halfline.solver import DUHAMEL_GRIDS
-    layout = RayLayout(DUHAMEL_GRIDS)
-    r, _ = DUHAMEL_GRIDS.ray
+    layout = DUHAMEL_GRIDS
+    r = layout.ray.r[:layout.n_ray]
     z = (sym.direction(layout.ray.phase).phi_hat
          * (np.sqrt(r)[:, None] * layout.p_nodes[None, :])).ravel()
     panels = []

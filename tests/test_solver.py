@@ -260,11 +260,16 @@ class TestCrossValidate:
 
 
 @pytest.fixture(scope="module")
-def propagator(fast_cfg):
+def fast_sym(fast_cfg):
+    return Symbols(fast_cfg)
+
+
+@pytest.fixture(scope="module")
+def propagator(fast_cfg, fast_sym):
     half = HalfLineGrid(x_max=fast_cfg.x_max, n=fast_cfg.n_x)
     times = TimeGrid(fast_cfg.t_final, fast_cfg.t_switch,
                      fast_cfg.n_time_geometric, fast_cfg.n_time_uniform)
-    return DuhamelPropagator(Symbols(fast_cfg), half, times)
+    return DuhamelPropagator(fast_sym, half, times)
 
 
 @pytest.fixture(scope="module")
@@ -411,10 +416,11 @@ class TestDuhamelPropagator:
             assert np.array_equal(np.conj(propagator._back[k]), np.exp(phase * t))
 
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_tensor_bitwise_for_any_worker_count(self, propagator,
+    def test_tensor_bitwise_for_any_worker_count(self, propagator, fast_sym,
                                                  set_workers, workers):
-        cache = propagator.symbols.direction(propagator.layout.ray.phase)
-        moduli = propagator.grids.ray[0][::6]
+        layout = propagator.layout
+        cache = fast_sym.direction(layout.ray.phase)
+        moduli = layout.ray.r[:layout.n_ray][::6]
         set_workers(1)
         want = propagator._build_tensor(cache, moduli)
         set_workers(workers)
@@ -545,7 +551,7 @@ class TestDuhamelPropagator:
         for d in (0, 1):
             assert np.array_equal(got[d], want[d])
 
-    def test_ray_map_matches_complex128_oracle(self, propagator):
+    def test_ray_map_matches_complex128_oracle(self, propagator, fast_sym):
         # M = T L_axis - bt (x) L_scat from the whole tensor and the whole
         # scattered Laplace matrix, each in one call, multiplied in
         # complex128: the chunked complex64 map agrees to the rounding of
@@ -553,9 +559,9 @@ class TestDuhamelPropagator:
         # round-off of |T| |L_axis| + |bt| |L_scat| entry by entry
         # (measured 9.4)
         prop = propagator
-        cache = prop.symbols.direction(prop.layout.ray.phase)
-        r, _ = prop.grids.ray
-        z, _ = prop.grids.axis
+        cache = fast_sym.direction(prop.layout.ray.phase)
+        r = prop.layout.ray.r[:prop.layout.n_ray]
+        z, _ = prop.layout.axis
         xs, p = prop.half.nodes, prop.layout.p_nodes
         tensor, bt = prop._build_tensor(cache, r)
         scat = cache.phi_hat * (np.sqrt(r)[:, None] * p[None, :])
@@ -572,15 +578,15 @@ class TestDuhamelPropagator:
         assert np.max(np.abs(got - want) / scale) <= 32.0 * unit
 
     @pytest.mark.parametrize("chunk", [4, 30, 150])
-    def test_ray_map_bitwise_for_any_chunk(self, propagator, monkeypatch,
-                                           chunk):
+    def test_ray_map_bitwise_for_any_chunk(self, propagator, fast_sym,
+                                           monkeypatch, chunk):
         # each row of M is its own ray's tensor row, Laplace row and dot
         # products, so the build's ray chunks give the same bits
-        cache = propagator.symbols.direction(propagator.layout.ray.phase)
+        cache = fast_sym.direction(propagator.layout.ray.phase)
         monkeypatch.setattr(solver, "SWEEP_CHUNK_RAYS", chunk)
         assert np.array_equal(propagator._ray_map(cache), propagator._m_ray)
 
-    def test_build_never_holds_the_whole_tensor(self, propagator,
+    def test_build_never_holds_the_whole_tensor(self, propagator, fast_sym,
                                                 set_workers):
         # the ray map is formed one chunk of tensor rows at a time: the
         # build's tracemalloc peak stays below the bytes of the whole
@@ -590,14 +596,14 @@ class TestDuhamelPropagator:
         import tracemalloc
         set_workers(2)
         prop = propagator
-        z, _ = prop.grids.axis
+        z, _ = prop.layout.axis
         whole_t = np.empty((prop.layout.n_ray, prop.layout.p_nodes.size,
                             z.size), dtype=np.complex64).nbytes
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            built = DuhamelPropagator(prop.symbols, prop.half, prop.times)
+            built = DuhamelPropagator(fast_sym, prop.half, prop.times)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()

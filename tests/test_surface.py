@@ -13,10 +13,12 @@ without their object, so a member that shares its name with an attribute
 read elsewhere (``apply``, ``name``) counts as used: the guard finds dead
 names, it does not prove the others live.
 
-A dataclass field with a default must also be set by some call in the
-package, by position, by keyword or through ``**``; ``cls(...)`` in a
-method of the class is a call to it.  A default that no call overrides is
-a setting with one value, and belongs in a module constant.
+A dataclass field with a default, and a defaulted keyword of a class's own
+``__init__``, must also be set by some call in the package, by position,
+by keyword or through ``**``; ``cls(...)`` in a method of the class is a
+call to it, and a call to a subclass without an ``__init__`` of its own is
+a call to its first base.  A default that no call overrides is a setting
+with one value, and belongs in a module constant.
 
 A ``KEPT`` name must in turn be read by some file under ``tests/`` or
 ``benchmark/`` (matched as above, by an attribute load or a bare name): a
@@ -95,13 +97,30 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
+def _init_keywords(node: ast.ClassDef) -> tuple[list[str], list[str]] | None:
+    """The keywords of the class's own ``__init__`` in call order and those
+    of them with a default, or None for a class without one."""
+    for sub in node.body:
+        if isinstance(sub, ast.FunctionDef) and sub.name == "__init__":
+            a = sub.args
+            order = [arg.arg for arg in a.posonlyargs + a.args][1:]
+            defaulted = order[len(order) - len(a.defaults):]
+            defaulted += [arg.arg for arg, d in zip(a.kwonlyargs, a.kw_defaults)
+                          if d is not None]
+            return order + [arg.arg for arg in a.kwonlyargs], defaulted
+    return None
+
+
 def _unset_defaulted_fields() -> set[str]:
     trees = [ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")]
     fields: dict[str, list[str]] = {}     # class -> fields in order
+    base: dict[str, str] = {}             # class without __init__ -> its base
     defaulted: set[str] = set()
     for tree in trees:
         for node in tree.body:
-            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if _is_dataclass(node):
                 fields[node.name] = []
                 for sub in node.body:
                     if (isinstance(sub, ast.AnnAssign)
@@ -109,6 +128,11 @@ def _unset_defaulted_fields() -> set[str]:
                         fields[node.name].append(sub.target.id)
                         if sub.value is not None:
                             defaulted.add(f"{node.name}.{sub.target.id}")
+            elif (init := _init_keywords(node)) is not None:
+                fields[node.name] = init[0]
+                defaulted.update(f"{node.name}.{k}" for k in init[1])
+            elif node.bases and isinstance(node.bases[0], ast.Name):
+                base[node.name] = node.bases[0].id
     set_fields: set[str] = set()
 
     def visit(node: ast.AST, owner: str | None) -> None:
@@ -119,6 +143,8 @@ def _unset_defaulted_fields() -> set[str]:
             if isinstance(child, ast.Call):
                 name = getattr(child.func, "id", getattr(child.func, "attr", None))
                 name = owner if name == "cls" else name
+                while name not in fields and name in base:
+                    name = base[name]
                 if name in fields:
                     order = fields[name]
                     if (any(isinstance(a, ast.Starred) for a in child.args)
