@@ -46,13 +46,20 @@ MIN_T_SWITCH = 1.0e-150
 #: 1.5e-165, x_max = 1e-160 at n_x = 256; finite at 1.5e-155, x_max = 1e-150).
 MIN_X_STEP = 1.0e-150
 
-#: Largest accepted mol_length and mol_n/mol_length (the reciprocal mesh
-#: width).  The reference squares both: the lifting profile's 4 x^2 at the
-#: last node, and the curvature's 1/dx^2 times the PV matrix.  Past the
-#: double range these end in NaN norms (mol_length = 1e154 at mol_n = 16,
-#: 1e-300 at mol_n = 512) or a LinAlgError (1e200); 1e150 leaves room for
-#: the factors.
+#: Largest accepted mol_length.  The reference squares its nodes in the
+#: lifting profile's 4 x^2 at the last node.  Past the double range this
+#: ends in NaN norms (mol_length = 1e154 at mol_n = 16) or a LinAlgError
+#: (1e200); 1e150 leaves room for the factors.
 MAX_MOL_SCALE = 1.0e150
+
+#: Largest accepted stiffness mol_dt (mol_n/mol_length)^2 = dt/dx^2 of the
+#: reference's implicit step.  Its K-norm certificate reads <= 1 + 1e-9 up
+#: to 1e6 (mol_n = 16, 512 and 2048), 1 + 1.5e-9 at 1e7 (512) and
+#: 1 + 1.2e-5 at 1e11 (2048), and the inversion of the step warns of an
+#: ill-conditioned matrix from 1e14.  The shipped grids read 0.29 (solve)
+#: to 4.66 (mol_n = 2048).  With MIN_T_SWITCH and MAX_MOL_STEPS it bounds
+#: the squared reciprocal mesh width too: (mol_n/mol_length)^2 <= 1e161.
+MAX_MOL_STIFFNESS = 1.0e4
 
 #: Largest accepted t_final / mol_dt, the reference's step count (it runs to
 #: at most t_final).  Its step times, boundary values and their derivatives
@@ -154,13 +161,19 @@ class RunConfig:
             raise ConfigError("contour_points_per_decade must be at least 4")
         if self.mol_n < MOL_MIN_N:
             raise ConfigError(f"mol_n must be at least {MOL_MIN_N}")
-        if (self.mol_length > MAX_MOL_SCALE
-                or self.mol_n > MAX_MOL_SCALE * self.mol_length):
+        if self.mol_length > MAX_MOL_SCALE:
             raise ConfigError(
-                f"mol_length={self.mol_length!r} (mol_n={self.mol_n}): "
-                f"mol_length and mol_n/mol_length must not exceed "
-                f"{MAX_MOL_SCALE:g}: the reference's squared nodes and "
-                f"squared reciprocal mesh width leave the double range")
+                f"mol_length={self.mol_length!r} must not exceed "
+                f"{MAX_MOL_SCALE:g}: the reference's squared nodes leave the "
+                f"double range")
+        # a product, not a power: a float ** raises OverflowError
+        reciprocal = self.mol_n / self.mol_length
+        if self.mol_dt * reciprocal * reciprocal > MAX_MOL_STIFFNESS:
+            raise ConfigError(
+                f"mol_length={self.mol_length!r} (mol_n={self.mol_n}, "
+                f"mol_dt={self.mol_dt!r}): the reference's stiffness "
+                f"mol_dt (mol_n/mol_length)^2 must not exceed "
+                f"{MAX_MOL_STIFFNESS:g}, where its step's certificate holds")
 
     # -- serialization --------------------------------------------------
 

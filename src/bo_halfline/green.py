@@ -23,7 +23,7 @@ formula (e_minus_weights).  The Green lattice takes it as a trapezoid rule
 in ln V whose step is the p lattice's own, so p V lies on one geometric
 lattice and each ray's row is a correlation of psi_hat samples on it
 (e_minus_rows, a discrete Mellin correlation); the Duhamel propagator keeps
-Gauss panels on its fixed z lattice (solver.DUHAMEL_GRIDS).  Beyond the
+Gauss panels on its fixed z lattice (solver.DUHAMEL_AXIS).  Beyond the
 tabulated |s| range the kernel uses the fitted asymptotic E- ~ lam1 p^{-1/2}
 s^{3/4} + lam0 s (GreenGrids), and FieldAssembly turns kernel samples into the
 correction field; RayKernel holds K(p, t) and that map for the E- lattice and
@@ -40,7 +40,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gamma as gamma_fn
 from scipy.special import gammainc, wofz
 
-from .contour import DampedRay, axis_nodes, log_graded_nodes
+from .contour import DampedRay, log_graded_nodes
 from .halfline import (EXP_UNDERFLOW, Profile, WholeLineGrid, for_each_row,
                        laplace_matrix, lattice_args)
 from .symbols import TWO_PI_I, DirectionCache, Symbols
@@ -64,16 +64,17 @@ _TAIL_M_CUT = 0.3
 
 #: What every GreenGrids shares: p nodes on [P_MIN, P_MAX], the ray on
 #: [R_MIN, R_MAX], its tail on to TAIL_R_MAX at TAIL_PPD points per decade
-#: and AXIS_PPD points per decade on the axis.  P_MIN sqrt(R_MAX) <= 0.1 puts
-#: the first p node in the corner that GreenGrids fits.
+#: and the E- rows' imaginary axis on [AXIS_MIN, AXIS_MAX].  P_MIN
+#: sqrt(R_MAX) <= 0.1 puts the first p node in the corner that GreenGrids
+#: fits.
 P_MIN, P_MAX, R_MIN, R_MAX = 1.0e-6, 2.0e4, 1.0e-7, 1.0e7
-TAIL_R_MAX, TAIL_PPD, AXIS_PPD = 1.0e13, 4, 20
+TAIL_R_MAX, TAIL_PPD, AXIS_MIN, AXIS_MAX = 1.0e13, 4, 1.0e-5, 1.0e8
 
 
 class GreenGrids:
     """Quadrature layout of one kernel assembly: the p nodes, the damped ray
     and its tail, the corner model of the tail rows, and the imaginary
-    transform axes the E- rows integrate over.
+    transform axis the E- rows integrate over.
 
     Rows 0..n_ray-1 of ``ray`` are the tabulated rays s = r e^{i RAY_THETA};
     the tail rows beyond R_MAX carry the corner model E- ~ lam1 p^{-1/2}
@@ -82,14 +83,12 @@ class GreenGrids:
     E-(p, s) e^{s p^2 t}.  The p nodes are the lattice P_MIN rho^j, with
     ``log_ratio`` = ln rho.
 
-    The keywords are what the layouts differ in; the rest is the constants
-    above.  The defaults are the single-shot Green layout; the Duhamel
-    propagator runs a coarser instance of the same class.  The axes are
-    built on first use."""
+    The keywords, the p and ray densities, are what the layouts differ in;
+    the rest is the constants above.  The defaults are the single-shot
+    Green layout; the Duhamel propagator runs a coarser instance of the
+    same class.  The axis is built on first use."""
 
-    def __init__(self, p_ppd: int = 32, r_ppd: int = 20,
-                 axis_min: float = 1.0e-5, axis_max: float = 1.0e8):
-        self.axis_min, self.axis_max = axis_min, axis_max
+    def __init__(self, p_ppd: int = 32, r_ppd: int = 20):
         count = int(math.ceil(math.log10(P_MAX / P_MIN) * p_ppd)) + 1
         p = self.p_nodes = np.geomspace(P_MIN, P_MAX, count)
         self.log_ratio = math.log(P_MAX / P_MIN) / (count - 1)
@@ -115,20 +114,14 @@ class GreenGrids:
         self._pinv = np.linalg.pinv(self.corner_basis)
 
     @cached_property
-    def axis(self) -> tuple[np.ndarray, np.ndarray]:
-        """Upward imaginary-axis nodes iV and weights i dV on Gauss panels
-        (the Duhamel propagator's fixed z lattice)."""
-        return axis_nodes(0.0, self.axis_min, self.axis_max, AXIS_PPD)
-
-    @cached_property
     def log_axis(self) -> tuple[np.ndarray, np.ndarray]:
         """The trapezoid rule in ln V at the p lattice's step, for the E-
-        rows: upward nodes iV and weights i dV, V_q = axis_min rho^q from
-        axis_min to the first node at or past axis_max, weights V_q ln rho
-        halved at both ends, paired exactly about 0 like ``axis``."""
-        count = int(math.ceil(math.log(self.axis_max / self.axis_min)
+        rows: upward nodes iV and weights i dV, V_q = AXIS_MIN rho^q from
+        AXIS_MIN to the first node at or past AXIS_MAX, weights V_q ln rho
+        halved at both ends, paired exactly about 0."""
+        count = int(math.ceil(math.log(AXIS_MAX / AXIS_MIN)
                               / self.log_ratio)) + 1
-        big_v = self.axis_min * np.exp(self.log_ratio * np.arange(count))
+        big_v = AXIS_MIN * np.exp(self.log_ratio * np.arange(count))
         w = big_v * self.log_ratio
         w[[0, -1]] *= 0.5
         y = np.concatenate([-big_v[::-1], big_v])

@@ -8,17 +8,18 @@ crosscheck of the zero-extension identity), the inhomogeneous boundary value
 is lifted with a Gaussian cutoff so the evolved unknown vanishes at both ends,
 and time stepping is semi-implicit: the linear dispersive part through one
 inverted step matrix S = (I - dt A)^{-1}, explicit conservative transport for
-the rest.  Stepping with S is one matrix-vector product per step, cheaper than
-the two triangular solves of an LU factorization.
+the rest.  The unknown is zero at both ends, so A and S act on the
+mol_n - 1 interior nodes only.  Stepping with S is one matrix-vector product
+per step, cheaper than the two triangular solves of an LU factorization.
 
-The run certifies that same S by an upper bound on its spectral radius.  The
-end rows of A are zero, so S has unit end rows and eig(S) = {1, 1} and the
-eigenvalues of its interior block S_ii.  On the interior A = H K with H skew
-and K = tridiag(-1, 2, -1)/dx^2 positive definite, so A is skew in the
-energy <v, K v> and S_ii is a contraction in the K-norm (Crank & Nicolson
-1947; Ascher, Ruuth & Wetton 1995).  max(1, ||S_ii||_K) is never below the
-radius.  It costs an O(n^2) similarity by the bidiagonal Cholesky factor of
-K, one Gram triangle and one Cholesky test instead of a dense eigensolve."""
+The run certifies that same S by an upper bound on its spectral radius.  On
+the interior A = H K with H skew and K = tridiag(-1, 2, -1)/dx^2 positive
+definite, so A is skew in the energy <v, K v> and S is a contraction in the
+K-norm (Crank & Nicolson 1947; Ascher, Ruuth & Wetton 1995).  max(1,
+||S||_K) is never below the radius, nor below that of the step on all
+nodes, whose eigenvalues are 1, 1 and those of S.  It costs an O(n^2)
+similarity by the bidiagonal Cholesky factor of K, one Gram triangle and one
+Cholesky test instead of a dense eigensolve."""
 
 from __future__ import annotations
 
@@ -83,33 +84,29 @@ class MethodOfLines:
 
     def _build_operators(self) -> None:
         x, dx = self.x, self.dx
-        # the symbol c_k = -1/(pi k) for |k| <= x.size, exactly skew
-        c = -1.0 / (np.pi * np.arange(1.0, x.size + 1.0))
-        c = np.concatenate([-c[::-1], [0.0], c])
-        self.symbol = c[1:-1]               # H[i, j] = c_{j-i}
-        hilbert = _toeplitz(self.symbol)
+        # the symbol c_k = -1/(pi k) for |k| < x.size, exactly skew
+        c = -1.0 / (np.pi * np.arange(1.0, x.size))
+        c = self.symbol = np.concatenate([-c[::-1], [0.0], c])
+        hilbert = _toeplitz(c)              # H[i, j] = c_{j-i}
         # lifting profile: chi(0) = 1, flat at the wall, gone by mid-domain
         self.chi = np.exp(-x**2)
         self.chi_xx = (4.0 * x**2 - 2.0) * np.exp(-x**2)
         self.h_chi_term = hilbert @ self.chi_xx
-        # A = -H Lap with Lap the three-point curvature on the interior rows
-        # k only, so column j of H Lap is sum_k H[:, k] Lap[k, j].  Where
-        # j - 1, j and j + 1 are all interior that is Toeplitz too, with the
-        # second difference of c as its symbol; the two columns at each end
-        # lose the stencil entries on end rows of Lap and are rebuilt from
-        # c.  End rows of Lap stay zero.  Extrapolated (or one-sided)
+        # A = -H Lap on the interior rows and columns, with Lap the
+        # three-point curvature, so column j of H Lap is sum_k H[:, k]
+        # Lap[k, j] over interior k.  Where j - 1, j and j + 1 are all
+        # interior that is Toeplitz too, with the second difference of c as
+        # its symbol; the first and last columns lose the stencil entry on an
+        # end node and are rebuilt from c.  Extrapolated (or one-sided)
         # curvature rows at the wall, fed through the PV matrix, create a
         # single wall-localized eigenpair with Re(lambda) ~ +38 that destroys
-        # the run by t ~ 1; with zero end rows the generator is skew to
-        # machine precision.  The price is an O(dx^2) one-node quadrature
-        # defect in the dispersion integral at each end.
-        amat = _toeplitz((2.0 * c[1:-1] - (c[2:] + c[:-2])) / dx**2).copy()
-        ends = hilbert[:, [1, 2, -3, -2]] / dx**2
-        amat[:, 0] = -ends[:, 0]
-        amat[:, 1] = 2.0 * ends[:, 0] - ends[:, 1]
-        amat[:, -2] = 2.0 * ends[:, 3] - ends[:, 2]
-        amat[:, -1] = -ends[:, 3]
-        amat[[0, -1]] = 0.0
+        # the run by t ~ 1; on the interior alone the generator is skew in
+        # the energy to machine precision.  The price is an O(dx^2) one-node
+        # quadrature defect in the dispersion integral at each end.
+        amat = _toeplitz((2.0 * c[2:-2] - (c[3:-1] + c[1:-3])) / dx**2).copy()
+        ends = hilbert[1:-1, [1, 2, -3, -2]] / dx**2
+        amat[:, 0] = 2.0 * ends[:, 0] - ends[:, 1]
+        amat[:, -1] = 2.0 * ends[:, 3] - ends[:, 2]
         self.amat = amat
 
     def gradient(self, f: np.ndarray) -> np.ndarray:
@@ -140,10 +137,10 @@ class MethodOfLines:
                      / np.linalg.norm(via_fft[keep]))
 
     def step_matrix(self, dt: float | None = None) -> np.ndarray:
-        """The implicit step matrix S = (I - dt A)^{-1}."""
+        """The implicit step matrix S = (I - dt A)^{-1} on the interior."""
         dt = _positive("dt", self.config.mol_dt if dt is None else dt)
         lhs = self.amat * -dt
-        lhs.flat[::self.x.size + 1] += 1.0     # I - dt A with one temporary
+        lhs.flat[::lhs.shape[0] + 1] += 1.0    # I - dt A with one temporary
         # LAPACK getrf + getri in place on the transpose, a Fortran-ordered
         # view: inv(M^T)^T = inv(M) with no copy, and getri takes fewer
         # flops than solving against the identity
@@ -151,48 +148,35 @@ class MethodOfLines:
 
     def stability_certificate(self, step: np.ndarray,
                               meta: dict | None = None) -> float:
-        """Upper bound max(1, ||S_ii||_K) on the spectral radius of the
-        implicit step matrix ``step``, S = (I - dt A)^{-1}, where S_ii is S
-        without its end rows and columns and ||.||_K the operator norm of the
-        energy <v, K v>, K = tridiag(-1, 2, -1)/dx^2.  The certificate
-        consumes S (``step_matrix`` forms it).  With G the
-        order-n Gram matrix of top eigenvalue max(1, ||S_ii||_K)^2 and
-        delta = 16 n eps, the bound is sqrt(1 + 2 delta) if I - G/(1 + delta)
-        has a Cholesky factor, the second delta for rounding in G of typical
-        size n eps (worst case n^2 eps; Higham 2002, ch. 10), to which the
-        eigenvalue is also only accurate; else the eigenvalue's root.  inf
-        when an end row of S is not exactly a unit row (the bound then no
-        longer covers the end eigenvalues) or no finite bound comes out.
-        ``meta``, if given, gets ``certificate_route``: ``cholesky``,
-        ``eigen``, or ``none`` when inf came before either."""
+        """Upper bound max(1, ||S||_K) on the spectral radius of the implicit
+        step matrix ``step``, S = (I - dt A)^{-1} on the interior, where
+        ||.||_K is the operator norm of the energy <v, K v>, K =
+        tridiag(-1, 2, -1)/dx^2; it bounds the step on all nodes too, whose
+        eigenvalues are 1, 1 and those of S.  The certificate consumes S
+        (``step_matrix`` forms it).  With G the order-n Gram matrix of top
+        eigenvalue max(1, ||S||_K)^2 and delta = 16 n eps, the bound is
+        sqrt(1 + 2 delta) if I - G/(1 + delta) has a Cholesky factor, the
+        second delta for rounding in G of typical size n eps (worst case
+        n^2 eps; Higham 2002, ch. 10), to which the eigenvalue is also only
+        accurate; else the eigenvalue's root.  inf when no finite bound
+        comes out.  ``meta``, if given, gets ``certificate_route``:
+        ``cholesky``, ``eigen``, or ``none`` for a non-finite Gram matrix."""
         meta = {} if meta is None else meta
         meta["certificate_route"] = "none"
-        unit = np.zeros((2, step.shape[1]))
-        unit[0, 0] = unit[-1, -1] = 1.0
-        if not np.array_equal(step[[0, -1]], unit):
-            return float("inf")
         # K = L L^T with L lower bidiagonal (diagonal l, subdiagonal m);
-        # ||S_ii||_K is the 2-norm of B = L^T S_ii L^{-T}, formed in place
-        n_in = step.shape[0] - 2
-        band = np.outer([2.0, -1.0], np.full(n_in, 1.0 / self.dx**2))
-        l, m = cholesky_banded(band, lower=True)
-        b = step[1:-1, 1:-1]
-        for i in range(n_in - 1):          # rows: b_i <- l_i b_i + m_i b_i+1
-            b[i] *= l[i]
-            b[i] += m[i] * b[i + 1]
-        b[-1] *= l[-1]
-        # columns: S <- S blockdiag(1, L, 1)^{-T}, one banded triangular
-        # solve in place on the Fortran-ordered S^T; S keeps its unit end
-        # columns and rows
-        pad = np.zeros((2, n_in + 2))
-        pad[0] = 1.0
-        pad[0, 1:-1] = l
-        pad[1, 1:-2] = m[:-1]
-        step = dtbtrs(pad, step.T, uplo="L", overwrite_b=1)[0].T
-        # zeroed interior end columns make S blockdiag(1, B, 1); dsyrk reads
-        # the Fortran-ordered S^T, writes the triangle dpotrf and dsyevr read
-        step[1:-1, [0, -1]] = 0.0
+        # ||S||_K is the 2-norm of B = L^T S L^{-T}, formed in place
         n = step.shape[0]
+        band = np.outer([2.0, -1.0], np.full(n, 1.0 / self.dx**2))
+        factor = cholesky_banded(band, lower=True)
+        l, m = factor
+        for i in range(n - 1):             # rows: s_i <- l_i s_i + m_i s_i+1
+            step[i] *= l[i]
+            step[i] += m[i] * step[i + 1]
+        step[-1] *= l[-1]
+        # columns: S <- S L^{-T}, one banded triangular solve in place on
+        # the Fortran-ordered S^T, which dsyrk then reads to write the
+        # triangle dpotrf and dsyevr read
+        step = dtbtrs(factor, step.T, uplo="L", overwrite_b=1)[0].T
         delta = 16.0 * n * np.finfo(float).eps
         gram = dsyrk(-1.0 / (1.0 + delta), step.T, beta=1.0,
                      c=np.eye(n, order="F"), overwrite_c=1)
@@ -215,12 +199,11 @@ class MethodOfLines:
 
     def _rhs_explicit(self, v: np.ndarray, h_t: float,
                       hp_t: float) -> np.ndarray:
-        """The explicit part at a time where h = h_t and h' = hp_t."""
+        """The explicit part on the interior nodes at a time where h = h_t
+        and h' = hp_t."""
         w = v + h_t * self.chi
         out = -0.5 * self.gradient(w**2) - hp_t * self.chi - h_t * self.h_chi_term
-        out[0] = 0.0
-        out[-1] = 0.0
-        return out
+        return out[1:-1]
 
     def run(self, t_final: float | None = None,
             save_times: np.ndarray | None = None) -> MolResult:
@@ -241,8 +224,8 @@ class MethodOfLines:
         dt = _positive("dt", dt)
         n_steps = max(1, int(round(t_final / dt)))
         dt = t_final / n_steps
-        if save_times is None:
-            save_times = np.linspace(0.0, t_final, 9)
+        if save_times is None:      # the distinct steps nearest 9 even times
+            save_times = np.unique(np.rint(np.linspace(0.0, n_steps, 9))) * dt
         save_times = np.asarray(save_times, dtype=float)
         save_steps = {}
         for k, ts in enumerate(save_times):
@@ -261,9 +244,8 @@ class MethodOfLines:
         t1 = time.perf_counter()
         t_k = np.arange(n_steps + 1) * dt       # every step time, one call
         h_k, hp_k = self.h(t_k), self.h.deriv(t_k)
-        v = self.psi(self.x) - h_k[0] * self.chi
-        v[0] = 0.0
-        v[-1] = 0.0
+        v = np.zeros(n)                     # the lifted unknown: 0 at both ends
+        v[1:-1] = (self.psi(self.x) - h_k[0] * self.chi)[1:-1]
         out = np.zeros((save_times.size, n))
         u_start = v + h_k[0] * self.chi
         if 0 in save_steps:
@@ -273,10 +255,8 @@ class MethodOfLines:
         l2_start = float(l2_norm(u_start, self.dx))
         energy_start = self._dirichlet_energy(u_start)
         for step in range(1, n_steps + 1):
-            v = step_mat @ (v + dt * self._rhs_explicit(v, h_k[step - 1],
-                                                        hp_k[step - 1]))
-            v[0] = 0.0
-            v[-1] = 0.0
+            v[1:-1] = step_mat @ (v[1:-1] + dt * self._rhs_explicit(
+                v, h_k[step - 1], hp_k[step - 1]))
             if step in save_steps:
                 out[save_steps[step]] = v + h_k[step] * self.chi
         h_end = float(self.h(np.array([t_final]))[0])

@@ -26,6 +26,7 @@ from scipy.interpolate import CubicSpline
 
 from .boundary import BoundaryKernel
 from .config import RunConfig
+from .contour import axis_nodes
 from .green import (FieldAssembly, GreenGrids, GreenOperator,
                     e_minus_weights, fresnel_table)
 # the one-row Filon helper stays importable from this module too
@@ -126,17 +127,20 @@ class ForcingTransforms:
 #: t = 0.25, 1, 2 and 10 this layout differs from GreenGrids() by 6e-3 in
 #: value and 2.4e-2 in slope (max relative change); the time-quadrature
 #: error of the accumulation is unmeasured.
-#:
-#: Its z lattice stays on the Gauss panels of ``GreenGrids.axis``, not on
-#: the Green lattice's trapezoid in ln V (``GreenGrids.log_axis``): on the
-#: production solve, Gauss panels at 20, 40 and 80 points per decade differ
-#: from each other by 5e-5 to 6.6e-5 in the Duhamel term, and a trapezoid
-#: in ln z at this layout's p step moves that term by 1.2e-5 to 1.8e-4,
-#: which moves the recorded benchmark figures past their tolerance
-#: (contraction-ratio[0] 0.0961341 -> 0.0961543, rel-l2[t=1] 0.636065 ->
-#: 0.636273, and the solution table).  Moving it needs a re-recorded
-#: benchmark snapshot (ROADMAP items 5, 12 and 18).
-DUHAMEL_GRIDS = GreenGrids(p_ppd=12, r_ppd=8, axis_min=1.0e-6, axis_max=1.0e6)
+DUHAMEL_GRIDS = GreenGrids(p_ppd=12, r_ppd=8)
+
+#: The Duhamel propagator's fixed z lattice: upward imaginary-axis nodes iV
+#: and weights i dV on Gauss panels, 20 points per decade on [1e-6, 1e6].
+#: It stays on Gauss panels, not on the Green lattice's trapezoid in ln V
+#: (``GreenGrids.log_axis``): on the production solve, Gauss panels at 20,
+#: 40 and 80 points per decade differ from each other by 5e-5 to 6.6e-5 in
+#: the Duhamel term, and a trapezoid in ln z at this layout's p step moves
+#: that term by 1.2e-5 to 1.8e-4, which moves the recorded benchmark
+#: figures past their tolerance (contraction-ratio[0] 0.0961341 ->
+#: 0.0961543, rel-l2[t=1] 0.636065 -> 0.636273, and the solution table).
+#: Moving it needs a re-recorded benchmark snapshot (ROADMAP items 5, 12
+#: and 18).
+DUHAMEL_AXIS = axis_nodes(0.0, 1.0e-6, 1.0e6, 20)
 
 #: Rays of the kernel lattice formed and folded into the memory sum at a
 #: time in a sweep, so that a chunk's complex64 product and its complex128
@@ -245,7 +249,7 @@ class DuhamelPropagator:
                                    float(np.max(np.abs(self.whole.xi))))
         p = self.layout.p_nodes
 
-        z, _ = self.layout.axis
+        z, _ = DUHAMEL_AXIS
         self._lap_axis = laplace_matrix(z, xs, np.complex64)
         self._m_ray = self._ray_map(symbols.direction(self.layout.ray.phase))
         brk = symbols.direction(1j)
@@ -280,7 +284,7 @@ class DuhamelPropagator:
         """Tensor and root-term coefficients for one unit direction, rows
         indexed by |s|."""
         p = self.layout.p_nodes
-        z, wz = self.layout.axis
+        z, wz = DUHAMEL_AXIS
         m = np.sqrt(moduli)[:, None] * p[None, :]            # (n_s, n_p)
         tensor = np.empty((moduli.size, p.size, z.size), dtype=np.complex64)
         bt = np.empty(moduli.size, dtype=complex)
@@ -542,11 +546,14 @@ def picard_solve(config: RunConfig | None = None,
 
     def sweep(values: np.ndarray, derivs: np.ndarray):
         """One application of the Duhamel map and the X-norm of its step,
-        timed per stage.  A forcing u u_x that overflowed has no transform:
-        the step is then NaN, untimed, and the iteration aborts on it."""
+        timed per stage.  A forcing u u_x has a transform only if max|u u_x|
+        <= np.finfo(np.float32).max, the range of its single-precision
+        products; else the step is NaN, untimed, and the iteration aborts on
+        it."""
         t0 = time.perf_counter()
-        forcing = advective_forcing(values, derivs)
-        if not np.isfinite(forcing).all():
+        with np.errstate(over="ignore"):
+            forcing = advective_forcing(values, derivs)
+        if not np.max(np.abs(forcing)) <= np.finfo(np.float32).max:
             return values, derivs, float("nan")
         lat = propagator.transform_forcing(forcing)
         t1 = time.perf_counter()
@@ -583,14 +590,16 @@ def picard_solve(config: RunConfig | None = None,
             aborted = True
             break
 
-    u_norm = xnorm(u_val, u_der)
+    # an aborted lattice's figures may overflow: they read inf or NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_norm = xnorm(u_val, u_der)
+        gap = _divergence_gap(u_val, u_der, half)
     residual_rel = float("nan") if aborted \
         else sweep(u_val, u_der)[2] / max(u_norm, 1.0e-30)
 
     # TimeGrid has nodes t > 0: t_switch >= MIN_T_SWITCH > 0
     interior = times.nodes > 0.0
     trace_err = float(np.max(np.abs(u_val[interior, 0] - h_values[interior])))
-    gap = _divergence_gap(u_val, u_der, half)
 
     return SpaceTimeSolution(
         x=xs, times=times.nodes.copy(), values=u_val, derivs=u_der,

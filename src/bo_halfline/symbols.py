@@ -110,9 +110,8 @@ class Symbols:
 
     def __init__(self, config: RunConfig | None = None, *,
                  theta: float = SYMBOL_THETA):
-        self.config = cfg = config or RunConfig()
         self.theta = theta
-        self.ppd = cfg.contour_points_per_decade
+        self.ppd = (config or RunConfig()).contour_points_per_decade
         self._directions: dict[complex, DirectionCache] = {}
 
     # -- geometry -------------------------------------------------------

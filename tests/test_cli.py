@@ -172,9 +172,9 @@ def test_solve_reference_past_x_max_compares_inside(fast_cfg, monkeypatch,
 
 @pytest.mark.parametrize("scale", ["1e100", "1e152", "1e200"])
 def test_solve_huge_data_aborts(scale, fast_cfg, monkeypatch, capsys):
-    # the iteration diverges at 1e100; at 1e152 the first sweep's free
-    # running sum overflows, at 1e200 the first forcing u u_x, and both
-    # used to end in a spline traceback (exit 2)
+    # at each scale the first forcing u u_x is past the single-precision
+    # range (at 1e200 it overflows), so the first sweep aborts; 1e152 and
+    # 1e200 used to end in a spline traceback (exit 2)
     export_fast_cfg(fast_cfg, monkeypatch)
     monkeypatch.setenv("BOHL_DATA_SCALE", scale)
     code = main(["solve"])

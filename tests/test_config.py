@@ -6,6 +6,7 @@ import io
 import math
 import os
 import re
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -16,8 +17,8 @@ from hypothesis import strategies as st
 
 from bo_halfline.cli import main
 from bo_halfline.config import (ENUM_VALUES, MAX_MOL_SCALE, MAX_MOL_STEPS,
-                                MIN_T_SWITCH, MIN_X_STEP, MOL_MIN_N,
-                                ConfigError, RunConfig)
+                                MAX_MOL_STIFFNESS, MIN_T_SWITCH, MIN_X_STEP,
+                                MOL_MIN_N, ConfigError, RunConfig)
 from bo_halfline.mol import MethodOfLines
 from bo_halfline.solver import picard_solve
 
@@ -217,15 +218,21 @@ def test_unknown_env_key_exits_2(var):
 
 
 def test_mol_scale_edges():
-    # the largest accepted mol_length and mol_n/mol_length leave a
-    # reference run finite; just past either the config is rejected
-    for length in (MAX_MOL_SCALE, 1.000001 * MOL_MIN_N / MAX_MOL_SCALE):
-        res = MethodOfLines(RunConfig(), mol_n=MOL_MIN_N,
-                            mol_length=length).run(t_final=0.008)
+    # the largest accepted mol_length and the stiffest accepted grid,
+    # mol_dt (mol_n/mol_length)^2 = MAX_MOL_STIFFNESS, leave a reference run
+    # finite, warning-free and certified; just past either the config is
+    # rejected
+    stiff = MOL_MIN_N * math.sqrt(RunConfig().mol_dt / MAX_MOL_STIFFNESS)
+    for length in (MAX_MOL_SCALE, (1.0 + 1e-6) * stiff):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = MethodOfLines(RunConfig(), mol_n=MOL_MIN_N,
+                                mol_length=length).run(t_final=0.008)
         assert np.isfinite(res.values).all(), length
         assert math.isfinite(res.l2_drift), length
         assert math.isfinite(res.meta["energy_drift"]), length
-    for length in (2.0 * MAX_MOL_SCALE, 0.5 * MOL_MIN_N / MAX_MOL_SCALE):
+        assert res.spectral_radius <= 1.0 + 1e-9, length
+    for length in (2.0 * MAX_MOL_SCALE, (1.0 - 1e-6) * stiff):
         with pytest.raises(ConfigError, match="mol_length"):
             RunConfig().replace(mol_n=MOL_MIN_N, mol_length=length)
 
@@ -307,6 +314,8 @@ def _assert_usable(cfg: RunConfig) -> None:
     assert cfg.t_switch >= MIN_T_SWITCH
     assert cfg.x_max / cfg.n_x ** 2 >= MIN_X_STEP
     assert cfg.t_final / cfg.mol_dt <= MAX_MOL_STEPS
+    reciprocal = cfg.mol_n / cfg.mol_length
+    assert cfg.mol_dt * reciprocal * reciprocal <= MAX_MOL_STIFFNESS
     assert cfg.contour_points_per_decade >= 4
     assert 0.0 <= cfg.epsilon_weight < 0.5
 

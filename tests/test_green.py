@@ -12,13 +12,13 @@ import threading
 import numpy as np
 import pytest
 
-from bo_halfline.green import (FRESNEL_BLOCK_ROWS, P_MAX, P_MIN, R_MAX, R_MIN,
-                               RAY_THETA, TAIL_R_MAX, EMinusLattice,
-                               FieldAssembly, GreenGrids, GreenOperator,
-                               e_minus_rows, e_minus_weights,
+from bo_halfline.green import (AXIS_MAX, AXIS_MIN, FRESNEL_BLOCK_ROWS, P_MAX,
+                               P_MIN, R_MAX, R_MIN, RAY_THETA, TAIL_R_MAX,
+                               EMinusLattice, FieldAssembly, GreenGrids,
+                               GreenOperator, e_minus_rows, e_minus_weights,
                                fresnel_table, fresnel_weights)
 from bo_halfline.halfline import EXP_UNDERFLOW, HalfLineGrid, make_profile
-from bo_halfline.solver import DUHAMEL_GRIDS, TimeGrid
+from bo_halfline.solver import DUHAMEL_AXIS, DUHAMEL_GRIDS, TimeGrid
 
 
 # ---------------------------------------------------------------------------
@@ -37,11 +37,11 @@ _ORACLE_GAPS = {(0.3, 0.1): 1.02541, (0.3, 10.0): 0.117396,
 def test_e_minus_rows_on_both_node_families(sym):
     # the Green lattice's geometric axis against the Duhamel propagator's
     # fixed z lattice on Gauss panels
-    green, duhamel = GreenGrids(), DUHAMEL_GRIDS
+    green = GreenGrids()
     cache = sym.direction(np.exp(1j * RAY_THETA))
     psi_hat = make_profile("gauss_bump", 1.0).hat
     r, p_nodes = green.ray.r[:green.n_ray], green.p_nodes
-    z, wz = duhamel.axis
+    z, wz = DUHAMEL_AXIS
     for (p_near, s_near), gap in _ORACLE_GAPS.items():
         j = np.argmin(np.abs(np.log(p_nodes / p_near)))
         p = p_nodes[j]
@@ -58,33 +58,32 @@ def test_e_minus_rows_on_both_node_families(sym):
         assert abs(e_lattice - ref) / abs(ref) == pytest.approx(gap, rel=1e-3)
 
 
-@pytest.mark.parametrize("grids, axis", [(GreenGrids(), "log_axis"),
-                                         (DUHAMEL_GRIDS, "axis")],
+@pytest.mark.parametrize("grids", [GreenGrids(), None],
                          ids=["green", "duhamel"])
-def test_axis_pairs_exactly(grids, axis):
+def test_axis_pairs_exactly(grids):
     # the folded E- rows read the lower half of the axis off the upper half,
     # and the Green lattice's correlation needs its ratio to be p_1/p_0
-    v, wv = getattr(grids, axis)
+    v, wv = DUHAMEL_AXIS if grids is None else grids.log_axis
     n = v.size // 2
     assert v.size == 2 * n
     assert np.array_equal(v[:n], -v[n:][::-1])
     assert np.array_equal(wv[:n], wv[n:][::-1])
     assert np.all(v[n:].imag > 0.0)
-    if axis == "log_axis":
+    if grids is not None:
         p = grids.p_nodes
         assert np.allclose(v[n + 1:] / v[n:-1], p[1] / p[0], rtol=1e-13, atol=0.0)
 
 
 def test_log_axis_nodes_and_weights():
-    # V_q = axis_min rho^q from axis_min to the first node past axis_max,
+    # V_q = AXIS_MIN rho^q from AXIS_MIN to the first node past AXIS_MAX,
     # and the trapezoid weights V_q ln rho halved at both ends
     grids = GreenGrids()
     p = grids.p_nodes
     v, wv = grids.log_axis
     big_v, w = v[v.size // 2:].imag, wv[wv.size // 2:].imag
     assert big_v.size == 418 and p.size + big_v.size - 1 == 748
-    assert big_v[0] == grids.axis_min
-    assert big_v[-2] < grids.axis_max <= big_v[-1]
+    assert big_v[0] == AXIS_MIN
+    assert big_v[-2] < AXIS_MAX <= big_v[-1]
     want = big_v * math.log(p[1] / p[0])
     want[[0, -1]] *= 0.5
     assert np.allclose(w, want, rtol=1e-13, atol=0.0)
@@ -131,7 +130,7 @@ def test_rows_converge_against_half_step_sum(sym, name):
     v, _ = grids.log_axis
     n = v.size // 2
     log_step = 0.5 * math.log(P_MAX / P_MIN) / (p.size - 1)
-    big_v = grids.axis_min * np.exp(log_step * np.arange(2 * n - 1))
+    big_v = AXIS_MIN * np.exp(log_step * np.arange(2 * n - 1))
     w = big_v * log_step
     w[[0, -1]] *= 0.5
     half = (1j * np.concatenate([-big_v[::-1], big_v]),

@@ -57,8 +57,7 @@ class TestOperators:
         lap = np.zeros((n + 1, n + 1))
         lap[idx, idx - 1] = lap[idx, idx + 1] = 1.0 / m.dx**2
         lap[idx, idx] = -2.0 / m.dx**2
-        amat = -hilbert @ lap
-        amat[[0, -1]] = 0.0
+        amat = (-hilbert @ lap)[1:-1, 1:-1]
         assert np.max(np.abs(m.amat - amat)) <= 1e-14 * np.max(np.abs(amat))
         h_chi = hilbert @ m.chi_xx
         assert np.max(np.abs(m.h_chi_term - h_chi)) \
@@ -66,7 +65,8 @@ class TestOperators:
 
     def test_build_holds_one_dense_matrix(self):
         # the symbol replaces the dense PV matrix and its temporaries: the
-        # build peaks near one (n+1)^2 array, and A is the only one it keeps
+        # build peaks near one (n+1)^2 array, and A, (n-1)^2 on the interior,
+        # is the only one it keeps
         n = 1024
         tracemalloc.start()
         try:
@@ -76,7 +76,7 @@ class TestOperators:
             tracemalloc.stop()
         assert peak <= 1.25 * (n + 1) ** 2 * 8
         dense = [name for name, value in vars(m).items()
-                 if isinstance(value, np.ndarray) and value.size >= (n + 1)**2]
+                 if isinstance(value, np.ndarray) and value.size >= (n - 1)**2]
         assert dense == ["amat"]
 
     def test_wall_rows_are_zero(self, mol):
@@ -92,11 +92,9 @@ class TestOperators:
         lap[idx, idx + 1] = 1.0
         lap /= mol.dx**2
         hilbert = -pv_matrix(mol.x) / np.pi
-        dense = (-hilbert @ lap)[1:-1]
-        assert np.max(np.abs(mol.amat[1:-1] - dense)) \
+        dense = (-hilbert @ lap)[1:-1, 1:-1]
+        assert np.max(np.abs(mol.amat - dense)) \
             <= 1e-15 * np.max(np.abs(dense))
-        assert np.all(mol.amat[0] == 0.0)
-        assert np.all(mol.amat[-1] == 0.0)
 
     def test_gradient_end_stencils(self, mol):
         # the gradient applied to the unit vectors, column by column
@@ -122,9 +120,8 @@ class TestOperators:
 
 class TestCertificates:
     def test_implicit_step_spectral_radius(self, mol):
-        # Unit end rows plus a step that contracts the interior in the
-        # K-norm (A_ii = H_ii K with H_ii skew): the bound max(1, ||S_ii||_K)
-        # reads 1 to round-off.
+        # A step that contracts the interior in the K-norm (A = H_ii K with
+        # H_ii skew): the bound max(1, ||S||_K) reads 1 to round-off.
         assert mol.stability_certificate(mol.step_matrix()) <= 1.0 + 1e-9
 
     @pytest.mark.parametrize("n", [64, 128, 256])
@@ -161,24 +158,32 @@ class TestCertificates:
         m = MethodOfLines(cfg, mol_n=256)
         stencil = np.array([2.0, -5.0, 4.0, -1.0]) / m.dx**2
         wall_column = m.symbol[m.x.size - 1::-1]    # H[:, 0]
-        m.amat[:, :4] -= np.outer(wall_column, stencil)
-        m.amat[0] = 0.0
-        m.amat[-1] = 0.0
+        m.amat[:, :3] -= np.outer(wall_column[1:-1], stencil[1:])
         step = m.step_matrix()
         radius = float(np.max(np.abs(np.linalg.eigvals(step))))
         assert radius > 1.005
         assert m.stability_certificate(step=step) > 1.01
 
     def test_certificate_fails_closed(self, cfg):
-        # an end row that is not exactly a unit row, or a non-finite
-        # interior, leaves no bound
+        # a non-finite step leaves no bound
         m = MethodOfLines(cfg, mol_n=64)
-        for row, col, value in ((0, 1, 1e-300),
-                                (-1, -1, np.nextafter(1.0, 2.0)),
-                                (5, 7, np.nan)):
-            step = m.step_matrix()
-            step[row, col] = value
-            assert m.stability_certificate(step=step) == float("inf")
+        step = m.step_matrix()
+        step[5, 7] = np.nan
+        meta = {}
+        assert m.stability_certificate(step=step, meta=meta) == float("inf")
+        assert meta["certificate_route"] == "none"
+
+    def test_stiff_grid_certifies(self, cfg):
+        # n = 128 on L = 0.5 gives dt/dx^2 = 66, where a step inverted on all
+        # nodes has end rows 1e-16 off the unit row: the interior step
+        # certifies (measured bound 1 + 4.5e-13, dense radius 1 + 9e-16)
+        m = MethodOfLines(cfg, mol_n=128, mol_length=0.5)
+        step = m.step_matrix()
+        radius = float(np.max(np.abs(np.linalg.eigvals(step))))
+        meta = {}
+        bound = m.stability_certificate(step=step, meta=meta)
+        assert meta["certificate_route"] == "cholesky"
+        assert radius - 1e-12 <= bound <= 1.0 + 1e-9
 
     def test_certificate_rejects_planted_instability(self, mol):
         # An interior scaled by 1 + 1e-8 puts ||S_ii||_K near 1 + 1e-8, far
@@ -200,7 +205,7 @@ class TestCertificates:
 
         monkeypatch.setattr(mol_module, "dsyevr", refuse)
         meta = {}
-        n = mol.x.size
+        n = mol.config.mol_n - 1                # the interior nodes
         bound = mol.stability_certificate(mol.step_matrix(), meta=meta)
         assert meta["certificate_route"] == "cholesky"
         assert bound == math.sqrt(1.0 + 32.0 * n * np.finfo(float).eps)
@@ -336,15 +341,14 @@ class TestEvolution:
     def test_step_matrix_matches_lu_solves(self, mol):
         # 50 steps with S = (I - dt A)^{-1} against the LU-solve loop
         dt, n, n_steps = mol.config.mol_dt, mol.x.size, 50
-        lu = lu_factor(np.eye(n) - dt * mol.amat)
+        lu = lu_factor(np.eye(n - 2) - dt * mol.amat)
         h = lambda t: float(mol.h(np.array([t]))[0])  # noqa: E731
         hp = lambda t: float(mol.h.deriv(np.array([t]))[0])  # noqa: E731
         v = mol.psi(mol.x) - h(0.0) * mol.chi
         v[0] = v[-1] = 0.0
         for step in range(n_steps):
             rhs = mol._rhs_explicit(v, h(step * dt), hp(step * dt))
-            v = lu_solve(lu, v + dt * rhs)
-            v[0] = v[-1] = 0.0
+            v[1:-1] = lu_solve(lu, v[1:-1] + dt * rhs)
         t_end = n_steps * dt
         expect = v + h(t_end) * mol.chi
         got = mol.run(t_end, save_times=np.array([0.0, t_end])).values[-1]
@@ -416,6 +420,25 @@ class TestSaveTimes:
         assert res.meta["n_steps"] == 1
         assert res.meta["dt"] == 0.0004
         assert np.all(np.isfinite(res.values))
+
+    @pytest.mark.parametrize("t_final,steps", [
+        (0.05, [0, 6, 12, 19, 25, 31, 38, 44, 50]),
+        (0.0004, [0, 1]),
+    ])
+    def test_default_save_times_are_distinct_step_nodes(self, mol, t_final,
+                                                        steps):
+        # the step nodes nearest nine even times, each once; 0.05 is 50
+        # steps, not a multiple of 8
+        res = mol.run(t_final)
+        want = np.array(steps) * res.meta["dt"]
+        assert np.allclose(res.times, want, rtol=1e-15, atol=0.0)
+        assert np.array_equal(res.values[:, 0], mol.h(res.times))
+
+    @pytest.mark.parametrize("t_final", [1.0, 2.0])
+    def test_default_save_times_divide_even_horizons(self, cfg, t_final):
+        m = MethodOfLines(cfg, mol_n=64)
+        assert np.array_equal(m.run(t_final).times,
+                              np.linspace(0.0, t_final, 9))
 
     @pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan")])
     def test_nonpositive_dt_rejected(self, mol, dt):

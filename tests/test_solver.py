@@ -20,9 +20,10 @@ from bo_halfline.halfline import (HalfLineGrid, RampExp, cpu_workers,
                                   laplace_matrix, make_profile, node_index,
                                   trapezoid_weights)
 from bo_halfline import solver
-from bo_halfline.solver import (SWEEP_CHUNK_RAYS, DuhamelPropagator, TimeGrid,
-                                XNorm, advective_forcing, cross_validate,
-                                kept_mb, picard_solve)
+from bo_halfline.solver import (DUHAMEL_AXIS, SWEEP_CHUNK_RAYS,
+                                DuhamelPropagator, TimeGrid, XNorm,
+                                advective_forcing, cross_validate, kept_mb,
+                                picard_solve)
 from bo_halfline.symbols import Symbols
 
 
@@ -183,9 +184,9 @@ class TestPicard:
     def test_large_data_aborts(self, fast_cfg):
         # At 200x the production amplitude the iteration diverges; the
         # solver must detect it and say so rather than return garbage.  At
-        # 1e152 the first sweep's free running sum overflows, and at 1e200
-        # the first forcing u u_x itself: both must abort the same way
-        # rather than raise from a spline.
+        # 1e152 the first forcing u u_x is past the single-precision range,
+        # and at 1e200 it overflows: both must abort the same way rather
+        # than raise from a spline.
         for scale in (20.0, 1.0e152, 1.0e200):
             sol = picard_solve(fast_cfg.replace(data_scale=scale))
             assert sol.aborted and not sol.converged
@@ -561,7 +562,7 @@ class TestDuhamelPropagator:
         prop = propagator
         cache = fast_sym.direction(prop.layout.ray.phase)
         r = prop.layout.ray.r[:prop.layout.n_ray]
-        z, _ = prop.layout.axis
+        z, _ = DUHAMEL_AXIS
         xs, p = prop.half.nodes, prop.layout.p_nodes
         tensor, bt = prop._build_tensor(cache, r)
         scat = cache.phi_hat * (np.sqrt(r)[:, None] * p[None, :])
@@ -596,7 +597,7 @@ class TestDuhamelPropagator:
         import tracemalloc
         set_workers(2)
         prop = propagator
-        z, _ = prop.layout.axis
+        z, _ = DUHAMEL_AXIS
         whole_t = np.empty((prop.layout.n_ray, prop.layout.p_nodes.size,
                             z.size), dtype=np.complex64).nbytes
         tracemalloc.start()
