@@ -39,8 +39,8 @@ from .symbols import Symbols
 _UNIT_LAGS = log_graded_nodes(1.0e-12, 1.0, 16)
 
 
-def gaussian_laplace_moments(a, X, n_max: int = 2) -> list[np.ndarray]:
-    """M_n(a, X) for n = 0..n_max, broadcasting a (..., 1) against X (1, ...).
+def gaussian_laplace_moments(a, X) -> list[np.ndarray]:
+    """M_0, M_1 and M_2 of (a, X), broadcasting a (..., 1) against X (1, ...).
 
     Requires Re a > 0; stable for all X >= 0 via the Faddeeva function
     evaluated in the upper half plane."""
@@ -49,12 +49,8 @@ def gaussian_laplace_moments(a, X, n_max: int = 2) -> list[np.ndarray]:
     sqa = np.sqrt(a)
     zeta = 0.5j * X / sqa
     m0 = 0.5 * math.sqrt(math.pi) / sqa * wofz(zeta)
-    out = [m0]
-    if n_max >= 1:
-        out.append((1.0 - X * m0) / (2.0 * a))
-    for n in range(1, n_max):
-        out.append((n * out[n - 1] - X * out[n]) / (2.0 * a))
-    return out
+    m1 = (1.0 - X * m0) / (2.0 * a)
+    return [m0, m1, (m0 - X * m1) / (2.0 * a)]
 
 
 class BoundaryKernel:
@@ -84,18 +80,15 @@ class BoundaryKernel:
         psi = self.psi_ray.reshape((-1,) + (1,) * (np.ndim(f_ray) - 1))
         return self.ray(self.psi_unit * f_unit, psi * f_ray)
 
-    def _profile_values(self, X: np.ndarray, order: int) -> np.ndarray:
-        """(1/pi) times the order-(order+1) u-moment contraction at each X."""
-        n = order + 1
-        m_unit = gaussian_laplace_moments(-1j, X, n)[n]
-        m_ray = gaussian_laplace_moments(-self.ray.s[:, None], X[None, :], n)[n]
-        return self._invert(m_unit, m_ray) / math.pi
-
     def _build_profile(self) -> None:
         X = np.concatenate([[0.0], np.geomspace(self.X_MIN, self.X_MAX,
                                                 int(24 * 6) + 1)])
-        h = self._profile_values(X, 0)
-        hp = -self._profile_values(X, 1)
+        # the profile is (1/pi) times the M_1 contraction, its slope minus
+        # (1/pi) times the M_2 one; one moment pass per lattice gives both
+        m_unit = gaussian_laplace_moments(-1j, X)
+        m_ray = gaussian_laplace_moments(-self.ray.s[:, None], X[None, :])
+        h = self._invert(m_unit[1], m_ray[1]) / math.pi
+        hp = -self._invert(m_unit[2], m_ray[2]) / math.pi
         self.h_at_zero = float(h[0])
         self.hp_at_zero = float(hp[0])
         self._X_grid = X

@@ -4,9 +4,9 @@ Exit codes: 0 when every executed check passed, 1 when at least one check
 failed, 2 for configuration (an unknown ``--suite`` block among them), output
 or infrastructure errors.  Reports are deterministic for a fixed (config, seed)
 pair; see ``report``.  Run telemetry (the ``solve`` stage seconds, peak RSS,
-the propagator's kept arrays, CPU count and form discrepancy, one line per
-Picard sweep and, when the cross-validation block runs, one for the
-method-of-lines reference) goes to standard error, never into a CSV.
+the propagator's kept arrays and form discrepancy, one line per Picard sweep
+and, when the cross-validation block runs, one for the method-of-lines
+reference) goes to standard error, never into a CSV.
 """
 
 from __future__ import annotations

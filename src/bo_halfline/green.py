@@ -41,8 +41,8 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import gammainc, wofz
 
 from .contour import DampedRay, log_graded_nodes
-from .halfline import (EXP_UNDERFLOW, Profile, WholeLineGrid, for_each_row,
-                       laplace_matrix, lattice_args)
+from .halfline import (EXP_UNDERFLOW, Profile, WholeLineGrid, laplace_matrix,
+                       lattice_args)
 from .symbols import TWO_PI_I, DirectionCache, Symbols
 
 #: Prefactor of the half-line correction G2 = -(1/pi) int e^{-px} K dp.
@@ -270,9 +270,8 @@ def e_minus_rows(cache: DirectionCache, psi_hat, grids: GreenGrids,
     v_q = i V_0 rho^q, so p_j sqrt|s| v_q = i sqrt|s| P_MIN V_0 rho^{j+q}:
     each row samples psi_hat on the n_p + n - 1 points of that one lattice
     and is a correlation of those samples with the weights (a sliding window
-    contracted with them).  The moduli are independent rows, split by
-    ``for_each_row``; the contractions are ``np.einsum`` sums, not BLAS
-    products.  Raises ValueError for a p off the layout's lattice."""
+    contracted with them); the contractions are ``np.einsum`` sums.  Raises
+    ValueError for a p off the layout's lattice."""
     v, wv = grids.log_axis
     n = v.size // 2
     big_v = v[n:].imag
@@ -288,15 +287,12 @@ def e_minus_rows(cache: DirectionCache, psi_hat, grids: GreenGrids,
     w_up = w[:, n:]
     w_lo = np.conj(w[:, n - 1::-1])
     out = np.empty((mod_s.size, p.size), dtype=complex)
-
-    def fill(i: int) -> None:
+    for i in range(mod_s.size):
         rs = math.sqrt(mod_s[i])
         window = sliding_window_view(psi_hat(1j * (rs * P_MIN * big_v[0]) * ladder), n)
         out[i] = (np.einsum("kq,q->k", window, w_up[i])
                   + np.conj(np.einsum("kq,q->k", window, w_lo[i])))[lattice - first] \
             - root[i, 0] * psi_hat(cache.phi_hat * (p * rs))
-
-    for_each_row(mod_s.size, fill)
     return out
 
 
@@ -338,9 +334,7 @@ class EMinusLattice(RayKernel):
 
 
 #: Rows of a Filon table evaluated per block, so that its temporaries stay
-#: near 2.5 MB (at 125 p nodes) however many sigmas a caller asks for: the
-#: blocks run on several threads, and memory a thread frees can stay
-#: resident in that thread's malloc arena.
+#: near 2.5 MB (at 125 p nodes) however many sigmas a caller asks for.
 FRESNEL_BLOCK_ROWS = 128
 
 
@@ -359,17 +353,13 @@ def fresnel_table(p_nodes: np.ndarray, sigmas, dtype=complex) -> np.ndarray:
     through the same elementwise operations, and the complex products are
     explicit ``np.multiply`` calls, because an operator on a large temporary
     may be evaluated in place with its operands swapped, which moves the
-    last bit of a fused multiply-add.  The blocks are split across the
-    usable CPUs by ``for_each_row``."""
+    last bit of a fused multiply-add."""
     p = np.asarray(p_nodes, dtype=float)
     sigmas = np.asarray(sigmas, dtype=float)
     out = np.empty((sigmas.size, p.size), dtype=dtype)
-
-    def fill(b: int) -> None:
-        rows = slice(b * FRESNEL_BLOCK_ROWS, (b + 1) * FRESNEL_BLOCK_ROWS)
+    for lo in range(0, sigmas.size, FRESNEL_BLOCK_ROWS):
+        rows = slice(lo, lo + FRESNEL_BLOCK_ROWS)
         out[rows] = _fresnel_rows(p, sigmas[rows])
-
-    for_each_row(-(-sigmas.size // FRESNEL_BLOCK_ROWS), fill)
     return out
 
 

@@ -4,16 +4,12 @@ The half line carries a quadratically graded grid (dense near the boundary),
 Laplace transforms assembled from exact piecewise-linear panel weights, and
 the weighted norms used by the decay estimates.  The whole line carries an
 FFT grid for the convolution/multiplier operators (Hilbert transform, the
-free evolution group) and the Sobolev norms.  ``for_each_row`` runs the
-independent rows of the lattice builds across the usable CPUs.
+free evolution group) and the Sobolev norms.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -22,75 +18,6 @@ from scipy.interpolate import CubicSpline
 from scipy.special import wofz
 
 from .config import ConfigError
-
-# ---------------------------------------------------------------------------
-# independent rows across the usable CPUs
-
-
-def cpu_workers() -> int:
-    """CPUs this process may run on: its affinity set where the platform
-    reports one, else the machine's CPU count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-_in_block = threading.local()
-
-
-def _run_block(row, lo: int, hi: int) -> None:
-    outer = getattr(_in_block, "active", False)
-    _in_block.active = True
-    try:
-        for i in range(lo, hi):
-            row(i)
-    finally:
-        _in_block.active = outer
-
-
-def for_each_row(n: int, row) -> None:
-    """Call ``row(i)`` for every i in range(n), split into one contiguous
-    block of rows per usable CPU (``cpu_workers``).  The calling thread
-    takes the first block; the others run on a module-level thread pool,
-    created on first use.  Every block runs to its end, then the exception
-    of the first block that raised, if any, is raised here.  A split inside
-    a block runs as one block, on the thread that reached it.
-
-    The rows must write disjoint outputs, and each must be the same
-    elementwise computation whichever thread runs it; then the result is
-    bitwise that of one block, whatever the CPU count.  Two more rules hold:
-
-    * A block makes no BLAS call.  A BLAS library with threads of its own
-      keeps them spinning on the other cores, and small products inside
-      concurrent blocks then took up to twice as long; contract with
-      ``np.einsum`` (without ``optimize``) or elementwise sums instead.
-    * A block calls no layer that ``benchmark/tracer.py`` wraps (the E-
-      lattice, the propagator build, ``fresnel_weights``, ...): the tracer
-      keeps one span stack, and a span opened on a second thread breaks it.
-    """
-    global _pool
-    workers = min(cpu_workers(), n)
-    if workers <= 1 or getattr(_in_block, "active", False):
-        _run_block(row, 0, n)
-        return
-    edges = [n * i // workers for i in range(workers + 1)]
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max(cpu_workers() - 1, 1),
-                                       thread_name_prefix="bo_halfline-rows")
-        futures = [_pool.submit(_run_block, row, edges[i], edges[i + 1])
-                   for i in range(1, workers)]
-    try:
-        _run_block(row, edges[0], edges[1])
-    finally:
-        # every block runs to its end before anything is raised
-        errors = [f.exception() for f in futures]
-    for exc in errors:
-        if exc is not None:
-            raise exc
-
 
 # ---------------------------------------------------------------------------
 # grids
@@ -209,8 +136,7 @@ class WholeLineGrid:
         table of them need exist.  Of each inverse real FFT only a window
         FREE_WINDOW_MARGIN nodes past [0, max x] is kept; one vector-valued
         spline per order reads it at x.  A window that overflowed has no
-        spline: its field is NaN.  The times are independent rows, split by
-        ``for_each_row``."""
+        spline: its field is NaN."""
         xi = self.xi_half
         n_t = len(spectra)
         x_top = float(np.max(x)) if x.size else 0.0
@@ -219,12 +145,10 @@ class WholeLineGrid:
         mults = [(1j * xi) ** d for d in orders]
         window = np.empty((len(orders), n_t, last - first))
 
-        def evolve(k: int) -> None:
+        for k in range(n_t):
             spec = phases(k) * spectra[k]
             for i, mult in enumerate(mults):
                 window[i, k] = np.fft.irfft(spec * mult, self.n)[first:last]
-
-        for_each_row(n_t, evolve)
         if not np.isfinite(window).all():
             return np.full((len(orders), n_t, x.size), np.nan)
         return np.stack([CubicSpline(self.nodes[first:last], w, axis=1)(x)
@@ -350,7 +274,7 @@ def _filon_laplace_ab(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 #: Rows of the Laplace matrix filled per block: the panel temporaries then
 #: stay near 1.5 MB (at 257 nodes) however many transform points a caller
-#: asks for, also with one block in flight per CPU.
+#: asks for.
 LAPLACE_BLOCK_ROWS = 64
 
 #: e^x rounds to exactly 0 in double precision for x below about -745.13
@@ -372,9 +296,7 @@ def laplace_matrix(z_values: np.ndarray, x_nodes: np.ndarray,
     factor e^{-z x} underflows to exactly 0 for all of its rows (the nodes
     increase, so it stays 0 beyond): the weights past it are exact zeros and
     are not evaluated.  Every evaluated entry is an elementwise formula in
-    its own z, so neither the blocking nor the row order changes a bit.
-    ``for_each_row`` runs the blocks in bit-reversed order, which spreads the
-    costly blocks of small Re z evenly over the CPUs' contiguous shares."""
+    its own z, so neither the blocking nor the row order changes a bit."""
     z = np.atleast_1d(np.asarray(z_values, dtype=complex))
     if np.any(z.real < -1.0e-12 * (1.0 + np.abs(z))):
         raise ValueError("laplace_matrix requires Re z >= 0")
@@ -382,12 +304,8 @@ def laplace_matrix(z_values: np.ndarray, x_nodes: np.ndarray,
     h = np.diff(x)                                    # (nx-1,)
     out = np.zeros((z.size, x.size), dtype=dtype)
     order = np.argsort(z.real, kind="stable")
-    n_blocks = -(-z.size // LAPLACE_BLOCK_ROWS)
-    bits = max(n_blocks - 1, 1).bit_length()
-    spread = sorted(range(n_blocks), key=lambda b: f"{b:0{bits}b}"[::-1])
-
-    def fill(b: int) -> None:
-        rows = order[b * LAPLACE_BLOCK_ROWS:(b + 1) * LAPLACE_BLOCK_ROWS]
+    for lo in range(0, z.size, LAPLACE_BLOCK_ROWS):
+        rows = order[lo:lo + LAPLACE_BLOCK_ROWS]
         zb = z[rows, None]
         # panels whose left node keeps e^{-z x} > 0 for some row of the block
         n = int(np.count_nonzero(zb.real.min() * x[:-1] <= -EXP_UNDERFLOW))
@@ -397,8 +315,6 @@ def laplace_matrix(z_values: np.ndarray, x_nodes: np.ndarray,
         block[:, :-1] += front * wa
         block[:, 1:] += front * wb
         out[rows, :n + 1] = block
-
-    for_each_row(n_blocks, lambda i: fill(spread[i]))
     return out
 
 

@@ -607,12 +607,11 @@ def _cross_validation_rows(cfg: RunConfig, sol: SpaceTimeSolution,
 
 
 def _solve_telemetry(sol: SpaceTimeSolution, xv: dict) -> list[str]:
-    """Stage seconds, peak RSS, the propagator's kept arrays (MB), CPU
-    count and form discrepancy (the gap between u u_x and (u^2/2)_x) of the
-    solve, one line per Duhamel sweep (the Picard iterations, then the
-    residual sweep) with its step norm and the ratio to the previous step,
-    and one line for the method-of-lines reference run when it ran (``xv``
-    is empty otherwise)."""
+    """Stage seconds, peak RSS, the propagator's kept arrays (MB) and form
+    discrepancy (the gap between u u_x and (u^2/2)_x) of the solve, one line
+    per Duhamel sweep (the Picard iterations, then the residual sweep) with
+    its step norm and the ratio to the previous step, and one line for the
+    method-of-lines reference run when it ran (``xv`` is empty otherwise)."""
     meta = sol.meta
     lines = [f"solve: linear_lattice_s={meta['linear_lattice_s']:.3f} "
              f"linear_lattice_peak_rss_mb="
@@ -621,7 +620,6 @@ def _solve_telemetry(sol: SpaceTimeSolution, xv: dict) -> list[str]:
              f"propagator_build_peak_rss_mb="
              f"{meta['propagator_build_peak_rss_mb']:.1f} "
              f"propagator_mb={meta['propagator_mb']:.1f} "
-             f"workers={meta['workers']} "
              f"form_discrepancy={sol.form_discrepancy:.6g}"]
     steps = meta["step_norm"]
     for i, sweep_s in enumerate(meta["sweep_s"]):

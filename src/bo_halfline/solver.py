@@ -31,9 +31,9 @@ from .green import (FieldAssembly, GreenGrids, GreenOperator,
                     e_minus_weights, fresnel_table)
 # the one-row Filon helper stays importable from this module too
 from .green import fresnel_weights  # noqa: F401
-from .halfline import (HalfLineGrid, RampExp, WholeLineGrid, cpu_workers,
-                       for_each_row, l2_norm, laplace_matrix, make_profile,
-                       node_index, trapezoid_weights)
+from .halfline import (HalfLineGrid, RampExp, WholeLineGrid, l2_norm,
+                       laplace_matrix, make_profile, node_index,
+                       trapezoid_weights)
 from .mol import MethodOfLines
 from .symbols import Symbols
 
@@ -288,13 +288,10 @@ class DuhamelPropagator:
         m = np.sqrt(moduli)[:, None] * p[None, :]            # (n_s, n_p)
         tensor = np.empty((moduli.size, p.size, z.size), dtype=np.complex64)
         bt = np.empty(moduli.size, dtype=complex)
-
-        def fill(i: int) -> None:
+        for i in range(moduli.size):
             mi = m[i][:, None]                               # (n_p, 1)
             tensor[i], bt[i] = e_minus_weights(cache, moduli[i],
                                                z[None, :] / mi, wz[None, :] / mi)
-
-        for_each_row(moduli.size, fill)
         return tensor, bt
 
     def _scattered_laplace(self, cache, moduli: np.ndarray) -> np.ndarray:
@@ -459,8 +456,7 @@ class SpaceTimeSolution:
     n_iter: int
     trace_error: float
     form_discrepancy: float
-    # the CPU count that independent rows are split across (workers), stage
-    # seconds and the process peak RSS (MB) at the end of each stage:
+    # stage seconds and the process peak RSS (MB) at the end of each stage:
     # linear_lattice_s and _peak_rss_mb, propagator_build_s (0 for a supplied
     # propagator) and _peak_rss_mb, propagator_mb (the arrays the propagator
     # keeps, kept_mb), and lists with one entry per Duhamel sweep
@@ -530,8 +526,7 @@ def picard_solve(config: RunConfig | None = None,
     lin[:, 1:] = (green.apply(xs, times.nodes[1:], (0, 1))
                   + bker.apply_convolution(h, xs, times.nodes[1:], (0, 1)))
 
-    timings = {"workers": cpu_workers(),
-               "linear_lattice_s": time.perf_counter() - clock,
+    timings = {"linear_lattice_s": time.perf_counter() - clock,
                "linear_lattice_peak_rss_mb": peak_rss_mb(),
                "propagator_build_s": 0.0, "transform_forcing_s": [],
                "accumulate_s": [], "sweep_s": [], "step_norm": [],

@@ -205,7 +205,7 @@ def test_solve_prints_stage_telemetry(fast_cfg, monkeypatch, capsys,
     stages = [ln for ln in lines if "linear_lattice_s=" in ln]
     assert len(stages) == 1
     for key in ("propagator_build_s=", "linear_lattice_peak_rss_mb=",
-                "propagator_build_peak_rss_mb=", "propagator_mb=", "workers=",
+                "propagator_build_peak_rss_mb=", "propagator_mb=",
                 "form_discrepancy="):
         assert key in stages[0]
     # the arrays the propagator keeps, in MB, on the stage line only: 14.5
@@ -311,21 +311,25 @@ def test_cli_import_leaves_out_scipy_stats():
 
 
 def test_import_starts_no_thread():
-    # the row-block pool starts with the first split: importing the cli
-    # and a method-of-lines run start no thread
+    # every computation runs in the calling thread: importing the cli, a
+    # method-of-lines run and a small solve start no Python thread (BLAS
+    # threads are not Python threads and are not counted)
     package_root = str(Path(bo_halfline.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c",
          "import threading, bo_halfline.cli\n"
-         "from bo_halfline import MethodOfLines, RunConfig, halfline\n"
-         "print(threading.active_count(), halfline._pool is None)\n"
+         "from bo_halfline import MethodOfLines, RunConfig, picard_solve\n"
+         "print(threading.active_count())\n"
          "MethodOfLines(RunConfig(), mol_n=64).run(t_final=1.0)\n"
-         "print(threading.active_count(), halfline._pool is None)"],
+         "print(threading.active_count())\n"
+         "picard_solve(RunConfig(n_x=64, n_time_geometric=8,\n"
+         "                       n_time_uniform=8))\n"
+         "print(threading.active_count())"],
         capture_output=True, text=True, timeout=300,
         env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1", "True", "1", "True"]
+    assert proc.stdout.split() == ["1", "1", "1"]
 
 
 def test_console_script_end_to_end(tmp_path):

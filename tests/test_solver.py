@@ -13,12 +13,10 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from bo_halfline.boundary import BoundaryKernel
 from bo_halfline.config import ConfigError
-from bo_halfline.green import GreenOperator, fresnel_weights
-from bo_halfline.halfline import (HalfLineGrid, RampExp, cpu_workers,
-                                  laplace_matrix, make_profile, node_index,
-                                  trapezoid_weights)
+from bo_halfline.green import fresnel_weights
+from bo_halfline.halfline import (HalfLineGrid, laplace_matrix, make_profile,
+                                  node_index, trapezoid_weights)
 from bo_halfline import solver
 from bo_halfline.solver import (DUHAMEL_AXIS, SWEEP_CHUNK_RAYS,
                                 DuhamelPropagator, TimeGrid, XNorm,
@@ -154,7 +152,6 @@ class TestPicard:
 
     def test_stage_timings_in_meta(self, solution):
         meta = solution.meta
-        assert meta["workers"] == cpu_workers()
         for key in ("linear_lattice_s", "propagator_build_s"):
             assert math.isfinite(meta[key]) and meta[key] >= 0.0
         # one entry per Picard sweep plus the residual sweep
@@ -416,18 +413,6 @@ class TestDuhamelPropagator:
         for k, t in enumerate(propagator.times.nodes):
             assert np.array_equal(np.conj(propagator._back[k]), np.exp(phase * t))
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_tensor_bitwise_for_any_worker_count(self, propagator, fast_sym,
-                                                 set_workers, workers):
-        layout = propagator.layout
-        cache = fast_sym.direction(layout.ray.phase)
-        moduli = layout.ray.r[:layout.n_ray][::6]
-        set_workers(1)
-        want = propagator._build_tensor(cache, moduli)
-        set_workers(workers)
-        for got, ref in zip(propagator._build_tensor(cache, moduli), want):
-            assert np.array_equal(got, ref)
-
     def test_damping_per_step_is_the_table_recurrence(
             self, propagator, decaying_forcing, monkeypatch):
         # each chunk's factors e^{s p^2 h} are recomputed when the step
@@ -587,15 +572,11 @@ class TestDuhamelPropagator:
         monkeypatch.setattr(solver, "SWEEP_CHUNK_RAYS", chunk)
         assert np.array_equal(propagator._ray_map(cache), propagator._m_ray)
 
-    def test_build_never_holds_the_whole_tensor(self, propagator, fast_sym,
-                                                set_workers):
+    def test_build_never_holds_the_whole_tensor(self, propagator, fast_sym):
         # the ray map is formed one chunk of tensor rows at a time: the
         # build's tracemalloc peak stays below the bytes of the whole
-        # complex64 tensor plus what the propagator keeps (it reads kept +
-        # 0.46 of the tensor on two CPUs, most of it the E- rows'
-        # temporaries of one ray per CPU, so the CPU count is fixed)
+        # complex64 tensor plus what the propagator keeps
         import tracemalloc
-        set_workers(2)
         prop = propagator
         z, _ = DUHAMEL_AXIS
         whole_t = np.empty((prop.layout.n_ray, prop.layout.p_nodes.size,
@@ -623,33 +604,6 @@ class TestDuhamelPropagator:
         got = propagator.transform_forcing(decaying_forcing)
         assert propagator.times.n == 33
         assert np.array_equal(got.free, want.free)
-
-
-def _linear_lattice(cfg) -> np.ndarray:
-    """G(t) psi + B(t) h and its x-derivative at the positive lattice
-    times, as picard_solve assembles them."""
-    symbols = Symbols(cfg)
-    xs = HalfLineGrid(x_max=cfg.x_max, n=cfg.n_x).nodes
-    times = TimeGrid(cfg.t_final, cfg.t_switch, cfg.n_time_geometric,
-                     cfg.n_time_uniform).nodes[1:]
-    psi = make_profile(cfg.psi_profile, cfg.data_scale)
-    return (GreenOperator(symbols, psi).apply(xs, times, (0, 1))
-            + BoundaryKernel(symbols).apply_convolution(
-                RampExp(cfg.data_scale), xs, times, (0, 1)))
-
-
-def test_solution_bitwise_for_any_worker_count(fast_cfg, solution,
-                                               set_workers):
-    # every split site at once: the linear lattice, the propagator build
-    # and the sweeps, on one block against the CPUs of this machine
-    linear = _linear_lattice(fast_cfg)
-    set_workers(1)
-    assert np.array_equal(_linear_lattice(fast_cfg), linear)
-    serial = picard_solve(fast_cfg)
-    assert serial.meta["workers"] == 1
-    for name in ("values", "derivs"):
-        assert np.array_equal(getattr(serial, name), getattr(solution, name))
-    assert serial.meta["step_norm"] == solution.meta["step_norm"]
 
 
 class _NanPropagator:
